@@ -50,8 +50,8 @@ from .recorder import (
     BalanceSheet,
     IdentityReport,
     Record,
+    Recorder,
     RecordError,
-    compile_balance_sheet,
     read_record,
     run_record,
     verify_identities,

@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 from . import rng
 from .network import build_network
 from .recorder import Record, run_record
-from .retrieval import Assignment, FitConfig, apply_assignment, fit, retrace
+from .retrieval import Assignment, FitConfig, apply_assignment, fit
 from .scenario import PolicyAction, ScenarioSpec, ShockSpec, as_fraction
 
 DEFAULT_DIMS = (

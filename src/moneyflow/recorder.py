@@ -21,10 +21,10 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .engine import run, settle_all
-from .network import Event, NetworkState
+from .network import NetworkState
 from .scenario import as_fraction, rational_str
 
 
@@ -97,123 +97,128 @@ class IdentityReport:
         return [c for c in self.checks if not c.passed]
 
 
-def _term_of(event: Event, term_length: float) -> int:
-    term = event.payload.get("term")
-    if term is not None:
-        return term
-    return int(event.time // term_length)
+class Recorder:
+    """Term-by-term sheet compiler over one state's event log.
 
+    The observer cut flagged `term=k` closes term k, so each sheet is summed
+    from the events logged after the previous cut, through its own. The
+    recorder carries the stocks, rates and outstanding totals as of the last
+    compiled cut and the log position just past it. Segmenting the log at the
+    cuts, rather than by event time, books every event into the term the
+    engine processed it in, at any term length.
+    """
 
-def _compile_range(log: Sequence[Event], state: NetworkState, first: int, last: int,
-                   term_length: float) -> list[BalanceSheet]:
-    """Single pass over the log building sheets for terms first..last inclusive."""
-    if state.now + 1e-12 < (last + 1) * term_length:
-        raise RecordError(
-            f"incomplete log coverage: state at time {state.now} cannot close term {last}"
-        )
-    spec = state.spec
-    agent_ids = [a.id for a in spec.agents]
-    channel_figures = {f.channel: f.name for f in spec.figures if f.channel is not None}
-    stock_figures = [(f.name, f.stock) for f in spec.figures if f.stock is not None]
+    def __init__(self, state: NetworkState):
+        self.state = state
+        self.term = 0  # index of the next sheet to compile
+        self._position = 0
+        spec = state.spec
+        self._agent_ids = [a.id for a in spec.agents]
+        channel_figures = {f.channel: f.name for f in spec.figures if f.channel is not None}
+        self._flow_names = list(channel_figures.values())
+        self._stock_figures = [(f.name, f.stock) for f in spec.figures if f.stock is not None]
+        self._routes = {cid: (ch.source, ch.sink, channel_figures.get(cid))
+                        for cid, ch in state.channels.items()}
+        self._stocks = dict(state.initial_stocks)
+        self._rates = dict(state.initial_rates)
+        self._notes = 0
+        self._securities = 0
 
-    stocks = dict(state.initial_stocks)
-    rates = dict(state.initial_rates)
-    issuance = 0
-    securities = 0
+    def record_term(self) -> BalanceSheet:
+        """Run the next term, take its observer cut and compile its sheet."""
+        state = self.state
+        boundary = (self.term + 1) * state.spec.term_length
+        run(state, boundary - state.now)
+        settle_all(state, boundary, observer=True, term=self.term)
+        return self.compile_term()
 
-    sheets: list[BalanceSheet] = []
-    term = 0
-    opening = dict(stocks)
-    inflow = {aid: 0 for aid in agent_ids}
-    outflow = {aid: 0 for aid in agent_ids}
-    flows = {name: 0 for name in channel_figures.values()}
+    def compile_term(self) -> BalanceSheet:
+        """Sheet of the next term, from the log through its observer cut.
 
-    def close_term() -> None:
-        nonlocal term, opening, inflow, outflow, flows
-        if term >= first:
-            figures = dict(flows)
-            for name, agent_id in stock_figures:
-                figures[name] = stocks[agent_id]
-            sheets.append(BalanceSheet(
-                term_index=term,
-                agents={aid: AgentLine(opening[aid], inflow[aid], outflow[aid], stocks[aid])
-                        for aid in agent_ids},
-                notes_outstanding=issuance,
-                securities_outstanding=securities,
-                rates=dict(rates),
-                figures=figures,
-            ))
-        term += 1
-        opening = dict(stocks)
-        inflow = {aid: 0 for aid in agent_ids}
-        outflow = {aid: 0 for aid in agent_ids}
-        flows = {name: 0 for name in channel_figures.values()}
-
-    def apply_amount(cid: str, amount: int, in_window: bool, count_figures: bool) -> None:
-        ch = state.channels[cid]
-        stocks[ch.source] -= amount
-        stocks[ch.sink] += amount
-        if in_window:
-            outflow[ch.source] += amount
-            inflow[ch.sink] += amount
-            if count_figures:
-                name = channel_figures.get(cid)
-                if name is not None:
-                    flows[name] += amount
-
-    for ev in log:
-        ev_term = _term_of(ev, term_length)
-        if ev_term > last:
-            break
-        while ev_term > term and term <= last:
-            close_term()
-        in_window = first <= ev_term <= last
-        kind = ev.kind
-        if kind == "Settlement":
-            for cid, amount in ev.payload["amounts"]:
-                apply_amount(cid, amount, in_window, count_figures=True)
-        elif kind == "Transfer":
-            apply_amount(ev.payload["channel"], ev.payload["amount"], in_window, count_figures=True)
-        elif kind == "Shock":
-            amount = ev.payload["amount"]
-            stocks[ev.payload["source"]] -= amount
-            stocks[ev.payload["sink"]] += amount
-            if in_window:
+        Raises RecordError when the log holds no cut for the term, as after a
+        bare `run` that took none; the recorder is then left as it was.
+        """
+        term, log, routes = self.term, self.state.log, self._routes
+        opening = self._stocks
+        stocks, rates = dict(opening), dict(self._rates)
+        notes, securities = self._notes, self._securities
+        inflow = dict.fromkeys(self._agent_ids, 0)
+        outflow = dict.fromkeys(self._agent_ids, 0)
+        flows = dict.fromkeys(self._flow_names, 0)
+        for position in range(self._position, len(log)):
+            ev = log[position]
+            kind, payload = ev.kind, ev.payload
+            if kind == "Settlement":
+                for cid, amount in payload["amounts"]:
+                    source, sink, figure = routes[cid]
+                    stocks[source] -= amount
+                    stocks[sink] += amount
+                    outflow[source] += amount
+                    inflow[sink] += amount
+                    if figure is not None:
+                        flows[figure] += amount
+                cut = payload.get("term") if payload["observer"] else None
+                if cut is None:
+                    continue
+                if cut != term:
+                    raise RecordError(f"log position {position}: cut of term {cut} "
+                                      f"where term {term} was expected")
+                self.term += 1
+                self._position = position + 1
+                self._stocks, self._rates = stocks, rates
+                self._notes, self._securities = notes, securities
+                figures = dict(flows)
+                for name, agent_id in self._stock_figures:
+                    figures[name] = stocks[agent_id]
+                return BalanceSheet(
+                    term_index=term,
+                    agents={aid: AgentLine(opening[aid], inflow[aid], outflow[aid], stocks[aid])
+                            for aid in self._agent_ids},
+                    notes_outstanding=notes,
+                    securities_outstanding=securities,
+                    rates=dict(rates),
+                    figures=figures,
+                )
+            elif kind == "Transfer":
+                source, sink, figure = routes[payload["channel"]]
+                amount = payload["amount"]
+                stocks[source] -= amount
+                stocks[sink] += amount
+                outflow[source] += amount
+                inflow[sink] += amount
+                if figure is not None:
+                    flows[figure] += amount
+            elif kind == "Shock":
                 # Shocks redistribute stocks; they are not flow on the channel.
-                outflow[ev.payload["source"]] += amount
-                inflow[ev.payload["sink"]] += amount
-        elif kind == "Issue":
-            amount = ev.payload["amount"]
-            if ev.payload.get("instrument") == "securities":
-                securities += amount
-            else:
-                stocks[ev.payload["agent"]] += amount
-                issuance += amount
-                if in_window:
+                amount = payload["amount"]
+                stocks[payload["source"]] -= amount
+                stocks[payload["sink"]] += amount
+                outflow[payload["source"]] += amount
+                inflow[payload["sink"]] += amount
+            elif kind == "Issue":
+                amount = payload["amount"]
+                if payload.get("instrument") == "securities":
+                    securities += amount
+                else:
+                    stocks[payload["agent"]] += amount
+                    notes += amount
                     if amount >= 0:
-                        inflow[ev.payload["agent"]] += amount
+                        inflow[payload["agent"]] += amount
                     else:
-                        outflow[ev.payload["agent"]] += -amount
-        elif kind == "Policy":
-            if ev.payload["action"] == "set_rate":
-                rates[ev.payload["target"]] = ev.payload["value"]
-
-    while term <= last:
-        close_term()
-    return sheets
-
-
-def compile_balance_sheet(log: Sequence[Event], state: NetworkState, term_index: int,
-                          term_length: float) -> BalanceSheet:
-    """Balance sheet for one term, summed from the settled events in the log."""
-    return _compile_range(log, state, term_index, term_index, term_length)[0]
+                        outflow[payload["agent"]] += -amount
+            elif kind == "Policy":
+                if payload["action"] == "set_rate":
+                    rates[payload["target"]] = payload["value"]
+        raise RecordError(f"the log holds no observer cut for term {term}")
 
 
 def run_record(state: NetworkState, n_terms: int) -> Record:
     """Advance the state by whole terms, forcing the boundary cut each term.
 
     The forced settlement is flagged `observer` in the log so that organic
-    settlements remain distinguishable from recorder-induced ones.
+    settlements remain distinguishable from recorder-induced ones. The record
+    holds every term from 0: terms already cut in the log are compiled again
+    from it, and a state advanced without cuts raises RecordError.
     """
     if n_terms < 0:
         raise ValueError("n_terms must be non-negative")
@@ -221,11 +226,9 @@ def run_record(state: NetworkState, n_terms: int) -> Record:
     first = int(round(state.now / term_length))
     if abs(state.now - first * term_length) > 1e-9:
         raise ValueError(f"run_record must start at a term boundary, state is at {state.now}")
-    for k in range(first, first + n_terms):
-        boundary = (k + 1) * term_length
-        run(state, boundary - state.now)
-        settle_all(state, boundary, observer=True, term=k)
-    sheets = _compile_range(state.log, state, 0, first + n_terms - 1, term_length) if n_terms else []
+    recorder = Recorder(state)
+    sheets = [recorder.compile_term() for _ in range(first)]
+    sheets += [recorder.record_term() for _ in range(n_terms)]
     return Record(
         sheets=tuple(sheets),
         fingerprint=state.spec.fingerprint(),

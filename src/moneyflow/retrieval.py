@@ -16,13 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
-from math import sqrt
+from math import inf, sqrt
 from typing import Mapping, Sequence
 
 from . import rng
 from .engine import apportion
 from .network import NetworkState, build_network
-from .recorder import Record, run_record
+from .recorder import BalanceSheet, Record, Recorder, run_record
 from .scenario import ScenarioError, ScenarioSpec
 
 
@@ -92,17 +92,73 @@ def retrace(assignment: Assignment, spec: ScenarioSpec, n_terms: int,
     return run_record(state, n_terms)
 
 
+def _sheet_figures(sheet: BalanceSheet) -> list[tuple[str, int | Fraction]]:
+    """One sheet's (figure key, value) rows: agent stock/flow totals, then aggregates."""
+    rows: list[tuple[str, int | Fraction]] = []
+    for aid, line in sheet.agents.items():
+        rows.append((f"closing:{aid}", line.closing))
+        rows.append((f"inflow:{aid}", line.inflow))
+        rows.append((f"outflow:{aid}", line.outflow))
+    rows.extend(sheet.aggregates().items())
+    return rows
+
+
 def _figure_values(record: Record) -> dict[str, list[int | Fraction]]:
     """Time series per figure key: agent stock/flow totals plus all aggregates."""
     series: dict[str, list[int | Fraction]] = {}
     for sheet in record.sheets:
-        for aid, line in sheet.agents.items():
-            series.setdefault(f"closing:{aid}", []).append(line.closing)
-            series.setdefault(f"inflow:{aid}", []).append(line.inflow)
-            series.setdefault(f"outflow:{aid}", []).append(line.outflow)
-        for name, value in sheet.aggregates().items():
+        for name, value in _sheet_figures(sheet):
             series.setdefault(name, []).append(value)
     return series
+
+
+class _Yardstick:
+    """The target's side of `reproduction_error`: its figure series and scales, built once."""
+
+    def __init__(self, target: Record, weights: Mapping[str, float] | None):
+        self.target = target
+        self.weights = weights
+        self.series = _figure_values(target)
+        self._scales: dict[str, float] = {}
+
+    def scale(self, name: str) -> float:
+        """max(1, max |target value|) of one figure, computed on first use."""
+        scale = self._scales.get(name)
+        if scale is None:
+            scale = self._scales[name] = max(1.0, max(abs(float(v)) for v in self.series[name]))
+        return scale
+
+    def error(self, simulated: Record) -> float:
+        """`reproduction_error` of `simulated` against the target."""
+        target, tgt_series = self.target, self.series
+        if len(simulated.sheets) != len(target.sheets):
+            raise ValueError(
+                f"term count mismatch: simulated has {len(simulated.sheets)}, target has {len(target.sheets)}"
+            )
+        sim_series = _figure_values(simulated)
+        if self.weights is None:
+            if set(sim_series) != set(tgt_series):
+                missing = set(tgt_series) ^ set(sim_series)
+                raise ValueError(f"figure sets differ: {sorted(missing)}")
+            selected = {name: 1.0 for name in tgt_series}
+        else:
+            selected = dict(self.weights)
+            for name in selected:
+                if name not in tgt_series or name not in sim_series:
+                    raise ValueError(f"weighted figure {name!r} not present in both records")
+        if not selected or not target.sheets:
+            return 0.0
+        total = 0.0
+        count = 0
+        for name, weight in selected.items():
+            tgt = tgt_series[name]
+            sim = sim_series[name]
+            scale = self.scale(name)
+            for s, t in zip(sim, tgt):
+                diff = (float(s) - float(t)) / scale
+                total += (weight * diff) ** 2
+                count += 1
+        return sqrt(total / count)
 
 
 def reproduction_error(simulated: Record, target: Record,
@@ -117,35 +173,7 @@ def reproduction_error(simulated: Record, target: Record,
     aggregate names plus per-agent series named "closing:ID", "inflow:ID",
     and "outflow:ID".
     """
-    if len(simulated.sheets) != len(target.sheets):
-        raise ValueError(
-            f"term count mismatch: simulated has {len(simulated.sheets)}, target has {len(target.sheets)}"
-        )
-    sim_series = _figure_values(simulated)
-    tgt_series = _figure_values(target)
-    if weights is None:
-        if set(sim_series) != set(tgt_series):
-            missing = set(tgt_series) ^ set(sim_series)
-            raise ValueError(f"figure sets differ: {sorted(missing)}")
-        selected = {name: 1.0 for name in tgt_series}
-    else:
-        selected = dict(weights)
-        for name in selected:
-            if name not in tgt_series or name not in sim_series:
-                raise ValueError(f"weighted figure {name!r} not present in both records")
-    if not selected or not target.sheets:
-        return 0.0
-    total = 0.0
-    count = 0
-    for name, weight in selected.items():
-        tgt = tgt_series[name]
-        sim = sim_series[name]
-        scale = max(1.0, max(abs(float(v)) for v in tgt))
-        for s, t in zip(sim, tgt):
-            diff = (float(s) - float(t)) / scale
-            total += (weight * diff) ** 2
-            count += 1
-    return sqrt(total / count)
+    return _Yardstick(target, weights).error(simulated)
 
 
 @dataclass(frozen=True)
@@ -178,19 +206,79 @@ class FitResult:
         }
 
 
+# Relative slack on the early-exit test. It must exceed the rounding of the
+# float sums compared, about (number of terms added) * 2**-53 relative; 1e-9
+# covers records of up to a million (term, figure) pairs.
+_MARGIN = 1e-9
+
+
 class _Objective:
-    """Cached, budget-counting evaluation of one offset vector."""
+    """Cached, budget-counting evaluation of one offset vector, bounded by the incumbent.
+
+    A call with `bound` (the incumbent error) replays the vector term by term
+    and adds each term's squared scaled differences as soon as that term's
+    sheet exists; once the partial sum exceeds bound**2 * count * (1 + margin)
+    it stops and returns a value at or above `bound`.
+
+    Exactness: the reference error is sqrt(S / count), where S adds the same
+    per-(term, figure) squares in figure-major order. Every square is
+    non-negative, so the partial sum over the terms replayed so far is at most
+    the exact S; the two float sums differ from their exact values by far less
+    than the margin. Hence a stopped vector's reference error is at least
+    `bound` and at least sqrt(partial / count) * (1 - margin), and the larger of
+    the two is returned and cached as a floor. The pattern and polish phases
+    only ask whether a candidate beats the incumbent, which such a vector
+    cannot, so they take the same path. A vector that runs all its terms gets
+    the reference value through the same `_Yardstick.error`, bit for bit.
+
+    Each new vector counts as one evaluation, stopped or not. A floor queried
+    with a higher bound is replayed in full and not counted again. The early
+    exit needs every sheet to hold the same figure keys, once each, in target
+    and replay alike (a `set_rate` on a rate the scenario does not declare adds
+    a key mid-run); otherwise every call replays in full.
+    """
 
     def __init__(self, target: Record, spec: ScenarioSpec, config: FitConfig,
                  agent_ids: Sequence[str], n_terms: int, base_state: NetworkState):
-        self.target = target
-        self.spec = spec
-        self.config = config
         self.agent_ids = agent_ids
         self.n_terms = n_terms
         self.base_state = base_state
+        self.weights = config.weights
+        self.yardstick = _Yardstick(target, config.weights)
         self.cache: dict[tuple[int, ...], float] = {}
+        self.floors: dict[tuple[int, ...], float] = {}
         self.evaluations = 0
+        self.early_exits = 0
+        layouts = [_sheet_figures(sheet) for sheet in target.sheets]
+        self.keys = dict(layouts[0]).keys()
+        self.rows = self._term_rows(layouts, spec)
+        self.count = len(self.rows[0]) * n_terms if self.rows else 0
+
+    def _term_rows(self, layouts: list[list[tuple[str, int | Fraction]]],
+                   spec: ScenarioSpec) -> list[list[tuple[str, float, float, float]]]:
+        """Per target term, (key, weight, scale, value) of each compared figure.
+
+        Empty when the figure layout rules out the early exit.
+        """
+        tables = [dict(figures) for figures in layouts]
+        if not all(self._regular(figures, values) for figures, values in zip(layouts, tables)):
+            return []
+        if any(a.kind == "set_rate" and a.target not in spec.rates for a in spec.policy):
+            return []
+        selected = dict.fromkeys(self.keys, 1.0) if self.weights is None else dict(self.weights)
+        if not selected:
+            return []
+        scale = self.yardstick.scale
+        return [[(name, weight, scale(name), float(values[name])) for name, weight in selected.items()]
+                for values in tables]
+
+    def _regular(self, figures: list, values: dict) -> bool:
+        """A sheet holds each figure key once, and the target's keys (all of them unweighted)."""
+        if len(values) != len(figures):
+            return False
+        if self.weights is None:
+            return values.keys() == self.keys
+        return self.weights.keys() <= values.keys()
 
     def valid(self, vector: tuple[int, ...]) -> bool:
         for aid, offset in zip(self.agent_ids, vector):
@@ -202,16 +290,51 @@ class _Objective:
                 return False
         return True
 
-    def __call__(self, vector: tuple[int, ...]) -> float:
-        hit = self.cache.get(vector)
-        if hit is not None:
-            return hit
-        assignment = Assignment(offsets=dict(zip(self.agent_ids, vector)))
-        simulated = retrace(assignment, self.spec, self.n_terms, base_state=self.base_state)
-        error = reproduction_error(simulated, self.target, self.config.weights)
-        self.evaluations += 1
-        self.cache[vector] = error
+    def __call__(self, vector: tuple[int, ...], bound: float = inf) -> float:
+        exact = self.cache.get(vector)
+        if exact is not None:
+            return exact
+        floor = self.floors.get(vector)
+        if floor is not None:
+            if floor >= bound:
+                return floor
+            bound = inf  # replay in full, already counted
+        else:
+            self.evaluations += 1
+        error, complete = self._replay(vector, bound)
+        if complete:
+            self.floors.pop(vector, None)
+            self.cache[vector] = error
+        else:
+            self.floors[vector] = error
+            self.early_exits += 1
         return error
+
+    def _replay(self, vector: tuple[int, ...], bound: float) -> tuple[float, bool]:
+        """(error, True) from a full replay, or (floor, False) from a stopped one."""
+        state = self.base_state.clone()
+        apply_assignment(state, Assignment(offsets=dict(zip(self.agent_ids, vector))))
+        recorder = Recorder(state)
+        limit = bound * bound * self.count * (1 + _MARGIN) if self.rows else inf
+        partial = 0.0
+        sheets = []
+        for rows in self.rows if limit < inf else ():
+            if len(sheets) == self.n_terms - 1:
+                break  # the last term completes the record: compute it exactly
+            sheet = recorder.record_term()
+            sheets.append(sheet)
+            figures = _sheet_figures(sheet)
+            values = dict(figures)
+            if not self._regular(figures, values):
+                break  # the reference pairs this replay otherwise, or rejects it
+            for name, weight, scale, t in rows:
+                diff = (float(values[name]) - t) / scale
+                partial += (weight * diff) ** 2
+            if partial > limit:
+                return max(bound, sqrt(partial / self.count) * (1 - _MARGIN)), False
+        while len(sheets) < self.n_terms:
+            sheets.append(recorder.record_term())
+        return self.yardstick.error(Record(tuple(sheets))), True
 
 
 def _search_directions(dims: int) -> list[tuple[int, ...]]:
@@ -259,6 +382,11 @@ def fit(target: Record, spec: ScenarioSpec, config: FitConfig = FitConfig()) -> 
     around the stall point. The best point over all starts wins; the search
     stops as soon as the tolerance is met. Budget exhaustion is not an error,
     it simply returns converged=False.
+
+    Candidates are replayed term by term and a losing one stops as soon as its
+    partial error shows it cannot beat the current point (see `_Objective`);
+    the path and result are those of full replays. `evaluations` counts each
+    distinct offset vector once, whether its replay ran to the end or stopped.
     """
     if config.budget <= 0:
         raise ValueError("fit budget must be positive")
@@ -334,7 +462,7 @@ def fit(target: Record, spec: ScenarioSpec, config: FitConfig = FitConfig()) -> 
                         )
                         if not objective.valid(candidate):
                             continue
-                        fc = objective(candidate)
+                        fc = objective(candidate, fx)
                         consider(candidate, fc)
                         if fc < fx:
                             x, fx = candidate, fc
@@ -361,7 +489,7 @@ def fit(target: Record, spec: ScenarioSpec, config: FitConfig = FitConfig()) -> 
                 candidate = tuple(xi + o for xi, o in zip(x, offsets))
                 if not objective.valid(candidate):
                     continue
-                fc = objective(candidate)
+                fc = objective(candidate, fx)
                 consider(candidate, fc)
                 if fc < fx:
                     x, fx = candidate, fc

@@ -4,7 +4,9 @@ Each test prints one PASS/FAIL line (visible with `pytest -s` or in captured
 output). Tolerances and budgets are pinned here, not configurable.
 """
 
+import hashlib
 import io
+import json
 import time
 from fractions import Fraction
 
@@ -119,12 +121,18 @@ def test_4_two_agent_kernel_exact():
     assert partner == 2
 
 
+# SHA-256 over the 20 FitResult.to_dict() documents of acceptance 5, each
+# rendered as sorted-key JSON: fits must stay equal field for field.
+FIT_RESULTS_PIN = "15ad9a660f8a49e304c855774c54d1dbe71e2de3dbeacf3d9ef8d314a940ca9d"
+
+
 def test_5_retrieval_self_consistency():
     spec = three_agent_cycle()
     hidden = Assignment(offsets={"A": 7, "B": -4, "C": 2})
     started = time.perf_counter()
     converged = 0
     evaluations = []
+    digest = hashlib.sha256()
     for seed in range(20):
         seeded = spec.with_seed(100 + seed)
         target = retrace(hidden, seeded, 4)
@@ -132,12 +140,14 @@ def test_5_retrieval_self_consistency():
                      FitConfig(budget=10_000, tolerance=1e-3, seed=100 + seed, starts=8))
         converged += result.converged
         evaluations.append(result.evaluations)
+        digest.update(json.dumps(result.to_dict(), sort_keys=True).encode("utf-8"))
     elapsed = time.perf_counter() - started
     ok = converged >= 18 and elapsed < 60.0
     report(5, "retrieval-self-consistency", ok,
            f"{converged}/20 seeds at rms<=1e-3, max evals {max(evaluations)}, {elapsed:.1f}s")
     assert converged >= 18
     assert elapsed < 60.0
+    assert digest.hexdigest() == FIT_RESULTS_PIN
 
 
 OSCILLATORY_GAINS = (Fraction(2), Fraction(5, 2), Fraction(3), Fraction(7, 2))

@@ -1,5 +1,6 @@
 """Balance sheet compilation, identity verification, and record serialization."""
 
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,13 +9,18 @@ import pytest
 from moneyflow import (
     BalanceSheet,
     Record,
+    Recorder,
     RecordError,
+    ShockSpec,
     build_network,
-    compile_balance_sheet,
+    inject_shock,
     issue,
     read_record,
+    run,
     run_record,
+    settle_all,
     transfer,
+    two_agent_kernel,
     verify_identities,
     verify_record,
     write_record,
@@ -43,11 +49,20 @@ def pair_spec():
     )
 
 
+def cut_and_compile(state, n_terms):
+    """Take the observer cuts of terms 0..n_terms-1 now and compile their sheets."""
+    recorder = Recorder(state)
+    sheets = []
+    for k in range(n_terms):
+        settle_all(state, float(k + 1), term=k)
+        sheets.append(recorder.compile_term())
+    return sheets
+
+
 class TestCompile:
     def test_empty_term_all_zero(self):
         state = build_network(pair_spec())
-        state.now = 3.0
-        sheet = compile_balance_sheet(state.log, state, 1, 1.0)
+        sheet = cut_and_compile(state, 2)[1]
         for line in sheet.agents.values():
             assert line.inflow == line.outflow == 0
             assert line.closing == line.opening
@@ -55,8 +70,7 @@ class TestCompile:
     def test_single_transfer(self):
         state = build_network(pair_spec())
         transfer(state, "ab", 30, 0.5)
-        state.now = 1.0
-        sheet = compile_balance_sheet(state.log, state, 0, 1.0)
+        sheet = cut_and_compile(state, 1)[0]
         assert sheet.agents["A"].outflow == 30
         assert sheet.agents["B"].inflow == 30
         assert sheet.figures["ab_flow"] == 30
@@ -67,8 +81,7 @@ class TestCompile:
         transfer(state, "ab", 30, 0.2)
         transfer(state, "ba", 12, 0.4)
         issue(state, 100, 0.6)
-        state.now = 1.0
-        sheet = compile_balance_sheet(state.log, state, 0, 1.0)
+        sheet = cut_and_compile(state, 1)[0]
         assert sheet.agents["A"] == AgentLine(0, 12, 30, -18)
         assert sheet.agents["B"] == AgentLine(0, 30, 12, 18)
         assert sheet.agents["CB"] == AgentLine(0, 100, 0, 100)
@@ -77,21 +90,70 @@ class TestCompile:
 
     def test_incomplete_coverage_rejected(self):
         state = build_network(pair_spec())
-        state.now = 0.5
-        with pytest.raises(RecordError, match="incomplete log coverage"):
-            compile_balance_sheet(state.log, state, 0, 1.0)
+        transfer(state, "ab", 30, 0.5)
+        recorder = Recorder(state)
+        with pytest.raises(RecordError, match="no observer cut for term 0"):
+            recorder.compile_term()
+        settle_all(state, 1.0, term=0)
+        assert recorder.compile_term().agents["A"] == AgentLine(0, 0, 30, -30)
 
     def test_shock_counts_in_totals_not_figures(self):
-        from moneyflow import inject_shock
-
         state = build_network(pair_spec())
         inject_shock(state, "B", 40, 0.3, channel_id="ab")
-        state.now = 1.0
-        sheet = compile_balance_sheet(state.log, state, 0, 1.0)
+        sheet = cut_and_compile(state, 1)[0]
         assert sheet.agents["B"].inflow == 40
         assert sheet.agents["A"].outflow == 40
         assert sheet.figures["ab_flow"] == 0
         assert verify_identities(sheet).ok
+
+    def test_events_after_a_cut_open_the_next_term(self):
+        state = build_network(pair_spec())
+        recorder = Recorder(state)
+        settle_all(state, 1.0, term=0)
+        transfer(state, "ab", 30, 1.0)
+        settle_all(state, 2.0, term=1)
+        first, second = recorder.compile_term(), recorder.compile_term()
+        assert first.agents["A"] == AgentLine(0, 0, 0, 0)
+        assert second.agents["A"] == AgentLine(0, 0, 30, -30)
+
+    def test_cut_of_another_term_rejected(self):
+        state = build_network(pair_spec())
+        settle_all(state, 1.0, term=1)
+        with pytest.raises(RecordError, match="cut of term 1 where term 0 was expected"):
+            Recorder(state).compile_term()
+
+
+def boundary_kernel(term_length, shocks, gain=Fraction(0)):
+    """The 40/28 pair at the given term length, with shocks on `ab` at term boundaries."""
+    spec = replace(two_agent_kernel(40, 28, gain=gain), term_length=term_length)
+    return spec.with_extra_shocks(ShockSpec(k * term_length, "ab", amount) for k, amount in shocks)
+
+
+class TestTermBoundaries:
+    def test_boundary_shock_booked_after_the_cut(self):
+        # The shock at 5 * term_length is processed after the term-4 cut, so
+        # term 4 closes at the stocks of that cut and term 5 carries it.
+        length = 1 / 3
+        record = run_record(build_network(boundary_kernel(length, [(5, 50)])), 6)
+        term4, term5 = record.sheets[4].agents, record.sheets[5].agents
+        assert (term4["A"].closing, term4["B"].closing) == (-20, 20)
+        assert (term5["A"].outflow - term5["A"].inflow, term5["B"].closing) == (54, 74)
+
+    @pytest.mark.parametrize("length", [0.1, 0.3, 0.7, 1 / 3])
+    def test_closing_stocks_equal_stocks_at_the_cut(self, length):
+        # Compiled again once the whole log exists, each sheet still closes
+        # at the stocks its own cut saw.
+        shocks = [(k, 10 * k - 60) for k in range(1, 13)]
+        state = build_network(boundary_kernel(length, shocks, gain=Fraction(1)))
+        recorder = Recorder(state)
+        at_cut = []
+        for _ in range(13):
+            recorder.record_term()
+            at_cut.append({aid: agent.stock for aid, agent in state.agents.items()})
+        record = run_record(state, 0)
+        assert [{aid: line.closing for aid, line in sheet.agents.items()}
+                for sheet in record.sheets] == at_cut
+        assert verify_record(record).ok
 
 
 class TestVerifyIdentities:
@@ -225,9 +287,13 @@ class TestRecordOfRun:
         assert len(both.sheets) == 3
         assert both.sheets[:2] == first.sheets
 
-    def test_must_start_on_a_term_boundary(self):
-        from moneyflow import run
+    def test_prefix_without_cuts_rejected(self):
+        state = build_network(tiny_spec(seed=3))
+        run(state, 2.0)
+        with pytest.raises(RecordError, match="no observer cut for term 0"):
+            run_record(state, 1)
 
+    def test_must_start_on_a_term_boundary(self):
         state = build_network(tiny_spec(seed=3))
         run(state, 0.4)
         with pytest.raises(ValueError, match="term boundary"):

@@ -1,18 +1,21 @@
 """Inverse fitting: retracing records from hidden initial rate offsets."""
 
 from fractions import Fraction
+from math import inf
 
 import pytest
 
 from moneyflow import (
     Assignment,
     FitConfig,
+    PolicyAction,
     build_network,
     fit,
     reproduction_error,
     retrace,
     three_agent_cycle,
 )
+from moneyflow import retrieval
 from moneyflow.recorder import BalanceSheet, Record
 from moneyflow.retrieval import apply_assignment
 from moneyflow.scenario import ScenarioError
@@ -175,3 +178,77 @@ class TestFit:
     def test_empty_target_rejected(self, cycle_spec):
         with pytest.raises(ValueError, match="no terms"):
             fit(Record(()), cycle_spec, FitConfig(budget=10))
+
+
+HIDDEN = Assignment(offsets={"A": 7, "B": -4, "C": 2})
+PROBES = [(7, -4, 2), (0, 0, 0), (6, -4, 2), (7, -4, 3), (8, -3, 2), (20, 5, -10)]
+
+
+def bounded_objective(spec, target, weights=None):
+    config = FitConfig(weights=weights)
+    return retrieval._Objective(target, spec, config, ("A", "B", "C"), len(target.sheets),
+                                build_network(spec))
+
+
+def reference(spec, target, vector, weights=None):
+    offsets = dict(zip(("A", "B", "C"), vector))
+    return reproduction_error(retrace(Assignment(offsets=offsets), spec, len(target.sheets)),
+                              target, weights)
+
+
+class TestBoundedObjective:
+    @pytest.mark.parametrize("weights", [None, {"ab_flow": 1.0, "closing:A": 2.0}])
+    def test_exact_below_the_bound_and_a_floor_above_it(self, weights):
+        spec = three_agent_cycle().with_seed(104)
+        target = retrace(HIDDEN, spec, 4)
+        for vector in PROBES:
+            ref = reference(spec, target, vector, weights)
+            for bound in (0.0, ref / 2, ref, ref * (1 + 1e-12), ref * 2, 1e-6, inf):
+                value = bounded_objective(spec, target, weights)(vector, bound)
+                if ref < bound:
+                    assert value == ref
+                else:
+                    assert bound <= value <= ref
+
+    def test_floor_queried_with_a_higher_bound_replays_without_counting(self):
+        spec = three_agent_cycle().with_seed(104)
+        target = retrace(HIDDEN, spec, 4)
+        objective = bounded_objective(spec, target)
+        vector = (20, 5, -10)
+        ref = reference(spec, target, vector)
+        floor = objective(vector, ref / 4)
+        assert objective.early_exits == 1 and objective.evaluations == 1
+        assert ref / 4 <= floor < ref
+        assert objective(vector, floor) == floor
+        assert objective(vector, inf) == ref
+        assert objective(vector, ref / 4) == ref
+        assert objective.evaluations == 1
+        assert objective.early_exits == 1
+        assert objective.floors == {}
+
+    def test_undeclared_rate_disables_the_early_exit(self):
+        # A set_rate on a rate the scenario does not declare adds a figure
+        # mid-record; every evaluation then replays in full.
+        spec = three_agent_cycle().with_seed(104).with_extra_policy(
+            [PolicyAction(1.5, "set_rate", "new_rate", Fraction(1, 10))])
+        target = retrace(HIDDEN, spec, 4)
+        objective = bounded_objective(spec, target)
+        assert objective.rows == []
+        for vector in PROBES:
+            assert objective(vector, 0.0) == reference(spec, target, vector)
+        assert objective.early_exits == 0
+
+    def test_losing_candidates_stop_early_in_a_fit(self, monkeypatch):
+        objectives = []
+
+        class Recording(retrieval._Objective):
+            def __init__(self, *args):
+                super().__init__(*args)
+                objectives.append(self)
+
+        monkeypatch.setattr(retrieval, "_Objective", Recording)
+        spec = three_agent_cycle().with_seed(102)
+        result = fit(retrace(HIDDEN, spec, 4), spec,
+                     FitConfig(budget=10_000, tolerance=1e-3, seed=102, starts=8))
+        assert result.converged
+        assert 0 < objectives[0].early_exits < result.evaluations
