@@ -29,7 +29,6 @@ from .engine import (
     run,
     settle,
     settle_all,
-    step,
     update_agent,
 )
 from .network import (
@@ -40,9 +39,7 @@ from .network import (
     build_network,
     conservation_holds,
     issue,
-    local_imbalance,
     notes_outstanding,
-    transfer,
     true_imbalance,
 )
 from .recorder import (

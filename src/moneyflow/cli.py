@@ -159,6 +159,13 @@ def cmd_anticipate(args, out) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    """Argument type for a non-negative integer count."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="moneyflow",
@@ -174,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", parents=[common_scenario],
                        help="run a scenario and write its event trace")
-    p.add_argument("--terms", type=int, default=10)
+    p.add_argument("--terms", type=_count, default=10)
     p.add_argument("--trace", help="write the event log as JSON lines")
     p.add_argument("--record", help="also write the compiled record")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -182,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("record", parents=[common_scenario],
                        help="run a scenario and write its compiled record")
-    p.add_argument("--terms", type=int, default=10)
+    p.add_argument("--terms", type=_count, default=10)
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_record)
@@ -208,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="score candidate futures by shock-replay robustness")
     p.add_argument("--candidates", type=int, default=5)
     p.add_argument("--replays", type=int, default=32)
-    p.add_argument("--horizon", type=int, default=8, help="horizon in terms")
+    p.add_argument("--horizon", type=_count, default=8, help="horizon in terms")
     p.add_argument("--dims", help="comma-separated aggregate names for the phase vector")
     p.add_argument("--bound", type=float, default=0.2, help="multiplier sampling bound")
     p.add_argument("--shock-scale", type=float, default=1.0)

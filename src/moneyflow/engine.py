@@ -28,46 +28,21 @@ class ViewEntry(NamedTuple):
     channel_id: str
     rate: int                 # raw rate as known to the observing agent
     multiplier: Fraction      # multipliers are public policy, always current
-    observed_at: float
     adjustable: bool
 
 
 @dataclass
 class BilateralView:
-    """What one agent can know: own rates current, partner rates as last settled."""
+    """What one agent can know: own rates current, partner rates as last settled.
+
+    ``deficit`` is the observed outflow rate sum minus the observed inflow rate
+    sum, computed once, at observation.
+    """
 
     agent_id: str
     outgoing: tuple[ViewEntry, ...]
     incoming: tuple[ViewEntry, ...]
-
-    def deficit(self) -> Fraction | int:
-        """Observed outflow rate sum minus observed inflow rate sum.
-
-        Exact rational arithmetic in plain integers, returning an int whenever
-        the multipliers cancel; this is the innermost loop of the simulation.
-        """
-        whole = 0
-        num = 0
-        den = 1
-        for e in self.outgoing:
-            m = e.multiplier
-            if m.denominator == 1:
-                whole += e.rate * m.numerator
-            else:
-                num = num * m.denominator + e.rate * m.numerator * den
-                den *= m.denominator
-        for e in self.incoming:
-            m = e.multiplier
-            if m.denominator == 1:
-                whole -= e.rate * m.numerator
-            else:
-                num = num * m.denominator - e.rate * m.numerator * den
-                den *= m.denominator
-        if num == 0:
-            return whole
-        if num % den == 0:
-            return whole + num // den
-        return whole + Fraction(num, den)
+    deficit: Fraction | int
 
 
 @dataclass
@@ -118,21 +93,23 @@ def observe(state: NetworkState, agent_id: str) -> BilateralView:
     if agent_id not in state.agents:
         raise KeyError(f"unknown agent {agent_id!r}")
     channels = state.channels
-    now = state.now
     outgoing = []
     for cid in state.outgoing[agent_id]:
         ch = channels[cid]
-        outgoing.append(ViewEntry(cid, ch.rate, ch.multiplier, now, ch.adjustable))
+        outgoing.append(ViewEntry(cid, ch.rate, ch.multiplier, ch.adjustable))
     incoming = []
     for cid in state.incoming[agent_id]:
         ch = channels[cid]
-        incoming.append(ViewEntry(cid, ch.snap_rate_sink, ch.multiplier, ch.snap_time_sink,
-                                  ch.adjustable))
-    return BilateralView(agent_id, tuple(outgoing), tuple(incoming))
+        incoming.append(ViewEntry(cid, ch.snap_rate_sink, ch.multiplier, ch.adjustable))
+    return BilateralView(agent_id, tuple(outgoing), tuple(incoming), _observed_deficit(state, agent_id))
 
 
 def _observed_deficit(state: NetworkState, agent_id: str) -> Fraction | int:
-    """Allocation-free twin of observe(...).deficit(); must agree with it exactly."""
+    """Observed outflow rate sum minus observed inflow rate sum.
+
+    Exact rational arithmetic in plain integers, returning an int whenever
+    the multipliers cancel; this is the innermost loop of the simulation.
+    """
     channels = state.channels
     whole = 0
     num = 0
@@ -174,7 +151,7 @@ def equilibrate(view: BilateralView, gain: Fraction, carry: Fraction | int = 0) 
     """
     if gain < 0:
         raise ValueError("gain must be non-negative")
-    d = view.deficit()
+    d = view.deficit
     if d == 0 and carry == 0:
         # Balanced in this view: nothing to do. Common case at equilibrium.
         deltas = {e.channel_id: 0 for e in view.outgoing if e.adjustable}
@@ -195,9 +172,8 @@ def equilibrate(view: BilateralView, gain: Fraction, carry: Fraction | int = 0) 
     return AdjustmentSet(deltas=deltas, residual=residual, deficit=d, demand=demand)
 
 
-def settle(state: NetworkState, agent_a: str, agent_b: str, time: float, *, observer: bool = False,
-           term: int | None = None) -> NetworkState:
-    """Bilateral settlement: flush accrued flow and refresh both snapshots.
+def settle(state: NetworkState, agent_a: str, agent_b: str, time: float) -> NetworkState:
+    """Bilateral settlement: flush accrued flow and refresh the sink snapshots.
 
     Settles every channel between the two agents. Accrued flow transfers in
     whole minor units, rounded toward zero; the remainder stays in the
@@ -211,10 +187,8 @@ def settle(state: NetworkState, agent_a: str, agent_b: str, time: float, *, obse
     if not channel_ids:
         raise ValueError(f"no channel connects {agent_a!r} and {agent_b!r}")
     amounts = _settle_channels(state, channel_ids, time)
-    payload = {"a": key[0], "b": key[1], "amounts": amounts, "observer": observer}
-    if term is not None:
-        payload["term"] = term
-    state.append_event(time, "Settlement", payload)
+    state.append_event(time, "Settlement", {"a": key[0], "b": key[1], "amounts": amounts,
+                                            "observer": False})
     return state
 
 
@@ -228,19 +202,16 @@ def _settle_channels(state: NetworkState, channel_ids: Sequence[str], time: floa
             state.agents[ch.source].stock -= amount
             state.agents[ch.sink].stock += amount
             ch.accrued -= amount
-        ch.snap_rate_source = ch.snap_rate_sink = ch.rate
-        ch.snap_time_source = ch.snap_time_sink = time
+        ch.snap_rate_sink = ch.rate
         amounts.append((cid, amount))
     return amounts
 
 
-def settle_all(state: NetworkState, time: float, *, observer: bool = True, term: int | None = None) -> NetworkState:
-    """Forced settlement of every channel at once: the recorder's global cut."""
+def settle_all(state: NetworkState, time: float, *, term: int) -> NetworkState:
+    """Forced settlement of every channel at once: the recorder's global cut of `term`."""
     amounts = _settle_channels(state, sorted(state.channels), time)
-    payload = {"a": None, "b": None, "amounts": amounts, "observer": observer}
-    if term is not None:
-        payload["term"] = term
-    state.append_event(time, "Settlement", payload)
+    state.append_event(time, "Settlement", {"a": None, "b": None, "amounts": amounts,
+                                            "observer": True, "term": term})
     return state
 
 
@@ -251,7 +222,7 @@ def inject_shock(state: NetworkState, agent_id: str, amount: int, time: float,
     A positive amount credits `agent_id`. Conservation always holds: shocks
     move existing money, they never create it. A zero amount is a pure log
     entry with no side effects. Nonzero shocks refresh the channel's
-    settlement snapshots, like any transfer.
+    settlement snapshot, like any settlement.
     """
     if agent_id not in state.agents:
         raise KeyError(f"unknown agent {agent_id!r}")
@@ -271,8 +242,7 @@ def inject_shock(state: NetworkState, agent_id: str, amount: int, time: float,
     if amount != 0:
         state.agents[agent_id].stock += amount
         state.agents[counterparty].stock -= amount
-        ch.snap_rate_source = ch.snap_rate_sink = ch.rate
-        ch.snap_time_source = ch.snap_time_sink = time
+        ch.snap_rate_sink = ch.rate
     gains, loses = (agent_id, counterparty) if amount >= 0 else (counterparty, agent_id)
     state.append_event(time, "Shock", {
         "channel": channel_id, "agent": agent_id, "counterparty": counterparty,
@@ -335,7 +305,6 @@ def update_agent(state: NetworkState, agent_id: str, now: float) -> Event:
         })
         for partner in sorted(partners):
             settle(state, agent_id, partner, now)
-    agent.local_time = now
     agent.event_count += 1
     agent.next_time = now + rng.exponential(agent.mean_wait, agent.event_key, agent.event_count)
     return event
@@ -401,18 +370,6 @@ def _run_scheduled(state: NetworkState, kind: str, now: float) -> None:
         inject_shock(state, ch.sink, spec.amount, now, channel_id=spec.channel)
     else:  # pragma: no cover - internal misuse
         raise ValueError(f"unknown scheduled kind {kind!r}")
-
-
-def step(state: NetworkState) -> tuple[NetworkState, Event]:
-    """Advance to the next event (agent wake-up or scheduled action)."""
-    start = len(state.log)
-    agent_id, agent_t = next_event(state)
-    sched_t, sched_kind = _peek_scheduled(state)
-    if sched_t <= agent_t:
-        _run_scheduled(state, sched_kind, sched_t)
-    else:
-        update_agent(state, agent_id, agent_t)
-    return state, state.log[start]
 
 
 def run(state: NetworkState, horizon: float) -> tuple[NetworkState, list[Event]]:

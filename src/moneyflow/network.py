@@ -23,12 +23,10 @@ from .scenario import CENTRAL_BANK, ScenarioError, ScenarioSpec
 @dataclass(slots=True)
 class Agent:
     id: str
-    role: str
     stock: int
     gain: Fraction
     continuity_exempt: bool
     mean_wait: float
-    local_time: float = 0.0
     pending_correction: Fraction = Fraction(0)
     event_count: int = 0
     next_time: float = 0.0
@@ -37,12 +35,12 @@ class Agent:
 
 @dataclass(slots=True)
 class Channel:
-    """Directed flow with per-endpoint stale snapshots of its true rate.
+    """Directed flow with the sink's stale snapshot of its true rate.
 
     ``rate`` is the current true flow intention in minor units per term; the
-    effective flow is rate * multiplier. ``snap_rate_source/sink`` hold the
-    rate as of each endpoint's last settlement on this channel: between
-    settlements the sink's knowledge is deliberately stale. ``accrued`` is the
+    effective flow is rate * multiplier. ``snap_rate_sink`` holds the rate as
+    of the last settlement on this channel: between settlements the sink's
+    knowledge is deliberately stale (the source always knows its own rate). ``accrued`` is the
     exact rational amount of flow earned but not yet settled.
     """
 
@@ -52,10 +50,7 @@ class Channel:
     rate: int
     multiplier: Fraction
     adjustable: bool
-    snap_rate_source: int = 0
     snap_rate_sink: int = 0
-    snap_time_source: float = 0.0
-    snap_time_sink: float = 0.0
     accrued: Fraction = Fraction(0)
     accrued_until: float = 0.0
 
@@ -67,7 +62,7 @@ class Channel:
 class Event:
     time: float
     seq: int
-    kind: str  # AgentUpdate | Transfer | Settlement | Shock | Issue | Policy
+    kind: str  # AgentUpdate | Settlement | Shock | Issue | Policy
     payload: dict
 
 
@@ -125,7 +120,6 @@ def build_network(spec: ScenarioSpec) -> NetworkState:
             raise ScenarioError(f"duplicate agent id {a.id!r}")
         agents[a.id] = Agent(
             id=a.id,
-            role=a.role,
             stock=a.stock,
             gain=a.gain,
             continuity_exempt=a.continuity_exempt,
@@ -157,7 +151,6 @@ def build_network(spec: ScenarioSpec) -> NetworkState:
             rate=c.rate,
             multiplier=c.multiplier,
             adjustable=c.adjustable,
-            snap_rate_source=c.rate,
             snap_rate_sink=c.rate,
         )
 
@@ -226,42 +219,15 @@ def accrue(channel: Channel, now: float) -> None:
         channel.accrued_until = now
 
 
-def transfer(state: NetworkState, channel_id: str, amount: int, time: float) -> NetworkState:
-    """Move `amount` from the channel's source to its sink as a settlement event.
-
-    Both endpoints' snapshots for this channel refresh to the current true
-    rate. The unsettled accrual pot is not touched (a zero-amount transfer
-    must leave stocks unchanged).
-    """
-    if channel_id not in state.channels:
-        raise KeyError(f"unknown channel {channel_id!r}")
-    if amount < 0:
-        raise ValueError(f"transfer amount must be non-negative, got {amount}")
-    ch = state.channels[channel_id]
-    state.agents[ch.source].stock -= amount
-    state.agents[ch.sink].stock += amount
-    ch.snap_rate_source = ch.snap_rate_sink = ch.rate
-    ch.snap_time_source = ch.snap_time_sink = time
-    state.append_event(
-        time, "Transfer", {"channel": channel_id, "source": ch.source, "sink": ch.sink, "amount": amount}
-    )
-    return state
-
-
-def issue(state: NetworkState, amount: int, time: float | None = None, *, agent_id: str | None = None) -> NetworkState:
+def issue(state: NetworkState, amount: int, time: float | None = None) -> NetworkState:
     """Create (or retire, for negative amounts) central bank notes."""
-    target = agent_id if agent_id is not None else state.central_bank
-    if target not in state.agents:
-        raise KeyError(f"unknown agent {target!r}")
-    agent = state.agents[target]
-    if not agent.continuity_exempt:
-        raise ValueError(f"issuance invoked on non-exempt agent {target!r}")
+    target = state.central_bank
     if state.cumulative_issuance + amount < 0:
         raise ValueError(
             f"retirement of {-amount} would drive notes outstanding below zero "
             f"(currently {state.cumulative_issuance})"
         )
-    agent.stock += amount
+    state.agents[target].stock += amount
     state.cumulative_issuance += amount
     t = state.now if time is None else time
     state.append_event(t, "Issue", {"agent": target, "amount": amount, "instrument": "notes",
@@ -271,41 +237,6 @@ def issue(state: NetworkState, amount: int, time: float | None = None, *, agent_
 
 def notes_outstanding(state: NetworkState) -> int:
     return state.cumulative_issuance
-
-
-def local_imbalance(state: NetworkState, agent_id: str, window: tuple[float, float]) -> int:
-    """Settled inflow minus settled outflow for an agent over [start, end).
-
-    Sums the transfer-like events in the log (transfers, settlements, shocks);
-    issuance is money creation, not a transfer, and is excluded.
-    """
-    if agent_id not in state.agents:
-        raise KeyError(f"unknown agent {agent_id!r}")
-    start, end = window
-    total = 0
-    for ev in state.log:
-        if not start <= ev.time < end:
-            continue
-        if ev.kind == "Transfer":
-            amount = ev.payload["amount"]
-            if ev.payload["sink"] == agent_id:
-                total += amount
-            if ev.payload["source"] == agent_id:
-                total -= amount
-        elif ev.kind == "Settlement":
-            for cid, amount in ev.payload["amounts"]:
-                ch = state.channels[cid]
-                if ch.sink == agent_id:
-                    total += amount
-                if ch.source == agent_id:
-                    total -= amount
-        elif ev.kind == "Shock":
-            amount = ev.payload["amount"]
-            if ev.payload["sink"] == agent_id:
-                total += amount
-            if ev.payload["source"] == agent_id:
-                total -= amount
-    return total
 
 
 def true_imbalance(state: NetworkState, agent_id: str) -> Fraction | int:

@@ -25,7 +25,7 @@ from typing import Mapping
 
 from .engine import run, settle_all
 from .network import NetworkState
-from .scenario import as_fraction, rational_str
+from .scenario import _as_float, as_fraction, rational_str
 
 
 class RecordError(ValueError):
@@ -129,7 +129,7 @@ class Recorder:
         state = self.state
         boundary = (self.term + 1) * state.spec.term_length
         run(state, boundary - state.now)
-        settle_all(state, boundary, observer=True, term=self.term)
+        settle_all(state, boundary, term=self.term)
         return self.compile_term()
 
     def compile_term(self) -> BalanceSheet:
@@ -179,15 +179,6 @@ class Recorder:
                     rates=dict(rates),
                     figures=figures,
                 )
-            elif kind == "Transfer":
-                source, sink, figure = routes[payload["channel"]]
-                amount = payload["amount"]
-                stocks[source] -= amount
-                stocks[sink] += amount
-                outflow[source] += amount
-                inflow[sink] += amount
-                if figure is not None:
-                    flows[figure] += amount
             elif kind == "Shock":
                 # Shocks redistribute stocks; they are not flow on the channel.
                 amount = payload["amount"]
@@ -381,7 +372,7 @@ def record_from_csv(text: str) -> Record:
             if key == "fingerprint":
                 fingerprint = value
             elif key == "term_length":
-                term_length = float(value)
+                term_length = _as_float(value, f"line {idx + 1}: term_length")
             elif key == "initial_total_stock":
                 initial_total = _parse_int(value, f"line {idx + 1}: initial_total_stock")
         idx += 1
@@ -435,6 +426,12 @@ def record_from_csv(text: str) -> Record:
     return Record(tuple(sheets), fingerprint, term_length, initial_total)
 
 
+def _expect(value, kind: type, where: str):
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise RecordError(f"{where}: expected {kind.__name__}, got {value!r}")
+    return value
+
+
 def record_from_json(text: str) -> Record:
     try:
         doc = json.loads(text)
@@ -443,24 +440,30 @@ def record_from_json(text: str) -> Record:
     if not isinstance(doc, dict) or doc.get("format") != "moneyflow-record":
         raise RecordError("not a moneyflow record document")
     sheets = []
-    for raw in doc.get("sheets", []):
-        agents = {
-            aid: AgentLine(entry["opening"], entry["inflow"], entry["outflow"], entry["closing"])
-            for aid, entry in raw.get("agents", {}).items()
-        }
+    for i, raw in enumerate(_expect(doc.get("sheets", []), list, "sheets")):
+        where = f"sheet {i}"
+        raw = _expect(raw, dict, where)
+        agents = {}
+        for aid, entry in _expect(raw.get("agents", {}), dict, f"{where} agents").items():
+            entry = _expect(entry, dict, f"{where} agent {aid!r}")
+            agents[aid] = AgentLine(*(_expect(entry.get(key), int, f"{where} agent {aid!r} {key}")
+                                      for key in ("opening", "inflow", "outflow", "closing")))
         sheets.append(BalanceSheet(
-            term_index=raw["term_index"],
+            term_index=_expect(raw.get("term_index"), int, f"{where} term_index"),
             agents=agents,
-            notes_outstanding=raw.get("notes_outstanding", 0),
-            securities_outstanding=raw.get("government_securities_outstanding", 0),
-            rates={k: as_fraction(v, f"rate {k}") for k, v in raw.get("rates", {}).items()},
-            figures={k: int(v) for k, v in raw.get("figures", {}).items()},
+            notes_outstanding=_expect(raw.get("notes_outstanding", 0), int, f"{where} notes"),
+            securities_outstanding=_expect(raw.get("government_securities_outstanding", 0), int,
+                                           f"{where} securities"),
+            rates={k: as_fraction(v, f"rate {k}")
+                   for k, v in _expect(raw.get("rates", {}), dict, f"{where} rates").items()},
+            figures={k: _expect(v, int, f"{where} figure {k}")
+                     for k, v in _expect(raw.get("figures", {}), dict, f"{where} figures").items()},
         ))
     return Record(
         sheets=tuple(sheets),
         fingerprint=doc.get("fingerprint", ""),
-        term_length=float(doc.get("term_length", 1.0)),
-        initial_total_stock=int(doc.get("initial_total_stock", 0)),
+        term_length=_as_float(doc.get("term_length", 1.0), "term_length"),
+        initial_total_stock=_expect(doc.get("initial_total_stock", 0), int, "initial_total_stock"),
     )
 
 

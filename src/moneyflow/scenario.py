@@ -12,20 +12,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 CENTRAL_BANK = "CentralBank"
-KNOWN_ROLES = (
-    CENTRAL_BANK,
-    "Government",
-    "HouseholdSector",
-    "CorporateSector",
-    "BankSector",
-)
-
 DEFAULT_RATE_NAMES = ("discount_rate", "securities_interest_rate")
 
 
@@ -45,11 +38,9 @@ def as_fraction(value: Any, what: str = "value") -> Fraction:
         raise ScenarioError(f"{what}: expected a rational, got a boolean")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(repr(value))
-    if isinstance(value, str):
+    if isinstance(value, (float, str)):
         try:
-            return Fraction(value)
+            return Fraction(repr(value) if isinstance(value, float) else value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ScenarioError(f"{what}: cannot parse rational {value!r}") from exc
     raise ScenarioError(f"{what}: cannot parse rational from {type(value).__name__}")
@@ -60,6 +51,17 @@ def as_money(value: Any, what: str = "amount") -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ScenarioError(f"{what}: money must be an integer count of minor units, got {value!r}")
     return value
+
+
+def _as_float(value: Any, what: str = "value") -> float:
+    """Finite float from a JSON number or a numeric string."""
+    try:
+        result = math.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        result = math.nan
+    if math.isfinite(result):
+        return result
+    raise ScenarioError(f"{what}: expected a finite number, got {value!r}")
 
 
 def rational_str(value: Fraction) -> str:
@@ -234,6 +236,14 @@ def _require(mapping: Mapping, key: str, where: str) -> Any:
     return mapping[key]
 
 
+def _entries(data: Mapping, key: str, kind: type | tuple = Mapping, required: bool = False) -> list:
+    """The list under `key`, each of whose entries must be a `kind`."""
+    value = _require(data, key, "scenario") if required else data.get(key, [])
+    if not isinstance(value, (list, tuple)) or not all(isinstance(e, kind) for e in value):
+        raise ScenarioError(f"{key} must be a list of {'objects' if kind is Mapping else 'pairs'}")
+    return value
+
+
 def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioSpec:
     if not isinstance(data, Mapping):
         raise ScenarioError("scenario document must be a JSON object")
@@ -241,14 +251,14 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioSpec:
     seed = data.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2 ** 64:
         raise ScenarioError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
-    term_length = float(data.get("term_length", 1.0))
+    term_length = _as_float(data.get("term_length", 1.0), "term_length")
     if not term_length > 0:
         raise ScenarioError(f"term_length must be positive, got {term_length}")
 
     agents = []
-    for raw in _require(data, "agents", "scenario"):
+    for raw in _entries(data, "agents", required=True):
         where = f"agent {raw.get('id', '?')!r}"
-        mean_wait = float(raw.get("mean_wait", 0.25))
+        mean_wait = _as_float(raw.get("mean_wait", 0.25), f"{where} mean_wait")
         if not mean_wait > 0:
             raise ScenarioError(f"{where}: mean_wait must be positive")
         agents.append(
@@ -264,7 +274,7 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioSpec:
             raise ScenarioError(f"{where}: gain must be non-negative")
 
     channels = []
-    for raw in data.get("channels", []):
+    for raw in _entries(data, "channels"):
         where = f"channel {raw.get('id', '?')!r}"
         mult = as_fraction(raw.get("multiplier", 1), f"{where} multiplier")
         if mult < 0:
@@ -282,19 +292,21 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioSpec:
 
     def amounts(key: str) -> tuple[ScheduledAmount, ...]:
         out = []
-        for entry in data.get(key, []):
-            time, amount = entry
-            out.append(ScheduledAmount(float(time), as_money(amount, f"{key} amount")))
+        for entry in _entries(data, key, (list, tuple)):
+            if len(entry) != 2:
+                raise ScenarioError(f"{key}: expected a [time, amount] pair, got {entry!r}")
+            out.append(ScheduledAmount(_as_float(entry[0], f"{key} time"),
+                                       as_money(entry[1], f"{key} amount")))
         return tuple(sorted(out, key=lambda s: s.time))
 
     policy = []
-    for raw in data.get("policy_schedule", []):
+    for raw in _entries(data, "policy_schedule"):
         kind = str(_require(raw, "action", "policy entry"))
         if kind not in ("set_multiplier", "set_rate"):
             raise ScenarioError(f"policy entry: unknown action {kind!r}")
         policy.append(
             PolicyAction(
-                time=float(_require(raw, "time", "policy entry")),
+                time=_as_float(_require(raw, "time", "policy entry"), "policy time"),
                 kind=kind,
                 target=str(_require(raw, "target", "policy entry")),
                 value=as_fraction(_require(raw, "value", "policy entry"), "policy value"),
@@ -302,17 +314,17 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioSpec:
         )
 
     shocks = []
-    for raw in data.get("shock_schedule", []):
+    for raw in _entries(data, "shock_schedule"):
         shocks.append(
             ShockSpec(
-                time=float(_require(raw, "time", "shock entry")),
+                time=_as_float(_require(raw, "time", "shock entry"), "shock time"),
                 channel=str(_require(raw, "channel", "shock entry")),
                 amount=as_money(_require(raw, "amount", "shock entry"), "shock amount"),
             )
         )
 
     figures = []
-    for raw in data.get("figures", []):
+    for raw in _entries(data, "figures"):
         fig = FigureSpec(
             name=str(_require(raw, "name", "figure entry")),
             channel=raw.get("channel"),
@@ -323,7 +335,10 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioSpec:
         figures.append(fig)
 
     rates = {name: Fraction(0) for name in DEFAULT_RATE_NAMES}
-    for key, value in data.get("rates", {}).items():
+    raw_rates = data.get("rates", {})
+    if not isinstance(raw_rates, Mapping):
+        raise ScenarioError("rates must be an object")
+    for key, value in raw_rates.items():
         rates[str(key)] = as_fraction(value, f"rate {key!r}")
 
     return ScenarioSpec(

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from moneyflow import build_network, national_5, three_agent_cycle, two_agent_kernel
 from moneyflow.scenario import AgentSpec, ChannelSpec, FigureSpec, ScenarioSpec
@@ -39,3 +40,13 @@ def tiny_spec(rate: int = 10, gain=Fraction(1), seed: int = 1) -> ScenarioSpec:
 @pytest.fixture
 def tiny_state():
     return build_network(tiny_spec())
+
+
+
+def json_values(max_leaves: int = 10):
+    """Arbitrary JSON-shaped values, NaN and infinities included."""
+    return st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+        max_leaves=max_leaves,
+    )

@@ -112,7 +112,7 @@ def test_4_two_agent_kernel_exact():
     assert adjustment.deltas == {"ab": -2}
     assert adjustment.residual == 0
     update_agent(state, "A", 0.05)
-    post_view_deficit = view.deficit() + sum(adjustment.deltas.values())
+    post_view_deficit = view.deficit + sum(adjustment.deltas.values())
     partner = true_imbalance(state, "B")
     ok = post_view_deficit == 0 and partner != 0
     report(4, "two-agent-kernel", ok,
@@ -164,7 +164,7 @@ def test_6_anticipation_prefers_stable_baseline():
         for i in range(6):
             actor = "A" if i % 2 == 0 else "B"
             t += 0.1
-            gaps.append(abs(observe(state, actor).deficit()))
+            gaps.append(abs(observe(state, actor).deficit))
             update_agent(state, actor, t)
         nonzero = [g for g in gaps if g != 0]
         if growing:

@@ -134,6 +134,60 @@ class TestUsageErrors:
         assert code == 0
 
 
+class TestParseErrors:
+    """Malformed input and arguments exit 2 with a message, never a traceback."""
+
+    def json_record(self, tmp_path, edit):
+        path = tmp_path / "r.json"
+        invoke("record", "--scenario", "two-agent-kernel", "--terms", "1", "--out", str(path),
+               "--format", "json")
+        doc = json.loads(path.read_text())
+        edit(doc["sheets"][0])
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_verify_sheet_without_term_index(self, tmp_path, capsys):
+        path = self.json_record(tmp_path, lambda sheet: sheet.pop("term_index"))
+        code, _ = invoke("verify", "--record", str(path))
+        assert code == 2
+        assert "term_index" in capsys.readouterr().err
+
+    def test_verify_string_opening(self, tmp_path, capsys):
+        path = self.json_record(tmp_path, lambda sheet: sheet["agents"]["A"].update(opening="opening"))
+        code, _ = invoke("verify", "--record", str(path))
+        assert code == 2
+        assert "opening" in capsys.readouterr().err
+
+    def test_simulate_agents_not_objects(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"agents": [1, 2]}))
+        code, _ = invoke("simulate", "--scenario", str(path))
+        assert code == 2
+        assert "agents must be a list of objects" in capsys.readouterr().err
+
+    def test_simulate_term_length_not_a_number(self, tmp_path, capsys):
+        from moneyflow import two_agent_kernel
+
+        doc = two_agent_kernel().to_dict()
+        doc["term_length"] = "abc"
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        code, _ = invoke("simulate", "--scenario", str(path), "--terms", "1")
+        assert code == 2
+        assert "term_length" in capsys.readouterr().err
+
+    def test_record_negative_terms(self, tmp_path, capsys):
+        code, _ = invoke("record", "--scenario", "two-agent-kernel", "--terms", "-2",
+                         "--out", str(tmp_path / "r.csv"))
+        assert code == 2
+        assert "non-negative integer" in capsys.readouterr().err
+
+    def test_anticipate_negative_horizon(self, capsys):
+        code, _ = invoke("anticipate", "--scenario", "two-agent-kernel", "--horizon", "-1")
+        assert code == 2
+        assert "non-negative integer" in capsys.readouterr().err
+
+
 class TestDeterminism:
     def test_identical_invocations_byte_identical(self, tmp_path):
         outputs = []

@@ -4,7 +4,11 @@ from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moneyflow import (
     BalanceSheet,
@@ -18,22 +22,23 @@ from moneyflow import (
     read_record,
     run,
     run_record,
+    settle,
     settle_all,
-    transfer,
     two_agent_kernel,
     verify_identities,
     verify_record,
     write_record,
 )
 from moneyflow.recorder import AgentLine, record_from_csv, record_to_csv, record_to_json
-from moneyflow.scenario import AgentSpec, ChannelSpec, FigureSpec, ScenarioSpec
+from moneyflow.recorder import record_from_json
+from moneyflow.scenario import AgentSpec, ChannelSpec, FigureSpec, ScenarioError, ScenarioSpec
 
-from conftest import tiny_spec
+from conftest import json_values, tiny_spec
 
 DATA = Path(__file__).parent / "data"
 
 
-def pair_spec():
+def pair_spec(rate_ab=0, rate_ba=0):
     return ScenarioSpec(
         name="pair",
         agents=(
@@ -42,8 +47,8 @@ def pair_spec():
             AgentSpec("B", "Custom:t", gain=Fraction(0), mean_wait=0.5),
         ),
         channels=(
-            ChannelSpec("ab", "A", "B", 0),
-            ChannelSpec("ba", "B", "A", 0),
+            ChannelSpec("ab", "A", "B", rate_ab),
+            ChannelSpec("ba", "B", "A", rate_ba),
         ),
         figures=(FigureSpec("ab_flow", channel="ab"),),
     )
@@ -68,19 +73,20 @@ class TestCompile:
             assert line.closing == line.opening
 
     def test_single_transfer(self):
-        state = build_network(pair_spec())
-        transfer(state, "ab", 30, 0.5)
+        state = build_network(pair_spec(rate_ab=60))
+        settle(state, "A", "B", 0.5)
+        state.channels["ab"].rate = 0  # nothing more accrues before the cut
         sheet = cut_and_compile(state, 1)[0]
         assert sheet.agents["A"].outflow == 30
         assert sheet.agents["B"].inflow == 30
         assert sheet.figures["ab_flow"] == 30
 
     def test_three_event_hand_sum(self):
-        # Hand oracle: transfers 30 out of A, 12 back, issuance 100 to CB.
-        state = build_network(pair_spec())
-        transfer(state, "ab", 30, 0.2)
-        transfer(state, "ba", 12, 0.4)
+        # Hand oracle: settlements of 30 out of A and 12 back, issuance 100 to CB.
+        state = build_network(pair_spec(rate_ab=30, rate_ba=12))
+        settle(state, "A", "B", 0.5)
         issue(state, 100, 0.6)
+        settle(state, "B", "A", 1.0)
         sheet = cut_and_compile(state, 1)[0]
         assert sheet.agents["A"] == AgentLine(0, 12, 30, -18)
         assert sheet.agents["B"] == AgentLine(0, 30, 12, 18)
@@ -89,8 +95,8 @@ class TestCompile:
         assert verify_identities(sheet).ok
 
     def test_incomplete_coverage_rejected(self):
-        state = build_network(pair_spec())
-        transfer(state, "ab", 30, 0.5)
+        state = build_network(pair_spec(rate_ab=30))
+        settle(state, "A", "B", 0.5)
         recorder = Recorder(state)
         with pytest.raises(RecordError, match="no observer cut for term 0"):
             recorder.compile_term()
@@ -110,7 +116,8 @@ class TestCompile:
         state = build_network(pair_spec())
         recorder = Recorder(state)
         settle_all(state, 1.0, term=0)
-        transfer(state, "ab", 30, 1.0)
+        state.channels["ab"].rate = 30
+        settle(state, "A", "B", 2.0)
         settle_all(state, 2.0, term=1)
         first, second = recorder.compile_term(), recorder.compile_term()
         assert first.agents["A"] == AgentLine(0, 0, 0, 0)
@@ -298,3 +305,50 @@ class TestRecordOfRun:
         run(state, 0.4)
         with pytest.raises(ValueError, match="term boundary"):
             run_record(state, 1)
+
+
+AGENT_COLUMNS = ("opening", "inflow", "outflow", "closing")
+JSON = json_values()
+SHEET_DOCS = st.fixed_dictionaries({}, optional={
+    "term_index": st.integers(0, 2) | JSON,
+    "agents": st.dictionaries(st.text(max_size=3), st.fixed_dictionaries(
+        {}, optional={key: st.integers() | JSON for key in AGENT_COLUMNS}) | JSON, max_size=3) | JSON,
+    "notes_outstanding": st.integers() | JSON,
+    "government_securities_outstanding": st.integers() | JSON,
+    "rates": st.dictionaries(st.text(max_size=4), JSON, max_size=3) | JSON,
+    "figures": st.dictionaries(st.text(max_size=4), st.integers() | JSON, max_size=3) | JSON,
+})
+RECORD_DOCS = st.fixed_dictionaries({"format": st.just("moneyflow-record")}, optional={
+    "sheets": st.lists(SHEET_DOCS | JSON, max_size=3) | JSON,
+    "fingerprint": JSON,
+    "term_length": JSON,
+    "initial_total_stock": st.integers() | JSON,
+})
+CELLS = st.text(alphabet="0123456789-./=ex ", max_size=6)
+CSV_ROWS = st.tuples(st.integers(-1, 2).map(str) | CELLS, st.sampled_from(["agent", "aggregates", "x"]),
+                     *[CELLS] * 5, st.lists(st.tuples(CELLS, CELLS).map("=".join), max_size=3).map(" ".join)
+                     ).map(",".join)
+CSV_LINES = st.just("term,kind,id,opening,inflow,outflow,closing,aggregates") | CSV_ROWS \
+    | st.tuples(st.sampled_from(["# term_length=", "# initial_total_stock=", "# x"]), CELLS).map("".join) \
+    | st.text(max_size=20)
+
+
+def parses_or_rejects(parse, text):
+    """`parse` either returns a record whose identities can be checked, or raises a parse error."""
+    try:
+        record = parse(text)
+    except (RecordError, ScenarioError):
+        return
+    verify_record(record)
+
+
+class TestParserFuzz:
+    @given(text=RECORD_DOCS.map(json.dumps) | JSON.map(json.dumps) | st.text(max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_record_from_json_raises_only_parse_errors(self, text):
+        parses_or_rejects(record_from_json, text)
+
+    @given(text=st.lists(CSV_LINES, max_size=8).map("\n".join))
+    @settings(max_examples=200, deadline=None)
+    def test_record_from_csv_raises_only_parse_errors(self, text):
+        parses_or_rejects(record_from_csv, text)

@@ -4,9 +4,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moneyflow import BUILTIN_SCENARIOS, load_scenario, scenario_from_dict
 from moneyflow.scenario import ScenarioError, as_fraction, as_money, rational_str
+
+from conftest import json_values
 
 REPO = Path(__file__).parent.parent
 
@@ -100,3 +104,42 @@ class TestShippedScenarios:
         state = build_network(BUILTIN_SCENARIOS["national-5"]())
         for aid in state.agent_order:
             assert true_imbalance(state, aid) == 0
+
+
+JSON = json_values()
+
+
+def entries(keys, **values):
+    """Lists of scenario entries: objects over `keys` (some values pinned to plausible ones), or junk."""
+    loose = json_values(4)
+    entry = st.fixed_dictionaries({}, optional={k: values.get(k, loose) | loose for k in keys})
+    return st.lists(entry | loose, max_size=3) | JSON
+
+
+PAIRS = st.lists(st.lists(st.integers() | st.floats() | JSON, max_size=3) | JSON, max_size=3) | JSON
+SCENARIO_DOCS = st.fixed_dictionaries({}, optional={
+    "name": JSON,
+    "seed": st.integers(0, 10) | JSON,
+    "term_length": st.floats() | JSON,
+    "agents": entries(("id", "role", "stock", "gain", "mean_wait"),
+                      role=st.sampled_from(["CentralBank", "Custom:x"])),
+    "channels": entries(("id", "source", "sink", "rate", "multiplier", "adjustable"),
+                        rate=st.integers()),
+    "issuance_schedule": PAIRS,
+    "securities_schedule": PAIRS,
+    "policy_schedule": entries(("time", "action", "target", "value"),
+                               action=st.sampled_from(["set_multiplier", "set_rate"])),
+    "shock_schedule": entries(("time", "channel", "amount"), amount=st.integers()),
+    "figures": entries(("name", "channel", "stock")),
+    "rates": st.dictionaries(st.text(max_size=4), JSON, max_size=3) | JSON,
+}) | JSON
+
+
+class TestParserFuzz:
+    @given(doc=SCENARIO_DOCS)
+    @settings(max_examples=200, deadline=None)
+    def test_scenario_from_dict_raises_only_scenario_errors(self, doc):
+        try:
+            scenario_from_dict(doc)
+        except ScenarioError:
+            pass
