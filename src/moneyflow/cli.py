@@ -150,6 +150,10 @@ def cmd_anticipate(args, out) -> int:
     if args.out:
         Path(args.out).write_text(payload, encoding="utf-8")
     out.write(payload)
+    if all(d == 0.0 for s in report.scores for d in s.divergences):
+        print("moneyflow: warning: every shock replay of every candidate diverged by 0.0, "
+              "so the scores cannot tell the candidates apart and the selection is the tie-break",
+              file=sys.stderr)
     if args.trajectory_out:
         chosen = candidates[report.selected]
         lines = ["term," + ",".join(dims)]
@@ -163,6 +167,13 @@ def _count(text: str) -> int:
     """Argument type for a non-negative integer count."""
     if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _positive(text: str) -> int:
+    """Argument type for a count that must be at least 1."""
+    if not (text.isascii() and text.isdigit()) or int(text) == 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
 
 
@@ -201,11 +212,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", parents=[common_scenario],
                        help="retrace a target record from hidden initial offsets")
     p.add_argument("--target", required=True)
-    p.add_argument("--budget", type=int, default=10_000)
+    p.add_argument("--budget", type=_positive, default=10_000)
     p.add_argument("--tol", type=float, default=1e-3)
     p.add_argument("--prefix", type=int, default=None,
                    help="fit only the first K terms of the target")
-    p.add_argument("--starts", type=int, default=4)
+    p.add_argument("--starts", type=_positive, default=4)
     p.add_argument("--out", help="write the fit result JSON to a file")
     p.add_argument("--strict", action="store_true",
                    help="exit 1 when the fit does not converge")
@@ -213,15 +224,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("anticipate", parents=[common_scenario],
                        help="score candidate futures by shock-replay robustness")
-    p.add_argument("--candidates", type=int, default=5)
-    p.add_argument("--replays", type=int, default=32)
+    p.add_argument("--candidates", type=_positive, default=5)
+    p.add_argument("--replays", type=_positive, default=32)
     p.add_argument("--horizon", type=_count, default=8, help="horizon in terms")
     p.add_argument("--dims", help="comma-separated aggregate names for the phase vector")
     p.add_argument("--bound", type=float, default=0.2, help="multiplier sampling bound")
     p.add_argument("--shock-scale", type=float, default=1.0)
     p.add_argument("--fit-candidates", action="store_true",
                    help="retrace each candidate through the fitter before scoring")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_positive, default=1,
                    help="bound on concurrent shock replays (candidates and fit starts run sequentially)")
     p.add_argument("--out", help="write the robustness report JSON to a file")
     p.add_argument("--trajectory-out", help="write the selected trajectory as CSV")

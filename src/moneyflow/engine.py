@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple, Sequence
 
 from . import rng
@@ -49,40 +50,56 @@ class BilateralView:
 class AdjustmentSet:
     """Integer rate deltas for the agent's adjustable outgoing channels.
 
-    Exactness invariant: sum(deltas) + residual == demand, where demand is
-    -gain * observed deficit plus any carried-over residual. The residual is
-    an exact rational: it absorbs both the sub-unit remainder of the integer
-    apportionment and any correction blocked by the rate >= 0 clamp.
+    Exactness invariant: sum(deltas) + residual == -gain * deficit + carry,
+    where deficit is the observed deficit and carry any carried-over
+    residual. The residual is an exact rational: it absorbs both the sub-unit
+    remainder of the integer apportionment and any correction blocked by the
+    rate >= 0 clamp.
     """
 
     deltas: dict[str, int]
     residual: Fraction
     deficit: Fraction | int
-    demand: Fraction
 
 
 def apportion(total: int, weights: Sequence[Fraction | int]) -> list[int]:
     """Split an integer total proportionally to non-negative weights.
 
     Largest-remainder rounding, so the parts sum to the total exactly. Ties go
-    to the lowest index. A zero weight vector splits equally.
+    to the lowest index. A zero weight vector splits equally. The weights are
+    brought to one common denominator first, so the split runs in integers.
     """
-    n = len(weights)
-    if n == 0:
+    if not weights:
         raise ValueError("apportion() needs at least one weight")
+    scale = lcm(*(w.denominator for w in weights))
+    return _split(total, [w.numerator * (scale // w.denominator) for w in weights])
+
+
+def _split(total: int, weights: list[int]) -> list[int]:
+    """`apportion` over integer weights.
+
+    Each magnitude * w_i / W splits by ``divmod`` into a base and a remainder
+    r_i / W; base - share is -r_i / W, so ordering the leftover units by
+    (-r_i, i) is the largest-remainder order with ties to the lowest index.
+    """
     if any(w < 0 for w in weights):
         raise ValueError("apportion() weights must be non-negative")
+    n = len(weights)
     wsum = sum(weights)
     if wsum == 0:
         weights = [1] * n
         wsum = n
     sign = 1 if total >= 0 else -1
     magnitude = abs(total)
-    shares = [Fraction(magnitude) * w / wsum for w in weights]
-    base = [int(s) for s in shares]
+    base = []
+    remainders = []
+    for w in weights:
+        part, remainder = divmod(magnitude * w, wsum)
+        base.append(part)
+        remainders.append(remainder)
     leftover = magnitude - sum(base)
     if leftover:
-        by_remainder = sorted(range(n), key=lambda i: (base[i] - shares[i], i))
+        by_remainder = sorted(range(n), key=lambda i: (-remainders[i], i))
         for i in by_remainder[:leftover]:
             base[i] += 1
     return [sign * b for b in base]
@@ -148,28 +165,38 @@ def equilibrate(view: BilateralView, gain: Fraction, carry: Fraction | int = 0) 
     observed effective rates, rounded to whole minor units by largest
     remainder, and clamped so no rate goes below zero. Whatever could not be
     applied is returned as the exact residual.
+
+    The demand is held as an unreduced integer ratio num / den and truncated
+    toward zero explicitly (it may be negative, where floor division would
+    round away from zero); the residual is the only ``Fraction`` built.
     """
-    if gain < 0:
+    if gain.numerator < 0:
         raise ValueError("gain must be non-negative")
     d = view.deficit
     if d == 0 and carry == 0:
         # Balanced in this view: nothing to do. Common case at equilibrium.
         deltas = {e.channel_id: 0 for e in view.outgoing if e.adjustable}
-        return AdjustmentSet(deltas=deltas, residual=_ZERO, deficit=d, demand=_ZERO)
-    demand = Fraction(-gain * d + carry)
+        return AdjustmentSet(deltas=deltas, residual=_ZERO, deficit=d)
+    gd = gain.denominator
+    dd = d.denominator
+    cd = carry.denominator
+    den = gd * dd * cd
+    num = carry.numerator * gd * dd - gain.numerator * d.numerator * cd
     adjustable = [e for e in view.outgoing if e.adjustable]
     deltas = {e.channel_id: 0 for e in adjustable}
+    applied = 0
     if adjustable:
-        units = int(demand)  # truncate toward zero; the fraction stays in the residual
+        units = num // den if num >= 0 else -(-num // den)
         if units:
-            weights = [e.rate if e.multiplier == 1 else e.rate * e.multiplier for e in adjustable]
-            parts = apportion(units, weights)
-            for e, part in zip(adjustable, parts):
+            scale = lcm(*(e.multiplier.denominator for e in adjustable))
+            weights = [e.rate * e.multiplier.numerator * (scale // e.multiplier.denominator)
+                       for e in adjustable]
+            for e, part in zip(adjustable, _split(units, weights)):
                 if e.rate + part < 0:
                     part = -e.rate
                 deltas[e.channel_id] = part
-    residual = demand - sum(deltas.values())
-    return AdjustmentSet(deltas=deltas, residual=residual, deficit=d, demand=demand)
+                applied += part
+    return AdjustmentSet(deltas=deltas, residual=Fraction(num - applied * den, den), deficit=d)
 
 
 def settle(state: NetworkState, agent_a: str, agent_b: str, time: float) -> NetworkState:
@@ -193,15 +220,23 @@ def settle(state: NetworkState, agent_a: str, agent_b: str, time: float) -> Netw
 
 
 def _settle_channels(state: NetworkState, channel_ids: Sequence[str], time: float) -> list[tuple[str, int]]:
+    """Move each channel's whole accrued units from source to sink at `time`.
+
+    ``accrued_num // accrued_den`` floors, which equals truncation toward zero
+    because accrual is never negative: rates are >= 0 (validated at build,
+    clamped in `equilibrate`, checked in assignments), multipliers are >= 0
+    (validated at build and for policies) and `accrue` adds only over
+    elapsed time > 0. The sub-unit remainder stays in the numerator.
+    """
     amounts = []
     for cid in channel_ids:
         ch = state.channels[cid]
         accrue(ch, time)
-        amount = int(ch.accrued)
+        amount = ch.accrued_num // ch.accrued_den
         if amount:
             state.agents[ch.source].stock -= amount
             state.agents[ch.sink].stock += amount
-            ch.accrued -= amount
+            ch.accrued_num -= amount * ch.accrued_den
         ch.snap_rate_sink = ch.rate
         amounts.append((cid, amount))
     return amounts

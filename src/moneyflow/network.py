@@ -14,6 +14,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Mapping
 
 from . import rng
@@ -40,8 +41,13 @@ class Channel:
     ``rate`` is the current true flow intention in minor units per term; the
     effective flow is rate * multiplier. ``snap_rate_sink`` holds the rate as
     of the last settlement on this channel: between settlements the sink's
-    knowledge is deliberately stale (the source always knows its own rate). ``accrued`` is the
-    exact rational amount of flow earned but not yet settled.
+    knowledge is deliberately stale (the source always knows its own rate).
+
+    ``accrued_num / accrued_den`` is the exact rational amount of flow earned
+    but not yet settled, held as two plain integers and never reduced: the
+    denominator is a common multiple of the power-of-two denominators of the
+    float times accrued over (times multiplier denominators), so adding the
+    next piece is an integer multiply and add rather than a ``Fraction``.
     """
 
     id: str
@@ -51,7 +57,8 @@ class Channel:
     multiplier: Fraction
     adjustable: bool
     snap_rate_sink: int = 0
-    accrued: Fraction = Fraction(0)
+    accrued_num: int = 0
+    accrued_den: int = 1
     accrued_until: float = 0.0
 
     def effective_rate(self) -> Fraction | int:
@@ -144,6 +151,8 @@ def build_network(spec: ScenarioSpec) -> NetworkState:
                 raise ScenarioError(f"channel {c.id!r}: unknown agent {endpoint!r}")
         if c.rate < 0:
             raise ScenarioError(f"channel {c.id!r}: negative rate {c.rate}")
+        if c.multiplier < 0:
+            raise ScenarioError(f"channel {c.id!r}: negative multiplier {c.multiplier}")
         channels[c.id] = Channel(
             id=c.id,
             source=c.source,
@@ -203,19 +212,48 @@ def build_network(spec: ScenarioSpec) -> NetworkState:
     return state
 
 
+def _add_ratios(n0: int, d0: int, n1: int, d1: int) -> tuple[int, int]:
+    """n0/d0 + n1/d1 as an unreduced integer ratio over positive denominators.
+
+    When one denominator divides the other, as the power-of-two denominators
+    of two float times always do, the sum is taken over the larger one by
+    multiplying through by their quotient; an lcm is needed only otherwise
+    (after a ``set_multiplier`` policy with a new denominator).
+    """
+    if d0 == d1:
+        return n0 + n1, d0
+    if d0 > d1:
+        if not d0 % d1:
+            return n0 + n1 * (d0 // d1), d0
+    elif not d1 % d0:
+        return n0 * (d1 // d0) + n1, d1
+    den = lcm(d0, d1)
+    return n0 * (den // d0) + n1 * (den // d1), den
+
+
 def accrue(channel: Channel, now: float) -> None:
     """Bring a channel's unsettled accrual up to `now` at the prevailing rate.
 
     Must be called before any rate or multiplier change so that past flow is
     integrated piecewise at the rates that were actually in force.
+
+    Exact in integers: a float time is a dyadic rational, so
+    ``as_integer_ratio()`` gives ``(n, 2**k)`` and the elapsed time is an
+    integer over the larger of the two powers of two. The piece added is
+    ``rate * multiplier.numerator * elapsed`` over ``multiplier.denominator``
+    times that power, which is ``rate * multiplier * elapsed`` exactly. It is
+    never negative, because rates and multipliers are non-negative and
+    ``now`` is past ``accrued_until``.
     """
     if now > channel.accrued_until:
         if channel.rate:
-            elapsed = Fraction(now) - Fraction(channel.accrued_until)
-            if channel.multiplier == 1:
-                channel.accrued += channel.rate * elapsed
-            else:
-                channel.accrued += channel.rate * channel.multiplier * elapsed
+            n1, d1 = now.as_integer_ratio()
+            n0, d0 = channel.accrued_until.as_integer_ratio()
+            elapsed, den = _add_ratios(n1, d1, -n0, d0)
+            m = channel.multiplier
+            channel.accrued_num, channel.accrued_den = _add_ratios(
+                channel.accrued_num, channel.accrued_den,
+                channel.rate * m.numerator * elapsed, den * m.denominator)
         channel.accrued_until = now
 
 

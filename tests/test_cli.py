@@ -3,7 +3,12 @@
 import io
 import json
 
+import pytest
+
+from moneyflow import cli
+from moneyflow.anticipation import score_candidates, simulate_candidate
 from moneyflow.cli import run_cli
+from moneyflow.retrieval import Assignment
 
 
 def invoke(*argv):
@@ -111,6 +116,38 @@ class TestAnticipate:
         assert lines[0] == "term,consumption_flow,bond_flow"
         assert len(lines) == 3
 
+    def test_degenerate_report_warns_on_stderr(self, capsys):
+        # The headline invocation: no replay moves any of the default
+        # aggregates within two terms, so every score is 1.0.
+        code, output = invoke("anticipate", "--scenario", "national-5", "--horizon", "2",
+                              "--candidates", "2", "--replays", "2")
+        assert code == 0
+        doc = json.loads(output[output.index("{"):])
+        assert all(d == 0.0 for c in doc["candidates"] for d in c["divergences"])
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "diverged by 0.0" in err
+
+    def test_informative_report_is_silent(self, monkeypatch, capsys):
+        # The acceptance-6 set: hidden offsets on three-agent-cycle make the
+        # shock replays move the flows.
+        def acceptance_6(spec, config):
+            offsets = Assignment(offsets={"A": 30, "B": 0, "C": -15})
+            candidates = [simulate_candidate(spec, cid, config.horizon_terms, config.dims)
+                          for cid in range(config.candidates)]
+            report = score_candidates(candidates, spec, config.replay, config.dims,
+                                      {c.id: offsets for c in candidates})
+            return report, candidates
+
+        monkeypatch.setattr(cli, "anticipate", acceptance_6)
+        code, output = invoke("anticipate", "--scenario", "three-agent-cycle", "--horizon", "6",
+                              "--candidates", "2", "--replays", "4",
+                              "--dims", "ab_flow,bc_flow,ca_flow")
+        assert code == 0
+        doc = json.loads(output[output.index("{"):])
+        assert any(d > 0.0 for c in doc["candidates"] for d in c["divergences"])
+        assert capsys.readouterr().err == ""
+
 
 class TestUsageErrors:
     def test_unknown_flag_exits_two(self, capsys):
@@ -186,6 +223,22 @@ class TestParseErrors:
         code, _ = invoke("anticipate", "--scenario", "two-agent-kernel", "--horizon", "-1")
         assert code == 2
         assert "non-negative integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("anticipate", "--replays", "0"),
+        ("anticipate", "--replays", "-1"),
+        ("anticipate", "--jobs", "0"),
+        ("anticipate", "--jobs", "-1"),
+        ("anticipate", "--candidates", "0"),
+        ("fit", "--starts", "0", "--target", "t.csv"),
+        ("fit", "--starts", "-1", "--target", "t.csv"),
+        ("fit", "--budget", "0", "--target", "t.csv"),
+    ])
+    def test_count_options_need_positive_integers(self, argv, capsys):
+        code, output = invoke(argv[0], "--scenario", "two-agent-kernel", *argv[1:])
+        assert code == 2
+        assert output == ""
+        assert "positive integer" in capsys.readouterr().err
 
 
 class TestDeterminism:

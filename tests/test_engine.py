@@ -1,5 +1,7 @@
 """Asynchronous adjustment dynamics: views, corrections, settlements, events."""
 
+import fractions
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,6 +20,7 @@ from moneyflow import (
     run,
     run_record,
     settle,
+    settle_all,
     true_imbalance,
     two_agent_kernel,
     update_agent,
@@ -184,6 +187,44 @@ class TestObservedDeficit:
             assert observe(state, aid).deficit == naive_deficit(outgoing, incoming)
 
 
+def fraction_apportion(total, weights):
+    """The Fraction-arithmetic largest-remainder split, kept as the oracle."""
+    n = len(weights)
+    wsum = sum(weights)
+    if wsum == 0:
+        weights = [1] * n
+        wsum = n
+    sign = 1 if total >= 0 else -1
+    magnitude = abs(total)
+    shares = [Fraction(magnitude) * w / wsum for w in weights]
+    base = [int(s) for s in shares]
+    leftover = magnitude - sum(base)
+    if leftover:
+        by_remainder = sorted(range(n), key=lambda i: (base[i] - shares[i], i))
+        for i in by_remainder[:leftover]:
+            base[i] += 1
+    return [sign * b for b in base]
+
+
+def fraction_equilibrate(view, gain, carry):
+    """Deltas and residual by the Fraction formula of the correction, kept as the oracle."""
+    adjustable = [e for e in view.outgoing if e.adjustable]
+    deltas = {e.channel_id: 0 for e in adjustable}
+    demand = Fraction(-gain * view.deficit + carry)
+    units = int(demand)
+    if adjustable and units:
+        weights = [e.rate if e.multiplier == 1 else e.rate * e.multiplier for e in adjustable]
+        for e, part in zip(adjustable, fraction_apportion(units, weights)):
+            deltas[e.channel_id] = max(part, -e.rate)
+    return deltas, demand - sum(deltas.values())
+
+
+WEIGHTS = st.one_of(
+    st.integers(0, 50),
+    st.builds(Fraction, st.integers(0, 60), st.sampled_from([1, 2, 3, 7, 10])),
+)
+
+
 class TestApportion:
     @given(
         total=st.integers(-500, 500),
@@ -197,6 +238,89 @@ class TestApportion:
             assert all(p >= 0 for p in parts)
         else:
             assert all(p <= 0 for p in parts)
+
+    @given(
+        total=st.integers(-10_000, 10_000),
+        weights=st.one_of(st.lists(WEIGHTS, min_size=1, max_size=6),
+                          st.lists(st.just(0), min_size=1, max_size=6)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fraction_oracle(self, total, weights):
+        assert apportion(total, weights) == fraction_apportion(total, weights)
+
+    def test_tie_goes_to_lowest_index(self):
+        assert apportion(1, [Fraction(1, 3), 1, Fraction(2, 3), 1]) == [0, 1, 0, 0]
+        assert apportion(-2, [0, 0, 0]) == [-1, -1, 0]
+
+    def test_rejects_negative_and_empty_weights(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            apportion(3, [1, Fraction(-1, 2)])
+        with pytest.raises(ValueError, match="at least one"):
+            apportion(3, [])
+
+
+class TestEquilibrateOracle:
+    @given(
+        out=st.lists(st.tuples(st.integers(0, 400), WEIGHTS, st.booleans()), min_size=0, max_size=4),
+        inflow=st.lists(st.tuples(st.integers(0, 400), WEIGHTS), min_size=0, max_size=3),
+        gain=st.builds(Fraction, st.integers(0, 12), st.integers(1, 5)),
+        carry=st.one_of(st.just(0), st.builds(Fraction, st.integers(-40, 40), st.integers(1, 7))),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fraction_formula(self, out, inflow, gain, carry):
+        view = view_of(
+            [entry(f"o{i}", r, Fraction(m), adj) for i, (r, m, adj) in enumerate(out)],
+            [entry(f"i{i}", r, Fraction(m), False) for i, (r, m) in enumerate(inflow)],
+        )
+        adj = equilibrate(view, gain, carry)
+        deltas, residual = fraction_equilibrate(view, gain, carry)
+        assert adj.deltas == deltas
+        assert type(adj.residual) is Fraction
+        assert adj.residual == residual
+        assert adj.deficit == view.deficit
+
+
+def fraction_calls(fn, *args, **kwargs):
+    """Names of the `fractions` functions `fn` enters, numerator and denominator reads excepted."""
+    calls = []
+
+    def hook(frame, event, arg):
+        code = frame.f_code
+        if (event == "call" and code.co_filename == fractions.__file__
+                and code.co_name not in ("numerator", "denominator")):
+            calls.append(code.co_name)
+
+    sys.setprofile(hook)
+    try:
+        fn(*args, **kwargs)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+class TestFractionFreeHotPath:
+    """Accrual, settlement and apportionment run in plain integers."""
+
+    def test_accrue_and_settle(self):
+        spec = ScenarioSpec(
+            name="m",
+            agents=(AgentSpec("CB", "CentralBank"), AgentSpec("A", "Custom:x"), AgentSpec("B", "Custom:x")),
+            channels=(ChannelSpec("ab", "A", "B", 70, multiplier=Fraction(3, 10)),
+                      ChannelSpec("ba", "B", "A", 40)),
+        )
+        state = build_network(spec)
+        assert fraction_calls(settle, state, "A", "B", 0.3) == []
+        state.channels["ba"].multiplier = Fraction(2, 7)
+        assert fraction_calls(settle_all, state, 1.1, term=0) == []
+
+    def test_apportion(self):
+        assert fraction_calls(apportion, 17, [Fraction(1, 3), 2, Fraction(5, 7)]) == []
+
+    def test_equilibrate_builds_only_the_residual(self):
+        view = view_of([entry("x", 10, Fraction(3, 10)), entry("y", 4)],
+                       [entry("in", 3, Fraction(1, 3))])
+        calls = fraction_calls(equilibrate, view, Fraction(5, 2), Fraction(-1, 3))
+        assert [c for c in calls if c != "__eq__"] == ["__new__"]
 
 
 class TestSettle:

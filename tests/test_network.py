@@ -17,6 +17,7 @@ from moneyflow import (
     true_imbalance,
     two_agent_kernel,
 )
+from moneyflow.network import accrue
 from moneyflow.retrieval import Assignment, apply_assignment
 from moneyflow.scenario import AgentSpec, ChannelSpec, ScenarioError, ScenarioSpec, ShockSpec
 
@@ -71,6 +72,12 @@ class TestBuildNetwork:
     def test_unknown_endpoint_rejected(self):
         spec = spec_with([CB, AgentSpec("A", "Custom:x")], [ChannelSpec("ab", "A", "B", 1)])
         with pytest.raises(ScenarioError, match="unknown agent 'B'"):
+            build_network(spec)
+
+    def test_negative_multiplier_rejected(self):
+        spec = spec_with([CB, AgentSpec("A", "Custom:x"), AgentSpec("B", "Custom:x")],
+                         [ChannelSpec("ab", "A", "B", 1, multiplier=Fraction(-1, 2))])
+        with pytest.raises(ScenarioError, match="ab.*negative multiplier"):
             build_network(spec)
 
     def test_exemption_matches_role(self, national5_spec):
@@ -184,3 +191,54 @@ def test_conservation_under_random_operations(moves, issues):
         settle(state, "A", "B", t)
     assert state.total_stock() - notes_outstanding(state) == 210
     assert conservation_holds(state)
+
+
+# Times that are tiny, large, or look decimal but are not dyadic-short (0.1, 1/3).
+TIME_STEPS = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=1e-12, max_value=1e-6),
+    st.floats(min_value=1e-3, max_value=10.0),
+    st.floats(min_value=1e3, max_value=1e6),
+    st.sampled_from([0.1, 1 / 3, 0.7, 2 / 3, 1e-9]),
+)
+CHANNEL_OPS = st.one_of(
+    st.tuples(st.just("settle"), TIME_STEPS),
+    st.tuples(st.just("rate"), TIME_STEPS, st.integers(0, 10_000)),
+    st.tuples(st.just("mult"), TIME_STEPS,
+              st.builds(Fraction, st.integers(0, 12), st.sampled_from([1, 2, 3, 7, 10]))),
+)
+
+
+class TestIntegerAccrual:
+    """Integer accrual and settlement against a naive Fraction reference."""
+
+    @given(ops=st.lists(CHANNEL_OPS, max_size=25), start_rate=st.integers(0, 10_000))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_fraction_reference(self, ops, start_rate):
+        spec = spec_with([CB, AgentSpec("A", "Custom:x"), AgentSpec("B", "Custom:x")],
+                         [ChannelSpec("ab", "A", "B", start_rate)])
+        state = build_network(spec)
+        ch = state.channels["ab"]
+        pot = total = Fraction(0)
+        rate, mult = start_rate, Fraction(1)
+        now = last = 0.0
+        for op in ops:
+            now += op[1]
+            piece = rate * mult * (Fraction(now) - Fraction(last))
+            pot += piece
+            total += piece
+            last = now
+            if op[0] == "settle":
+                settle(state, "A", "B", now)
+                amount = int(pot)
+                pot -= amount
+                assert state.log[-1].payload["amounts"] == [("ab", amount)]
+            else:
+                accrue(ch, now)  # as every rate or multiplier change does first
+                if op[0] == "rate":
+                    ch.rate = rate = op[2]
+                else:
+                    ch.multiplier = mult = op[2]
+            assert Fraction(ch.accrued_num, ch.accrued_den) == pot
+        assert state.agents["B"].stock == -state.agents["A"].stock
+        assert state.agents["B"].stock + pot == total
