@@ -151,7 +151,12 @@ def cmd_anticipate(args, out) -> int:
         Path(args.out).write_text(payload, encoding="utf-8")
     out.write(payload)
     if all(d == 0.0 for s in report.scores for d in s.divergences):
-        print("moneyflow: warning: every shock replay of every candidate diverged by 0.0, "
+        # Without fitted offsets the shock magnitudes come from candidate 0's
+        # own pool, and an empty pool makes every shock 0.
+        cause = ("the shock pool is empty (the reference candidate's unshocked run never "
+                 "observed a nonzero deficit), so every replay shock was 0 and "
+                 if not args.fit_candidates and not candidates[0].imbalance_pool else "")
+        print(f"moneyflow: warning: {cause}every shock replay of every candidate diverged by 0.0, "
               "so the scores cannot tell the candidates apart and the selection is the tie-break",
               file=sys.stderr)
     if args.trajectory_out:

@@ -3,8 +3,17 @@
 Each non-exempt agent wakes at its own exponentially distributed event times,
 looks at the world through its stale bilateral snapshots, and corrects the
 imbalance it sees by moving its own adjustable outgoing rates. Corrections
-made on stale information systematically miss, which is what keeps the
-adjustment activity reverberating through the network instead of dying out.
+made on stale information miss, so one agent's fix disturbs its partners and
+the adjustment spreads. In the built-in scenarios it dies out within a few
+terms of a disturbance (hidden offsets, a shock, a policy change) instead of
+reverberating, and a network that starts balanced never adjusts at all.
+
+Most wakes therefore find nothing to correct. `run` keeps such agents
+dormant: out of the event scan and out of the log, until something changes
+what they observe. Their wake times come from counter-keyed streams, so the
+skipped wakes are consumed later with the same float additions, and every
+later event and the state at each run boundary are exactly as if each wake
+had been processed.
 
 The engine is strictly sequential over the event order. Independent runs own
 their state exclusively and may execute concurrently.
@@ -16,10 +25,10 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import rng
-from .network import Event, NetworkState, accrue, issue
+from .network import Agent, Event, NetworkState, accrue, issue
 from .scenario import PolicyAction, ShockSpec
 
 _NO_EVENT = float("inf")
@@ -286,13 +295,18 @@ def inject_shock(state: NetworkState, agent_id: str, amount: int, time: float,
     return state
 
 
-def next_event(state: NetworkState) -> tuple[str, float]:
-    """Agent with the earliest pending event time; ties go to the lower id."""
+def next_event(state: NetworkState, awake: Iterable[str] | None = None) -> tuple[str, float]:
+    """Agent with the earliest pending event time; ties go to the lower id.
+
+    `awake` limits the scan to those agents, in any order; by default every
+    agent takes part.
+    """
+    agents = state.agents
     best_id = None
     best_t = _NO_EVENT
-    for aid in state.agent_order:
-        t = state.agents[aid].next_time
-        if t < best_t:
+    for aid in state.agent_order if awake is None else awake:
+        t = agents[aid].next_time
+        if t < best_t or (t == best_t and best_id is not None and aid < best_id):
             best_id, best_t = aid, t
     if best_id is None:
         raise ValueError("network has no agents")
@@ -306,22 +320,18 @@ def _apply_rate_delta(state: NetworkState, channel_id: str, delta: int, now: flo
 
 
 def update_agent(state: NetworkState, agent_id: str, now: float) -> Event:
-    """Process one event for an agent: adjust and settle, or run issuance.
+    """Process one wake that acts: adjust and settle, or run issuance.
 
     Non-exempt agents observe, equilibrate, apply their deltas to true rates,
     and settle with every partner they adjusted against. The central bank
-    executes its due issuance schedule entries instead.
+    executes its due issuance schedule entries instead. `run` calls this only
+    for wakes that have something to log; it skips the others.
     """
     agent = state.agents[agent_id]
     state.now = now
     if agent.continuity_exempt:
         issued = _run_issuance(state, now)
         event = state.append_event(now, "AgentUpdate", {"agent": agent_id, "exempt": True, "issued": issued})
-    elif agent.pending_correction == 0 and _observed_deficit(state, agent_id) == 0:
-        # Balanced in its own view: no correction, no settlements.
-        event = state.append_event(now, "AgentUpdate", {
-            "agent": agent_id, "deficit": 0, "deltas": {}, "residual": _ZERO,
-        })
     else:
         view = observe(state, agent_id)
         adjustment = equilibrate(view, agent.gain, agent.pending_correction)
@@ -343,6 +353,28 @@ def update_agent(state: NetworkState, agent_id: str, now: float) -> Event:
     agent.event_count += 1
     agent.next_time = now + rng.exponential(agent.mean_wait, agent.event_key, agent.event_count)
     return event
+
+
+def _skip_wakes(agent: Agent, until: float, inclusive: bool = False) -> None:
+    """Consume the agent's wakes before `until`, and at it when `inclusive`.
+
+    Each wake draws the next wait from the agent's counter-keyed stream and
+    adds it to the wake time, the same float addition `update_agent` makes,
+    so the wake times that follow are bit-identical to processing each one.
+    """
+    t = agent.next_time
+    n = agent.event_count
+    while t < until or (inclusive and t == until):
+        n += 1
+        t += rng.exponential(agent.mean_wait, agent.event_key, n)
+    agent.event_count = n
+    agent.next_time = t
+
+
+def _next_issuance_time(state: NetworkState) -> float:
+    schedule = state.spec.issuance
+    cursor = state.cursors["issuance"]
+    return schedule[cursor].time if cursor < len(schedule) else _NO_EVENT
 
 
 def _run_issuance(state: NetworkState, now: float) -> list[int]:
@@ -378,7 +410,12 @@ def _peek_scheduled(state: NetworkState) -> tuple[float, str]:
     return best_t, best_kind
 
 
-def _run_scheduled(state: NetworkState, kind: str, now: float) -> None:
+def _run_scheduled(state: NetworkState, kind: str, now: float) -> str | None:
+    """Execute the earliest scheduled item.
+
+    Returns the channel whose endpoints may now observe a different deficit
+    (a multiplier change or a nonzero shock), or None.
+    """
     state.now = now
     if kind == "policy":
         action: PolicyAction = state.spec.policy[state.cursors["policy"]]
@@ -391,6 +428,8 @@ def _run_scheduled(state: NetworkState, kind: str, now: float) -> None:
             state.rates[action.target] = action.value
         state.append_event(now, "Policy", {"action": action.kind, "target": action.target,
                                            "value": action.value})
+        if action.kind == "set_multiplier":
+            return action.target
     elif kind == "securities":
         entry = state.spec.securities[state.cursors["securities"]]
         state.cursors["securities"] += 1
@@ -403,8 +442,11 @@ def _run_scheduled(state: NetworkState, kind: str, now: float) -> None:
         state.cursors["shock"] += 1
         ch = state.channels[spec.channel]
         inject_shock(state, ch.sink, spec.amount, now, channel_id=spec.channel)
+        if spec.amount:
+            return spec.channel
     else:  # pragma: no cover - internal misuse
         raise ValueError(f"unknown scheduled kind {kind!r}")
+    return None
 
 
 def run(state: NetworkState, horizon: float) -> tuple[NetworkState, list[Event]]:
@@ -412,21 +454,63 @@ def run(state: NetworkState, horizon: float) -> tuple[NetworkState, list[Event]]
 
     Deterministic for a fixed seed; running h1 then h2 is identical to running
     h1 + h2 in one call, with the logs concatenating.
+
+    Wakes that cannot act are not logged. A non-exempt agent that wakes with
+    no pending correction and a zero observed deficit goes dormant: it leaves
+    the scan with that wake unconsumed, and it stays balanced until one of
+    its outgoing rates (only it moves them), an incoming snapshot (a
+    settlement with a partner that adjusted towards it, or a nonzero shock)
+    or a multiplier on one of its channels (a `set_multiplier` policy)
+    changes. Those events wake it: it consumes the wakes it skipped and
+    rejoins the scan. The central bank's wakes before its next issuance
+    entry are consumed in one go. Dormancy lives only inside one call; at
+    the end every dormant agent's wakes are consumed up to the horizon, so
+    the state at the boundary is the same as if every wake had been
+    processed.
     """
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
     end = state.now + horizon
     start = len(state.log)
+    agents = state.agents
+    channels = state.channels
+    awake = set(state.agent_order)
     while True:
-        agent_id, agent_t = next_event(state)
+        agent_id, agent_t = next_event(state, awake)
         sched_t, sched_kind = _peek_scheduled(state)
-        t = min(agent_t, sched_t)
-        if t >= end:
+        if min(agent_t, sched_t) >= end:
             break
         if sched_t <= agent_t:
-            _run_scheduled(state, sched_kind, sched_t)
+            # Scheduled items precede every agent wake at the same time.
+            changed = _run_scheduled(state, sched_kind, sched_t)
+            if changed is not None:
+                ch = channels[changed]
+                for aid in (ch.source, ch.sink):
+                    if aid not in awake:
+                        awake.add(aid)
+                        _skip_wakes(agents[aid], sched_t)
+            continue
+        agent = agents[agent_id]
+        if agent.continuity_exempt:
+            due = _next_issuance_time(state)
+            if due > agent_t:
+                _skip_wakes(agent, min(due, end))
+            else:
+                update_agent(state, agent_id, agent_t)
+        elif agent.pending_correction == 0 and _observed_deficit(state, agent_id) == 0:
+            awake.remove(agent_id)
         else:
-            update_agent(state, agent_id, agent_t)
+            event = update_agent(state, agent_id, agent_t)
+            for cid, delta in event.payload["deltas"].items():
+                sink = channels[cid].sink
+                if delta and sink not in awake:
+                    # A partner's wake at this very time came before this
+                    # one when its id is lower (ties go to the lower id).
+                    awake.add(sink)
+                    _skip_wakes(agents[sink], agent_t, inclusive=sink < agent_id)
+    for aid in state.agent_order:
+        if aid not in awake:
+            _skip_wakes(agents[aid], end)
     state.now = end
     return state, state.log[start:]
 

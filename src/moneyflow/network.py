@@ -11,7 +11,6 @@ deterministic functions of their inputs.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -19,6 +18,11 @@ from typing import Mapping
 
 from . import rng
 from .scenario import CENTRAL_BANK, ScenarioError, ScenarioSpec
+
+# Ceiling on the expected agent wakes per term, term_length * sum(1 / mean_wait).
+# Every wake costs at least one draw, even a skipped one, so a scenario above
+# it would not finish a term; the built-in scenarios expect at most 20.
+_MAX_WAKES_PER_TERM = 1e6
 
 
 @dataclass(slots=True)
@@ -96,14 +100,36 @@ class NetworkState:
     central_bank: str = ""
 
     def clone(self) -> "NetworkState":
-        """Independent copy sharing only the immutable index structures."""
-        dup = copy.copy(self)
-        dup.agents = {k: copy.copy(a) for k, a in self.agents.items()}
-        dup.channels = {k: copy.copy(c) for k, c in self.channels.items()}
-        dup.rates = dict(self.rates)
-        dup.log = list(self.log)
-        dup.cursors = dict(self.cursors)
-        return dup
+        """Independent copy sharing only the immutable index structures.
+
+        Every field is passed explicitly: building the slotted records
+        directly is several times cheaper than `copy.copy`, which goes
+        through `__reduce_ex__`.
+        """
+        return NetworkState(
+            self.spec,
+            {k: Agent(a.id, a.stock, a.gain, a.continuity_exempt, a.mean_wait,
+                      a.pending_correction, a.event_count, a.next_time, a.event_key)
+             for k, a in self.agents.items()},
+            {k: Channel(c.id, c.source, c.sink, c.rate, c.multiplier, c.adjustable,
+                        c.snap_rate_sink, c.accrued_num, c.accrued_den, c.accrued_until)
+             for k, c in self.channels.items()},
+            self.cumulative_issuance,
+            self.securities_outstanding,
+            dict(self.rates),
+            self.now,
+            list(self.log),
+            self.seq,
+            dict(self.cursors),
+            self.initial_stocks,
+            self.initial_rates,
+            self.agent_order,
+            self.outgoing,
+            self.incoming,
+            self.adjustable_outgoing,
+            self.pair_channels,
+            self.central_bank,
+        )
 
     def total_stock(self) -> int:
         return sum(a.stock for a in self.agents.values())
@@ -125,6 +151,8 @@ def build_network(spec: ScenarioSpec) -> NetworkState:
     for a in spec.agents:
         if a.id in agents:
             raise ScenarioError(f"duplicate agent id {a.id!r}")
+        if not a.mean_wait > 0:
+            raise ScenarioError(f"agent {a.id!r}: mean_wait must be positive, got {a.mean_wait}")
         agents[a.id] = Agent(
             id=a.id,
             stock=a.stock,
@@ -132,6 +160,13 @@ def build_network(spec: ScenarioSpec) -> NetworkState:
             continuity_exempt=a.continuity_exempt,
             mean_wait=a.mean_wait,
             event_key=rng.stream_key(spec.seed, rng.string_key("agent-events"), rng.string_key(a.id)),
+        )
+
+    wakes = spec.term_length * sum(1 / a.mean_wait for a in spec.agents)
+    if wakes > _MAX_WAKES_PER_TERM:
+        raise ScenarioError(
+            f"agents would wake about {wakes:.3g} times per term (term_length x sum of "
+            f"1/mean_wait), above the limit of {_MAX_WAKES_PER_TERM:.0e}; raise mean_wait"
         )
 
     cbs = [a.id for a in spec.agents if a.continuity_exempt]

@@ -128,6 +128,27 @@ class TestAnticipate:
         assert err.count("\n") == 1
         assert "diverged by 0.0" in err
 
+    def test_empty_shock_pool_warns_on_stderr(self, capsys):
+        # national-5 starts balanced, so no wake observes a deficit and the
+        # reference candidate's pool is empty.
+        code, output = invoke("anticipate", "--scenario", "national-5", "--horizon", "2",
+                              "--candidates", "2", "--replays", "2")
+        assert code == 0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "shock pool is empty" in err
+
+    def test_nonempty_shock_pool_gets_no_pool_warning(self, capsys):
+        # three-agent-skew starts unbalanced: the pool is not empty, but over
+        # two terms no replay moves the flows, so only the general warning shows.
+        code, output = invoke("anticipate", "--scenario", "three-agent-skew", "--horizon", "2",
+                              "--candidates", "2", "--replays", "2")
+        assert code == 0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "diverged by 0.0" in err
+        assert "shock pool" not in err
+
     def test_informative_report_is_silent(self, monkeypatch, capsys):
         # The acceptance-6 set: hidden offsets on three-agent-cycle make the
         # shock replays move the flows.
@@ -212,6 +233,21 @@ class TestParseErrors:
         code, _ = invoke("simulate", "--scenario", str(path), "--terms", "1")
         assert code == 2
         assert "term_length" in capsys.readouterr().err
+
+    def test_simulate_wake_rate_above_ceiling(self, tmp_path, monkeypatch, capsys):
+        from moneyflow import two_agent_kernel
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the scenario was run")
+
+        monkeypatch.setattr(cli, "run_record", must_not_run)
+        doc = two_agent_kernel().to_dict()
+        doc["agents"][1]["mean_wait"] = 1e-300
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        code, _ = invoke("simulate", "--scenario", str(path), "--terms", "1")
+        assert code == 2
+        assert "per term" in capsys.readouterr().err
 
     def test_record_negative_terms(self, tmp_path, capsys):
         code, _ = invoke("record", "--scenario", "two-agent-kernel", "--terms", "-2",

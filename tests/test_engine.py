@@ -2,6 +2,7 @@
 
 import fractions
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -21,13 +22,22 @@ from moneyflow import (
     run_record,
     settle,
     settle_all,
+    three_agent_cycle,
     true_imbalance,
     two_agent_kernel,
     update_agent,
 )
-from moneyflow.engine import ViewEntry, apportion
+from moneyflow import rng
+from moneyflow.engine import ViewEntry, _peek_scheduled, _run_scheduled, apportion
 from moneyflow.retrieval import Assignment, apply_assignment
-from moneyflow.scenario import AgentSpec, ChannelSpec, ScenarioSpec
+from moneyflow.scenario import (
+    AgentSpec,
+    ChannelSpec,
+    PolicyAction,
+    ScenarioSpec,
+    ScheduledAmount,
+    ShockSpec,
+)
 
 from conftest import tiny_spec
 
@@ -49,8 +59,8 @@ def view_of(outgoing, incoming):
 
 
 def run_slices(state, min_events, horizon=0.05):
-    """Advance `state` in short runs until at least `min_events` events ran."""
-    while len(state.log) < min_events:
+    """Advance `state` in short runs until its agents woke at least `min_events` times."""
+    while sum(a.event_count for a in state.agents.values()) < min_events:
         run(state, horizon)
         yield state
 
@@ -508,3 +518,199 @@ class TestScheduledActions:
         assert len(issues) == 1
         assert issues[0].time >= 1.0
         assert state.cumulative_issuance == 700
+
+
+def reference_run(state, horizon):
+    """The event loop without dormancy: every agent is scanned at every step.
+
+    A wake that cannot act (no pending correction and a zero observed deficit,
+    or a central-bank wake with no issuance due) advances the agent's counter
+    and wake time and logs nothing; every other wake goes through
+    `update_agent`. `run` must reproduce this exactly.
+    """
+    end = state.now + horizon
+    while True:
+        agent_id, agent_t = next_event(state)
+        sched_t, sched_kind = _peek_scheduled(state)
+        if min(agent_t, sched_t) >= end:
+            break
+        if sched_t <= agent_t:
+            _run_scheduled(state, sched_kind, sched_t)
+            continue
+        agent = state.agents[agent_id]
+        if agent.continuity_exempt:
+            schedule, cursor = state.spec.issuance, state.cursors["issuance"]
+            acts = cursor < len(schedule) and schedule[cursor].time <= agent_t
+        else:
+            acts = agent.pending_correction != 0 or observe(state, agent_id).deficit != 0
+        if acts:
+            update_agent(state, agent_id, agent_t)
+        else:
+            agent.event_count += 1
+            agent.next_time = agent_t + rng.exponential(agent.mean_wait, agent.event_key,
+                                                         agent.event_count)
+    state.now = end
+    return state
+
+
+# Times on a quarter grid: scheduled items, issuance entries, first wakes and
+# term ends collide, so the tie rules (scheduled items first, then the lower
+# id) are exercised.
+GRID = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0])
+ORACLE_CHANNELS = (("ab", "A", "B"), ("bc", "B", "C"), ("ca", "C", "A"), ("ac", "A", "C"),
+                   ("cba", "CB", "A"))
+CHANNEL_IDS = st.sampled_from([cid for cid, _, _ in ORACLE_CHANNELS])
+
+
+@st.composite
+def oracle_states(draw):
+    """A cycle with a chord and a central-bank channel, disturbed at random.
+
+    The cycle often starts balanced, so agents go dormant; hidden offsets move
+    true rates but not snapshots, a zero gain keeps an agent from settling,
+    and shocks and multiplier changes hit any channel.
+    """
+    gains = [draw(st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3)]))
+             for _ in range(3)]
+    base = draw(st.integers(10, 60))
+    rates = [base + draw(st.sampled_from([0, 0, 0, 7])) for _ in range(3)]
+    rates += [draw(st.sampled_from([0, 12])), draw(st.sampled_from([0, 20]))]
+    spec = ScenarioSpec(
+        name="oracle",
+        seed=draw(st.integers(0, 2 ** 16)),
+        term_length=draw(st.sampled_from([1.0, 0.5, 0.75, 1 / 3])),
+        agents=(AgentSpec("CB", "CentralBank", mean_wait=0.5),
+                *(AgentSpec(aid, "Custom:x", gain=gain, mean_wait=0.25)
+                  for aid, gain in zip("ABC", gains))),
+        channels=tuple(ChannelSpec(cid, src, dst, rate, adjustable=(cid != "ac" or draw(st.booleans())))
+                       for (cid, src, dst), rate in zip(ORACLE_CHANNELS, rates)),
+        issuance=tuple(sorted(draw(st.lists(st.builds(ScheduledAmount, GRID, st.integers(1, 50)),
+                                            max_size=2)), key=lambda e: e.time)),
+    )
+    spec = spec.with_extra_shocks(draw(st.lists(
+        st.builds(ShockSpec, GRID, CHANNEL_IDS, st.integers(-20, 20)), max_size=4)))
+    spec = spec.with_extra_policy(draw(st.lists(
+        st.builds(PolicyAction, GRID, st.just("set_multiplier"), CHANNEL_IDS,
+                  st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2)])),
+        max_size=3)))
+    state = build_network(spec)
+    offsets = {aid: draw(st.sampled_from([0, 0, 4, -6, 9])) for aid in "ABC"}
+    apply_assignment(state, Assignment(offsets=offsets))
+    for agent in state.agents.values():
+        agent.next_time = draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+    return state
+
+
+def assert_same_run(state, ref):
+    assert event_trace(state.log) == event_trace(ref.log)
+    assert state.agents == ref.agents  # stocks, event counts, wake times, pending corrections
+    assert state.channels == ref.channels  # rates, multipliers, snapshots, accruals
+    assert state == ref
+
+
+class TestDormancyOracle:
+    """`run` skips wakes that cannot act and gives what scanning every wake gives."""
+
+    @given(state=oracle_states(), n_terms=st.integers(1, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_loop_with_cuts(self, state, n_terms):
+        ref = state.clone()
+        length = state.spec.term_length
+        for term in range(n_terms):
+            run(state, length)
+            settle_all(state, state.now, term=term)
+            reference_run(ref, length)
+            settle_all(ref, ref.now, term=term)
+            assert_same_run(state, ref)
+
+    @given(state=oracle_states(), h1=GRID, h2=GRID)
+    @settings(max_examples=100, deadline=None)
+    def test_runs_compose_and_clones_continue(self, state, h1, h2):
+        whole, ref = state.clone(), state.clone()
+        run(whole, h1 + h2)
+        reference_run(ref, h1 + h2)
+        assert_same_run(whole, ref)
+        run(state, h1)
+        branch = state.clone()
+        run(state, h2)
+        assert_same_run(state, whole)
+        run(branch, h2)
+        assert_same_run(branch, whole)
+
+    def test_no_op_wakes_are_not_logged(self):
+        state = build_network(two_agent_kernel(10, 10))
+        run(state, 5.0)
+        assert state.log == []
+        assert all(a.event_count > 0 for a in state.agents.values())
+
+    def test_wake_times_match_every_wake_processed(self):
+        state = build_network(two_agent_kernel(10, 10))
+        run(state, 5.0)
+        for agent in state.agents.values():
+            t = rng.exponential(agent.mean_wait, agent.event_key, 0)
+            for n in range(1, agent.event_count + 1):
+                assert t < 5.0
+                t = t + rng.exponential(agent.mean_wait, agent.event_key, n)
+            assert agent.next_time == t >= 5.0
+
+
+def cycle_state(**kwargs):
+    """Balanced three-agent cycle at rate 300; every agent's first wake is at 0.5."""
+    state = build_network(three_agent_cycle(**kwargs))
+    for agent in state.agents.values():
+        agent.next_time = 0.5
+    return state
+
+
+def run_both_ways(state, horizon):
+    """`run` on the state and `reference_run` on a clone; they must agree."""
+    ref = state.clone()
+    run(state, horizon)
+    reference_run(ref, horizon)
+    assert_same_run(state, ref)
+    return state
+
+
+def first_update_after(state, agent_id, t):
+    return min(ev.time for ev in state.log
+               if ev.kind == "AgentUpdate" and ev.payload["agent"] == agent_id and ev.time > t)
+
+
+class TestWakeSources:
+    """Each change that can unbalance a dormant agent's view wakes it."""
+
+    def test_nonzero_shock_wakes_the_sink(self):
+        # A moved ab without settling and, at gain 0, never settles with B,
+        # so B stays balanced in its stale view until the shock refreshes it.
+        spec = replace(three_agent_cycle(), shocks=(ShockSpec(1.25, "ab", 5),))
+        state = build_network(spec)
+        state.agents["A"].gain = Fraction(0)
+        state.channels["ab"].rate = 310
+        run_both_ways(state, 3.0)
+        assert first_update_after(state, "B", 1.25) < 3.0
+
+    def test_multiplier_change_wakes_both_endpoints(self):
+        spec = three_agent_cycle().with_extra_policy(
+            [PolicyAction(1.25, "set_multiplier", "ab", Fraction(3, 2))])
+        state = build_network(spec)
+        run_both_ways(state, 3.0)
+        assert first_update_after(state, "A", 1.25) < 3.0
+        assert first_update_after(state, "B", 1.25) < 3.0
+
+    def test_adjustment_wakes_partner_past_a_tied_wake(self):
+        # At 0.5, A (lower id) goes dormant first; C then adjusts ca, which
+        # unbalances A. A's tied wake at 0.5 came before C's, so A acts at
+        # its next wake, not again at 0.5.
+        state = cycle_state()
+        apply_assignment(state, Assignment(offsets={"C": 6}))
+        run_both_ways(state, 2.0)
+        assert [ev.payload["agent"] for ev in state.log if ev.kind == "AgentUpdate"][0] == "C"
+        assert first_update_after(state, "A", 0.0) > 0.5
+
+    def test_adjustment_wakes_dormant_partner(self):
+        # B goes dormant at 0.25; A's adjustment at 0.5 unbalances it.
+        state = cycle_state()
+        state.agents["B"].next_time = 0.25
+        apply_assignment(state, Assignment(offsets={"A": 6}))
+        run_both_ways(state, 2.0)
+        assert first_update_after(state, "B", 0.0) > 0.5

@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moneyflow import (
+    BUILTIN_SCENARIOS,
     build_network,
     conservation_holds,
     inject_shock,
     issue,
     notes_outstanding,
+    run,
     run_record,
     settle,
     true_imbalance,
@@ -84,6 +86,54 @@ class TestBuildNetwork:
         state = build_network(national5_spec)
         assert state.agents["CB"].continuity_exempt
         assert not any(state.agents[a].continuity_exempt for a in ("GOV", "BANK", "HH", "CORP"))
+
+
+    def test_non_positive_mean_wait_rejected(self):
+        spec = spec_with([CB, AgentSpec("A", "Custom:x", mean_wait=0.0)], [])
+        with pytest.raises(ScenarioError, match="mean_wait must be positive"):
+            build_network(spec)
+
+    def test_wake_rate_above_ceiling_rejected(self):
+        # Built and rejected before any wake is drawn: a run would not finish.
+        fast = [CB, AgentSpec("A", "Custom:x", mean_wait=1e-300)]
+        with pytest.raises(ScenarioError, match="per term"):
+            build_network(spec_with(fast, []))
+        # The ceiling applies to term_length x sum(1 / mean_wait).
+        busy = [CB, AgentSpec("A", "Custom:x", mean_wait=1e-6), AgentSpec("B", "Custom:x", mean_wait=1e-6)]
+        with pytest.raises(ScenarioError, match="per term"):
+            build_network(spec_with(busy, []))
+        build_network(spec_with(busy, [], term_length=0.25))
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+    def test_builtin_scenarios_build(self, name):
+        state = build_network(BUILTIN_SCENARIOS[name]())
+        assert state.agent_order
+
+
+class TestClone:
+    def mid_run_state(self):
+        spec = two_agent_kernel(17, 11, gain=Fraction(2, 3))
+        spec = spec.with_extra_shocks([ShockSpec(0.9, "ab", 7)])
+        state = build_network(spec)
+        apply_assignment(state, Assignment(offsets={"A": 3, "B": -3}))
+        run(state, 2.3)
+        return state
+
+    def test_copies_every_field(self):
+        state = self.mid_run_state()
+        assert state.log and state.cursors["shock"] == 1
+        assert any(c.accrued_num for c in state.channels.values())
+        assert state.clone() == state
+
+    def test_shares_only_the_immutable_indexes(self):
+        state = self.mid_run_state()
+        dup = state.clone()
+        assert dup.outgoing is state.outgoing and dup.pair_channels is state.pair_channels
+        run(dup, 3.0)
+        dup.rates["discount_rate"] = Fraction(1, 9)
+        dup.cursors["policy"] += 1
+        assert dup != state
+        assert state == self.mid_run_state()
 
 
 class TestIssue:

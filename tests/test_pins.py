@@ -2,18 +2,27 @@
 
 Each pin is the SHA-256 of an output a user keeps: the event trace and the
 CSV and JSON records of every built-in scenario at two seeds, the record of
-a non-unit term length with shocks on term boundaries, and the `fit --out`
-and `anticipate --out` JSON of the acceptance-7 invocations. A change that moves any of them must
-say why in CHANGES.md and update the pin.
+a non-unit term length with shocks on term boundaries, a run in which agents
+adjust, and the `fit --out` and `anticipate --out` JSON of the acceptance-7
+invocations. A change that moves any of them must say why in CHANGES.md and
+update the pin.
+
+Traces hold no wake-ups that change nothing. The built-in scenarios start
+balanced, so their traces hold only the term cuts (and national-5's
+issuance); three-agent-cycle and two-agent-kernel give the same trace at
+both seeds. The live-dynamics pin covers adjustment, settlement and
+residual payloads.
 """
 
 import hashlib
 import io
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
 from moneyflow import (
+    Assignment,
     BUILTIN_SCENARIOS,
     ShockSpec,
     build_network,
@@ -23,6 +32,7 @@ from moneyflow import (
 )
 from moneyflow.cli import run_cli
 from moneyflow.recorder import record_to_csv, record_to_json
+from moneyflow.retrieval import apply_assignment
 
 PIN_TERMS = 6
 
@@ -31,9 +41,11 @@ def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def output_digests(spec, n_terms: int) -> tuple[str, str, str]:
+def output_digests(spec, n_terms: int, assignment: Assignment | None = None) -> tuple[str, str, str]:
     """SHA-256 of the event trace, CSV record and JSON record of one run."""
     state = build_network(spec)
+    if assignment is not None:
+        apply_assignment(state, assignment)
     record = run_record(state, n_terms)
     return tuple(sha256(text) for text in
                  (event_trace(state.log), record_to_csv(record), record_to_json(record)))
@@ -49,42 +61,42 @@ def boundary_shock_spec():
 
 SCENARIO_PINS = {
     ("national-5", 3): (
-        "079c334fab32ff325999305d187d1539d2b4d8645e58c4d10647160a3c6f4453",
+        "53fc4f37ee9328f5446f4dbf9e8cfab2b9ed70452e6c3393136eb0b2dca88cc6",
         "e3a433508c71720efa3511bfbb6b1a1b20bbd0627fc7cf29fbb73f09de3f3268",
         "c044799bd1c4a6ea3106b5ac79643c57f6ba57ecaaa8b103840334d236b61865",
     ),
     ("national-5", 8): (
-        "f9aaff5a64b63e033bde34d5fc1e7769780763f7c39dfd54141c6e290b7ad9fd",
+        "d9636527d1301e086156630e3eb659641a9efd6e7e5e569a4c73935467c4bda3",
         "ad2d26d49635e58356c5afd7897993922ace3195853f006ddac6f8802756a5b7",
         "aaba5b45a5f9203ff96bf4d998f8ee6b627fe0b8e7af7c8790dbecf41af2a988",
     ),
     ("three-agent-cycle", 3): (
-        "d97ea62330b1cecdecdd22b63d39638277717cdd43e68659e930948566d72618",
+        "9105b8226aaf12072edd4352fde4dd6a3c9802697ef88f9578398daa6444889f",
         "801cf8d85c832bb208449b181072e43a398fa592dafbc2f85dd775c389ab0a2c",
         "e45ed905a1bdaae0b6d0f993f109482b3c2ef3c628ff62b831606bab35fe571c",
     ),
     ("three-agent-cycle", 8): (
-        "3a6072d03e5336e9c9713b26ea4e4a269a98fdd808021b399a219b55e8fd5a8b",
+        "9105b8226aaf12072edd4352fde4dd6a3c9802697ef88f9578398daa6444889f",
         "eea41a452e6c50ea25f238f875143d33bc16d3bdd8c84ae9c0f68b183c4ce74a",
         "445ce79ab0636746b98681e416117f1679b28a71fd854a91acd7fe1f45d1c651",
     ),
     ("three-agent-skew", 3): (
-        "6d0185bef704e7e596cd3fbf0099e708a75fddfaf23efe9e2e2f86b459885a52",
+        "00fe6deefa730dc9442e5c4673605ddbb8ca03a31d3beb6131520d871b513414",
         "2999ea622f9d9abc77eb05c6a1365adecdcd8aeefcdf6940743500a35eb602ef",
         "585e314f90fa62c3b4aace78548376c39d98183d08443ae084d2c7b2864e3309",
     ),
     ("three-agent-skew", 8): (
-        "6330341d122cd722f189a0072dc5bce8e093bc50278e24c3e1741e7421024d51",
+        "2524379737b82674b301a6b034222fd6b3711b9948c846e7be0f0850ac894405",
         "5fc94f38e738a7f412a39805a4a26d3e610caed0d4951a8192dccd822fe9782d",
         "09d51bbac38ed8fd3722a2bd9291b61da94a3c406a6d06d508117e30143cceb3",
     ),
     ("two-agent-kernel", 3): (
-        "b32487236bea2e83c04e7e02b57116494bd6e115df05cbf6b1d58275feb09cea",
+        "42102b09c1d7908e3661a0dfcc48b1c7e969b34250ef0f554edb780853893740",
         "705be772de4b332cf28efcf8d3d53971b104caa4e2c5353a06b105ee47b38337",
         "f0c23be556eefaf52f310d0acdca00b315d5dc82d4558124523e1d27cbc287d0",
     ),
     ("two-agent-kernel", 8): (
-        "157a6159e499eb468e3e6cd47c8afe75a70555a60e7051c81e5e462456baf3c3",
+        "42102b09c1d7908e3661a0dfcc48b1c7e969b34250ef0f554edb780853893740",
         "7552d45fa1795a51ae986a4f171beac29120132805e501b9b7458af28b2daa26",
         "7d5693b61bd81cfbf3a8ed0d7c59d4d63ab7cf78852b23a94d9fc280ac98f02c",
     ),
@@ -99,9 +111,20 @@ def test_builtin_scenario_outputs_pinned(name, seed):
 
 def test_non_unit_term_length_pinned():
     assert output_digests(boundary_shock_spec(), 8) == (
-        "e2808c14ae8f0f4bc5d41ac262f870522a9d9e021ab736b48e30534bd4cf91c7",
+        "0946cf75e8c8b0d867cce263c1559c0f7079be5a55e65e89facd886777d4c977",
         "be62f2e292ce682fa999f903d5f733c3b5b71f35973a85e39cbc8448477f2c3d",
         "7f0300ad1802b035708a23f78f8b43d24cd7a3ad410718f2f0556028c40d9298",
+    )
+
+
+def test_live_dynamics_pinned():
+    # The acceptance-6 hidden offsets at gain 3: agents adjust in terms 0-3.
+    spec = three_agent_cycle(gain=Fraction(3))
+    offsets = Assignment(offsets={"A": 30, "B": 0, "C": -15})
+    assert output_digests(spec, PIN_TERMS, offsets) == (
+        "6614c8cf49308f31f83dd0564c6ad5f1b75717dc831e00a39bb9eb276027c3bc",
+        "9ec55fc3d6b597770fe60806251b19e4124d7d9f0b10ec3498137837f9b7079a",
+        "13c83cf8ae2585acdf464280ea615b503324b7d4d7c86ca15d4db121271a8d9e",
     )
 
 
