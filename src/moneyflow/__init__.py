@@ -40,7 +40,6 @@ from .network import (
     conservation_holds,
     issue,
     notes_outstanding,
-    true_imbalance,
 )
 from .recorder import (
     AgentLine,

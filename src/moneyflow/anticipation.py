@@ -5,10 +5,11 @@ common starting point. Each candidate is scored by replaying it under seeded
 shock sequences whose magnitudes resample the per-event imbalances of an
 unshocked reference run (the disturbances come from within the system, not
 from an outside noise law) and measuring how far the shocked trajectories
-stray from the candidate's own unshocked one. When a whole candidate set is
-scored, candidate 0 serves as the shared reference for both the shock pool
-and the coordinate scales, so every candidate faces the same disturbances.
-The candidate with the smallest mean divergence wins.
+stray from the candidate's own unshocked one. Candidate 0 of a set serves as
+the shared reference for both the shock pool and the coordinate scales, so
+every candidate faces the same disturbances (common random numbers); a
+candidate scored on its own is its own reference. The candidate with the
+smallest mean divergence wins.
 
 The divergence metric here is max-over-horizon scaled Euclidean distance with
 a harmonic score 1/(1+divergence); both are conventions, pluggable via the
@@ -26,7 +27,7 @@ from . import rng
 from .network import build_network
 from .recorder import Record, run_record
 from .retrieval import Assignment, FitConfig, apply_assignment, fit
-from .scenario import PolicyAction, ScenarioSpec, ShockSpec, as_fraction
+from .scenario import PolicyAction, ScenarioError, ScenarioSpec, ShockSpec, as_fraction
 
 DEFAULT_DIMS = (
     "notes_outstanding",
@@ -95,11 +96,10 @@ def default_scales(base: Trajectory) -> list[float]:
 
 @dataclass(frozen=True)
 class Candidate:
-    """A simulated future: policy schedule, optional gain overrides, trajectory."""
+    """A simulated future: policy schedule, record and trajectory."""
 
     id: int
     schedule: tuple[PolicyAction, ...]
-    gain_overrides: Mapping[str, Fraction]
     record: Record
     trajectory: Trajectory
     imbalance_pool: tuple[float, ...]  # |observed deficit| per event of the unshocked run
@@ -123,6 +123,9 @@ class SamplerConfig:
 
 @dataclass(frozen=True)
 class ReplayConfig:
+    """Shock replays per candidate. `jobs` > 1 runs a set's replays in that
+    many worker processes; the results do not depend on it."""
+
     replays: int = 32
     shock_scale: float = 1.0
     shocks_per_term: float = 1.0
@@ -163,20 +166,15 @@ class RobustnessReport:
 def simulate_candidate(spec: ScenarioSpec, candidate_id: int, n_terms: int,
                        dims: Sequence[str] = DEFAULT_DIMS,
                        schedule: Sequence[PolicyAction] = (),
-                       gain_overrides: Mapping[str, Fraction] | None = None,
                        extra_shocks: Sequence[ShockSpec] = (),
                        assignment: Assignment | None = None) -> Candidate:
     """Run one candidate future and collect its trajectory and imbalance pool."""
-    gain_overrides = dict(gain_overrides or {})
     candidate_spec = spec.with_extra_policy(schedule) if schedule else spec
     if extra_shocks:
         candidate_spec = candidate_spec.with_extra_shocks(extra_shocks)
     state = build_network(candidate_spec)
-    overrides = Assignment(
-        offsets=assignment.offsets if assignment else {},
-        gain_overrides={**(assignment.gain_overrides if assignment else {}), **gain_overrides},
-    )
-    apply_assignment(state, overrides)
+    if assignment is not None:
+        apply_assignment(state, assignment)
     record = run_record(state, n_terms)
     pool = tuple(
         abs(float(ev.payload["deficit"]))
@@ -186,7 +184,6 @@ def simulate_candidate(spec: ScenarioSpec, candidate_id: int, n_terms: int,
     return Candidate(
         id=candidate_id,
         schedule=tuple(schedule),
-        gain_overrides=gain_overrides,
         record=record,
         trajectory=extract_trajectory(record, dims),
         imbalance_pool=pool,
@@ -199,8 +196,12 @@ def generate_candidates(spec: ScenarioSpec, n: int, sampler: SamplerConfig = Sam
     if n < 1:
         raise ValueError("need at least one candidate")
     channels = sampler.channels
+    multipliers = {c.id: c.multiplier for c in spec.channels}
     if channels is None:
-        channels = tuple(c.id for c in spec.channels if c.multiplier != 1)
+        channels = tuple(cid for cid, multiplier in multipliers.items() if multiplier != 1)
+    for channel_id in channels:
+        if channel_id not in multipliers:
+            raise ScenarioError(f"sampler names unknown channel {channel_id!r}")
     key = rng.stream_key(sampler.seed, rng.string_key("candidate-multipliers"))
     bound = as_fraction(sampler.bound, "sampler bound")
     start = spec.term_length  # first boundary; keeps term 0 common to all candidates
@@ -213,8 +214,8 @@ def generate_candidates(spec: ScenarioSpec, n: int, sampler: SamplerConfig = Sam
             k = rng.below(2 * sampler.grid + 1, key, counter) - sampler.grid
             counter += 1
             factor = 1 + Fraction(k, sampler.grid) * bound
-            current = next(c.multiplier for c in spec.channels if c.id == channel_id)
-            schedule.append(PolicyAction(start, "set_multiplier", channel_id, current * factor))
+            schedule.append(PolicyAction(start, "set_multiplier", channel_id,
+                                         multipliers[channel_id] * factor))
         candidates.append(simulate_candidate(spec, cid, n_terms, dims, schedule=schedule))
     return candidates
 
@@ -238,62 +239,23 @@ def sample_shock_sequence(pool: Sequence[float], spec: ScenarioSpec, config: Rep
     return shocks
 
 
-def _run_replay(args) -> float:
-    spec, candidate_id, n_terms, dims, schedule, gains, shocks, assignment, base_traj, scales = args
-    shocked = simulate_candidate(
-        spec, candidate_id, n_terms, dims,
-        schedule=schedule, gain_overrides=gains,
-        extra_shocks=shocks, assignment=assignment,
-    )
-    return divergence(base_traj, shocked.trajectory, scales)
-
-
-def robustness_score(candidate: Candidate, spec: ScenarioSpec, config: ReplayConfig,
-                     dims: Sequence[str] = DEFAULT_DIMS,
-                     assignment: Assignment | None = None,
-                     reference: Candidate | None = None) -> tuple[float, list[float]]:
-    """Mean-divergence score over seeded shock replays of one candidate.
-
-    Zero replays scores 1 by convention. Shock magnitudes resample the
-    per-event imbalance pool of the reference's unshocked run (the candidate
-    itself when scored standalone; candidate 0 when scored as part of a set so
-    every candidate faces the same disturbances), scaled by `shock_scale`.
-    Divergence is always measured against the candidate's own unshocked
-    trajectory, in the reference's coordinate scales. When an assignment is
-    given (fit-candidates mode) the retraced run is the comparison base.
-    """
-    n_terms = len(candidate.record.sheets)
-    base = candidate
-    if assignment is not None and (assignment.offsets or assignment.gain_overrides):
-        base = simulate_candidate(
-            spec, candidate.id, n_terms, dims,
-            schedule=candidate.schedule, gain_overrides=candidate.gain_overrides,
-            assignment=assignment,
-        )
-    if reference is None:
-        reference = base
-    scales = default_scales(reference.trajectory)
-    tasks = [
-        (spec, candidate.id, n_terms, tuple(dims), candidate.schedule,
-         dict(candidate.gain_overrides),
-         sample_shock_sequence(reference.imbalance_pool, spec, config, m, n_terms),
-         assignment, base.trajectory, scales)
-        for m in range(config.replays)
-    ]
-    divergences = _map_tasks(_run_replay, tasks, config.jobs)
-    if not divergences:
-        return 1.0, []
-    mean = sum(divergences) / len(divergences)
-    return 1.0 / (1.0 + mean), divergences
+def _run_replay(task) -> float:
+    spec, candidate_id, n_terms, dims, schedule, shocks, assignment, base_trajectory, scales = task
+    shocked = simulate_candidate(spec, candidate_id, n_terms, dims, schedule=schedule,
+                                 extra_shocks=shocks, assignment=assignment)
+    return divergence(base_trajectory, shocked.trajectory, scales)
 
 
 def _map_tasks(fn, tasks, jobs: int) -> list:
-    """Order-preserving map, optionally fanned out over worker processes."""
-    if jobs and jobs > 1 and len(tasks) > 1:
+    """Order-preserving map, fanned out over one pool of `jobs` worker
+    processes when jobs > 1. Tasks travel in chunks of about a quarter of a
+    worker's share: few round trips, and unequal chunks still even out."""
+    if jobs > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, tasks))
+        chunksize = max(1, len(tasks) // (4 * jobs))
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            return list(pool.map(fn, tasks, chunksize=chunksize))
     return [fn(task) for task in tasks]
 
 
@@ -310,29 +272,58 @@ def score_candidates(candidates: Sequence[Candidate], spec: ScenarioSpec,
                      assignments: Mapping[int, Assignment] | None = None) -> RobustnessReport:
     """Score a candidate set against one shared disturbance ensemble.
 
-    Candidate 0 is the reference: its imbalance pool feeds the shock
-    magnitudes and its trajectory fixes the coordinate scales, so scores are
-    comparable across candidates.
+    A candidate's base is its unshocked run, re-simulated under its
+    assignment when that has offsets or gain overrides (fit-candidates
+    mode). Candidate 0's base is the reference: its imbalance pool, scaled by
+    `shock_scale`, feeds the shock magnitudes and its trajectory fixes the
+    coordinate scales, so scores compare across candidates. Each candidate is
+    replayed under its assignment and measured against its own base. All
+    replays of the set form one task list, run in this process or, with
+    `jobs` > 1, in one process pool. A candidate with no replays scores 1.
     """
     if not candidates:
         raise ValueError("empty candidate set")
-    reference = candidates[0]
-    ref_assignment = (assignments or {}).get(reference.id)
-    if ref_assignment is not None and (ref_assignment.offsets or ref_assignment.gain_overrides):
-        reference = simulate_candidate(
-            spec, reference.id, len(reference.record.sheets), dims,
-            schedule=reference.schedule, gain_overrides=reference.gain_overrides,
-            assignment=ref_assignment,
-        )
-    scores = []
+    dims, assignments = tuple(dims), assignments or {}
+    bases = []
     for candidate in candidates:
-        assignment = (assignments or {}).get(candidate.id)
-        score, divergences = robustness_score(candidate, spec, config, dims, assignment,
-                                              reference=reference)
-        mean = sum(divergences) / len(divergences) if divergences else 0.0
-        scores.append(CandidateScore(candidate.id, mean, score, tuple(divergences)))
-    report = RobustnessReport(tuple(scores), selected=-1, dims=tuple(dims))
+        assignment = assignments.get(candidate.id)
+        if assignment is not None and (assignment.offsets or assignment.gain_overrides):
+            candidate = simulate_candidate(spec, candidate.id, len(candidate.record.sheets), dims,
+                                           schedule=candidate.schedule, assignment=assignment)
+        bases.append(candidate)
+    reference = bases[0]
+    scales = default_scales(reference.trajectory)
+    tasks = []
+    for base in bases:
+        n_terms = len(base.record.sheets)
+        tasks += [
+            (spec, base.id, n_terms, dims, base.schedule,
+             sample_shock_sequence(reference.imbalance_pool, spec, config, m, n_terms),
+             assignments.get(base.id), base.trajectory, scales)
+            for m in range(config.replays)
+        ]
+    divergences = _map_tasks(_run_replay, tasks, config.jobs)
+    per_candidate = len(tasks) // len(bases)
+    scores = []
+    for i, base in enumerate(bases):
+        own = tuple(divergences[i * per_candidate:(i + 1) * per_candidate])
+        mean = sum(own) / len(own) if own else 0.0
+        scores.append(CandidateScore(base.id, mean, 1.0 / (1.0 + mean), own))
+    report = RobustnessReport(tuple(scores), selected=-1, dims=dims)
     return replace(report, selected=select_most_robust(report))
+
+
+def robustness_score(candidate: Candidate, spec: ScenarioSpec, config: ReplayConfig,
+                     dims: Sequence[str] = DEFAULT_DIMS,
+                     assignment: Assignment | None = None) -> tuple[float, list[float]]:
+    """Score and divergences of one candidate scored as a set of its own.
+
+    Its base is then the reference: the shocks resample its own imbalance
+    pool and the divergences are measured in its own coordinate scales.
+    """
+    assignments = {candidate.id: assignment} if assignment is not None else None
+    (score,) = score_candidates([candidate], spec, config, dims, assignments).scores
+    return score.score, list(score.divergences)
 
 
 @dataclass(frozen=True)

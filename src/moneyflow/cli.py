@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -145,7 +146,10 @@ def cmd_anticipate(args, out) -> int:
     _header(out, "anticipate", scenario=spec.name, seed=seed, candidates=args.candidates,
             replays=args.replays, horizon=args.horizon, dims=",".join(dims),
             fit_candidates=args.fit_candidates)
-    report, candidates = anticipate(spec, config)
+    try:
+        report, candidates = anticipate(spec, config)
+    except KeyError as exc:  # a --dims name that the records do not carry
+        raise ScenarioError(exc.args[0]) from None
     payload = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
     if args.out:
         Path(args.out).write_text(payload, encoding="utf-8")
@@ -173,6 +177,17 @@ def _count(text: str) -> int:
     if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return int(text)
+
+
+def _finite(text: str) -> float:
+    """Argument type for a finite float."""
+    try:
+        value = float(text)
+        if math.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
 
 
 def _positive(text: str) -> int:
@@ -218,8 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="retrace a target record from hidden initial offsets")
     p.add_argument("--target", required=True)
     p.add_argument("--budget", type=_positive, default=10_000)
-    p.add_argument("--tol", type=float, default=1e-3)
-    p.add_argument("--prefix", type=int, default=None,
+    p.add_argument("--tol", type=_finite, default=1e-3)
+    p.add_argument("--prefix", type=_positive, default=None,
                    help="fit only the first K terms of the target")
     p.add_argument("--starts", type=_positive, default=4)
     p.add_argument("--out", help="write the fit result JSON to a file")
@@ -234,11 +249,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=_count, default=8, help="horizon in terms")
     p.add_argument("--dims", help="comma-separated aggregate names for the phase vector")
     p.add_argument("--bound", type=float, default=0.2, help="multiplier sampling bound")
-    p.add_argument("--shock-scale", type=float, default=1.0)
+    p.add_argument("--shock-scale", type=_finite, default=1.0)
     p.add_argument("--fit-candidates", action="store_true",
                    help="retrace each candidate through the fitter before scoring")
     p.add_argument("--jobs", type=_positive, default=1,
-                   help="bound on concurrent shock replays (candidates and fit starts run sequentially)")
+                   help="worker processes for the shock replays of the candidate set "
+                        "(fits and candidate runs stay in this process)")
     p.add_argument("--out", help="write the robustness report JSON to a file")
     p.add_argument("--trajectory-out", help="write the selected trajectory as CSV")
     p.set_defaults(func=cmd_anticipate)

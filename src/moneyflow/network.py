@@ -65,9 +65,6 @@ class Channel:
     accrued_den: int = 1
     accrued_until: float = 0.0
 
-    def effective_rate(self) -> Fraction | int:
-        return self.rate if self.multiplier == 1 else self.rate * self.multiplier
-
 
 @dataclass
 class Event:
@@ -310,18 +307,6 @@ def issue(state: NetworkState, amount: int, time: float | None = None) -> Networ
 
 def notes_outstanding(state: NetworkState) -> int:
     return state.cumulative_issuance
-
-
-def true_imbalance(state: NetworkState, agent_id: str) -> Fraction | int:
-    """Current-truth effective inflow minus outflow rate for an agent."""
-    if agent_id not in state.agents:
-        raise KeyError(f"unknown agent {agent_id!r}")
-    total: Fraction | int = 0
-    for cid in state.incoming[agent_id]:
-        total += state.channels[cid].effective_rate()
-    for cid in state.outgoing[agent_id]:
-        total -= state.channels[cid].effective_rate()
-    return total
 
 
 def conservation_holds(state: NetworkState) -> bool:

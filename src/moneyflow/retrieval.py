@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 from . import rng
 from .engine import apportion
 from .network import NetworkState, build_network
-from .recorder import BalanceSheet, Record, Recorder, run_record
+from .recorder import BalanceSheet, Record, RecordError, Recorder, run_record
 from .scenario import ScenarioError, ScenarioSpec
 
 
@@ -84,10 +84,9 @@ def apply_assignment(state: NetworkState, assignment: Assignment) -> NetworkStat
     return state
 
 
-def retrace(assignment: Assignment, spec: ScenarioSpec, n_terms: int,
-            *, base_state: NetworkState | None = None) -> Record:
+def retrace(assignment: Assignment, spec: ScenarioSpec, n_terms: int) -> Record:
     """Replay the scenario from a perturbed start and compile its record."""
-    state = base_state.clone() if base_state is not None else build_network(spec)
+    state = build_network(spec)
     apply_assignment(state, assignment)
     return run_record(state, n_terms)
 
@@ -182,8 +181,6 @@ class FitConfig:
     tolerance: float = 1e-3
     seed: int = 0
     starts: int = 4
-    start_range: int = 16
-    initial_step: int = 8
     prefix_terms: int | None = None
     weights: Mapping[str, float] | None = None
 
@@ -210,6 +207,10 @@ class FitResult:
 # float sums compared, about (number of terms added) * 2**-53 relative; 1e-9
 # covers records of up to a million (term, figure) pairs.
 _MARGIN = 1e-9
+# Seeded starts draw each offset from [-START_RANGE, START_RANGE]; every
+# pattern search begins with steps of INITIAL_STEP.
+START_RANGE = 16
+INITIAL_STEP = 8
 
 
 class _Objective:
@@ -375,7 +376,7 @@ def fit(target: Record, spec: ScenarioSpec, config: FitConfig = FitConfig()) -> 
     """Multi-start direct search over integer offset vectors.
 
     Starts are: the zero assignment, a crude inverse read of the target's
-    first term, then seeded uniform draws in [-start_range, start_range].
+    first term, then seeded uniform draws in [-START_RANGE, START_RANGE].
     Each start runs a pattern search over coordinate and diagonal directions
     (step doubles on improvement, halves on failure, a start ends once every
     step is below one minor unit), finished by a small exhaustive box polish
@@ -395,10 +396,10 @@ def fit(target: Record, spec: ScenarioSpec, config: FitConfig = FitConfig()) -> 
         raise ScenarioError("scenario has no non-exempt agents to fit")
     prefix = config.prefix_terms
     if prefix is not None and not 0 < prefix <= len(target.sheets):
-        raise ValueError(f"prefix_terms must be in 1..{len(target.sheets)}")
+        raise RecordError(f"prefix of {prefix} terms is outside the target's 1..{len(target.sheets)}")
     n_terms = prefix if prefix is not None else len(target.sheets)
     if n_terms == 0:
-        raise ValueError("target record has no terms")
+        raise RecordError("target record has no terms")
     trimmed = Record(target.sheets[:n_terms], target.fingerprint,
                      target.term_length, target.initial_total_stock)
 
@@ -415,9 +416,9 @@ def fit(target: Record, spec: ScenarioSpec, config: FitConfig = FitConfig()) -> 
             return (0,) * dims
         if index == 1:
             return clamp_valid(_informed_start(trimmed, spec, agent_ids))
-        span = 2 * config.start_range + 1
+        span = 2 * START_RANGE + 1
         vec = tuple(
-            rng.below(span, start_key, index * dims + d) - config.start_range
+            rng.below(span, start_key, index * dims + d) - START_RANGE
             for d in range(dims)
         )
         return clamp_valid(vec)
@@ -447,7 +448,7 @@ def fit(target: Record, spec: ScenarioSpec, config: FitConfig = FitConfig()) -> 
         polish_radius = 2
         while not done:
             # Pattern phase: doubled/halved steps per direction until all collapse.
-            steps = [config.initial_step] * len(directions)
+            steps = [INITIAL_STEP] * len(directions)
             while any(s >= 1 for s in steps) and not done:
                 for d, direction in enumerate(directions):
                     if steps[d] < 1:

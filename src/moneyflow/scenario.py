@@ -159,15 +159,12 @@ class ScenarioSpec:
     rates: Mapping[str, Fraction] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2 ** 64:
+            raise ScenarioError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
         merged = {name: Fraction(0) for name in DEFAULT_RATE_NAMES}
         merged.update(self.rates)
         object.__setattr__(self, "rates", merged)
-
-    def agent(self, agent_id: str) -> AgentSpec:
-        for a in self.agents:
-            if a.id == agent_id:
-                return a
-        raise KeyError(f"unknown agent {agent_id!r}")
 
     def with_seed(self, seed: int) -> "ScenarioSpec":
         return replace(self, seed=seed)
@@ -249,8 +246,6 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioSpec:
         raise ScenarioError("scenario document must be a JSON object")
     name = str(data.get("name", "unnamed"))
     seed = data.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2 ** 64:
-        raise ScenarioError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
     term_length = _as_float(data.get("term_length", 1.0), "term_length")
     if not term_length > 0:
         raise ScenarioError(f"term_length must be positive, got {term_length}")

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from moneyflow import build_network, national_5, three_agent_cycle, two_agent_kernel
+from moneyflow import NetworkState, build_network, national_5, three_agent_cycle, two_agent_kernel
 from moneyflow.scenario import AgentSpec, ChannelSpec, FigureSpec, ScenarioSpec
 
 
@@ -41,6 +41,15 @@ def tiny_spec(rate: int = 10, gain=Fraction(1), seed: int = 1) -> ScenarioSpec:
 def tiny_state():
     return build_network(tiny_spec())
 
+
+def true_imbalance(state: NetworkState, agent_id: str) -> Fraction | int:
+    """Current true effective inflow minus outflow rate of an agent."""
+    def effective(cid: str) -> Fraction | int:
+        channel = state.channels[cid]
+        return channel.rate * channel.multiplier
+
+    return (sum(effective(cid) for cid in state.incoming[agent_id])
+            - sum(effective(cid) for cid in state.outgoing[agent_id]))
 
 
 def json_values(max_leaves: int = 10):

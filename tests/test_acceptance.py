@@ -27,7 +27,6 @@ from moneyflow import (
     score_candidates,
     simulate_candidate,
     three_agent_cycle,
-    true_imbalance,
     two_agent_kernel,
     update_agent,
     verify_record,
@@ -35,6 +34,8 @@ from moneyflow import (
 from moneyflow.cli import run_cli
 from moneyflow.retrieval import apply_assignment
 from moneyflow.scenario import PolicyAction, national_5
+
+from conftest import true_imbalance
 
 from dataclasses import replace
 

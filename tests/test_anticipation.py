@@ -1,5 +1,7 @@
 """Candidate futures, divergence scoring, and robust-trajectory selection."""
 
+import concurrent.futures
+import multiprocessing
 from fractions import Fraction
 
 import pytest
@@ -16,11 +18,13 @@ from moneyflow import (
     extract_trajectory,
     generate_candidates,
     robustness_score,
+    score_candidates,
     select_most_robust,
     simulate_candidate,
 )
+from moneyflow import anticipation
 from moneyflow.recorder import BalanceSheet, Record
-from moneyflow.scenario import national_5
+from moneyflow.scenario import ScenarioError, national_5
 
 from conftest import tiny_spec
 
@@ -113,6 +117,10 @@ class TestGenerateCandidates:
         with pytest.raises(ValueError):
             generate_candidates(national5_spec, 0, n_terms=1)
 
+    def test_unknown_sampler_channel_rejected(self, national5_spec):
+        with pytest.raises(ScenarioError, match="unknown channel 'nope'"):
+            generate_candidates(national5_spec, 2, SamplerConfig(channels=("nope",)), n_terms=1)
+
 
 class TestRobustnessScore:
     def test_zero_replays_scores_one(self, cycle_spec):
@@ -155,6 +163,71 @@ class TestRobustnessScore:
         )
         assert 0.0 < score <= 1.0
         assert len(divs) == 8
+
+
+CYCLE_DIMS = ("ab_flow", "bc_flow", "ca_flow")
+
+
+def cycle_set(spec):
+    """Three candidates; offsets on 0 and 2, and a gain override on 2."""
+    candidates = generate_candidates(spec, 3, SamplerConfig(seed=6, channels=("ab",)),
+                                     n_terms=3, dims=CYCLE_DIMS)
+    offsets = {"A": 30, "C": -15}
+    assignments = {0: Assignment(offsets=offsets),
+                   2: Assignment(offsets=offsets, gain_overrides=dict.fromkeys("ABC", Fraction(3)))}
+    return candidates, assignments
+
+
+def score_set(spec, jobs: int):
+    candidates, assignments = cycle_set(spec)
+    return score_candidates(candidates, spec, ReplayConfig(replays=4, seed=6, jobs=jobs),
+                            CYCLE_DIMS, assignments)
+
+
+class TestScoreCandidates:
+    def test_every_candidate_faces_the_reference_shocks(self, cycle_spec, monkeypatch):
+        pools = []
+        sample = anticipation.sample_shock_sequence
+
+        def recording(pool, *args):
+            pools.append(pool)
+            return sample(pool, *args)
+
+        monkeypatch.setattr(anticipation, "sample_shock_sequence", recording)
+        score_set(cycle_spec, jobs=1)
+        candidates, assignments = cycle_set(cycle_spec)
+        bases = [simulate_candidate(cycle_spec, c.id, 3, CYCLE_DIMS, schedule=c.schedule,
+                                    assignment=assignments.get(c.id)) for c in candidates]
+        assert bases[2].imbalance_pool != bases[0].imbalance_pool
+        assert pools == [bases[0].imbalance_pool] * 12
+
+
+class TestFanOut:
+    """A set's replays run in one process pool, under any start method."""
+
+    def patch_pool(self, monkeypatch, **extra):
+        opened = []
+
+        class Pool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                opened.append(kwargs)
+                super().__init__(*args, **kwargs, **extra)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        return opened
+
+    @pytest.mark.parametrize("jobs,pools", [(1, 0), (2, 1), (3, 1)])
+    def test_one_pool_per_set(self, cycle_spec, monkeypatch, jobs, pools):
+        opened = self.patch_pool(monkeypatch)
+        report = score_set(cycle_spec, jobs)
+        assert len(opened) == pools
+        assert [len(s.divergences) for s in report.scores] == [4, 4, 4]
+
+    def test_spawn_start_method_same_report(self, cycle_spec, monkeypatch):
+        serial = score_set(cycle_spec, jobs=1)
+        opened = self.patch_pool(monkeypatch, mp_context=multiprocessing.get_context("spawn"))
+        assert score_set(cycle_spec, jobs=2) == serial
+        assert len(opened) == 1
 
 
 class TestSelect:
@@ -214,6 +287,9 @@ class TestAnticipatePipeline:
         parallel = robustness_score(candidate, cycle_spec,
                                     ReplayConfig(replays=4, seed=6, jobs=2), dims, assignment)
         assert serial == parallel
+        reports = [score_set(cycle_spec, jobs) for jobs in (1, 2)]
+        assert reports[0] == reports[1]
+        assert any(d != 0.0 for s in reports[0].scores for d in s.divergences)
 
     def test_fit_candidates_mode_runs(self, cycle_spec):
         from moneyflow import FitConfig

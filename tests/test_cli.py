@@ -269,12 +269,40 @@ class TestParseErrors:
         ("fit", "--starts", "0", "--target", "t.csv"),
         ("fit", "--starts", "-1", "--target", "t.csv"),
         ("fit", "--budget", "0", "--target", "t.csv"),
+        ("fit", "--prefix", "0", "--target", "t.csv"),
+        ("fit", "--prefix", "-1", "--target", "t.csv"),
     ])
     def test_count_options_need_positive_integers(self, argv, capsys):
         code, output = invoke(argv[0], "--scenario", "two-agent-kernel", *argv[1:])
         assert code == 2
         assert output == ""
         assert "positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,message", [
+        (("simulate", "--seed", str(2 ** 64)), "unsigned 64-bit integer"),
+        (("simulate", "--seed", "-1"), "unsigned 64-bit integer"),
+        (("fit", "--tol", "nan", "--target", "t.csv"), "expected a finite number"),
+        (("anticipate", "--shock-scale", "nan"), "expected a finite number"),
+        (("anticipate", "--shock-scale", "1e400"), "expected a finite number"),
+        (("anticipate", "--horizon", "1", "--candidates", "1", "--replays", "1",
+          "--dims", "nope"), "unknown trajectory dimension 'nope'"),
+    ], ids=["seed-2**64", "seed-negative", "tol-nan", "shock-scale-nan", "shock-scale-1e400",
+            "dims-unknown"])
+    def test_malformed_option_values(self, argv, message, capsys):
+        code, output = invoke(argv[0], "--scenario", "two-agent-kernel", *argv[1:])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert message in err
+        assert "Traceback" not in err and "KeyError" not in err
+
+    def test_fit_prefix_beyond_target(self, tmp_path, capsys):
+        target = tmp_path / "t.csv"
+        invoke("record", "--scenario", "two-agent-kernel", "--terms", "2", "--out", str(target))
+        code, _ = invoke("fit", "--scenario", "two-agent-kernel", "--target", str(target),
+                         "--prefix", "3")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "moneyflow: error: prefix of 3 terms is outside the target's 1..2\n"
 
 
 class TestDeterminism:

@@ -23,7 +23,6 @@ from moneyflow import (
     settle,
     settle_all,
     three_agent_cycle,
-    true_imbalance,
     two_agent_kernel,
     update_agent,
 )
@@ -39,7 +38,7 @@ from moneyflow.scenario import (
     ShockSpec,
 )
 
-from conftest import tiny_spec
+from conftest import tiny_spec, true_imbalance
 
 ONE = Fraction(1)
 

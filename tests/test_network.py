@@ -16,14 +16,13 @@ from moneyflow import (
     run,
     run_record,
     settle,
-    true_imbalance,
     two_agent_kernel,
 )
 from moneyflow.network import accrue
 from moneyflow.retrieval import Assignment, apply_assignment
 from moneyflow.scenario import AgentSpec, ChannelSpec, ScenarioError, ScenarioSpec, ShockSpec
 
-from conftest import tiny_spec
+from conftest import true_imbalance
 
 
 def spec_with(agents, channels, **kwargs):

@@ -3,9 +3,9 @@
 Each pin is the SHA-256 of an output a user keeps: the event trace and the
 CSV and JSON records of every built-in scenario at two seeds, the record of
 a non-unit term length with shocks on term boundaries, a run in which agents
-adjust, and the `fit --out` and `anticipate --out` JSON of the acceptance-7
-invocations. A change that moves any of them must say why in CHANGES.md and
-update the pin.
+adjust, the `fit --out` and `anticipate --out` JSON of the acceptance-7
+invocations, and the robustness report of one acceptance-6 candidate set. A
+change that moves any of them must say why in CHANGES.md and update the pin.
 
 Traces hold no wake-ups that change nothing. The built-in scenarios start
 balanced, so their traces hold only the term cuts (and national-5's
@@ -16,6 +16,7 @@ residual payloads.
 
 import hashlib
 import io
+import json
 from dataclasses import replace
 from fractions import Fraction
 
@@ -24,10 +25,13 @@ import pytest
 from moneyflow import (
     Assignment,
     BUILTIN_SCENARIOS,
+    ReplayConfig,
     ShockSpec,
     build_network,
     event_trace,
     run_record,
+    score_candidates,
+    simulate_candidate,
     three_agent_cycle,
 )
 from moneyflow.cli import run_cli
@@ -149,3 +153,26 @@ def test_anticipate_out_pinned(tmp_path):
             "--horizon", "2", "--dims", "consumption_flow,bond_flow", "--out", str(report)]
     assert run_cli(argv, out=io.StringIO()) == 0
     assert sha256(report.read_text(encoding="utf-8")) == ANTICIPATE_OUT_PIN
+
+
+# acceptance 6 at seed 300: 5 candidates, horizon 6, 32 replays, offsets
+# {A: 30, B: 0, C: -15} on every candidate and gain overrides 2, 5/2, 3, 7/2
+# on candidates 1-4. Unlike the national-5 report above, its divergences are
+# nonzero, so the pin sees the scoring.
+ACCEPTANCE_6_REPORT_PIN = "7dc8840cf2289dd0cb7da5766e31d357b24af11d149658b8ccb34737d5a80f32"
+OSCILLATORY_GAINS = (Fraction(2), Fraction(5, 2), Fraction(3), Fraction(7, 2))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_acceptance_6_report_pinned(jobs):
+    spec = three_agent_cycle().with_seed(300)
+    dims = ("ab_flow", "bc_flow", "ca_flow")
+    offsets = {"A": 30, "B": 0, "C": -15}
+    assignments = {0: Assignment(offsets=offsets)}
+    for cid, gain in enumerate(OSCILLATORY_GAINS, start=1):
+        assignments[cid] = Assignment(offsets=offsets, gain_overrides=dict.fromkeys("ABC", gain))
+    candidates = [simulate_candidate(spec, cid, 6, dims) for cid in range(5)]
+    report = score_candidates(candidates, spec, ReplayConfig(replays=32, seed=300, jobs=jobs),
+                              dims, assignments=assignments)
+    payload = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+    assert sha256(payload) == ACCEPTANCE_6_REPORT_PIN

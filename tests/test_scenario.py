@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from moneyflow import BUILTIN_SCENARIOS, load_scenario, scenario_from_dict
 from moneyflow.scenario import ScenarioError, as_fraction, as_money, rational_str
 
-from conftest import json_values
+from conftest import json_values, true_imbalance
 
 REPO = Path(__file__).parent.parent
 
@@ -58,7 +58,7 @@ class TestParsing:
 
     def test_minimal_parses(self):
         spec = scenario_from_dict(self.minimal())
-        assert spec.agent("A").gain == Fraction(1, 2)
+        assert next(a for a in spec.agents if a.id == "A").gain == Fraction(1, 2)
         assert spec.rates["discount_rate"] == 0
 
     def test_missing_field_named(self):
@@ -99,7 +99,7 @@ class TestShippedScenarios:
         assert spec.fingerprint() == again.fingerprint()
 
     def test_national5_is_balanced(self):
-        from moneyflow import build_network, true_imbalance
+        from moneyflow import build_network
 
         state = build_network(BUILTIN_SCENARIOS["national-5"]())
         for aid in state.agent_order:
