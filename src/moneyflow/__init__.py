@@ -19,13 +19,11 @@ from .anticipation import (
     simulate_candidate,
 )
 from .engine import (
-    AdjustmentSet,
-    BilateralView,
     equilibrate,
     event_trace,
     inject_shock,
     next_event,
-    observe,
+    observed_deficit,
     run,
     settle,
     settle_all,

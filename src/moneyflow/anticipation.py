@@ -38,6 +38,11 @@ DEFAULT_DIMS = (
 
 Trajectory = list[tuple[float, ...]]
 
+# Steps of the multiplier factor grid on each side of 1 (see SamplerConfig),
+# and shocks per term of each shock replay.
+GRID = 8
+SHOCKS_PER_TERM = 1
+
 
 def extract_trajectory(record: Record, dims: Sequence[str] = DEFAULT_DIMS) -> Trajectory:
     """One point per term: the named aggregate figures in the given order."""
@@ -110,13 +115,13 @@ class SamplerConfig:
     """Seeded multiplier perturbations defining the non-baseline candidates.
 
     Perturbed channels default to every channel whose multiplier is not 1
-    (the policy instruments). Factors are drawn from a symmetric rational
-    grid 1 + k*bound/grid, k in [-grid, grid], and take effect at the first
-    term boundary so every candidate shares the term-0 phase point.
+    (the policy instruments). Factors are drawn from the symmetric rational
+    grid 1 + k*bound/GRID, k in [-GRID, GRID], with `bound` in [0, 1] so no
+    factor is negative, and take effect at the first term boundary so every
+    candidate shares the term-0 phase point.
     """
 
     bound: float = 0.2
-    grid: int = 8
     channels: tuple[str, ...] | None = None
     seed: int = 0
 
@@ -128,7 +133,6 @@ class ReplayConfig:
 
     replays: int = 32
     shock_scale: float = 1.0
-    shocks_per_term: float = 1.0
     seed: int = 0
     jobs: int = 1
 
@@ -202,6 +206,8 @@ def generate_candidates(spec: ScenarioSpec, n: int, sampler: SamplerConfig = Sam
     for channel_id in channels:
         if channel_id not in multipliers:
             raise ScenarioError(f"sampler names unknown channel {channel_id!r}")
+    if not 0 <= sampler.bound <= 1:
+        raise ScenarioError(f"sampler bound must lie in [0, 1], got {sampler.bound!r}")
     key = rng.stream_key(sampler.seed, rng.string_key("candidate-multipliers"))
     bound = as_fraction(sampler.bound, "sampler bound")
     start = spec.term_length  # first boundary; keeps term 0 common to all candidates
@@ -211,9 +217,9 @@ def generate_candidates(spec: ScenarioSpec, n: int, sampler: SamplerConfig = Sam
     for cid in range(1, n):
         schedule = []
         for channel_id in channels:
-            k = rng.below(2 * sampler.grid + 1, key, counter) - sampler.grid
+            k = rng.below(2 * GRID + 1, key, counter) - GRID
             counter += 1
-            factor = 1 + Fraction(k, sampler.grid) * bound
+            factor = 1 + Fraction(k, GRID) * bound
             schedule.append(PolicyAction(start, "set_multiplier", channel_id,
                                          multipliers[channel_id] * factor))
         candidates.append(simulate_candidate(spec, cid, n_terms, dims, schedule=schedule))
@@ -226,7 +232,7 @@ def sample_shock_sequence(pool: Sequence[float], spec: ScenarioSpec, config: Rep
     if not pool or config.shock_scale == 0:
         pool = (0.0,)
     channel_ids = tuple(sorted(c.id for c in spec.channels))
-    count = max(0, round(config.shocks_per_term * n_terms))
+    count = SHOCKS_PER_TERM * n_terms
     key = rng.stream_key(config.seed, rng.string_key("replay-shocks"), replay_index)
     horizon = n_terms * spec.term_length
     shocks = []

@@ -2,8 +2,9 @@
 
 Subcommands: simulate, record, verify, fit, anticipate. Exit code 0 on
 success, 1 on a domain failure (identities violated; fit unconverged under
---strict), 2 on usage or parse errors. Identical argv plus identical input
-files produce byte-identical outputs.
+--strict), 2 on usage or parse errors and on files that cannot be read or
+written (a directory, a file that is not UTF-8). Identical argv plus
+identical input files produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -248,7 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replays", type=_positive, default=32)
     p.add_argument("--horizon", type=_count, default=8, help="horizon in terms")
     p.add_argument("--dims", help="comma-separated aggregate names for the phase vector")
-    p.add_argument("--bound", type=float, default=0.2, help="multiplier sampling bound")
+    p.add_argument("--bound", type=_finite, default=0.2,
+                   help="multiplier sampling bound, in [0, 1]")
     p.add_argument("--shock-scale", type=_finite, default=1.0)
     p.add_argument("--fit-candidates", action="store_true",
                    help="retrace each candidate through the fitter before scoring")
@@ -270,9 +272,11 @@ def run_cli(argv: list[str] | None = None, out=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args, out)
-    except (ScenarioError, RecordError, FileNotFoundError, ValueError, KeyError) as exc:
+    except (ScenarioError, RecordError, OSError, ValueError, KeyError) as exc:
+        # An unreadable path (a directory, no permission) or a file that is
+        # not UTF-8 is bad input, like a malformed one.
         print(f"moneyflow: error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, (ScenarioError, RecordError, FileNotFoundError)) else 1
+        return 2 if isinstance(exc, (ScenarioError, RecordError, OSError, UnicodeDecodeError)) else 1
 
 
 def main() -> None:

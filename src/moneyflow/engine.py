@@ -1,10 +1,12 @@
 """Asynchronous adjustment dynamics over the flow network.
 
 Each non-exempt agent wakes at its own exponentially distributed event times,
-looks at the world through its stale bilateral snapshots, and corrects the
-imbalance it sees by moving its own adjustable outgoing rates. Corrections
-made on stale information miss, so one agent's fix disturbs its partners and
-the adjustment spreads. In the built-in scenarios it dies out within a few
+reads the imbalance it can see straight off the network state
+(`observed_deficit`: its own outgoing rates current, its partners' rates as
+last settled) and corrects it by moving its own adjustable outgoing rates
+(`equilibrate`, over the state's `Channel` objects). Corrections made on
+stale information miss, so one agent's fix disturbs its partners and the
+adjustment spreads. In the built-in scenarios it dies out within a few
 terms of a disturbance (hidden offsets, a shock, a policy change) instead of
 reverberating, and a network that starts balanced never adjusts at all.
 
@@ -22,53 +24,15 @@ their state exclusively and may execute concurrently.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from . import rng
-from .network import Agent, Event, NetworkState, accrue, issue
+from .network import Agent, Channel, Event, NetworkState, accrue, issue
 from .scenario import PolicyAction, ShockSpec
 
 _NO_EVENT = float("inf")
-
-
-class ViewEntry(NamedTuple):
-    channel_id: str
-    rate: int                 # raw rate as known to the observing agent
-    multiplier: Fraction      # multipliers are public policy, always current
-    adjustable: bool
-
-
-@dataclass
-class BilateralView:
-    """What one agent can know: own rates current, partner rates as last settled.
-
-    ``deficit`` is the observed outflow rate sum minus the observed inflow rate
-    sum, computed once, at observation.
-    """
-
-    agent_id: str
-    outgoing: tuple[ViewEntry, ...]
-    incoming: tuple[ViewEntry, ...]
-    deficit: Fraction | int
-
-
-@dataclass
-class AdjustmentSet:
-    """Integer rate deltas for the agent's adjustable outgoing channels.
-
-    Exactness invariant: sum(deltas) + residual == -gain * deficit + carry,
-    where deficit is the observed deficit and carry any carried-over
-    residual. The residual is an exact rational: it absorbs both the sub-unit
-    remainder of the integer apportionment and any correction blocked by the
-    rate >= 0 clamp.
-    """
-
-    deltas: dict[str, int]
-    residual: Fraction
-    deficit: Fraction | int
 
 
 def apportion(total: int, weights: Sequence[Fraction | int]) -> list[int]:
@@ -114,27 +78,14 @@ def _split(total: int, weights: list[int]) -> list[int]:
     return [sign * b for b in base]
 
 
-def observe(state: NetworkState, agent_id: str) -> BilateralView:
-    """The agent's bilateral view: own outgoing rates current, inflows stale."""
-    if agent_id not in state.agents:
-        raise KeyError(f"unknown agent {agent_id!r}")
-    channels = state.channels
-    outgoing = []
-    for cid in state.outgoing[agent_id]:
-        ch = channels[cid]
-        outgoing.append(ViewEntry(cid, ch.rate, ch.multiplier, ch.adjustable))
-    incoming = []
-    for cid in state.incoming[agent_id]:
-        ch = channels[cid]
-        incoming.append(ViewEntry(cid, ch.snap_rate_sink, ch.multiplier, ch.adjustable))
-    return BilateralView(agent_id, tuple(outgoing), tuple(incoming), _observed_deficit(state, agent_id))
+def observed_deficit(state: NetworkState, agent_id: str) -> Fraction | int:
+    """The imbalance the agent can see: observed outflow minus observed inflow.
 
-
-def _observed_deficit(state: NetworkState, agent_id: str) -> Fraction | int:
-    """Observed outflow rate sum minus observed inflow rate sum.
-
-    Exact rational arithmetic in plain integers, returning an int whenever
-    the multipliers cancel; this is the innermost loop of the simulation.
+    Its own outgoing rates are current; each incoming rate is the one its
+    partner had at their last settlement. Both are weighted by the channel
+    multipliers, which are public policy and always current. Exact rational
+    arithmetic in plain integers, returning an int whenever the multipliers
+    cancel; this is the innermost loop of the simulation.
     """
     channels = state.channels
     whole = 0
@@ -163,17 +114,18 @@ def _observed_deficit(state: NetworkState, agent_id: str) -> Fraction | int:
     return whole + Fraction(num, den)
 
 
-_ZERO = Fraction(0)
-
-
-def equilibrate(view: BilateralView, gain: Fraction, carry: Fraction | int = 0) -> AdjustmentSet:
-    """Correction an agent would apply given its view and correction gain.
+def equilibrate(channels: Sequence[Channel], deficit: Fraction | int, gain: Fraction,
+                carry: Fraction | int = 0) -> tuple[dict[str, int], Fraction]:
+    """Correction an agent applies to its adjustable outgoing `channels`.
 
     The correction demand -gain * deficit (plus any carried residual) is
-    distributed over the adjustable outgoing channels proportionally to their
-    observed effective rates, rounded to whole minor units by largest
-    remainder, and clamped so no rate goes below zero. Whatever could not be
-    applied is returned as the exact residual.
+    distributed over the channels proportionally to their effective rates,
+    rounded to whole minor units by largest remainder, and clamped so no rate
+    goes below zero. Returns the integer delta of every channel, by channel
+    id in the given order, and the exact residual: whatever could not be
+    applied, that is the sub-unit remainder of the apportionment and any
+    correction blocked by the clamp, so sum(deltas) + residual ==
+    -gain * deficit + carry.
 
     The demand is held as an unreduced integer ratio num / den and truncated
     toward zero explicitly (it may be negative, where floor division would
@@ -181,31 +133,24 @@ def equilibrate(view: BilateralView, gain: Fraction, carry: Fraction | int = 0) 
     """
     if gain.numerator < 0:
         raise ValueError("gain must be non-negative")
-    d = view.deficit
-    if d == 0 and carry == 0:
-        # Balanced in this view: nothing to do. Common case at equilibrium.
-        deltas = {e.channel_id: 0 for e in view.outgoing if e.adjustable}
-        return AdjustmentSet(deltas=deltas, residual=_ZERO, deficit=d)
     gd = gain.denominator
-    dd = d.denominator
+    dd = deficit.denominator
     cd = carry.denominator
     den = gd * dd * cd
-    num = carry.numerator * gd * dd - gain.numerator * d.numerator * cd
-    adjustable = [e for e in view.outgoing if e.adjustable]
-    deltas = {e.channel_id: 0 for e in adjustable}
+    num = carry.numerator * gd * dd - gain.numerator * deficit.numerator * cd
+    deltas = {ch.id: 0 for ch in channels}
     applied = 0
-    if adjustable:
-        units = num // den if num >= 0 else -(-num // den)
-        if units:
-            scale = lcm(*(e.multiplier.denominator for e in adjustable))
-            weights = [e.rate * e.multiplier.numerator * (scale // e.multiplier.denominator)
-                       for e in adjustable]
-            for e, part in zip(adjustable, _split(units, weights)):
-                if e.rate + part < 0:
-                    part = -e.rate
-                deltas[e.channel_id] = part
-                applied += part
-    return AdjustmentSet(deltas=deltas, residual=Fraction(num - applied * den, den), deficit=d)
+    units = num // den if num >= 0 else -(-num // den)
+    if units and channels:
+        scale = lcm(*(ch.multiplier.denominator for ch in channels))
+        weights = [ch.rate * ch.multiplier.numerator * (scale // ch.multiplier.denominator)
+                   for ch in channels]
+        for ch, part in zip(channels, _split(units, weights)):
+            if ch.rate + part < 0:
+                part = -ch.rate
+            deltas[ch.id] = part
+            applied += part
+    return deltas, Fraction(num - applied * den, den)
 
 
 def settle(state: NetworkState, agent_a: str, agent_b: str, time: float) -> NetworkState:
@@ -260,7 +205,7 @@ def settle_all(state: NetworkState, time: float, *, term: int) -> NetworkState:
 
 
 def inject_shock(state: NetworkState, agent_id: str, amount: int, time: float,
-                 *, channel_id: str | None = None) -> NetworkState:
+                 *, channel_id: str) -> NetworkState:
     """One-off redistribution between an agent and a counterparty on a channel.
 
     A positive amount credits `agent_id`. Conservation always holds: shocks
@@ -270,13 +215,6 @@ def inject_shock(state: NetworkState, agent_id: str, amount: int, time: float,
     """
     if agent_id not in state.agents:
         raise KeyError(f"unknown agent {agent_id!r}")
-    if channel_id is None:
-        touching = sorted(
-            cid for cid, ch in state.channels.items() if agent_id in (ch.source, ch.sink)
-        )
-        if not touching:
-            raise ValueError(f"agent {agent_id!r} has no channel to carry a shock")
-        channel_id = touching[0]
     ch = state.channels.get(channel_id)
     if ch is None:
         raise KeyError(f"unknown channel {channel_id!r}")
@@ -313,19 +251,14 @@ def next_event(state: NetworkState, awake: Iterable[str] | None = None) -> tuple
     return best_id, best_t
 
 
-def _apply_rate_delta(state: NetworkState, channel_id: str, delta: int, now: float) -> None:
-    ch = state.channels[channel_id]
-    accrue(ch, now)
-    ch.rate += delta
-
-
 def update_agent(state: NetworkState, agent_id: str, now: float) -> Event:
     """Process one wake that acts: adjust and settle, or run issuance.
 
-    Non-exempt agents observe, equilibrate, apply their deltas to true rates,
-    and settle with every partner they adjusted against. The central bank
-    executes its due issuance schedule entries instead. `run` calls this only
-    for wakes that have something to log; it skips the others.
+    A non-exempt agent reads its observed deficit, equilibrates its adjustable
+    outgoing channels, applies the deltas to their true rates and settles
+    with every partner it adjusted against. The central bank executes its
+    due issuance schedule entries instead. `run` calls this only for wakes
+    that have something to log; it skips the others.
     """
     agent = state.agents[agent_id]
     state.now = now
@@ -333,20 +266,22 @@ def update_agent(state: NetworkState, agent_id: str, now: float) -> Event:
         issued = _run_issuance(state, now)
         event = state.append_event(now, "AgentUpdate", {"agent": agent_id, "exempt": True, "issued": issued})
     else:
-        view = observe(state, agent_id)
-        adjustment = equilibrate(view, agent.gain, agent.pending_correction)
-        agent.pending_correction = adjustment.residual
+        deficit = observed_deficit(state, agent_id)
+        channels = [state.channels[cid] for cid in state.adjustable_outgoing[agent_id]]
+        deltas, residual = equilibrate(channels, deficit, agent.gain, agent.pending_correction)
+        agent.pending_correction = residual
         partners = set()
-        for cid, delta in adjustment.deltas.items():
+        for ch in channels:
+            delta = deltas[ch.id]
             if delta:
-                _apply_rate_delta(state, cid, delta, now)
-                ch = state.channels[cid]
-                partners.add(ch.sink if ch.source == agent_id else ch.source)
+                accrue(ch, now)
+                ch.rate += delta
+                partners.add(ch.sink)
         event = state.append_event(now, "AgentUpdate", {
             "agent": agent_id,
-            "deficit": adjustment.deficit,
-            "deltas": adjustment.deltas,
-            "residual": adjustment.residual,
+            "deficit": deficit,
+            "deltas": deltas,
+            "residual": residual,
         })
         for partner in sorted(partners):
             settle(state, agent_id, partner, now)
@@ -497,7 +432,7 @@ def run(state: NetworkState, horizon: float) -> tuple[NetworkState, list[Event]]
                 _skip_wakes(agent, min(due, end))
             else:
                 update_agent(state, agent_id, agent_t)
-        elif agent.pending_correction == 0 and _observed_deficit(state, agent_id) == 0:
+        elif agent.pending_correction == 0 and observed_deficit(state, agent_id) == 0:
             awake.remove(agent_id)
         else:
             event = update_agent(state, agent_id, agent_t)

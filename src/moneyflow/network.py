@@ -289,7 +289,7 @@ def accrue(channel: Channel, now: float) -> None:
         channel.accrued_until = now
 
 
-def issue(state: NetworkState, amount: int, time: float | None = None) -> NetworkState:
+def issue(state: NetworkState, amount: int, time: float) -> NetworkState:
     """Create (or retire, for negative amounts) central bank notes."""
     target = state.central_bank
     if state.cumulative_issuance + amount < 0:
@@ -299,9 +299,8 @@ def issue(state: NetworkState, amount: int, time: float | None = None) -> Networ
         )
     state.agents[target].stock += amount
     state.cumulative_issuance += amount
-    t = state.now if time is None else time
-    state.append_event(t, "Issue", {"agent": target, "amount": amount, "instrument": "notes",
-                                    "outstanding": state.cumulative_issuance})
+    state.append_event(time, "Issue", {"agent": target, "amount": amount, "instrument": "notes",
+                                       "outstanding": state.cumulative_issuance})
     return state
 
 

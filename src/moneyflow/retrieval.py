@@ -7,8 +7,9 @@ the scenario, invisible to partners until they settle) whose replay
 reproduces a target record.
 
 Success means reproduction, not parameter recovery: the inverse problem may
-be non-unique, so fits are judged only by the normalized RMS error against
-the target.
+be non-unique, so fits are judged only by `reproduction_error(simulated,
+target)`, the normalized RMS error over every figure of the target record,
+all counting alike.
 """
 
 from __future__ import annotations
@@ -114,9 +115,8 @@ def _figure_values(record: Record) -> dict[str, list[int | Fraction]]:
 class _Yardstick:
     """The target's side of `reproduction_error`: its figure series and scales, built once."""
 
-    def __init__(self, target: Record, weights: Mapping[str, float] | None):
+    def __init__(self, target: Record):
         self.target = target
-        self.weights = weights
         self.series = _figure_values(target)
         self._scales: dict[str, float] = {}
 
@@ -135,44 +135,34 @@ class _Yardstick:
                 f"term count mismatch: simulated has {len(simulated.sheets)}, target has {len(target.sheets)}"
             )
         sim_series = _figure_values(simulated)
-        if self.weights is None:
-            if set(sim_series) != set(tgt_series):
-                missing = set(tgt_series) ^ set(sim_series)
-                raise ValueError(f"figure sets differ: {sorted(missing)}")
-            selected = {name: 1.0 for name in tgt_series}
-        else:
-            selected = dict(self.weights)
-            for name in selected:
-                if name not in tgt_series or name not in sim_series:
-                    raise ValueError(f"weighted figure {name!r} not present in both records")
-        if not selected or not target.sheets:
+        if set(sim_series) != set(tgt_series):
+            missing = set(tgt_series) ^ set(sim_series)
+            raise ValueError(f"figure sets differ: {sorted(missing)}")
+        if not tgt_series:
             return 0.0
         total = 0.0
         count = 0
-        for name, weight in selected.items():
-            tgt = tgt_series[name]
+        for name, tgt in tgt_series.items():
             sim = sim_series[name]
             scale = self.scale(name)
             for s, t in zip(sim, tgt):
                 diff = (float(s) - float(t)) / scale
-                total += (weight * diff) ** 2
+                total += diff ** 2
                 count += 1
         return sqrt(total / count)
 
 
-def reproduction_error(simulated: Record, target: Record,
-                       weights: Mapping[str, float] | None = None) -> float:
-    """Normalized RMS distance between two records over matching figures.
+def reproduction_error(simulated: Record, target: Record) -> float:
+    """Normalized RMS distance between two records with the same figures.
 
     Each figure is scaled by max(1, max |target value|) so heterogeneous
     magnitudes compare fairly; the error is the root mean square of the
-    weighted scaled differences over all (term, figure) pairs. When `weights`
-    is given it both selects the figures compared and weights them; by
-    default every figure participates with weight 1. Figure keys are the
-    aggregate names plus per-agent series named "closing:ID", "inflow:ID",
-    and "outflow:ID".
+    scaled differences over all (term, figure) pairs, every figure counting
+    alike. Figure keys are the aggregate names plus per-agent series named
+    "closing:ID", "inflow:ID", and "outflow:ID"; records whose keys differ
+    are rejected.
     """
-    return _Yardstick(target, weights).error(simulated)
+    return _Yardstick(target).error(simulated)
 
 
 @dataclass(frozen=True)
@@ -182,7 +172,6 @@ class FitConfig:
     seed: int = 0
     starts: int = 4
     prefix_terms: int | None = None
-    weights: Mapping[str, float] | None = None
 
 
 @dataclass(frozen=True)
@@ -239,13 +228,12 @@ class _Objective:
     a key mid-run); otherwise every call replays in full.
     """
 
-    def __init__(self, target: Record, spec: ScenarioSpec, config: FitConfig,
-                 agent_ids: Sequence[str], n_terms: int, base_state: NetworkState):
+    def __init__(self, target: Record, spec: ScenarioSpec, agent_ids: Sequence[str],
+                 n_terms: int, base_state: NetworkState):
         self.agent_ids = agent_ids
         self.n_terms = n_terms
         self.base_state = base_state
-        self.weights = config.weights
-        self.yardstick = _Yardstick(target, config.weights)
+        self.yardstick = _Yardstick(target)
         self.cache: dict[tuple[int, ...], float] = {}
         self.floors: dict[tuple[int, ...], float] = {}
         self.evaluations = 0
@@ -256,8 +244,8 @@ class _Objective:
         self.count = len(self.rows[0]) * n_terms if self.rows else 0
 
     def _term_rows(self, layouts: list[list[tuple[str, int | Fraction]]],
-                   spec: ScenarioSpec) -> list[list[tuple[str, float, float, float]]]:
-        """Per target term, (key, weight, scale, value) of each compared figure.
+                   spec: ScenarioSpec) -> list[list[tuple[str, float, float]]]:
+        """Per target term, (key, scale, value) of each figure.
 
         Empty when the figure layout rules out the early exit.
         """
@@ -266,20 +254,12 @@ class _Objective:
             return []
         if any(a.kind == "set_rate" and a.target not in spec.rates for a in spec.policy):
             return []
-        selected = dict.fromkeys(self.keys, 1.0) if self.weights is None else dict(self.weights)
-        if not selected:
-            return []
         scale = self.yardstick.scale
-        return [[(name, weight, scale(name), float(values[name])) for name, weight in selected.items()]
-                for values in tables]
+        return [[(name, scale(name), float(values[name])) for name in self.keys] for values in tables]
 
     def _regular(self, figures: list, values: dict) -> bool:
-        """A sheet holds each figure key once, and the target's keys (all of them unweighted)."""
-        if len(values) != len(figures):
-            return False
-        if self.weights is None:
-            return values.keys() == self.keys
-        return self.weights.keys() <= values.keys()
+        """A sheet holds each figure key once, and exactly the target's keys."""
+        return len(values) == len(figures) and values.keys() == self.keys
 
     def valid(self, vector: tuple[int, ...]) -> bool:
         for aid, offset in zip(self.agent_ids, vector):
@@ -328,9 +308,9 @@ class _Objective:
             values = dict(figures)
             if not self._regular(figures, values):
                 break  # the reference pairs this replay otherwise, or rejects it
-            for name, weight, scale, t in rows:
+            for name, scale, t in rows:
                 diff = (float(values[name]) - t) / scale
-                partial += (weight * diff) ** 2
+                partial += diff ** 2
             if partial > limit:
                 return max(bound, sqrt(partial / self.count) * (1 - _MARGIN)), False
         while len(sheets) < self.n_terms:
@@ -403,7 +383,7 @@ def fit(target: Record, spec: ScenarioSpec, config: FitConfig = FitConfig()) -> 
     trimmed = Record(target.sheets[:n_terms], target.fingerprint,
                      target.term_length, target.initial_total_stock)
 
-    objective = _Objective(trimmed, spec, config, agent_ids, n_terms, build_network(spec))
+    objective = _Objective(trimmed, spec, agent_ids, n_terms, build_network(spec))
     dims = len(agent_ids)
     directions = _search_directions(dims)
     start_key = rng.stream_key(config.seed, rng.string_key("fit-starts"))

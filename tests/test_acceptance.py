@@ -20,7 +20,7 @@ from moneyflow import (
     equilibrate,
     fit,
     notes_outstanding,
-    observe,
+    observed_deficit,
     retrace,
     run,
     run_record,
@@ -114,14 +114,15 @@ def test_3_tax_cascade_sign_pattern():
 def test_4_two_agent_kernel_exact():
     state = build_network(two_agent_kernel(10, 10, gain=Fraction(1)))
     apply_assignment(state, Assignment(offsets={"A": 2, "B": -2}))
-    view = observe(state, "A")
-    adjustment = equilibrate(view, Fraction(1))
+    deficit = observed_deficit(state, "A")
+    channels = [state.channels[cid] for cid in state.adjustable_outgoing["A"]]
+    deltas, residual = equilibrate(channels, deficit, Fraction(1))
     # The correction closes the observed gap exactly: residual zero and the
     # adjusted view re-balances.
-    assert adjustment.deltas == {"ab": -2}
-    assert adjustment.residual == 0
+    assert deltas == {"ab": -2}
+    assert residual == 0
     update_agent(state, "A", 0.05)
-    post_view_deficit = view.deficit + sum(adjustment.deltas.values())
+    post_view_deficit = deficit + sum(deltas.values())
     partner = true_imbalance(state, "B")
     ok = post_view_deficit == 0 and partner != 0
     report(4, "two-agent-kernel", ok,
@@ -173,7 +174,7 @@ def test_6_anticipation_prefers_stable_baseline():
         for i in range(6):
             actor = "A" if i % 2 == 0 else "B"
             t += 0.1
-            gaps.append(abs(observe(state, actor).deficit))
+            gaps.append(abs(observed_deficit(state, actor)))
             update_agent(state, actor, t)
         nonzero = [g for g in gaps if g != 0]
         if growing:

@@ -121,6 +121,18 @@ class TestGenerateCandidates:
         with pytest.raises(ScenarioError, match="unknown channel 'nope'"):
             generate_candidates(national5_spec, 2, SamplerConfig(channels=("nope",)), n_terms=1)
 
+    @pytest.mark.parametrize("bound", [3.0, -3.0, 1.0 + 2 ** -52, float("nan")])
+    def test_bound_outside_unit_interval_rejected_before_any_run(self, national5_spec, bound,
+                                                                 monkeypatch):
+        # Above 1 some grid factors 1 + k * bound / GRID are negative; below 0
+        # the grid turns over and the factors reach 1 + |bound|.
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a candidate was simulated")
+
+        monkeypatch.setattr(anticipation, "simulate_candidate", must_not_run)
+        with pytest.raises(ScenarioError, match=r"sampler bound must lie in \[0, 1\]"):
+            generate_candidates(national5_spec, 5, SamplerConfig(bound=bound), n_terms=2)
+
 
 class TestRobustnessScore:
     def test_zero_replays_scores_one(self, cycle_spec):

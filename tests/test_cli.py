@@ -286,14 +286,39 @@ class TestParseErrors:
         (("anticipate", "--shock-scale", "1e400"), "expected a finite number"),
         (("anticipate", "--horizon", "1", "--candidates", "1", "--replays", "1",
           "--dims", "nope"), "unknown trajectory dimension 'nope'"),
+        (("anticipate", "--bound", "nan"), "expected a finite number"),
+        (("anticipate", "--bound", "3"), "sampler bound must lie in [0, 1], got 3.0"),
+        (("anticipate", "--bound", "-3"), "sampler bound must lie in [0, 1], got -3.0"),
     ], ids=["seed-2**64", "seed-negative", "tol-nan", "shock-scale-nan", "shock-scale-1e400",
-            "dims-unknown"])
+            "dims-unknown", "bound-nan", "bound-3", "bound-negative"])
     def test_malformed_option_values(self, argv, message, capsys):
         code, output = invoke(argv[0], "--scenario", "two-agent-kernel", *argv[1:])
         err = capsys.readouterr().err
         assert code == 2
         assert message in err
         assert "Traceback" not in err and "KeyError" not in err
+
+    @pytest.mark.parametrize("kind,argv", [
+        ("directory", ("verify", "--record")),
+        ("directory", ("fit", "--scenario", "two-agent-kernel", "--target")),
+        ("directory", ("simulate", "--scenario")),
+        ("directory", ("record", "--scenario", "two-agent-kernel", "--terms", "1", "--out")),
+        ("latin-1", ("verify", "--record")),
+        ("latin-1", ("fit", "--scenario", "two-agent-kernel", "--target")),
+        ("latin-1", ("simulate", "--scenario")),
+    ], ids=["verify-directory", "fit-directory", "simulate-directory", "record-directory",
+            "verify-latin-1", "fit-latin-1", "simulate-latin-1"])
+    def test_unreadable_paths(self, tmp_path, kind, argv, capsys):
+        path = tmp_path / kind
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes("# caf\xe9\n".encode("latin-1"))
+        code, _ = invoke(*argv, str(path))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("moneyflow: error: ") and err.count("\n") == 1
+        assert ("Is a directory" if kind == "directory" else "codec can't decode") in err
 
     def test_fit_prefix_beyond_target(self, tmp_path, capsys):
         target = tmp_path / "t.csv"

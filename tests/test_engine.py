@@ -1,4 +1,4 @@
-"""Asynchronous adjustment dynamics: views, corrections, settlements, events."""
+"""Asynchronous adjustment dynamics: observed deficits, corrections, settlements, events."""
 
 import fractions
 import sys
@@ -10,14 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moneyflow import (
-    BilateralView,
+    Channel,
     build_network,
     conservation_holds,
     equilibrate,
     event_trace,
     inject_shock,
     next_event,
-    observe,
+    observed_deficit,
     run,
     run_record,
     settle,
@@ -27,7 +27,7 @@ from moneyflow import (
     update_agent,
 )
 from moneyflow import rng
-from moneyflow.engine import ViewEntry, _peek_scheduled, _run_scheduled, apportion
+from moneyflow.engine import _peek_scheduled, _run_scheduled, apportion
 from moneyflow.retrieval import Assignment, apply_assignment
 from moneyflow.scenario import (
     AgentSpec,
@@ -44,17 +44,20 @@ ONE = Fraction(1)
 
 
 def entry(cid, rate, mult=ONE, adjustable=True):
-    return ViewEntry(cid, rate, mult, adjustable)
+    """A channel from X to Y; as an incoming channel its `rate` stands for the snapshot."""
+    return Channel(cid, "X", "Y", rate, mult, adjustable)
 
 
 def naive_deficit(outgoing, incoming):
     """Observed outflow minus observed inflow, summed term by term in Fraction."""
-    return (sum((Fraction(e.rate) * e.multiplier for e in outgoing), Fraction(0))
-            - sum((Fraction(e.rate) * e.multiplier for e in incoming), Fraction(0)))
+    return (sum((Fraction(c.rate) * c.multiplier for c in outgoing), Fraction(0))
+            - sum((Fraction(c.rate) * c.multiplier for c in incoming), Fraction(0)))
 
 
-def view_of(outgoing, incoming):
-    return BilateralView("X", tuple(outgoing), tuple(incoming), naive_deficit(outgoing, incoming))
+def correct(outgoing, incoming, gain, carry=0):
+    """`equilibrate` of the adjustable outgoing channels against the naive deficit."""
+    adjustable = [c for c in outgoing if c.adjustable]
+    return equilibrate(adjustable, naive_deficit(outgoing, incoming), gain, carry)
 
 
 def run_slices(state, min_events, horizon=0.05):
@@ -81,72 +84,71 @@ class TestNextEvent:
 
 
 class TestObserve:
+    """A's observed deficit on the cycle: ab (out, 300) minus the snapshot of ca (in)."""
+
     def test_view_fresh_after_settlement(self, cycle_spec):
         state = build_network(cycle_spec)
         state.channels["ca"].rate = 280  # C moved without settling yet
         settle(state, "C", "A", 0.5)
-        view = observe(state, "A")
-        assert dict((e.channel_id, e.rate) for e in view.incoming)["ca"] == 280
+        assert observed_deficit(state, "A") == 20
 
     def test_partner_change_invisible_until_settlement(self, cycle_spec):
         state = build_network(cycle_spec)
         state.channels["ca"].rate = 280
-        view = observe(state, "A")
-        assert dict((e.channel_id, e.rate) for e in view.incoming)["ca"] == 300
+        assert observed_deficit(state, "A") == 0
 
     def test_own_rate_always_current(self, cycle_spec):
         state = build_network(cycle_spec)
         state.channels["ab"].rate = 310
-        view = observe(state, "A")
-        assert dict((e.channel_id, e.rate) for e in view.outgoing)["ab"] == 310
+        assert observed_deficit(state, "A") == 10
 
     def test_unknown_agent(self, tiny_state):
         with pytest.raises(KeyError):
-            observe(tiny_state, "nope")
+            observed_deficit(tiny_state, "nope")
 
 
 class TestEquilibrate:
     def test_balanced_view_all_zero(self):
-        adj = equilibrate(view_of([entry("out", 10)], [entry("in", 10)]), ONE)
-        assert adj.deltas == {"out": 0}
-        assert adj.residual == 0
+        deltas, residual = correct([entry("out", 10)], [entry("in", 10)], ONE)
+        assert deltas == {"out": 0}
+        assert type(residual) is Fraction and residual == 0
 
     def test_unit_gain_closes_gap(self):
-        adj = equilibrate(view_of([entry("out", 10)], [entry("in", 8)]), ONE)
-        assert adj.deltas == {"out": -2}
-        assert adj.residual == 0
+        deltas, residual = correct([entry("out", 10)], [entry("in", 8)], ONE)
+        assert deltas == {"out": -2}
+        assert residual == 0
 
     def test_half_gain_corrects_half(self):
-        adj = equilibrate(view_of([entry("out", 10)], [entry("in", 8)]), Fraction(1, 2))
-        assert adj.deltas == {"out": -1}
-        assert adj.residual == 0
+        deltas, residual = correct([entry("out", 10)], [entry("in", 8)], Fraction(1, 2))
+        assert deltas == {"out": -1}
+        assert residual == 0
 
     def test_clamp_overflows_into_residual(self):
-        adj = equilibrate(view_of([entry("out", 1)], [entry("in", 0)]), Fraction(5))
-        assert adj.deltas == {"out": -1}
-        assert adj.residual == -4
+        deltas, residual = correct([entry("out", 1)], [entry("in", 0)], Fraction(5))
+        assert deltas == {"out": -1}
+        assert residual == -4
 
     def test_fractional_demand_kept_in_residual(self):
-        adj = equilibrate(view_of([entry("out", 10)], [entry("in", 7)]), Fraction(1, 2))
-        assert adj.deltas == {"out": -1}
-        assert adj.residual == Fraction(-1, 2)
+        deltas, residual = correct([entry("out", 10)], [entry("in", 7)], Fraction(1, 2))
+        assert deltas == {"out": -1}
+        assert residual == Fraction(-1, 2)
 
     def test_surplus_raises_outgoing(self):
-        adj = equilibrate(view_of([entry("out", 10)], [entry("in", 14)]), ONE)
-        assert adj.deltas == {"out": 4}
+        deltas, _ = correct([entry("out", 10)], [entry("in", 14)], ONE)
+        assert deltas == {"out": 4}
 
     def test_proportional_split(self):
-        adj = equilibrate(view_of([entry("big", 30), entry("small", 10)], [entry("in", 0)]), ONE)
-        assert adj.deltas == {"big": -30, "small": -10}
+        deltas, _ = correct([entry("big", 30), entry("small", 10)], [entry("in", 0)], ONE)
+        assert deltas == {"big": -30, "small": -10}
 
     def test_equal_split_on_zero_rates(self):
-        adj = equilibrate(view_of([entry("x", 0), entry("y", 0)], [entry("in", 5)]), ONE)
-        assert adj.deltas == {"x": 2, "y": 3} or adj.deltas == {"x": 3, "y": 2}
-        assert sum(adj.deltas.values()) == 5
+        deltas, _ = correct([entry("x", 0), entry("y", 0)], [entry("in", 5)], ONE)
+        assert deltas == {"x": 2, "y": 3} or deltas == {"x": 3, "y": 2}
+        assert sum(deltas.values()) == 5
 
     def test_negative_gain_rejected(self):
         with pytest.raises(ValueError):
-            equilibrate(view_of([], []), Fraction(-1))
+            equilibrate([], 0, Fraction(-1))
 
     @given(
         out_rates=st.lists(st.integers(0, 400), min_size=1, max_size=4),
@@ -159,14 +161,13 @@ class TestEquilibrate:
     def test_exactness_identity(self, out_rates, in_rates, gain_num, gain_den, carry_num):
         gain = Fraction(gain_num, gain_den)
         carry = Fraction(carry_num, 3)
-        view = view_of(
-            [entry(f"o{i}", r) for i, r in enumerate(out_rates)],
-            [entry(f"i{i}", r, adjustable=False) for i, r in enumerate(in_rates)],
-        )
-        adj = equilibrate(view, gain, carry)
-        assert sum(adj.deltas.values()) + adj.residual == -gain * adj.deficit + carry
-        for e in view.outgoing:
-            assert e.rate + adj.deltas[e.channel_id] >= 0
+        outgoing = [entry(f"o{i}", r) for i, r in enumerate(out_rates)]
+        incoming = [entry(f"i{i}", r, adjustable=False) for i, r in enumerate(in_rates)]
+        deficit = naive_deficit(outgoing, incoming)
+        deltas, residual = equilibrate(outgoing, deficit, gain, carry)
+        assert sum(deltas.values()) + residual == -gain * deficit + carry
+        for ch in outgoing:
+            assert ch.rate + deltas[ch.id] >= 0
 
 
 class TestObservedDeficit:
@@ -193,7 +194,7 @@ class TestObservedDeficit:
         for aid in ("A", "B", "C"):
             outgoing = [entry(c.id, c.rate, c.multiplier) for c in channels if c.source == aid]
             incoming = [entry(c.id, c.snap_rate_sink, c.multiplier) for c in channels if c.sink == aid]
-            assert observe(state, aid).deficit == naive_deficit(outgoing, incoming)
+            assert observed_deficit(state, aid) == naive_deficit(outgoing, incoming)
 
 
 def fraction_apportion(total, weights):
@@ -215,16 +216,15 @@ def fraction_apportion(total, weights):
     return [sign * b for b in base]
 
 
-def fraction_equilibrate(view, gain, carry):
+def fraction_equilibrate(channels, deficit, gain, carry):
     """Deltas and residual by the Fraction formula of the correction, kept as the oracle."""
-    adjustable = [e for e in view.outgoing if e.adjustable]
-    deltas = {e.channel_id: 0 for e in adjustable}
-    demand = Fraction(-gain * view.deficit + carry)
+    deltas = {c.id: 0 for c in channels}
+    demand = Fraction(-gain * deficit + carry)
     units = int(demand)
-    if adjustable and units:
-        weights = [e.rate if e.multiplier == 1 else e.rate * e.multiplier for e in adjustable]
-        for e, part in zip(adjustable, fraction_apportion(units, weights)):
-            deltas[e.channel_id] = max(part, -e.rate)
+    if channels and units:
+        weights = [c.rate if c.multiplier == 1 else c.rate * c.multiplier for c in channels]
+        for c, part in zip(channels, fraction_apportion(units, weights)):
+            deltas[c.id] = max(part, -c.rate)
     return deltas, demand - sum(deltas.values())
 
 
@@ -277,16 +277,13 @@ class TestEquilibrateOracle:
     )
     @settings(max_examples=300, deadline=None)
     def test_matches_fraction_formula(self, out, inflow, gain, carry):
-        view = view_of(
-            [entry(f"o{i}", r, Fraction(m), adj) for i, (r, m, adj) in enumerate(out)],
-            [entry(f"i{i}", r, Fraction(m), False) for i, (r, m) in enumerate(inflow)],
-        )
-        adj = equilibrate(view, gain, carry)
-        deltas, residual = fraction_equilibrate(view, gain, carry)
-        assert adj.deltas == deltas
-        assert type(adj.residual) is Fraction
-        assert adj.residual == residual
-        assert adj.deficit == view.deficit
+        outgoing = [entry(f"o{i}", r, Fraction(m), adj) for i, (r, m, adj) in enumerate(out)]
+        incoming = [entry(f"i{i}", r, Fraction(m), False) for i, (r, m) in enumerate(inflow)]
+        adjustable = [c for c in outgoing if c.adjustable]
+        deficit = naive_deficit(outgoing, incoming)
+        deltas, residual = equilibrate(adjustable, deficit, gain, carry)
+        assert (deltas, residual) == fraction_equilibrate(adjustable, deficit, gain, carry)
+        assert type(residual) is Fraction
 
 
 def fraction_calls(fn, *args, **kwargs):
@@ -326,9 +323,9 @@ class TestFractionFreeHotPath:
         assert fraction_calls(apportion, 17, [Fraction(1, 3), 2, Fraction(5, 7)]) == []
 
     def test_equilibrate_builds_only_the_residual(self):
-        view = view_of([entry("x", 10, Fraction(3, 10)), entry("y", 4)],
-                       [entry("in", 3, Fraction(1, 3))])
-        calls = fraction_calls(equilibrate, view, Fraction(5, 2), Fraction(-1, 3))
+        outgoing = [entry("x", 10, Fraction(3, 10)), entry("y", 4)]
+        deficit = naive_deficit(outgoing, [entry("in", 3, Fraction(1, 3))])
+        calls = fraction_calls(equilibrate, outgoing, deficit, Fraction(5, 2), Fraction(-1, 3))
         assert [c for c in calls if c != "__eq__"] == ["__new__"]
 
 
@@ -375,7 +372,7 @@ class TestInjectShock:
 
     def test_unknown_agent(self, tiny_state):
         with pytest.raises(KeyError):
-            inject_shock(tiny_state, "nope", 5, 0.1)
+            inject_shock(tiny_state, "nope", 5, 0.1, channel_id="ab")
 
 
 class TestReverberationKernel:
@@ -395,8 +392,7 @@ class TestReverberationKernel:
 
     def test_one_update_zeroes_observed_but_not_partner_truth(self):
         state = self.setup_state()
-        view = observe(state, "A")
-        assert view.deficit == 2
+        assert observed_deficit(state, "A") == 2
         before_partner = true_imbalance(state, "B")
         update_agent(state, "A", 0.1)
         # The correction exactly closes the gap in the view it acted on.
@@ -418,7 +414,7 @@ class TestReverberationKernel:
             for i in range(6):
                 actor = "A" if i % 2 == 0 else "B"
                 t += 0.1
-                gaps.append(abs(observe(state, actor).deficit))
+                gaps.append(abs(observed_deficit(state, actor)))
                 update_agent(state, actor, t)
             nonzero = [g for g in gaps if g != 0]
             if growing:
@@ -429,6 +425,24 @@ class TestReverberationKernel:
 
 
 class TestStepAndRun:
+    def test_update_moves_only_adjustable_channels(self):
+        # A sees outflow 30 + 20 against inflow 40; at gain 1 the whole
+        # correction of -10 lands on ab, and ac keeps its rate.
+        spec = ScenarioSpec(
+            name="fixed",
+            agents=(AgentSpec("CB", "CentralBank"), AgentSpec("A", "Custom:x", gain=ONE),
+                    AgentSpec("B", "Custom:x"), AgentSpec("C", "Custom:x")),
+            channels=(ChannelSpec("ab", "A", "B", 30, adjustable=True),
+                      ChannelSpec("ac", "A", "C", 20),
+                      ChannelSpec("ca", "C", "A", 40, adjustable=True)),
+        )
+        state = build_network(spec)
+        event = update_agent(state, "A", 0.5)
+        assert event.payload["deficit"] == 10
+        assert event.payload["deltas"] == {"ab": -10}
+        assert (state.channels["ab"].rate, state.channels["ac"].rate) == (20, 20)
+        assert [ev.payload["b"] for ev in state.log if ev.kind == "Settlement"] == ["B"]
+
     def test_zero_gain_freezes_rates(self):
         spec = tiny_spec(gain=Fraction(0))
         state = build_network(spec)
@@ -541,7 +555,7 @@ def reference_run(state, horizon):
             schedule, cursor = state.spec.issuance, state.cursors["issuance"]
             acts = cursor < len(schedule) and schedule[cursor].time <= agent_t
         else:
-            acts = agent.pending_correction != 0 or observe(state, agent_id).deficit != 0
+            acts = agent.pending_correction != 0 or observed_deficit(state, agent_id) != 0
         if acts:
             update_agent(state, agent_id, agent_t)
         else:

@@ -137,23 +137,23 @@ class TestClone:
 
 class TestIssue:
     def test_zero_amount_no_change(self, tiny_state):
-        issue(tiny_state, 0)
+        issue(tiny_state, 0, 0.0)
         assert notes_outstanding(tiny_state) == 0
         assert tiny_state.agents["CB"].stock == 0
 
     def test_retirement_below_zero_rejected(self, tiny_state):
         with pytest.raises(ValueError, match="below zero"):
-            issue(tiny_state, -1)
+            issue(tiny_state, -1, 0.0)
 
     def test_issue_then_retire_restores(self, tiny_state):
-        issue(tiny_state, 1000)
-        issue(tiny_state, -1000)
+        issue(tiny_state, 1000, 0.0)
+        issue(tiny_state, -1000, 0.0)
         assert notes_outstanding(tiny_state) == 0
         assert tiny_state.agents["CB"].stock == 0
         assert conservation_holds(tiny_state)
 
     def test_transfers_leave_outstanding_unchanged(self, tiny_state):
-        issue(tiny_state, 500)
+        issue(tiny_state, 500, 0.0)
         settle(tiny_state, "A", "B", 12.0)
         settle(tiny_state, "A", "B", 20.0)
         assert tiny_state.agents["B"].stock == 200
@@ -233,7 +233,7 @@ def test_conservation_under_random_operations(moves, issues):
     state = build_network(spec)
     t = 0.0
     for amount in issues:
-        issue(state, amount)
+        issue(state, amount, t)
     for agent_id, amount in moves:
         t += 0.25
         inject_shock(state, agent_id, amount, t, channel_id="ab")

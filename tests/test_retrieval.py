@@ -1,7 +1,7 @@
 """Inverse fitting: retracing records from hidden initial rate offsets."""
 
 from fractions import Fraction
-from math import inf
+from math import inf, sqrt
 
 import pytest
 
@@ -74,6 +74,8 @@ class TestRetrace:
 
 
 def one_figure_record(*values: int, name: str = "x") -> Record:
+    """One figure `name` per term; each sheet's four default aggregates read 0,
+    so `reproduction_error` averages over five figures."""
     sheets = tuple(
         BalanceSheet(i, {}, 0, 0, {}, {name: v}) for i, v in enumerate(values)
     )
@@ -88,19 +90,12 @@ class TestReproductionError:
     def test_single_figure_arithmetic(self):
         target = one_figure_record(100)
         simulated = one_figure_record(110)
-        assert reproduction_error(simulated, target, weights={"x": 1.0}) == pytest.approx(0.1)
-
-    def test_weight_scaling_is_degree_one(self):
-        target = one_figure_record(100, 50)
-        simulated = one_figure_record(110, 60)
-        base = reproduction_error(simulated, target, weights={"x": 1.0})
-        scaled = reproduction_error(simulated, target, weights={"x": 3.0})
-        assert scaled == pytest.approx(3.0 * base)
+        assert reproduction_error(simulated, target) == pytest.approx(0.1 / sqrt(5))
 
     def test_scale_floor_of_one(self):
         target = one_figure_record(0)
         simulated = one_figure_record(2)
-        assert reproduction_error(simulated, target, weights={"x": 1.0}) == pytest.approx(2.0)
+        assert reproduction_error(simulated, target) == pytest.approx(2.0 / sqrt(5))
 
     def test_term_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="term count"):
@@ -109,10 +104,6 @@ class TestReproductionError:
     def test_figure_set_mismatch_rejected(self):
         with pytest.raises(ValueError, match="figure sets differ"):
             reproduction_error(one_figure_record(1, name="x"), one_figure_record(1, name="y"))
-
-    def test_unknown_weighted_figure_rejected(self):
-        with pytest.raises(ValueError, match="not present"):
-            reproduction_error(one_figure_record(1), one_figure_record(1), weights={"zz": 1.0})
 
 
 class TestFit:
@@ -184,27 +175,25 @@ HIDDEN = Assignment(offsets={"A": 7, "B": -4, "C": 2})
 PROBES = [(7, -4, 2), (0, 0, 0), (6, -4, 2), (7, -4, 3), (8, -3, 2), (20, 5, -10)]
 
 
-def bounded_objective(spec, target, weights=None):
-    config = FitConfig(weights=weights)
-    return retrieval._Objective(target, spec, config, ("A", "B", "C"), len(target.sheets),
+def bounded_objective(spec, target):
+    return retrieval._Objective(target, spec, ("A", "B", "C"), len(target.sheets),
                                 build_network(spec))
 
 
-def reference(spec, target, vector, weights=None):
+def reference(spec, target, vector):
     offsets = dict(zip(("A", "B", "C"), vector))
     return reproduction_error(retrace(Assignment(offsets=offsets), spec, len(target.sheets)),
-                              target, weights)
+                              target)
 
 
 class TestBoundedObjective:
-    @pytest.mark.parametrize("weights", [None, {"ab_flow": 1.0, "closing:A": 2.0}])
-    def test_exact_below_the_bound_and_a_floor_above_it(self, weights):
+    def test_exact_below_the_bound_and_a_floor_above_it(self):
         spec = three_agent_cycle().with_seed(104)
         target = retrace(HIDDEN, spec, 4)
         for vector in PROBES:
-            ref = reference(spec, target, vector, weights)
+            ref = reference(spec, target, vector)
             for bound in (0.0, ref / 2, ref, ref * (1 + 1e-12), ref * 2, 1e-6, inf):
-                value = bounded_objective(spec, target, weights)(vector, bound)
+                value = bounded_objective(spec, target)(vector, bound)
                 if ref < bound:
                     assert value == ref
                 else:
