@@ -40,15 +40,17 @@ SCENARIO_DIR_ENV = "MONEYFLOW_SCENARIO_DIR"
 
 def resolve_scenario(name_or_path: str) -> ScenarioSpec:
     path = Path(name_or_path)
-    if path.exists():
+    if path.is_file():
         return load_scenario(path)
     if name_or_path in BUILTIN_SCENARIOS:
         return BUILTIN_SCENARIOS[name_or_path]()
     env_dir = os.environ.get(SCENARIO_DIR_ENV)
     if env_dir:
         for candidate in (Path(env_dir) / name_or_path, Path(env_dir) / f"{name_or_path}.json"):
-            if candidate.exists():
+            if candidate.is_file():
                 return load_scenario(candidate)
+    if path.exists():  # a directory, say: reading it tells why it is no scenario
+        return load_scenario(path)
     raise ScenarioError(
         f"scenario {name_or_path!r} is neither a file, a built-in "
         f"({', '.join(sorted(BUILTIN_SCENARIOS))}), nor found under ${SCENARIO_DIR_ENV}"
@@ -273,10 +275,10 @@ def run_cli(argv: list[str] | None = None, out=None) -> int:
     try:
         return args.func(args, out)
     except (ScenarioError, RecordError, OSError, ValueError, KeyError) as exc:
-        # An unreadable path (a directory, no permission) or a file that is
-        # not UTF-8 is bad input, like a malformed one.
+        # An unreadable path (a directory, no permission) is bad input, like
+        # a malformed file; a file that is not UTF-8 reads as malformed.
         print(f"moneyflow: error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, (ScenarioError, RecordError, OSError, UnicodeDecodeError)) else 1
+        return 2 if isinstance(exc, (ScenarioError, RecordError, OSError)) else 1
 
 
 def main() -> None:

@@ -450,21 +450,20 @@ def run(state: NetworkState, horizon: float) -> tuple[NetworkState, list[Event]]
     return state, state.log[start:]
 
 
-def _json_safe(value):
+def _fraction_str(value) -> str:
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    return value
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def event_to_dict(event: Event) -> dict:
-    return {"t": event.time, "seq": event.seq, "kind": event.kind,
-            **{k: _json_safe(v) for k, v in event.payload.items()}}
+_TRACE_ENCODER = json.JSONEncoder(sort_keys=True, default=_fraction_str)
 
 
 def event_trace(log: Sequence[Event]) -> str:
-    """Line-delimited JSON rendering of an event log; byte-stable per seed."""
-    return "".join(json.dumps(event_to_dict(ev), sort_keys=True) + "\n" for ev in log)
+    """Line-delimited JSON rendering of an event log; byte-stable per seed.
+
+    A line holds `t`, `seq`, `kind` and the payload, keys sorted, `Fraction`s as
+    their `str`; any other value that JSON cannot hold raises TypeError."""
+    encode = _TRACE_ENCODER.encode
+    return "".join([encode({"t": ev.time, "seq": ev.seq, "kind": ev.kind, **ev.payload}) + "\n"
+                    for ev in log])

@@ -20,12 +20,13 @@ import json
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Mapping
 
 from .engine import run, settle_all
 from .network import NetworkState
-from .scenario import _as_float, as_fraction, rational_str
+from .scenario import _as_float, _read_utf8, as_fraction, rational_str
 
 
 class RecordError(ValueError):
@@ -235,24 +236,24 @@ def verify_identities(sheet: BalanceSheet, initial_total_stock: int = 0) -> Iden
     compares total closing stock against initial total plus notes outstanding
     (with zero initial stocks this is the plain sum-equals-outstanding form).
     """
+    return IdentityReport(tuple(_identity_checks(sheet, initial_total_stock, "")))
+
+
+def _identity_checks(sheet: BalanceSheet, initial_total_stock: int, prefix: str) -> list[IdentityCheck]:
     checks = []
     for aid, line in sheet.agents.items():
         gap = line.closing - (line.opening + line.inflow - line.outflow)
-        checks.append(IdentityCheck(f"continuity:{aid}", gap == 0, gap))
+        checks.append(IdentityCheck(f"{prefix}continuity:{aid}", gap == 0, gap))
     total_closing = sum(line.closing for line in sheet.agents.values())
     gap = total_closing - (initial_total_stock + sheet.notes_outstanding)
-    checks.append(IdentityCheck("total_stock_vs_notes_outstanding", gap == 0, gap))
-    return IdentityReport(tuple(checks))
+    checks.append(IdentityCheck(f"{prefix}total_stock_vs_notes_outstanding", gap == 0, gap))
+    return checks
 
 
 def verify_record(record: Record) -> IdentityReport:
     checks: list[IdentityCheck] = []
     for sheet in record.sheets:
-        report = verify_identities(sheet, record.initial_total_stock)
-        checks.extend(
-            IdentityCheck(f"term{sheet.term_index}:{c.name}", c.passed, c.discrepancy)
-            for c in report.checks
-        )
+        checks += _identity_checks(sheet, record.initial_total_stock, f"term{sheet.term_index}:")
     return IdentityReport(tuple(checks))
 
 
@@ -271,8 +272,7 @@ def _aggregate_items(sheet: BalanceSheet) -> list[tuple[str, str]]:
     rate_names = ["discount_rate", "securities_interest_rate"]
     rate_names += sorted(k for k in sheet.rates if k not in rate_names)
     for name in rate_names:
-        value = sheet.rates.get(name, Fraction(0))
-        text = rational_str(value)
+        text = rational_str(sheet.rates.get(name, Fraction(0)))
         if "." not in text and "/" not in text:
             text += ".0"  # rates always carry a fractional marker in CSV
         items.append((name, text))
@@ -299,30 +299,41 @@ def record_to_csv(record: Record) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_block(entries: list[str], indent: str, brackets: str = "{}") -> str:
+    """Rendered entries laid out as `json.dumps(indent=2)` does, closing at `indent`."""
+    if not entries:
+        return brackets
+    inner = ",\n  " + indent
+    return f"{brackets[0]}\n  {indent}{inner.join(entries)}\n{indent}{brackets[1]}"
+
+
+def _sheet_json(sheet: BalanceSheet) -> str:
+    pad = ",\n          "
+    agents = [f'{_quote(aid)}: {{\n          "opening": {line.opening}{pad}"inflow": {line.inflow}'
+              f'{pad}"outflow": {line.outflow}{pad}"closing": {line.closing}\n        }}'
+              for aid, line in sheet.agents.items()]
+    rates = [f"{_quote(k)}: {_quote(rational_str(v))}" for k, v in sheet.rates.items()]
+    figures = [f"{_quote(k)}: {v}" for k, v in sheet.figures.items()]
+    return _json_block([
+        f'"term_index": {sheet.term_index}',
+        f'"agents": {_json_block(agents, "      ")}',
+        f'"notes_outstanding": {sheet.notes_outstanding}',
+        f'"government_securities_outstanding": {sheet.securities_outstanding}',
+        f'"rates": {_json_block(rates, "      ")}',
+        f'"figures": {_json_block(figures, "      ")}',
+    ], "    ")
+
+
 def record_to_json(record: Record) -> str:
-    doc = {
-        "format": "moneyflow-record",
-        "version": 1,
-        "fingerprint": record.fingerprint,
-        "term_length": record.term_length,
-        "initial_total_stock": record.initial_total_stock,
-        "sheets": [
-            {
-                "term_index": sheet.term_index,
-                "agents": {
-                    aid: {"opening": line.opening, "inflow": line.inflow,
-                          "outflow": line.outflow, "closing": line.closing}
-                    for aid, line in sheet.agents.items()
-                },
-                "notes_outstanding": sheet.notes_outstanding,
-                "government_securities_outstanding": sheet.securities_outstanding,
-                "rates": {k: rational_str(v) for k, v in sheet.rates.items()},
-                "figures": dict(sheet.figures),
-            }
-            for sheet in record.sheets
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """The record as `json.dumps(doc, indent=2) + "\\n"` renders it, written directly."""
+    return _json_block([
+        '"format": "moneyflow-record"',
+        '"version": 1',
+        f'"fingerprint": {_quote(record.fingerprint)}',
+        f'"term_length": {json.dumps(record.term_length)}',
+        f'"initial_total_stock": {record.initial_total_stock}',
+        f'"sheets": {_json_block([_sheet_json(sheet) for sheet in record.sheets], "  ", "[]")}',
+    ], "") + "\n"
 
 
 def write_record(record: Record, path: str | Path, format: str = "csv") -> None:
@@ -342,8 +353,8 @@ def _parse_int(text: str, where: str) -> int:
         raise RecordError(f"{where}: expected integer, got {text!r}") from exc
 
 
-def _sheet_from_parts(term: int, agents: dict[str, AgentLine],
-                      aggregates: list[tuple[str, str]], where: str) -> BalanceSheet:
+def _sheet_from_parts(term: int, agents: dict[str, AgentLine], aggregates: list[tuple[str, str]],
+                      where: str, parsed_rates: dict[str, Fraction]) -> BalanceSheet:
     notes = securities = 0
     rates: dict[str, Fraction] = {}
     figures: dict[str, int] = {}
@@ -353,7 +364,10 @@ def _sheet_from_parts(term: int, agents: dict[str, AgentLine],
         elif name == "government_securities_outstanding":
             securities = _parse_int(text, f"{where} {name}")
         elif "." in text or "/" in text:
-            rates[name] = as_fraction(text, f"{where} {name}")
+            rate = parsed_rates.get(text)
+            if rate is None:
+                rate = parsed_rates[text] = as_fraction(text, f"{where} {name}")
+            rates[name] = rate
         else:
             figures[name] = _parse_int(text, f"{where} {name}")
     return BalanceSheet(term, agents, notes, securities, rates, figures)
@@ -383,6 +397,9 @@ def record_from_csv(text: str) -> Record:
     sheets: list[BalanceSheet] = []
     current_term: int | None = None
     agents: dict[str, AgentLine] = {}
+    parsed_rates: dict[str, Fraction] = {}
+    # parsed_rates: each rate string of the file is parsed once. A cell that
+    # int() rejects is parsed again by _parse_int, to name its line and column.
     for lineno in range(idx, len(lines)):
         row = lines[lineno]
         if not row:
@@ -390,23 +407,25 @@ def record_from_csv(text: str) -> Record:
         parts = row.split(",")
         if len(parts) != 8:
             raise RecordError(f"line {lineno + 1}: expected 8 columns, found {len(parts)}")
-        where = f"line {lineno + 1}"
-        term = _parse_int(parts[0], f"{where} column 1")
+        try:
+            term = int(parts[0])
+        except ValueError:
+            term = _parse_int(parts[0], f"line {lineno + 1} column 1")
         kind = parts[1]
         if current_term is None:
             current_term = term
         if term != current_term:
-            raise RecordError(f"{where}: unexpected term {term} inside term {current_term} block")
+            raise RecordError(f"line {lineno + 1}: unexpected term {term} inside term {current_term} block")
         if kind == "agent":
             aid = parts[2]
             if not aid:
-                raise RecordError(f"{where} column 3: agent row needs an id")
-            agents[aid] = AgentLine(
-                opening=_parse_int(parts[3], f"{where} column 4"),
-                inflow=_parse_int(parts[4], f"{where} column 5"),
-                outflow=_parse_int(parts[5], f"{where} column 6"),
-                closing=_parse_int(parts[6], f"{where} column 7"),
-            )
+                raise RecordError(f"line {lineno + 1} column 3: agent row needs an id")
+            try:
+                line = AgentLine(int(parts[3]), int(parts[4]), int(parts[5]), int(parts[6]))
+            except ValueError:
+                line = AgentLine(*(_parse_int(parts[c], f"line {lineno + 1} column {c + 1}")
+                                   for c in range(3, 7)))
+            agents[aid] = line
         elif kind == "aggregates":
             pairs = []
             cell = parts[7]
@@ -414,13 +433,13 @@ def record_from_csv(text: str) -> Record:
                 for chunk in cell.split(" "):
                     name, eq, value = chunk.partition("=")
                     if not eq:
-                        raise RecordError(f"{where} column 8: malformed aggregate {chunk!r}")
+                        raise RecordError(f"line {lineno + 1} column 8: malformed aggregate {chunk!r}")
                     pairs.append((name, value))
-            sheets.append(_sheet_from_parts(term, agents, pairs, where))
+            sheets.append(_sheet_from_parts(term, agents, pairs, f"line {lineno + 1}", parsed_rates))
             agents = {}
             current_term = None
         else:
-            raise RecordError(f"{where} column 2: unknown row kind {kind!r}")
+            raise RecordError(f"line {lineno + 1} column 2: unknown row kind {kind!r}")
     if current_term is not None:
         raise RecordError(f"term {current_term}: agent rows without a closing aggregates row")
     return Record(tuple(sheets), fingerprint, term_length, initial_total)
@@ -461,7 +480,7 @@ def record_from_json(text: str) -> Record:
         ))
     return Record(
         sheets=tuple(sheets),
-        fingerprint=doc.get("fingerprint", ""),
+        fingerprint=_expect(doc.get("fingerprint", ""), str, "fingerprint"),
         term_length=_as_float(doc.get("term_length", 1.0), "term_length"),
         initial_total_stock=_expect(doc.get("initial_total_stock", 0), int, "initial_total_stock"),
     )
@@ -473,9 +492,8 @@ def read_record(path: str | Path, *, on_identity_violation: str = "reject") -> R
     `on_identity_violation`: "reject" raises, "warn" emits a warning, "skip"
     loads without checking.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    text = _read_utf8(path, RecordError)
+    if text.lstrip().startswith("{"):
         record = record_from_json(text)
     else:
         record = record_from_csv(text)

@@ -52,8 +52,13 @@ def u64_to_unit(u: int) -> float:
 
 
 def exponential(mean: float, key: int, counter: int) -> float:
-    """Exponential waiting time with the given mean, from a keyed counter."""
-    return -mean * math.log(u64_to_unit(counter_u64(key, counter)))
+    """Exponential waiting time with the given mean, from a keyed counter:
+    `-mean * log(u64_to_unit(counter_u64(key, counter)))`, written out inline."""
+    z = (key ^ ((counter * _GOLDEN) & _MASK)) & _MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    z ^= z >> 31
+    return -mean * math.log(((z >> 11) + 0.5) * (2.0 ** -53))
 
 
 def unit(key: int, counter: int) -> float:

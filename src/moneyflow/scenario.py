@@ -66,25 +66,31 @@ def _as_float(value: Any, what: str = "value") -> float:
 
 def rational_str(value: Fraction) -> str:
     """Exact string form: decimal when the denominator is 2^a*5^b, else 'n/d'."""
-    den = value.denominator
-    d = den
-    for p in (2, 5):
-        while d % p == 0:
-            d //= p
-    if d != 1:
-        return f"{value.numerator}/{den}"
-    # Scale to a power of ten for an exact decimal rendering.
-    digits = 0
-    scaled = value
-    while scaled.denominator != 1:
-        scaled *= 10
-        digits += 1
-    units = scaled.numerator
+    num, den = value.numerator, value.denominator
+    twos = (den & -den).bit_length() - 1
+    rest, fives = den >> twos, 0
+    while rest % 5 == 0:
+        rest //= 5
+        fives += 1
+    if rest != 1:
+        return f"{num}/{den}"
+    # num/den times 10**digits is a whole number of units, exactly.
+    digits = max(twos, fives)
     if digits == 0:
-        return str(units)
+        return str(num)
+    units = num * 10 ** digits // den
     sign = "-" if units < 0 else ""
     text = str(abs(units)).rjust(digits + 1, "0")
     return f"{sign}{text[:-digits]}.{text[-digits:]}"
+
+
+def _read_utf8(path: str | Path, error: type[ValueError]) -> str:
+    """The text of a UTF-8 file; `error` naming the file when it is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 (codec can't decode byte 0x{exc.object[exc.start]:02x}: "
+                    f"{exc.reason} at byte {exc.start})") from exc
 
 
 @dataclass(frozen=True)
@@ -352,7 +358,7 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioSpec:
 
 
 def load_scenario(path: str | Path) -> ScenarioSpec:
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_utf8(path, ScenarioError)
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -191,6 +191,26 @@ class TestUsageErrors:
         code, output = invoke("simulate", "--scenario", "mine", "--terms", "1")
         assert code == 0
 
+    def test_directory_does_not_shadow_a_builtin(self, tmp_path, monkeypatch):
+        expected = invoke("simulate", "--scenario", "national-5", "--terms", "2")
+        assert expected[0] == 0
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "national-5").mkdir()
+        assert invoke("simulate", "--scenario", "national-5", "--terms", "2") == expected
+
+    def test_directory_does_not_shadow_the_scenario_dir(self, tmp_path, monkeypatch, capsys):
+        from moneyflow import national_5
+
+        scenarios = tmp_path / "scenarios"
+        scenarios.mkdir()
+        (scenarios / "mine.json").write_text(national_5().to_json())
+        (tmp_path / "mine").mkdir()
+        (scenarios / "mine").mkdir()
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("MONEYFLOW_SCENARIO_DIR", str(scenarios))
+        assert invoke("simulate", "--scenario", "mine", "--terms", "1")[0] == 0
+        assert capsys.readouterr().err == ""
+
 
 class TestParseErrors:
     """Malformed input and arguments exit 2 with a message, never a traceback."""
@@ -319,6 +339,24 @@ class TestParseErrors:
         assert code == 2
         assert err.startswith("moneyflow: error: ") and err.count("\n") == 1
         assert ("Is a directory" if kind == "directory" else "codec can't decode") in err
+
+    @pytest.mark.parametrize("bad", ["scenario", "target"])
+    def test_non_utf8_input_is_named(self, tmp_path, bad, capsys):
+        from moneyflow import two_agent_kernel
+
+        files = {"scenario": tmp_path / "caf.json", "target": tmp_path / "bad.bin"}
+        invoke("record", "--scenario", "two-agent-kernel", "--terms", "1",
+               "--out", str(files["target"]))
+        files["scenario"].write_text(two_agent_kernel().to_json(), encoding="utf-8")
+        files[bad].write_bytes(files[bad].read_bytes() + "# caf\xe9".encode("latin-1"))
+        capsys.readouterr()
+        code, _ = invoke("fit", "--scenario", str(files["scenario"]),
+                         "--target", str(files["target"]))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"moneyflow: error: {files[bad]}: not UTF-8 (")
+        assert err.endswith(f" at byte {files[bad].stat().st_size - 1})\n")
+        assert err.count("\n") == 1
 
     def test_fit_prefix_beyond_target(self, tmp_path, capsys):
         target = tmp_path / "t.csv"

@@ -1,8 +1,10 @@
 """Asynchronous adjustment dynamics: observed deficits, corrections, settlements, events."""
 
 import fractions
+import json
 import sys
 from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -28,6 +30,7 @@ from moneyflow import (
 )
 from moneyflow import rng
 from moneyflow.engine import _peek_scheduled, _run_scheduled, apportion
+from moneyflow.network import Event
 from moneyflow.retrieval import Assignment, apply_assignment
 from moneyflow.scenario import (
     AgentSpec,
@@ -727,3 +730,61 @@ class TestWakeSources:
         apply_assignment(state, Assignment(offsets={"A": 6}))
         run_both_ways(state, 2.0)
         assert first_update_after(state, "B", 0.0) > 0.5
+
+
+def json_safe(value):
+    """The trace's former payload copy: `Fraction`s to `str`, tuples to lists."""
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, dict):
+        return {k: json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [json_safe(v) for v in value]
+    return value
+
+
+def copied_trace(log):
+    """`event_trace` as it was written: copy each payload, then `json.dumps` it."""
+    return "".join(json.dumps({"t": ev.time, "seq": ev.seq, "kind": ev.kind,
+                               **{k: json_safe(v) for k, v in ev.payload.items()}},
+                              sort_keys=True) + "\n" for ev in log)
+
+
+PAYLOAD_LEAVES = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+                  | st.fractions(max_denominator=10**6))
+PAYLOAD_VALUES = st.recursive(
+    PAYLOAD_LEAVES,
+    lambda inner: st.lists(inner, max_size=3) | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+EVENTS = st.builds(Event, st.floats(allow_nan=False), st.integers(0, 10**6),
+                   st.sampled_from(["AgentUpdate", "Settlement", "Shock", "Issue", "Policy"]),
+                   st.dictionaries(st.text(max_size=5) | st.sampled_from(["t", "seq", "kind"]),
+                                   PAYLOAD_VALUES, max_size=4))
+
+
+class TestTraceEncoding:
+    """`event_trace` gives the bytes of the former copy-then-dump rendering."""
+
+    @given(log=st.lists(EVENTS, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_copying_trace(self, log):
+        assert event_trace(log) == copied_trace(log)
+
+    def test_nested_fractions(self):
+        log = [Event(0.5, 0, "Policy", {"value": Fraction(3, 10),
+                                        "nested": {"b": [Fraction(-1, 3), (Fraction(2), 1)]}})]
+        assert event_trace(log) == (
+            '{"kind": "Policy", "nested": {"b": ["-1/3", ["2", 1]]}, "seq": 0, "t": 0.5, '
+            '"value": "3/10"}\n')
+        assert event_trace(log) == copied_trace(log)
+
+    @pytest.mark.parametrize("value", [{1, 2}, object(), b"bytes", [Decimal(1)]],
+                             ids=["set", "object", "bytes", "decimal-in-list"])
+    def test_unknown_payload_type_raises(self, value):
+        log = [Event(0.0, 0, "Issue", {"amount": value})]
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            copied_trace(log)
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            event_trace(log)

@@ -32,10 +32,12 @@ from moneyflow import (
 from moneyflow.recorder import AgentLine, record_from_csv, record_to_csv, record_to_json
 from moneyflow.recorder import record_from_json
 from moneyflow.scenario import AgentSpec, ChannelSpec, FigureSpec, ScenarioError, ScenarioSpec
+from moneyflow.scenario import rational_str
 
 from conftest import json_values, tiny_spec
 
 DATA = Path(__file__).parent / "data"
+DOCS = Path(__file__).parent.parent / "docs"
 
 
 def pair_spec(rate_ab=0, rate_ba=0):
@@ -246,6 +248,12 @@ class TestSerialization:
         with pytest.raises(RecordError, match="line 3"):
             read_record(path)
 
+    def test_non_string_fingerprint_rejected(self):
+        # The JSON writer quotes the fingerprint as a string; a record read
+        # from JSON must have one.
+        with pytest.raises(RecordError, match="fingerprint: expected str, got 5"):
+            record_from_json(json.dumps({"format": "moneyflow-record", "fingerprint": 5}))
+
     def test_external_csv_with_identities_accepted(self, tmp_path):
         text = ("term,kind,id,opening,inflow,outflow,closing,aggregates\n"
                 "0,agent,X,0,7,2,5,\n"
@@ -352,3 +360,131 @@ class TestParserFuzz:
     @settings(max_examples=200, deadline=None)
     def test_record_from_csv_raises_only_parse_errors(self, text):
         parses_or_rejects(record_from_csv, text)
+
+
+# ---------------------------------------------------------------------------
+# The serializers against the implementations they replaced
+# ---------------------------------------------------------------------------
+
+def loop_rational_str(value: Fraction) -> str:
+    """`rational_str` as first written: scale the Fraction by 10 until it is whole."""
+    den = value.denominator
+    d = den
+    for p in (2, 5):
+        while d % p == 0:
+            d //= p
+    if d != 1:
+        return f"{value.numerator}/{den}"
+    digits = 0
+    scaled = value
+    while scaled.denominator != 1:
+        scaled *= 10
+        digits += 1
+    units = scaled.numerator
+    if digits == 0:
+        return str(units)
+    sign = "-" if units < 0 else ""
+    text = str(abs(units)).rjust(digits + 1, "0")
+    return f"{sign}{text[:-digits]}.{text[-digits:]}"
+
+
+def dumped_json(record: Record) -> str:
+    """`record_to_json` as first written: build the document, then `json.dumps` it."""
+    doc = {
+        "format": "moneyflow-record",
+        "version": 1,
+        "fingerprint": record.fingerprint,
+        "term_length": record.term_length,
+        "initial_total_stock": record.initial_total_stock,
+        "sheets": [
+            {
+                "term_index": sheet.term_index,
+                "agents": {
+                    aid: {"opening": line.opening, "inflow": line.inflow,
+                          "outflow": line.outflow, "closing": line.closing}
+                    for aid, line in sheet.agents.items()
+                },
+                "notes_outstanding": sheet.notes_outstanding,
+                "government_securities_outstanding": sheet.securities_outstanding,
+                "rates": {k: loop_rational_str(v) for k, v in sheet.rates.items()},
+                "figures": dict(sheet.figures),
+            }
+            for sheet in record.sheets
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+NAMES = st.text(max_size=4) | st.sampled_from(['"', "\\", 'a"b', "caf\u00e9", "\u2603", "\n", "\x7f"])
+DECIMAL_RATIONALS = st.builds(lambda n, a, b: Fraction(n, 2 ** a * 5 ** b),
+                              st.integers(-10 ** 9, 10 ** 9), st.integers(0, 12), st.integers(0, 12))
+RATIONALS = DECIMAL_RATIONALS | st.builds(lambda n, a, b, d: Fraction(n, 2 ** a * 5 ** b * d),
+                                          st.integers(-10 ** 6, 10 ** 6), st.integers(0, 4),
+                                          st.integers(0, 4), st.sampled_from([3, 7, 9, 11, 13 ** 3]))
+AGENT_LINES = st.builds(AgentLine, st.integers(), st.integers(), st.integers(), st.integers())
+
+
+@st.composite
+def records(draw):
+    sheets = tuple(
+        BalanceSheet(term, draw(st.dictionaries(NAMES, AGENT_LINES, max_size=3)),
+                     draw(st.integers()), draw(st.integers()),
+                     draw(st.dictionaries(NAMES, RATIONALS, max_size=3)),
+                     draw(st.dictionaries(NAMES, st.integers(), max_size=3)))
+        for term in range(draw(st.integers(0, 3))))
+    return Record(sheets, draw(NAMES), draw(st.floats(allow_nan=False, allow_infinity=False)),
+                  draw(st.integers()))
+
+
+class TestSerializerOracles:
+    @given(value=RATIONALS)
+    @settings(max_examples=500, deadline=None)
+    def test_rational_str_matches_the_loop(self, value):
+        assert rational_str(value) == loop_rational_str(value)
+
+    @given(record=records())
+    @settings(max_examples=300, deadline=None)
+    def test_json_matches_json_dumps(self, record):
+        assert record_to_json(record) == dumped_json(record)
+
+    @pytest.mark.parametrize("record", [
+        Record(()),
+        Record((BalanceSheet(0, {}, 0, 0, {}, {}),)),
+        Record((BalanceSheet(0, {'q"\\u00e9': AgentLine(-1, 0, 2, -3)}, -4, 0, {}, {"f": -5}),),
+               fingerprint="caf\u00e9", term_length=1 / 3, initial_total_stock=-2),
+    ], ids=["no-sheets", "empty-sheet", "escapes-and-negatives"])
+    def test_json_edge_cases(self, record):
+        assert record_to_json(record) == dumped_json(record)
+        assert record_from_json(record_to_json(record)) == record
+
+    def test_docs_example_is_the_writer_layout(self):
+        text = (DOCS / "record-format.md").read_text(encoding="utf-8")
+        example = text.split("```json\n", 1)[1].split("```", 1)[0]
+        assert record_to_json(record_from_json(example)) == example
+
+
+class TestCsvRowMessages:
+    """Malformed rows name their line and column exactly as before the int() fast path."""
+
+    HEADER = "term,kind,id,opening,inflow,outflow,closing,aggregates\n"
+
+    @pytest.mark.parametrize("rows,message", [
+        ("x,agent,A,1,2,3,4,", "line 2 column 1: expected integer, got 'x'"),
+        ("0,agent,A,,2,3,4,", "line 2 column 4: expected integer, got ''"),
+        ("0,agent,A,1,x,3,4,", "line 2 column 5: expected integer, got 'x'"),
+        ("0,agent,A,1,2,3.5,4,", "line 2 column 6: expected integer, got '3.5'"),
+        ("0,agent,A,1,2,3,4e0,", "line 2 column 7: expected integer, got '4e0'"),
+        ("0,agent,A,1,2,x,y,", "line 2 column 6: expected integer, got 'x'"),
+        ("0,agent,,1,x,3,4,", "line 2 column 3: agent row needs an id"),
+        ("0,agent,A,1,2,3", "line 2: expected 8 columns, found 6"),
+        ("0,agent,A,1,2,3,4,\n1,agent,B,1,2,3,4,", "line 3: unexpected term 1 inside term 0 block"),
+        ("0,bogus,A,1,2,3,4,", "line 2 column 2: unknown row kind 'bogus'"),
+        ("0,aggregates,,,,,,notes_outstanding=x", "line 2 notes_outstanding: expected integer, got 'x'"),
+        ("0,aggregates,,,,,,flow=1.5x", "line 2 flow: cannot parse rational '1.5x'"),
+        ("0,aggregates,,,,,,flow=2 bad", "line 2 column 8: malformed aggregate 'bad'"),
+        ("0,agent,A,1,2,3,4,", "term 0: agent rows without a closing aggregates row"),
+    ])
+    def test_exact_messages(self, rows, message):
+        with pytest.raises((RecordError, ScenarioError)) as info:
+            record_from_csv(self.HEADER + rows + "\n")
+        assert str(info.value) == message

@@ -41,6 +41,11 @@ class TestRationals:
         (Fraction(1, 3), "1/3"),
         (Fraction(-7, 4), "-1.75"),
         (Fraction(5), "5"),
+        (Fraction(0), "0"),
+        (Fraction(-1, 40), "-0.025"),
+        (Fraction(1, 2 ** 10), "0.0009765625"),
+        (Fraction(-3, 5 ** 4), "-0.0048"),
+        (Fraction(-7, 60), "-7/60"),
     ])
     def test_rational_str_exact(self, value, text):
         assert rational_str(value) == text
