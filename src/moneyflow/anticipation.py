@@ -11,6 +11,11 @@ every candidate faces the same disturbances (common random numbers); a
 candidate scored on its own is its own reference. The candidate with the
 smallest mean divergence wins.
 
+A replay agrees with its candidate's unshocked run up to its first nonzero
+shock, so it resumes from that run's checkpoint at the last term boundary
+before the shock instead of simulating from time 0; the divergences are the
+same to the bit.
+
 The divergence metric here is max-over-horizon scaled Euclidean distance with
 a harmonic score 1/(1+divergence); both are conventions, pluggable via the
 `scales` argument and this module's small function surface.
@@ -24,8 +29,8 @@ from math import sqrt
 from typing import Mapping, Sequence
 
 from . import rng
-from .network import build_network
-from .recorder import Record, run_record
+from .network import NetworkState, build_network
+from .recorder import BalanceSheet, Record, Recorder, run_record
 from .retrieval import Assignment, FitConfig, apply_assignment, fit
 from .scenario import PolicyAction, ScenarioError, ScenarioSpec, ShockSpec, as_fraction
 
@@ -46,16 +51,17 @@ SHOCKS_PER_TERM = 1
 
 def extract_trajectory(record: Record, dims: Sequence[str] = DEFAULT_DIMS) -> Trajectory:
     """One point per term: the named aggregate figures in the given order."""
-    trajectory: Trajectory = []
-    for sheet in record.sheets:
-        aggregates = sheet.aggregates()
-        point = []
-        for dim in dims:
-            if dim not in aggregates:
-                raise KeyError(f"unknown trajectory dimension {dim!r}")
-            point.append(float(aggregates[dim]))
-        trajectory.append(tuple(point))
-    return trajectory
+    return [_phase_point(sheet, dims) for sheet in record.sheets]
+
+
+def _phase_point(sheet: BalanceSheet, dims: Sequence[str]) -> tuple[float, ...]:
+    aggregates = sheet.aggregates()
+    point = []
+    for dim in dims:
+        if dim not in aggregates:
+            raise KeyError(f"unknown trajectory dimension {dim!r}")
+        point.append(float(aggregates[dim]))
+    return tuple(point)
 
 
 def divergence(base: Trajectory, perturbed: Trajectory,
@@ -170,16 +176,18 @@ class RobustnessReport:
 def simulate_candidate(spec: ScenarioSpec, candidate_id: int, n_terms: int,
                        dims: Sequence[str] = DEFAULT_DIMS,
                        schedule: Sequence[PolicyAction] = (),
-                       extra_shocks: Sequence[ShockSpec] = (),
-                       assignment: Assignment | None = None) -> Candidate:
-    """Run one candidate future and collect its trajectory and imbalance pool."""
+                       assignment: Assignment | None = None,
+                       checkpoints: list[NetworkState] | None = None) -> Candidate:
+    """Run one candidate future and collect its trajectory and imbalance pool.
+
+    A `checkpoints` list receives the run's state at the opening boundary of
+    each term (see `run_record`), for shock replays to resume from.
+    """
     candidate_spec = spec.with_extra_policy(schedule) if schedule else spec
-    if extra_shocks:
-        candidate_spec = candidate_spec.with_extra_shocks(extra_shocks)
     state = build_network(candidate_spec)
     if assignment is not None:
         apply_assignment(state, assignment)
-    record = run_record(state, n_terms)
+    record = run_record(state, n_terms, checkpoints)
     pool = tuple(
         abs(float(ev.payload["deficit"]))
         for ev in state.log
@@ -245,11 +253,32 @@ def sample_shock_sequence(pool: Sequence[float], spec: ScenarioSpec, config: Rep
     return shocks
 
 
+def _resume_term(time: float, term_length: float, n_terms: int) -> int:
+    """The last term whose opening boundary is at or before `time`.
+
+    Boundaries are the Recorder's own `(k + 1) * term_length`, so an item at
+    `time` is still pending in the checkpoint taken there.
+    """
+    k = 0
+    while k + 1 < n_terms and (k + 1) * term_length <= time:
+        k += 1
+    return k
+
+
 def _run_replay(task) -> float:
-    spec, candidate_id, n_terms, dims, schedule, shocks, assignment, base_trajectory, scales = task
-    shocked = simulate_candidate(spec, candidate_id, n_terms, dims, schedule=schedule,
-                                 extra_shocks=shocks, assignment=assignment)
-    return divergence(base_trajectory, shocked.trajectory, scales)
+    """Divergence of one replay, resumed from the checkpoint of term k.
+
+    Terms before k match the base exactly, so only terms k onwards run; the
+    shocked spec replaces the checkpoint's, whose shock cursor still counts
+    only the scenario's own shocks, as no replay shock comes before k.
+    """
+    checkpoint, term, shocks, dims, base_trajectory, scales = task
+    state = checkpoint.clone()
+    state.spec = state.spec.with_extra_shocks(shocks)
+    recorder = Recorder(state, term)
+    shocked = [_phase_point(recorder.record_term(), dims)
+               for _ in range(term, len(base_trajectory))]
+    return divergence(base_trajectory[term:], shocked, scales)
 
 
 def _map_tasks(fn, tasks, jobs: int) -> list:
@@ -283,36 +312,51 @@ def score_candidates(candidates: Sequence[Candidate], spec: ScenarioSpec,
     mode). Candidate 0's base is the reference: its imbalance pool, scaled by
     `shock_scale`, feeds the shock magnitudes and its trajectory fixes the
     coordinate scales, so scores compare across candidates. Each candidate is
-    replayed under its assignment and measured against its own base. All
-    replays of the set form one task list, run in this process or, with
-    `jobs` > 1, in one process pool. A candidate with no replays scores 1.
+    replayed under its assignment and measured against its own base.
+
+    A replay runs only from the last term boundary before its first nonzero
+    shock: each base runs unshocked once, here, keeping a checkpoint at every
+    term boundary (the same run yields the re-simulated base), and the replay
+    resumes from the checkpoint with its nonzero shocks. A zero shock only
+    logs an event, and a replay without a nonzero one is its base, so it
+    diverges by 0.0 without running. The replays that run form one task list,
+    run in this process or, with `jobs` > 1, in one process pool. A candidate
+    with no replays scores 1.
     """
     if not candidates:
         raise ValueError("empty candidate set")
     dims, assignments = tuple(dims), assignments or {}
-    bases = []
+    bases, checkpoints = [], []
     for candidate in candidates:
         assignment = assignments.get(candidate.id)
+        states: list[NetworkState] = []
         if assignment is not None and (assignment.offsets or assignment.gain_overrides):
             candidate = simulate_candidate(spec, candidate.id, len(candidate.record.sheets), dims,
-                                           schedule=candidate.schedule, assignment=assignment)
+                                           candidate.schedule, assignment, states)
         bases.append(candidate)
+        checkpoints.append(states)
     reference = bases[0]
     scales = default_scales(reference.trajectory)
-    tasks = []
-    for base in bases:
-        n_terms = len(base.record.sheets)
-        tasks += [
-            (spec, base.id, n_terms, dims, base.schedule,
-             sample_shock_sequence(reference.imbalance_pool, spec, config, m, n_terms),
-             assignments.get(base.id), base.trajectory, scales)
-            for m in range(config.replays)
-        ]
-    divergences = _map_tasks(_run_replay, tasks, config.jobs)
-    per_candidate = len(tasks) // len(bases)
-    scores = []
+    divergences = [[0.0] * config.replays for _ in bases]
+    tasks, slots = [], []
     for i, base in enumerate(bases):
-        own = tuple(divergences[i * per_candidate:(i + 1) * per_candidate])
+        n_terms = len(base.record.sheets)
+        for m in range(config.replays):
+            shocks = [shock for shock in
+                      sample_shock_sequence(reference.imbalance_pool, spec, config, m, n_terms)
+                      if shock.amount]
+            if not shocks:
+                continue
+            if not checkpoints[i]:
+                simulate_candidate(spec, base.id, n_terms, dims, base.schedule,
+                                   assignments.get(base.id), checkpoints[i])
+            term = _resume_term(min(shock.time for shock in shocks), spec.term_length, n_terms)
+            tasks.append((checkpoints[i][term], term, shocks, dims, base.trajectory, scales))
+            slots.append((i, m))
+    for (i, m), value in zip(slots, _map_tasks(_run_replay, tasks, config.jobs)):
+        divergences[i][m] = value
+    scores = []
+    for base, own in zip(bases, map(tuple, divergences)):
         mean = sum(own) / len(own) if own else 0.0
         scores.append(CandidateScore(base.id, mean, 1.0 / (1.0 + mean), own))
     report = RobustnessReport(tuple(scores), selected=-1, dims=dims)

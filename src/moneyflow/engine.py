@@ -10,12 +10,12 @@ adjustment spreads. In the built-in scenarios it dies out within a few
 terms of a disturbance (hidden offsets, a shock, a policy change) instead of
 reverberating, and a network that starts balanced never adjusts at all.
 
-Most wakes therefore find nothing to correct. `run` keeps such agents
-dormant: out of the event scan and out of the log, until something changes
-what they observe. Their wake times come from counter-keyed streams, so the
-skipped wakes are consumed later with the same float additions, and every
-later event and the state at each run boundary are exactly as if each wake
-had been processed.
+Most wakes therefore find nothing to correct, or only a residual that cannot
+be applied. `run` keeps such agents dormant: out of the event scan and out
+of the log, until something changes what they observe. Their wake times come
+from counter-keyed streams, so the skipped wakes are consumed later with the
+same float additions, and every later event and the state at each run
+boundary are exactly as if each wake had been processed.
 
 The engine is strictly sequential over the event order. Independent runs own
 their state exclusively and may execute concurrently.
@@ -306,6 +306,18 @@ def _skip_wakes(agent: Agent, until: float, inclusive: bool = False) -> None:
     agent.next_time = t
 
 
+def _residual_moves_a_rate(state: NetworkState, agent: Agent) -> bool:
+    """Whether equilibrating the agent's carried residual alone moves a rate.
+
+    When it does not, a wake with a zero observed deficit would log all-zero
+    deltas and carry the same residual on: a sub-unit remainder, or a
+    correction the rate >= 0 clamp blocks.
+    """
+    channels = [state.channels[cid] for cid in state.adjustable_outgoing[agent.id]]
+    deltas, _ = equilibrate(channels, 0, agent.gain, agent.pending_correction)
+    return any(deltas.values())
+
+
 def _next_issuance_time(state: NetworkState) -> float:
     schedule = state.spec.issuance
     cursor = state.cursors["issuance"]
@@ -391,17 +403,20 @@ def run(state: NetworkState, horizon: float) -> tuple[NetworkState, list[Event]]
     h1 + h2 in one call, with the logs concatenating.
 
     Wakes that cannot act are not logged. A non-exempt agent that wakes with
-    no pending correction and a zero observed deficit goes dormant: it leaves
-    the scan with that wake unconsumed, and it stays balanced until one of
-    its outgoing rates (only it moves them), an incoming snapshot (a
-    settlement with a partner that adjusted towards it, or a nonzero shock)
-    or a multiplier on one of its channels (a `set_multiplier` policy)
-    changes. Those events wake it: it consumes the wakes it skipped and
-    rejoins the scan. The central bank's wakes before its next issuance
-    entry are consumed in one go. Dormancy lives only inside one call; at
-    the end every dormant agent's wakes are consumed up to the horizon, so
-    the state at the boundary is the same as if every wake had been
-    processed.
+    a zero observed deficit and either no pending correction or one whose
+    `equilibrate` alone moves no rate (a sub-unit remainder, or a correction
+    the rate >= 0 clamp blocks) goes dormant: it leaves the scan with that
+    wake unconsumed. What such a wake would do depends only on the agent's
+    deficit, its own rates and multipliers and its residual, and nothing
+    changes those until one of its outgoing rates (only it moves them), an
+    incoming snapshot (a settlement with a partner that adjusted towards it,
+    or a nonzero shock) or a multiplier on one of its channels (a
+    `set_multiplier` policy) changes. Those events wake it: it consumes the
+    wakes it skipped and rejoins the scan. The central bank's wakes before
+    its next issuance entry are consumed in one go. Dormancy lives only
+    inside one call; at the end every dormant agent's wakes are consumed up
+    to the horizon, so the state at the boundary is the same as if every
+    wake had been processed.
     """
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
@@ -432,7 +447,8 @@ def run(state: NetworkState, horizon: float) -> tuple[NetworkState, list[Event]]
                 _skip_wakes(agent, min(due, end))
             else:
                 update_agent(state, agent_id, agent_t)
-        elif agent.pending_correction == 0 and observed_deficit(state, agent_id) == 0:
+        elif observed_deficit(state, agent_id) == 0 and (
+                agent.pending_correction == 0 or not _residual_moves_a_rate(state, agent)):
             awake.remove(agent_id)
         else:
             event = update_agent(state, agent_id, agent_t)

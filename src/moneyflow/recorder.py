@@ -26,7 +26,7 @@ from typing import Mapping
 
 from .engine import run, settle_all
 from .network import NetworkState
-from .scenario import _as_float, _read_utf8, as_fraction, rational_str
+from .scenario import ScenarioError, _as_float, _read_utf8, as_fraction, rational_str
 
 
 class RecordError(ValueError):
@@ -107,12 +107,16 @@ class Recorder:
     compiled cut and the log position just past it. Segmenting the log at the
     cuts, rather than by event time, books every event into the term the
     engine processed it in, at any term length.
+
+    A recorder that starts at `term` > 0 resumes a state standing at that
+    term's opening boundary, such as a checkpoint `run_record` took: the
+    carried figures are read off the state, whose money moved only through
+    logged events, and compiling starts at the end of its log.
     """
 
-    def __init__(self, state: NetworkState):
+    def __init__(self, state: NetworkState, term: int = 0):
         self.state = state
-        self.term = 0  # index of the next sheet to compile
-        self._position = 0
+        self.term = term  # index of the next sheet to compile
         spec = state.spec
         self._agent_ids = [a.id for a in spec.agents]
         channel_figures = {f.channel: f.name for f in spec.figures if f.channel is not None}
@@ -120,10 +124,21 @@ class Recorder:
         self._stock_figures = [(f.name, f.stock) for f in spec.figures if f.stock is not None]
         self._routes = {cid: (ch.source, ch.sink, channel_figures.get(cid))
                         for cid, ch in state.channels.items()}
-        self._stocks = dict(state.initial_stocks)
-        self._rates = dict(state.initial_rates)
-        self._notes = 0
-        self._securities = 0
+        if term == 0:
+            self._position = 0
+            self._stocks = dict(state.initial_stocks)
+            self._rates = dict(state.initial_rates)
+            self._notes = 0
+            self._securities = 0
+        elif state.now == term * spec.term_length:
+            self._position = len(state.log)
+            self._stocks = {aid: state.agents[aid].stock for aid in self._agent_ids}
+            self._rates = dict(state.rates)
+            self._notes = state.cumulative_issuance
+            self._securities = state.securities_outstanding
+        else:
+            raise ValueError(f"cannot resume term {term}: the state is at {state.now}, "
+                             f"not at the term's opening boundary")
 
     def record_term(self) -> BalanceSheet:
         """Run the next term, take its observer cut and compile its sheet."""
@@ -204,13 +219,18 @@ class Recorder:
         raise RecordError(f"the log holds no observer cut for term {term}")
 
 
-def run_record(state: NetworkState, n_terms: int) -> Record:
+def run_record(state: NetworkState, n_terms: int,
+               checkpoints: list[NetworkState] | None = None) -> Record:
     """Advance the state by whole terms, forcing the boundary cut each term.
 
     The forced settlement is flagged `observer` in the log so that organic
     settlements remain distinguishable from recorder-induced ones. The record
     holds every term from 0: terms already cut in the log are compiled again
     from it, and a state advanced without cuts raises RecordError.
+
+    Given a `checkpoints` list, a clone of the state at the opening boundary
+    of each term it records is appended to it, with an empty log; a
+    `Recorder(checkpoint, term)` continues the run from there.
     """
     if n_terms < 0:
         raise ValueError("n_terms must be non-negative")
@@ -220,7 +240,12 @@ def run_record(state: NetworkState, n_terms: int) -> Record:
         raise ValueError(f"run_record must start at a term boundary, state is at {state.now}")
     recorder = Recorder(state)
     sheets = [recorder.compile_term() for _ in range(first)]
-    sheets += [recorder.record_term() for _ in range(n_terms)]
+    for _ in range(n_terms):
+        if checkpoints is not None:
+            checkpoint = state.clone()
+            checkpoint.log = []
+            checkpoints.append(checkpoint)
+        sheets.append(recorder.record_term())
     return Record(
         sheets=tuple(sheets),
         fingerprint=state.spec.fingerprint(),
@@ -346,6 +371,14 @@ def write_record(record: Record, path: str | Path, format: str = "csv") -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
+def _parse_value(parse, value, where: str):
+    """A scenario number parser applied to a record field, failing with RecordError."""
+    try:
+        return parse(value, where)
+    except ScenarioError as exc:
+        raise RecordError(str(exc)) from exc
+
+
 def _parse_int(text: str, where: str) -> int:
     try:
         return int(text)
@@ -366,7 +399,7 @@ def _sheet_from_parts(term: int, agents: dict[str, AgentLine], aggregates: list[
         elif "." in text or "/" in text:
             rate = parsed_rates.get(text)
             if rate is None:
-                rate = parsed_rates[text] = as_fraction(text, f"{where} {name}")
+                rate = parsed_rates[text] = _parse_value(as_fraction, text, f"{where} {name}")
             rates[name] = rate
         else:
             figures[name] = _parse_int(text, f"{where} {name}")
@@ -386,7 +419,7 @@ def record_from_csv(text: str) -> Record:
             if key == "fingerprint":
                 fingerprint = value
             elif key == "term_length":
-                term_length = _as_float(value, f"line {idx + 1}: term_length")
+                term_length = _parse_value(_as_float, value, f"line {idx + 1}: term_length")
             elif key == "initial_total_stock":
                 initial_total = _parse_int(value, f"line {idx + 1}: initial_total_stock")
         idx += 1
@@ -473,7 +506,7 @@ def record_from_json(text: str) -> Record:
             notes_outstanding=_expect(raw.get("notes_outstanding", 0), int, f"{where} notes"),
             securities_outstanding=_expect(raw.get("government_securities_outstanding", 0), int,
                                            f"{where} securities"),
-            rates={k: as_fraction(v, f"rate {k}")
+            rates={k: _parse_value(as_fraction, v, f"{where} rate {k}")
                    for k, v in _expect(raw.get("rates", {}), dict, f"{where} rates").items()},
             figures={k: _expect(v, int, f"{where} figure {k}")
                      for k, v in _expect(raw.get("figures", {}), dict, f"{where} figures").items()},
@@ -481,7 +514,7 @@ def record_from_json(text: str) -> Record:
     return Record(
         sheets=tuple(sheets),
         fingerprint=_expect(doc.get("fingerprint", ""), str, "fingerprint"),
-        term_length=_as_float(doc.get("term_length", 1.0), "term_length"),
+        term_length=_parse_value(_as_float, doc.get("term_length", 1.0), "term_length"),
         initial_total_stock=_expect(doc.get("initial_total_stock", 0), int, "initial_total_stock"),
     )
 

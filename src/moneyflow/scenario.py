@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
@@ -20,6 +21,8 @@ from typing import Any, Iterable, Mapping
 
 CENTRAL_BANK = "CentralBank"
 DEFAULT_RATE_NAMES = ("discount_rate", "securities_interest_rate")
+# Characters a CSV record cell cannot carry in an agent id, figure or rate name.
+_UNRECORDABLE = re.compile(r"[\s,=]")
 
 
 class ScenarioError(ValueError):
@@ -171,6 +174,13 @@ class ScenarioSpec:
         merged = {name: Fraction(0) for name in DEFAULT_RATE_NAMES}
         merged.update(self.rates)
         object.__setattr__(self, "rates", merged)
+        for what, names in (("agent id", [a.id for a in self.agents]),
+                            ("figure name", [f.name for f in self.figures]),
+                            ("rate name", merged)):
+            for name in names:
+                if not name or _UNRECORDABLE.search(name):
+                    raise ScenarioError(f"{what} {name!r}: a record cannot hold an empty name "
+                                        f"or one with a comma, whitespace or '='")
 
     def with_seed(self, seed: int) -> "ScenarioSpec":
         return replace(self, seed=seed)

@@ -2,9 +2,12 @@
 
 import concurrent.futures
 import multiprocessing
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moneyflow import (
     AnticipateConfig,
@@ -14,17 +17,22 @@ from moneyflow import (
     RobustnessReport,
     SamplerConfig,
     anticipate,
+    build_network,
     divergence,
     extract_trajectory,
     generate_candidates,
     robustness_score,
+    run_record,
     score_candidates,
     select_most_robust,
     simulate_candidate,
+    three_agent_cycle,
 )
 from moneyflow import anticipation
+from moneyflow.anticipation import default_scales
 from moneyflow.recorder import BalanceSheet, Record
-from moneyflow.scenario import ScenarioError, national_5
+from moneyflow.retrieval import apply_assignment
+from moneyflow.scenario import ScenarioError, ShockSpec, national_5
 
 from conftest import tiny_spec
 
@@ -212,6 +220,134 @@ class TestScoreCandidates:
                                     assignment=assignments.get(c.id)) for c in candidates]
         assert bases[2].imbalance_pool != bases[0].imbalance_pool
         assert pools == [bases[0].imbalance_pool] * 12
+
+
+def from_scratch_divergences(candidates, spec, dims, assignments, shock_lists):
+    """Each candidate's divergence under each shock list, every replay run
+    over the whole horizon from a fresh build with all of its shocks, zero
+    ones included: the scoring before replays resumed from checkpoints."""
+    bases = []
+    for c in candidates:
+        assignment = assignments.get(c.id)
+        if assignment is not None and (assignment.offsets or assignment.gain_overrides):
+            c = simulate_candidate(spec, c.id, len(c.record.sheets), dims,
+                                   schedule=c.schedule, assignment=assignment)
+        bases.append(c)
+    scales = default_scales(bases[0].trajectory)
+    rows = []
+    for base in bases:
+        candidate_spec = spec.with_extra_policy(base.schedule) if base.schedule else spec
+        row = []
+        for shocks in shock_lists:
+            state = build_network(candidate_spec.with_extra_shocks(shocks))
+            if assignments.get(base.id) is not None:
+                apply_assignment(state, assignments[base.id])
+            shocked = extract_trajectory(run_record(state, len(base.record.sheets)), dims)
+            row.append(divergence(base.trajectory, shocked, scales))
+        rows.append(row)
+    return rows
+
+
+def checkpoint_set(term_length, n_terms):
+    """Three cycle candidates at the given term length. The scenario has its
+    own shock on the first boundary and the sampled multipliers take effect
+    there too; candidate 0 carries offsets and candidate 2 a gain override."""
+    spec = replace(three_agent_cycle(), term_length=term_length)
+    spec = spec.with_extra_shocks([ShockSpec(term_length, "bc", 30)])
+    candidates = generate_candidates(spec, 3, SamplerConfig(seed=6, channels=("ab",)),
+                                     n_terms=n_terms, dims=CYCLE_DIMS)
+    offsets = {"A": 30, "C": -15}
+    assignments = {0: Assignment(offsets=offsets),
+                   2: Assignment(offsets=offsets, gain_overrides=dict.fromkeys("ABC", Fraction(3)))}
+    return spec, candidates, assignments
+
+
+def checkpointed_divergences(monkeypatch, spec, candidates, assignments, shock_lists, jobs):
+    """`score_candidates` with its sampled shocks replaced by `shock_lists`."""
+    monkeypatch.setattr(anticipation, "sample_shock_sequence",
+                        lambda pool, spec, config, m, n_terms: list(shock_lists[m]))
+    config = ReplayConfig(replays=len(shock_lists), jobs=jobs)
+    report = score_candidates(candidates, spec, config, CYCLE_DIMS, assignments)
+    return [list(s.divergences) for s in report.scores]
+
+
+def bits(rows):
+    return [[d.hex() for d in row] for row in rows]
+
+
+@st.composite
+def boundary_shock_lists(draw, term_length, n_terms):
+    """Shock lists timed on term boundaries and between them; many amounts are 0."""
+    times = [k * term_length for k in range(n_terms)] + [(k + 0.5) * term_length
+                                                          for k in range(n_terms)]
+    shock = st.builds(ShockSpec, st.sampled_from(times), st.sampled_from(["ab", "bc", "ca"]),
+                      st.sampled_from([0, 0, -40, 25, 60]))
+    return draw(st.lists(st.lists(shock, max_size=4), min_size=1, max_size=3))
+
+
+class TestCheckpointOracle:
+    """Replays resumed from checkpoints give the from-scratch divergences, bit for bit."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("term_length", [1.0, 1 / 3, 0.75])
+    def test_boundary_and_zero_shocks(self, monkeypatch, term_length, jobs):
+        n_terms, length = 4, term_length
+        spec, candidates, assignments = checkpoint_set(term_length, n_terms)
+        shock_lists = [
+            [],  # no shock: the base itself
+            [ShockSpec(0.5 * length, "ab", 0)],  # only a zero shock
+            [ShockSpec(length, "ab", 40)],  # on the first boundary, with the policies
+            [ShockSpec(2 * length, "ca", -25), ShockSpec(0.5 * length, "bc", 0),
+             ShockSpec(length, "ab", 0)],  # zero shocks before a nonzero one on a boundary
+            [ShockSpec(0.0, "ab", 60)],  # at time 0: resumes at term 0
+            [ShockSpec(2.5 * length, "bc", 25), ShockSpec(3 * length, "ab", -40)],
+            [ShockSpec(3 * length, "ca", 60)],  # on the last boundary
+        ]
+        expected = from_scratch_divergences(candidates, spec, CYCLE_DIMS, assignments,
+                                            shock_lists)
+        assert any(d != 0.0 for row in expected for d in row)
+        got = checkpointed_divergences(monkeypatch, spec, candidates, assignments,
+                                       shock_lists, jobs)
+        assert bits(got) == bits(expected)
+
+    @given(data=st.data(), term_length=st.sampled_from([1.0, 1 / 3, 0.75]),
+           n_terms=st.integers(1, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_random_boundary_shocks(self, data, term_length, n_terms):
+        spec, candidates, assignments = checkpoint_set(term_length, n_terms)
+        shock_lists = data.draw(boundary_shock_lists(term_length, n_terms))
+        expected = from_scratch_divergences(candidates, spec, CYCLE_DIMS, assignments,
+                                            shock_lists)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            got = checkpointed_divergences(monkeypatch, spec, candidates, assignments,
+                                           shock_lists, jobs=1)
+        assert bits(got) == bits(expected)
+
+    def test_sampled_acceptance_set(self):
+        # The sampled shocks of a small acceptance-6 style set, unpatched.
+        spec = three_agent_cycle().with_seed(301)
+        candidates, assignments = cycle_set(spec)
+        config = ReplayConfig(replays=6, seed=301)
+        report = score_candidates(candidates, spec, config, CYCLE_DIMS, assignments)
+        pool = simulate_candidate(spec, 0, 3, CYCLE_DIMS, assignment=assignments[0]).imbalance_pool
+        shock_lists = [anticipation.sample_shock_sequence(pool, spec, config, m, 3)
+                       for m in range(6)]
+        expected = from_scratch_divergences(candidates, spec, CYCLE_DIMS, assignments,
+                                            shock_lists)
+        assert bits([list(s.divergences) for s in report.scores]) == bits(expected)
+        assert any(d != 0.0 for row in expected for d in row)
+
+    def test_replays_without_a_nonzero_shock_do_not_run(self, cycle_spec, monkeypatch):
+        candidates, assignments = cycle_set(cycle_spec)
+        ran = []
+        monkeypatch.setattr(anticipation, "_run_replay", lambda task: ran.append(task) or 1.0)
+        shock_lists = [[], [ShockSpec(0.5, "ab", 0)], [ShockSpec(1.5, "ab", 0),
+                                                         ShockSpec(2.0, "bc", 5)]]
+        got = checkpointed_divergences(monkeypatch, cycle_spec, candidates, assignments,
+                                       shock_lists, jobs=1)
+        assert got == [[0.0, 0.0, 1.0]] * 3
+        # Each task starts at term 2 with the one nonzero shock.
+        assert [(task[1], task[2]) for task in ran] == [(2, [ShockSpec(2.0, "bc", 5)])] * 3
 
 
 class TestFanOut:

@@ -254,6 +254,16 @@ class TestParseErrors:
         assert code == 2
         assert "term_length" in capsys.readouterr().err
 
+    def test_simulate_agent_id_a_record_cannot_hold(self, tmp_path, capsys):
+        from moneyflow import two_agent_kernel
+
+        doc = json.loads(two_agent_kernel().to_json().replace('"A"', '"A,1"'))
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        code, _ = invoke("simulate", "--scenario", str(path), "--terms", "1")
+        assert code == 2
+        assert "agent id 'A,1': a record cannot hold" in capsys.readouterr().err
+
     def test_simulate_wake_rate_above_ceiling(self, tmp_path, monkeypatch, capsys):
         from moneyflow import two_agent_kernel
 

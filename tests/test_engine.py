@@ -29,7 +29,7 @@ from moneyflow import (
     update_agent,
 )
 from moneyflow import rng
-from moneyflow.engine import _peek_scheduled, _run_scheduled, apportion
+from moneyflow.engine import apportion
 from moneyflow.network import Event
 from moneyflow.retrieval import Assignment, apply_assignment
 from moneyflow.scenario import (
@@ -41,7 +41,13 @@ from moneyflow.scenario import (
     ShockSpec,
 )
 
-from conftest import tiny_spec, true_imbalance
+from conftest import (
+    reference_run,
+    residual_only_updates,
+    tiny_spec,
+    true_imbalance,
+    wider_rule_run,
+)
 
 ONE = Fraction(1)
 
@@ -536,39 +542,6 @@ class TestScheduledActions:
         assert state.cumulative_issuance == 700
 
 
-def reference_run(state, horizon):
-    """The event loop without dormancy: every agent is scanned at every step.
-
-    A wake that cannot act (no pending correction and a zero observed deficit,
-    or a central-bank wake with no issuance due) advances the agent's counter
-    and wake time and logs nothing; every other wake goes through
-    `update_agent`. `run` must reproduce this exactly.
-    """
-    end = state.now + horizon
-    while True:
-        agent_id, agent_t = next_event(state)
-        sched_t, sched_kind = _peek_scheduled(state)
-        if min(agent_t, sched_t) >= end:
-            break
-        if sched_t <= agent_t:
-            _run_scheduled(state, sched_kind, sched_t)
-            continue
-        agent = state.agents[agent_id]
-        if agent.continuity_exempt:
-            schedule, cursor = state.spec.issuance, state.cursors["issuance"]
-            acts = cursor < len(schedule) and schedule[cursor].time <= agent_t
-        else:
-            acts = agent.pending_correction != 0 or observed_deficit(state, agent_id) != 0
-        if acts:
-            update_agent(state, agent_id, agent_t)
-        else:
-            agent.event_count += 1
-            agent.next_time = agent_t + rng.exponential(agent.mean_wait, agent.event_key,
-                                                         agent.event_count)
-    state.now = end
-    return state
-
-
 # Times on a quarter grid: scheduled items, issuance entries, first wakes and
 # term ends collide, so the tie rules (scheduled items first, then the lower
 # id) are exercised.
@@ -658,6 +631,22 @@ class TestDormancyOracle:
         run(state, 5.0)
         assert state.log == []
         assert all(a.event_count > 0 for a in state.agents.values())
+
+    def test_residual_that_cannot_move_a_rate_is_not_logged(self):
+        # Gain 3 with the acceptance-6 offsets drives all three cycle rates to
+        # 0 within terms 0-2; the agents then carry residuals that the
+        # rate >= 0 clamp keeps from ever being applied.
+        spec = three_agent_cycle(gain=Fraction(3))
+        offsets = Assignment(offsets={"A": 30, "B": 0, "C": -15})
+        state = build_network(spec)
+        apply_assignment(state, offsets)
+        record = run_record(state, 8)
+        wider = wider_rule_run(spec, 8, offsets)
+        assert residual_only_updates(state.log) == []
+        assert len(residual_only_updates(wider.log)) > 8
+        assert all(state.channels[cid].rate == 0 for cid in ("ab", "bc", "ca"))
+        assert all(state.agents[aid].pending_correction != 0 for aid in "ABC")
+        assert run_record(wider, 0) == record
 
     def test_wake_times_match_every_wake_processed(self):
         state = build_network(two_agent_kernel(10, 10))

@@ -7,7 +7,8 @@ adjust, the `fit --out` and `anticipate --out` JSON of the acceptance-7
 invocations, and the robustness report of one acceptance-6 candidate set. A
 change that moves any of them must say why in CHANGES.md and update the pin.
 
-Traces hold no wake-ups that change nothing. The built-in scenarios start
+Traces hold no wake-ups that change nothing, such as one whose carried
+residual cannot move a rate. The built-in scenarios start
 balanced, so their traces hold only the term cuts (and national-5's
 issuance); three-agent-cycle and two-agent-kernel give the same trace at
 both seeds. The live-dynamics pin covers adjustment, settlement and
@@ -33,10 +34,14 @@ from moneyflow import (
     score_candidates,
     simulate_candidate,
     three_agent_cycle,
+    three_agent_skew,
 )
 from moneyflow.cli import run_cli
+from moneyflow.network import Event
 from moneyflow.recorder import record_to_csv, record_to_json
 from moneyflow.retrieval import apply_assignment
+
+from conftest import residual_only_updates, wider_rule_run
 
 PIN_TERMS = 6
 
@@ -85,7 +90,7 @@ SCENARIO_PINS = {
         "445ce79ab0636746b98681e416117f1679b28a71fd854a91acd7fe1f45d1c651",
     ),
     ("three-agent-skew", 3): (
-        "00fe6deefa730dc9442e5c4673605ddbb8ca03a31d3beb6131520d871b513414",
+        "4c3f5e07944fffc960aa4a2432d95eecdd30d1ca8e0e739bc10b7a51f25e693e",
         "2999ea622f9d9abc77eb05c6a1365adecdcd8aeefcdf6940743500a35eb602ef",
         "585e314f90fa62c3b4aace78548376c39d98183d08443ae084d2c7b2864e3309",
     ),
@@ -121,15 +126,45 @@ def test_non_unit_term_length_pinned():
     )
 
 
+# The acceptance-6 hidden offsets at gain 3: agents adjust in terms 0-3.
+LIVE_SPEC = three_agent_cycle(gain=Fraction(3))
+LIVE_OFFSETS = Assignment(offsets={"A": 30, "B": 0, "C": -15})
+
+
+LIVE_PINS = (
+    "f2c57b10e9acb9d45c0b2eea8585e8e66b8bc7de281367d260d6421734e38e16",
+    "9ec55fc3d6b597770fe60806251b19e4124d7d9f0b10ec3498137837f9b7079a",
+    "13c83cf8ae2585acdf464280ea615b503324b7d4d7c86ca15d4db121271a8d9e",
+)
+
+
 def test_live_dynamics_pinned():
-    # The acceptance-6 hidden offsets at gain 3: agents adjust in terms 0-3.
-    spec = three_agent_cycle(gain=Fraction(3))
-    offsets = Assignment(offsets={"A": 30, "B": 0, "C": -15})
-    assert output_digests(spec, PIN_TERMS, offsets) == (
-        "6614c8cf49308f31f83dd0564c6ad5f1b75717dc831e00a39bb9eb276027c3bc",
-        "9ec55fc3d6b597770fe60806251b19e4124d7d9f0b10ec3498137837f9b7079a",
-        "13c83cf8ae2585acdf464280ea615b503324b7d4d7c86ca15d4db121271a8d9e",
-    )
+    assert output_digests(LIVE_SPEC, PIN_TERMS, LIVE_OFFSETS) == LIVE_PINS
+
+
+# Two trace pins moved when wakes whose residual cannot move a rate stopped
+# being logged. Each new trace is the older one without those updates (a zero
+# deficit and all-zero deltas), renumbered; (older pin, new pin).
+MOVED_TRACE_PINS = {
+    "three-agent-skew-3": ((three_agent_skew().with_seed(3), None),
+                           "00fe6deefa730dc9442e5c4673605ddbb8ca03a31d3beb6131520d871b513414",
+                           SCENARIO_PINS[("three-agent-skew", 3)][0]),
+    "live-dynamics": ((LIVE_SPEC, LIVE_OFFSETS),
+                      "6614c8cf49308f31f83dd0564c6ad5f1b75717dc831e00a39bb9eb276027c3bc",
+                      LIVE_PINS[0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MOVED_TRACE_PINS))
+def test_moved_trace_pins_drop_only_residual_only_updates(name):
+    (spec, assignment), older, pin = MOVED_TRACE_PINS[name]
+    log = wider_rule_run(spec, PIN_TERMS, assignment).log
+    assert sha256(event_trace(log)) == older
+    skipped = residual_only_updates(log)
+    assert skipped
+    kept = [ev for ev in log if ev not in skipped]
+    renumbered = [Event(ev.time, seq, ev.kind, ev.payload) for seq, ev in enumerate(kept)]
+    assert sha256(event_trace(renumbered)) == pin
 
 
 FIT_OUT_PIN = "6293753c2674fcf0b7e60229035d7c8f20eee4b95532669bbbeb42cbcf514aec"

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from moneyflow import (
     BalanceSheet,
+    PolicyAction,
     Record,
     Recorder,
     RecordError,
@@ -163,6 +164,35 @@ class TestTermBoundaries:
         assert [{aid: line.closing for aid, line in sheet.agents.items()}
                 for sheet in record.sheets] == at_cut
         assert verify_record(record).ok
+
+
+class TestResume:
+    """`Recorder(checkpoint, k)` continues a run from its term-k checkpoint."""
+
+    @pytest.mark.parametrize("length", [1.0, 1 / 3, 0.75, 0.1])
+    def test_resumed_terms_equal_the_whole_run(self, national5_spec, length):
+        # Issuance and securities in term 0, a tax change that sets agents
+        # adjusting, a new discount rate and two shocks: every carried figure moves.
+        spec = replace(national5_spec, term_length=length).with_extra_shocks(
+            [ShockSpec(2 * length, "wages", 90), ShockSpec(2.5 * length, "bond", -70)])
+        spec = spec.with_extra_policy([
+            PolicyAction(length, "set_multiplier", "tax_hh", Fraction(3, 10)),
+            PolicyAction(1.5 * length, "set_rate", "discount_rate", Fraction(1, 20))])
+        checkpoints = []
+        record = run_record(build_network(spec), 5, checkpoints)
+        assert [c.now for c in checkpoints] == [k * length for k in range(5)]
+        assert all(c.log == [] for c in checkpoints)
+        for k, checkpoint in enumerate(checkpoints):
+            state = checkpoint.clone()
+            recorder = Recorder(state, k)
+            assert [recorder.record_term() for _ in range(k, 5)] == list(record.sheets[k:])
+        assert checkpoints[3].now == 3 * length  # the checkpoints stay as taken
+
+    def test_off_boundary_state_rejected(self, national5_spec):
+        state = build_network(national5_spec)
+        run(state, 0.5)
+        with pytest.raises(ValueError, match="cannot resume term 1"):
+            Recorder(state, 1)
 
 
 class TestVerifyIdentities:
@@ -485,6 +515,33 @@ class TestCsvRowMessages:
         ("0,agent,A,1,2,3,4,", "term 0: agent rows without a closing aggregates row"),
     ])
     def test_exact_messages(self, rows, message):
-        with pytest.raises((RecordError, ScenarioError)) as info:
+        with pytest.raises(RecordError) as info:
             record_from_csv(self.HEADER + rows + "\n")
         assert str(info.value) == message
+
+    def test_bad_term_length_header(self):
+        with pytest.raises(RecordError, match="line 2: term_length: expected a finite number"):
+            record_from_csv("# moneyflow-record v1\n# term_length=1.5x\n" + self.HEADER)
+
+
+class TestJsonFieldErrors:
+    """The JSON reader's number fields fail with RecordError too."""
+
+    def document(self, **sheet_fields):
+        sheet = {"term_index": 0, "agents": {}, "rates": {}, "figures": {}, **sheet_fields}
+        return {"format": "moneyflow-record", "version": 1, "sheets": [sheet]}
+
+    def test_bad_rate(self):
+        text = json.dumps(self.document(rates={"discount_rate": "1.5x"}))
+        with pytest.raises(RecordError, match="sheet 0 rate discount_rate: cannot parse rational '1.5x'"):
+            record_from_json(text)
+
+    def test_rate_of_the_wrong_type(self):
+        text = json.dumps(self.document(rates={"discount_rate": [1]}))
+        with pytest.raises(RecordError, match="cannot parse rational from list"):
+            record_from_json(text)
+
+    def test_bad_term_length(self):
+        text = json.dumps({**self.document(), "term_length": "abc"})
+        with pytest.raises(RecordError, match="term_length: expected a finite number"):
+            record_from_json(text)

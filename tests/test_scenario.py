@@ -1,5 +1,7 @@
 """Scenario parsing, exact rational handling, and shipped scenario files."""
 
+import re
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,8 +9,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moneyflow import BUILTIN_SCENARIOS, load_scenario, scenario_from_dict
-from moneyflow.scenario import ScenarioError, as_fraction, as_money, rational_str
+from moneyflow import (
+    BUILTIN_SCENARIOS,
+    build_network,
+    load_scenario,
+    run_record,
+    scenario_from_dict,
+    three_agent_cycle,
+    two_agent_kernel,
+)
+from moneyflow.recorder import record_from_csv, record_to_csv
+from moneyflow.scenario import (
+    AgentSpec,
+    FigureSpec,
+    ScenarioError,
+    as_fraction,
+    as_money,
+    rational_str,
+)
 
 from conftest import json_values, true_imbalance
 
@@ -89,6 +107,37 @@ class TestParsing:
         doc["figures"] = [{"name": "f"}]
         with pytest.raises(ScenarioError, match="exactly one of channel/stock"):
             scenario_from_dict(doc)
+
+
+class TestRecordableNames:
+    """Agent ids, figure and rate names must fit a CSV record cell."""
+
+    @pytest.mark.parametrize("name", ["A,1", "A 1", "A\t1", "A=1", "", "A\n"])
+    @pytest.mark.parametrize("where", ["agent id", "figure name", "rate name"])
+    def test_rejected_on_load(self, where, name):
+        doc = {"agents": [{"id": "CB", "role": "CentralBank"},
+                          {"id": "A", "role": "HouseholdSector"}],
+               "channels": [], "figures": [{"name": "f", "stock": "A"}], "rates": {}}
+        if where == "agent id":
+            doc["agents"][1]["id"] = name
+            doc["figures"][0]["stock"] = name
+        elif where == "figure name":
+            doc["figures"][0]["name"] = name
+        else:
+            doc["rates"][name] = "0.1"
+        with pytest.raises(ScenarioError, match=re.escape(f"{where} {name!r}: a record cannot hold")):
+            scenario_from_dict(doc)
+
+    def test_rejected_on_construction(self):
+        spec = two_agent_kernel()
+        with pytest.raises(ScenarioError, match="agent id 'A,1'"):
+            replace(spec, agents=(*spec.agents, AgentSpec("A,1", "Custom:pair")))
+
+    def test_other_characters_round_trip(self):
+        spec = replace(three_agent_cycle(), rates={"rate.1/2;#": Fraction(1, 8)},
+                       figures=(FigureSpec("ab:flow-é", channel="ab"),))
+        record = run_record(build_network(spec), 2)
+        assert record_from_csv(record_to_csv(record)) == record
 
 
 class TestShippedScenarios:
