@@ -7,9 +7,10 @@ unshocked reference run (the disturbances come from within the system, not
 from an outside noise law) and measuring how far the shocked trajectories
 stray from the candidate's own unshocked one. Candidate 0 of a set serves as
 the shared reference for both the shock pool and the coordinate scales, so
-every candidate faces the same disturbances (common random numbers); a
-candidate scored on its own is its own reference. The candidate with the
-smallest mean divergence wins.
+every candidate faces the same disturbances (common random numbers): each
+replay index's shock sequence is drawn once per horizon and shared by every
+candidate. A candidate scored on its own is its own reference. The candidate
+with the smallest mean divergence wins.
 
 A replay agrees with its candidate's unshocked run up to its first nonzero
 shock, so it resumes from that run's checkpoint at the last term boundary
@@ -311,8 +312,11 @@ def score_candidates(candidates: Sequence[Candidate], spec: ScenarioSpec,
     assignment when that has offsets or gain overrides (fit-candidates
     mode). Candidate 0's base is the reference: its imbalance pool, scaled by
     `shock_scale`, feeds the shock magnitudes and its trajectory fixes the
-    coordinate scales, so scores compare across candidates. Each candidate is
-    replayed under its assignment and measured against its own base.
+    coordinate scales, so scores compare across candidates. Replay m's shock
+    sequence depends only on that pool, `spec`, `config`, m and the horizon,
+    so it is drawn once per replay index and horizon and every candidate
+    faces the same one. Each candidate is replayed under its assignment and
+    measured against its own base.
 
     A replay runs only from the last term boundary before its first nonzero
     shock: each base runs unshocked once, here, keeping a checkpoint at every
@@ -338,13 +342,17 @@ def score_candidates(candidates: Sequence[Candidate], spec: ScenarioSpec,
     reference = bases[0]
     scales = default_scales(reference.trajectory)
     divergences = [[0.0] * config.replays for _ in bases]
+    sequences: dict[int, list[list[ShockSpec]]] = {}  # nonzero shocks by horizon, replay
     tasks, slots = [], []
     for i, base in enumerate(bases):
         n_terms = len(base.record.sheets)
-        for m in range(config.replays):
-            shocks = [shock for shock in
-                      sample_shock_sequence(reference.imbalance_pool, spec, config, m, n_terms)
-                      if shock.amount]
+        if n_terms not in sequences:
+            sequences[n_terms] = [
+                [shock for shock in
+                 sample_shock_sequence(reference.imbalance_pool, spec, config, m, n_terms)
+                 if shock.amount]
+                for m in range(config.replays)]
+        for m, shocks in enumerate(sequences[n_terms]):
             if not shocks:
                 continue
             if not checkpoints[i]:

@@ -166,6 +166,12 @@ def cmd_anticipate(args, out) -> int:
         print(f"moneyflow: warning: {cause}every shock replay of every candidate diverged by 0.0, "
               "so the scores cannot tell the candidates apart and the selection is the tie-break",
               file=sys.stderr)
+    elif len(report.scores) > 1 and len({s.divergences for s in report.scores}) == 1:
+        # Every candidate faces the same shocks, so a dim that moves by the
+        # shocks alone, such as a stock figure, diverges the same in each.
+        print("moneyflow: warning: every candidate's shock replays diverged by the same amounts "
+              f"(mean {report.scores[0].mean_divergence!r}), so the scores cannot tell the "
+              "candidates apart and the selection is only the tie-break", file=sys.stderr)
     if args.trajectory_out:
         chosen = candidates[report.selected]
         lines = ["term," + ",".join(dims)]

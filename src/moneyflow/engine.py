@@ -129,7 +129,9 @@ def equilibrate(channels: Sequence[Channel], deficit: Fraction | int, gain: Frac
 
     The demand is held as an unreduced integer ratio num / den and truncated
     toward zero explicitly (it may be negative, where floor division would
-    round away from zero); the residual is the only ``Fraction`` built.
+    round away from zero); the residual is the only ``Fraction`` built. A
+    lone channel takes the whole demand, as the apportionment would give it,
+    so it gets the units directly, clamped at its rate: no weights are built.
     """
     if gain.numerator < 0:
         raise ValueError("gain must be non-negative")
@@ -141,7 +143,10 @@ def equilibrate(channels: Sequence[Channel], deficit: Fraction | int, gain: Frac
     deltas = {ch.id: 0 for ch in channels}
     applied = 0
     units = num // den if num >= 0 else -(-num // den)
-    if units and channels:
+    if units and len(channels) == 1:
+        ch = channels[0]
+        applied = deltas[ch.id] = max(units, -ch.rate)
+    elif units and channels:
         scale = lcm(*(ch.multiplier.denominator for ch in channels))
         weights = [ch.rate * ch.multiplier.numerator * (scale // ch.multiplier.denominator)
                    for ch in channels]
@@ -311,8 +316,12 @@ def _residual_moves_a_rate(state: NetworkState, agent: Agent) -> bool:
 
     When it does not, a wake with a zero observed deficit would log all-zero
     deltas and carry the same residual on: a sub-unit remainder, or a
-    correction the rate >= 0 clamp blocks.
+    correction the rate >= 0 clamp blocks. With deficit 0 the demand is the
+    residual itself, whose whole units are its truncation toward zero, so
+    one below a unit in magnitude moves nothing.
     """
+    if -1 < agent.pending_correction < 1:
+        return False
     channels = [state.channels[cid] for cid in state.adjustable_outgoing[agent.id]]
     deltas, _ = equilibrate(channels, 0, agent.gain, agent.pending_correction)
     return any(deltas.values())
@@ -400,7 +409,9 @@ def run(state: NetworkState, horizon: float) -> tuple[NetworkState, list[Event]]
     """Advance simulated time by `horizon`, processing events in [now, now+horizon).
 
     Deterministic for a fixed seed; running h1 then h2 is identical to running
-    h1 + h2 in one call, with the logs concatenating.
+    h1 + h2 in one call, with the logs concatenating. The pending policy,
+    securities and shock items are read once on entry and again after each
+    one runs, as nothing else in the call moves them.
 
     Wakes that cannot act are not logged. A non-exempt agent that wakes with
     a zero observed deficit and either no pending correction or one whose
@@ -425,20 +436,23 @@ def run(state: NetworkState, horizon: float) -> tuple[NetworkState, list[Event]]
     agents = state.agents
     channels = state.channels
     awake = set(state.agent_order)
+    # Only `_run_scheduled` moves the policy, securities and shock cursors.
+    sched_t, sched_kind = _peek_scheduled(state)
     while True:
         agent_id, agent_t = next_event(state, awake)
-        sched_t, sched_kind = _peek_scheduled(state)
         if min(agent_t, sched_t) >= end:
             break
         if sched_t <= agent_t:
             # Scheduled items precede every agent wake at the same time.
-            changed = _run_scheduled(state, sched_kind, sched_t)
+            item_t = sched_t
+            changed = _run_scheduled(state, sched_kind, item_t)
+            sched_t, sched_kind = _peek_scheduled(state)
             if changed is not None:
                 ch = channels[changed]
                 for aid in (ch.source, ch.sink):
                     if aid not in awake:
                         awake.add(aid)
-                        _skip_wakes(agents[aid], sched_t)
+                        _skip_wakes(agents[aid], item_t)
             continue
         agent = agents[agent_id]
         if agent.continuity_exempt:

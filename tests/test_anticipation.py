@@ -206,12 +206,12 @@ def score_set(spec, jobs: int):
 
 class TestScoreCandidates:
     def test_every_candidate_faces_the_reference_shocks(self, cycle_spec, monkeypatch):
-        pools = []
+        calls = []
         sample = anticipation.sample_shock_sequence
 
-        def recording(pool, *args):
-            pools.append(pool)
-            return sample(pool, *args)
+        def recording(pool, spec, config, m, n_terms):
+            calls.append((pool, m))
+            return sample(pool, spec, config, m, n_terms)
 
         monkeypatch.setattr(anticipation, "sample_shock_sequence", recording)
         score_set(cycle_spec, jobs=1)
@@ -219,7 +219,8 @@ class TestScoreCandidates:
         bases = [simulate_candidate(cycle_spec, c.id, 3, CYCLE_DIMS, schedule=c.schedule,
                                     assignment=assignments.get(c.id)) for c in candidates]
         assert bases[2].imbalance_pool != bases[0].imbalance_pool
-        assert pools == [bases[0].imbalance_pool] * 12
+        # One draw per replay index, shared by all three candidates.
+        assert calls == [(bases[0].imbalance_pool, m) for m in range(4)]
 
 
 def from_scratch_divergences(candidates, spec, dims, assignments, shock_lists):

@@ -2,10 +2,11 @@
 
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
-from moneyflow import cli
+from moneyflow import cli, national_5
 from moneyflow.anticipation import score_candidates, simulate_candidate
 from moneyflow.cli import run_cli
 from moneyflow.retrieval import Assignment
@@ -149,15 +150,41 @@ class TestAnticipate:
         assert "diverged by 0.0" in err
         assert "shock pool" not in err
 
+    def test_equal_divergences_warn_on_stderr(self, tmp_path, capsys):
+        # national-5 with a household-stock figure and the tax policy from
+        # t = 1: candidate 0 observes deficits, so the shocks are not 0, but
+        # no shock moves a flow and HH's stock departs by exactly the shocks,
+        # the same in every candidate.
+        doc = national_5().to_dict()
+        doc["figures"].append({"name": "hh_stock", "stock": "HH"})
+        doc["policy_schedule"] = [{"time": 1.0, "action": "set_multiplier", "target": target,
+                                   "value": "3/10"} for target in ("tax_hh", "tax_corp")]
+        scenario, report_path = tmp_path / "n5-stock.json", tmp_path / "rep.json"
+        scenario.write_text(json.dumps(doc))
+        code, output = invoke("anticipate", "--scenario", str(scenario), "--horizon", "2",
+                              "--candidates", "2", "--replays", "2", "--dims", "hh_stock",
+                              "--out", str(report_path))
+        assert code == 0
+        assert output[output.index("{"):] == report_path.read_text()
+        first, second = (c["divergences"] for c in json.loads(report_path.read_text())["candidates"])
+        assert first == second and any(d > 0.0 for d in first)
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "diverged by the same amounts" in err
+        assert "only the tie-break" in err
+
     def test_informative_report_is_silent(self, monkeypatch, capsys):
         # The acceptance-6 set: hidden offsets on three-agent-cycle make the
-        # shock replays move the flows.
+        # shock replays move the flows, and candidate 1's gain override (as
+        # in acceptance 6) makes its divergences differ from candidate 0's.
         def acceptance_6(spec, config):
-            offsets = Assignment(offsets={"A": 30, "B": 0, "C": -15})
+            offsets = {"A": 30, "B": 0, "C": -15}
             candidates = [simulate_candidate(spec, cid, config.horizon_terms, config.dims)
                           for cid in range(config.candidates)]
-            report = score_candidates(candidates, spec, config.replay, config.dims,
-                                      {c.id: offsets for c in candidates})
+            gains = [{}, dict.fromkeys("ABC", Fraction(2))]
+            assignments = {c.id: Assignment(offsets=offsets, gain_overrides=gains[c.id])
+                           for c in candidates}
+            report = score_candidates(candidates, spec, config.replay, config.dims, assignments)
             return report, candidates
 
         monkeypatch.setattr(cli, "anticipate", acceptance_6)
@@ -167,6 +194,7 @@ class TestAnticipate:
         assert code == 0
         doc = json.loads(output[output.index("{"):])
         assert any(d > 0.0 for c in doc["candidates"] for d in c["divergences"])
+        assert doc["candidates"][0]["divergences"] != doc["candidates"][1]["divergences"]
         assert capsys.readouterr().err == ""
 
 

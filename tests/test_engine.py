@@ -6,9 +6,10 @@ import sys
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
+from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from moneyflow import (
@@ -29,7 +30,7 @@ from moneyflow import (
     update_agent,
 )
 from moneyflow import rng
-from moneyflow.engine import apportion
+from moneyflow.engine import _residual_moves_a_rate, _split, apportion
 from moneyflow.network import Event
 from moneyflow.retrieval import Assignment, apply_assignment
 from moneyflow.scenario import (
@@ -293,6 +294,102 @@ class TestEquilibrateOracle:
         deltas, residual = equilibrate(adjustable, deficit, gain, carry)
         assert (deltas, residual) == fraction_equilibrate(adjustable, deficit, gain, carry)
         assert type(residual) is Fraction
+
+
+def general_equilibrate(channels, deficit, gain, carry=0):
+    """`equilibrate` with every channel list taking the weighted path: the
+    body before a lone channel got the demand directly, kept as the oracle."""
+    if gain.numerator < 0:
+        raise ValueError("gain must be non-negative")
+    gd = gain.denominator
+    dd = deficit.denominator
+    cd = carry.denominator
+    den = gd * dd * cd
+    num = carry.numerator * gd * dd - gain.numerator * deficit.numerator * cd
+    deltas = {ch.id: 0 for ch in channels}
+    applied = 0
+    units = num // den if num >= 0 else -(-num // den)
+    if units and channels:
+        scale = lcm(*(ch.multiplier.denominator for ch in channels))
+        weights = [ch.rate * ch.multiplier.numerator * (scale // ch.multiplier.denominator)
+                   for ch in channels]
+        for ch, part in zip(channels, _split(units, weights)):
+            if ch.rate + part < 0:
+                part = -ch.rate
+            deltas[ch.id] = part
+            applied += part
+    return deltas, Fraction(num - applied * den, den)
+
+
+RATIONALS = st.one_of(st.integers(-500, 500),
+                      st.builds(Fraction, st.integers(-500, 500), st.integers(1, 12)))
+
+
+class TestOneChannelOracle:
+    """A lone channel gets the whole demand, clamped, as the weighted path gives it."""
+
+    @given(
+        rate=st.one_of(st.just(0), st.integers(0, 400)),
+        multiplier=st.one_of(st.sampled_from([Fraction(0), Fraction(1)]),
+                             st.builds(Fraction, st.integers(0, 40), st.integers(1, 10))),
+        deficit=RATIONALS,
+        gain=st.builds(Fraction, st.integers(0, 12), st.integers(1, 6)),
+        carry=st.one_of(st.just(0), st.builds(Fraction, st.integers(-40, 40), st.integers(1, 7))),
+    )
+    @example(rate=0, multiplier=Fraction(0), deficit=5, gain=ONE, carry=0)
+    @example(rate=3, multiplier=Fraction(3, 10), deficit=Fraction(41, 4), gain=Fraction(5, 2),
+             carry=Fraction(-1, 3))  # the clamp blocks most of the cut
+    @example(rate=3, multiplier=ONE, deficit=-7, gain=Fraction(1, 2), carry=Fraction(2, 3))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_weighted_path(self, rate, multiplier, deficit, gain, carry):
+        channels = [entry("x", rate, multiplier)]
+        deltas, residual = equilibrate(channels, deficit, gain, carry)
+        assert (deltas, residual) == general_equilibrate(channels, deficit, gain, carry)
+        assert type(residual) is Fraction
+        assert sum(deltas.values()) + residual == -gain * deficit + carry
+        assert rate + deltas["x"] >= 0
+
+
+def fan_state(rates, multipliers, gain, carry):
+    """Agent A with one adjustable outgoing channel per rate, to B0, B1, ...,
+    and the carried residual `carry`."""
+    sinks = [f"B{i}" for i in range(len(rates))]
+    spec = ScenarioSpec(
+        name="fan",
+        agents=(AgentSpec("CB", "CentralBank"), AgentSpec("A", "Custom:x", gain=gain),
+                *(AgentSpec(b, "Custom:x") for b in sinks)),
+        channels=tuple(ChannelSpec(f"a{b}", "A", b, rate, multiplier=m, adjustable=True)
+                       for b, rate, m in zip(sinks, rates, multipliers)),
+    )
+    state = build_network(spec)
+    state.agents["A"].pending_correction = carry
+    return state
+
+
+class TestResidualPreCheck:
+    """`_residual_moves_a_rate` agrees with equilibrating the residual alone."""
+
+    @given(
+        rates=st.lists(st.one_of(st.just(0), st.integers(0, 50)), min_size=1, max_size=3),
+        multipliers=st.lists(st.sampled_from([Fraction(0), Fraction(1, 3), ONE, Fraction(5, 2)]),
+                             min_size=3, max_size=3),
+        gain=st.builds(Fraction, st.integers(0, 6), st.integers(1, 4)),
+        carry=st.one_of(
+            st.builds(Fraction, st.integers(-23, 23), st.integers(2, 24)),  # inside (-1, 1)
+            st.sampled_from([Fraction(1), Fraction(-1), 0]),
+            st.builds(Fraction, st.integers(-90, 90), st.integers(1, 4)),
+        ),
+    )
+    @example(rates=[0, 0], multipliers=[ONE] * 3, gain=ONE, carry=Fraction(-3, 2))
+    @example(rates=[0], multipliers=[Fraction(0)] * 3, gain=ONE, carry=Fraction(1))
+    @example(rates=[4, 0, 9], multipliers=[ONE] * 3, gain=Fraction(0), carry=Fraction(-1))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_full_equilibrate(self, rates, multipliers, gain, carry):
+        state = fan_state(rates, multipliers, gain, carry)
+        agent = state.agents["A"]
+        channels = [state.channels[cid] for cid in state.adjustable_outgoing["A"]]
+        deltas, _ = equilibrate(channels, 0, gain, carry)
+        assert _residual_moves_a_rate(state, agent) == any(deltas.values())
 
 
 def fraction_calls(fn, *args, **kwargs):
@@ -701,6 +798,21 @@ class TestWakeSources:
         run_both_ways(state, 3.0)
         assert first_update_after(state, "A", 1.25) < 3.0
         assert first_update_after(state, "B", 1.25) < 3.0
+
+    @pytest.mark.parametrize("later", [(), (ShockSpec(2.5, "bc", 0),)],
+                             ids=["last-item", "shock-pending"])
+    def test_multiplier_change_skips_wakes_to_its_own_time(self, later):
+        # Every agent is dormant by 1.25. The multiplier change wakes A and B,
+        # whose skipped wakes run up to 1.25: not up to the next pending
+        # item's time, which is 2.5 with the shock and infinite without it.
+        # The shock is a zero one, which wakes nobody.
+        spec = replace(three_agent_cycle(), shocks=later).with_extra_policy(
+            [PolicyAction(1.25, "set_multiplier", "ab", Fraction(3, 2))])
+        state = build_network(spec)
+        run_both_ways(state, 4.0)
+        assert not [ev for ev in state.log if ev.kind == "AgentUpdate" and ev.time < 1.25]
+        assert first_update_after(state, "A", 1.25) < 2.5
+        assert first_update_after(state, "B", 1.25) < 2.5
 
     def test_adjustment_wakes_partner_past_a_tied_wake(self):
         # At 0.5, A (lower id) goes dormant first; C then adjusts ca, which
