@@ -185,16 +185,22 @@ def _settle_channels(state: NetworkState, channel_ids: Sequence[str], time: floa
     because accrual is never negative: rates are >= 0 (validated at build,
     clamped in `equilibrate`, checked in assignments), multipliers are >= 0
     (validated at build and for policies) and `accrue` adds only over
-    elapsed time > 0. The sub-unit remainder stays in the numerator.
+    elapsed time > 0. The sub-unit remainder stays in the numerator. The
+    amount also goes on the channel's and both agents' running tallies.
     """
+    agents = state.agents
     amounts = []
     for cid in channel_ids:
         ch = state.channels[cid]
         accrue(ch, time)
         amount = ch.accrued_num // ch.accrued_den
         if amount:
-            state.agents[ch.source].stock -= amount
-            state.agents[ch.sink].stock += amount
+            source, sink = agents[ch.source], agents[ch.sink]
+            source.stock -= amount
+            source.paid += amount
+            sink.stock += amount
+            sink.received += amount
+            ch.settled += amount
             ch.accrued_num -= amount * ch.accrued_den
         ch.snap_rate_sink = ch.rate
         amounts.append((cid, amount))
@@ -226,14 +232,18 @@ def inject_shock(state: NetworkState, agent_id: str, amount: int, time: float,
     if agent_id not in (ch.source, ch.sink):
         raise ValueError(f"channel {channel_id!r} does not touch agent {agent_id!r}")
     counterparty = ch.sink if agent_id == ch.source else ch.source
-    if amount != 0:
-        state.agents[agent_id].stock += amount
-        state.agents[counterparty].stock -= amount
-        ch.snap_rate_sink = ch.rate
     gains, loses = (agent_id, counterparty) if amount >= 0 else (counterparty, agent_id)
+    moved = abs(amount)
+    if moved:
+        winner, loser = state.agents[gains], state.agents[loses]
+        winner.stock += moved
+        winner.received += moved
+        loser.stock -= moved
+        loser.paid += moved
+        ch.snap_rate_sink = ch.rate
     state.append_event(time, "Shock", {
         "channel": channel_id, "agent": agent_id, "counterparty": counterparty,
-        "amount": abs(amount), "sink": gains, "source": loses,
+        "amount": moved, "sink": gains, "source": loses,
     })
     return state
 

@@ -36,6 +36,8 @@ class Agent:
     event_count: int = 0
     next_time: float = 0.0
     event_key: int = 0  # pre-mixed rng stream key
+    received: int = 0  # money in and out since build, for the recorder's sheets
+    paid: int = 0
 
 
 @dataclass(slots=True)
@@ -64,6 +66,7 @@ class Channel:
     accrued_num: int = 0
     accrued_den: int = 1
     accrued_until: float = 0.0
+    settled: int = 0  # money moved by settlements since build
 
 
 @dataclass
@@ -88,7 +91,6 @@ class NetworkState:
     cursors: dict[str, int] = field(default_factory=lambda: {"issuance": 0, "securities": 0, "policy": 0, "shock": 0})
     # Immutable after build; shared across clones.
     initial_stocks: Mapping[str, int] = field(default_factory=dict)
-    initial_rates: Mapping[str, Fraction] = field(default_factory=dict)
     agent_order: tuple[str, ...] = ()
     outgoing: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
     incoming: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
@@ -106,10 +108,12 @@ class NetworkState:
         return NetworkState(
             self.spec,
             {k: Agent(a.id, a.stock, a.gain, a.continuity_exempt, a.mean_wait,
-                      a.pending_correction, a.event_count, a.next_time, a.event_key)
+                      a.pending_correction, a.event_count, a.next_time, a.event_key,
+                      a.received, a.paid)
              for k, a in self.agents.items()},
             {k: Channel(c.id, c.source, c.sink, c.rate, c.multiplier, c.adjustable,
-                        c.snap_rate_sink, c.accrued_num, c.accrued_den, c.accrued_until)
+                        c.snap_rate_sink, c.accrued_num, c.accrued_den, c.accrued_until,
+                        c.settled)
              for k, c in self.channels.items()},
             self.cumulative_issuance,
             self.securities_outstanding,
@@ -119,7 +123,6 @@ class NetworkState:
             self.seq,
             dict(self.cursors),
             self.initial_stocks,
-            self.initial_rates,
             self.agent_order,
             self.outgoing,
             self.incoming,
@@ -231,7 +234,6 @@ def build_network(spec: ScenarioSpec) -> NetworkState:
         channels=channels,
         rates=dict(spec.rates),
         initial_stocks={aid: agents[aid].stock for aid in order},
-        initial_rates=dict(spec.rates),
         agent_order=order,
         outgoing=outgoing,
         incoming=incoming,
@@ -297,7 +299,10 @@ def issue(state: NetworkState, amount: int, time: float) -> NetworkState:
             f"retirement of {-amount} would drive notes outstanding below zero "
             f"(currently {state.cumulative_issuance})"
         )
-    state.agents[target].stock += amount
+    agent = state.agents[target]
+    agent.stock += amount
+    agent.received += max(amount, 0)
+    agent.paid += max(-amount, 0)  # a retirement pays notes back
     state.cumulative_issuance += amount
     state.append_event(time, "Issue", {"agent": target, "amount": amount, "instrument": "notes",
                                        "outstanding": state.cumulative_issuance})

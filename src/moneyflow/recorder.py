@@ -2,11 +2,13 @@
 
 The recorder plays the part of the monetary authority. At every term boundary
 it forces a settlement of all channels at once (a global cut the dynamics
-themselves never perform), then compiles per-agent flow totals and aggregate
-figures into a balance sheet. The forced cut is flagged `observer` in the
-event log: it flushes accruals and refreshes snapshots, so the recorder is
-not a perfectly passive observer, and downstream consumers can tell its
-settlements apart from organic ones.
+themselves never perform). A term's balance sheet is the money moved between
+two consecutive cuts, read from the running tallies the network state keeps
+of what each agent received and paid and each channel settled, with the
+closing stocks and aggregates read off the state at the cut. The forced cut
+is flagged `observer` in the event log: it flushes accruals and refreshes
+snapshots, so the recorder is not a perfectly passive observer, and
+downstream consumers can tell its settlements apart from organic ones.
 
 Sheets satisfy the accounting identities exactly, by construction;
 `verify_identities` re-checks them and reports any discrepancy rather than
@@ -99,134 +101,62 @@ class IdentityReport:
 
 
 class Recorder:
-    """Term-by-term sheet compiler over one state's event log.
+    """Term-by-term sheets of one state, read off its running tallies.
 
-    The observer cut flagged `term=k` closes term k, so each sheet is summed
-    from the events logged after the previous cut, through its own. The
-    recorder carries the stocks, rates and outstanding totals as of the last
-    compiled cut and the log position just past it. Segmenting the log at the
-    cuts, rather than by event time, books every event into the term the
-    engine processed it in, at any term length.
+    Each `record_term` runs the state to the next term boundary and takes the
+    observer cut there. Its sheet is the money moved since the previous cut:
+    the change in every agent's `received` and `paid` tallies and in the
+    `settled` tally of each flow figure's channel. The closing stocks, notes,
+    securities and rates are the state's own at the cut.
 
-    A recorder that starts at `term` > 0 resumes a state standing at that
-    term's opening boundary, such as a checkpoint `run_record` took: the
-    carried figures are read off the state, whose money moved only through
-    logged events, and compiling starts at the end of its log.
+    The state must stand at the opening boundary of `term`: a fresh state
+    for term 0, or for a later term a checkpoint `run_record` took.
     """
 
     def __init__(self, state: NetworkState, term: int = 0):
-        self.state = state
-        self.term = term  # index of the next sheet to compile
         spec = state.spec
-        self._agent_ids = [a.id for a in spec.agents]
-        channel_figures = {f.channel: f.name for f in spec.figures if f.channel is not None}
-        self._flow_names = list(channel_figures.values())
-        self._stock_figures = [(f.name, f.stock) for f in spec.figures if f.stock is not None]
-        self._routes = {cid: (ch.source, ch.sink, channel_figures.get(cid))
-                        for cid, ch in state.channels.items()}
-        if term == 0:
-            self._position = 0
-            self._stocks = dict(state.initial_stocks)
-            self._rates = dict(state.initial_rates)
-            self._notes = 0
-            self._securities = 0
-        elif state.now == term * spec.term_length:
-            self._position = len(state.log)
-            self._stocks = {aid: state.agents[aid].stock for aid in self._agent_ids}
-            self._rates = dict(state.rates)
-            self._notes = state.cumulative_issuance
-            self._securities = state.securities_outstanding
-        else:
+        if state.now != term * spec.term_length:
             raise ValueError(f"cannot resume term {term}: the state is at {state.now}, "
-                             f"not at the term's opening boundary")
+                             f"not at the term boundary {term * spec.term_length}")
+        self.state = state
+        self.term = term  # index of the next sheet to record
+        self._flow_figures = [(f.name, f.channel) for f in spec.figures if f.channel is not None]
+        self._stock_figures = [(f.name, f.stock) for f in spec.figures if f.stock is not None]
+        self._opened = self._tallies()
+
+    def _tallies(self) -> tuple[dict[str, tuple[int, int, int]], dict[str, int]]:
+        """Each agent's stock, received and paid, and each flow figure's settled total."""
+        channels = self.state.channels
+        return ({aid: (a.stock, a.received, a.paid) for aid, a in self.state.agents.items()},
+                {name: channels[cid].settled for name, cid in self._flow_figures})
 
     def record_term(self) -> BalanceSheet:
-        """Run the next term, take its observer cut and compile its sheet."""
+        """Run the next term, take its observer cut and read its sheet off the state."""
         state = self.state
         boundary = (self.term + 1) * state.spec.term_length
         run(state, boundary - state.now)
         settle_all(state, boundary, term=self.term)
-        return self.compile_term()
-
-    def compile_term(self) -> BalanceSheet:
-        """Sheet of the next term, from the log through its observer cut.
-
-        Raises RecordError when the log holds no cut for the term, as after a
-        bare `run` that took none; the recorder is then left as it was.
-        """
-        term, log, routes = self.term, self.state.log, self._routes
-        opening = self._stocks
-        stocks, rates = dict(opening), dict(self._rates)
-        notes, securities = self._notes, self._securities
-        inflow = dict.fromkeys(self._agent_ids, 0)
-        outflow = dict.fromkeys(self._agent_ids, 0)
-        flows = dict.fromkeys(self._flow_names, 0)
-        for position in range(self._position, len(log)):
-            ev = log[position]
-            kind, payload = ev.kind, ev.payload
-            if kind == "Settlement":
-                for cid, amount in payload["amounts"]:
-                    source, sink, figure = routes[cid]
-                    stocks[source] -= amount
-                    stocks[sink] += amount
-                    outflow[source] += amount
-                    inflow[sink] += amount
-                    if figure is not None:
-                        flows[figure] += amount
-                cut = payload.get("term") if payload["observer"] else None
-                if cut is None:
-                    continue
-                if cut != term:
-                    raise RecordError(f"log position {position}: cut of term {cut} "
-                                      f"where term {term} was expected")
-                self.term += 1
-                self._position = position + 1
-                self._stocks, self._rates = stocks, rates
-                self._notes, self._securities = notes, securities
-                figures = dict(flows)
-                for name, agent_id in self._stock_figures:
-                    figures[name] = stocks[agent_id]
-                return BalanceSheet(
-                    term_index=term,
-                    agents={aid: AgentLine(opening[aid], inflow[aid], outflow[aid], stocks[aid])
-                            for aid in self._agent_ids},
-                    notes_outstanding=notes,
-                    securities_outstanding=securities,
-                    rates=dict(rates),
-                    figures=figures,
-                )
-            elif kind == "Shock":
-                # Shocks redistribute stocks; they are not flow on the channel.
-                amount = payload["amount"]
-                stocks[payload["source"]] -= amount
-                stocks[payload["sink"]] += amount
-                outflow[payload["source"]] += amount
-                inflow[payload["sink"]] += amount
-            elif kind == "Issue":
-                amount = payload["amount"]
-                if payload.get("instrument") == "securities":
-                    securities += amount
-                else:
-                    stocks[payload["agent"]] += amount
-                    notes += amount
-                    if amount >= 0:
-                        inflow[payload["agent"]] += amount
-                    else:
-                        outflow[payload["agent"]] += -amount
-            elif kind == "Policy":
-                if payload["action"] == "set_rate":
-                    rates[payload["target"]] = payload["value"]
-        raise RecordError(f"the log holds no observer cut for term {term}")
+        (opening, settled), self._opened = self._opened, self._tallies()
+        agents = state.agents
+        lines = {aid: AgentLine(stock, agents[aid].received - received, agents[aid].paid - paid,
+                                agents[aid].stock)
+                 for aid, (stock, received, paid) in opening.items()}
+        figures = {name: state.channels[cid].settled - settled[name]
+                   for name, cid in self._flow_figures}
+        figures.update((name, agents[aid].stock) for name, aid in self._stock_figures)
+        sheet = BalanceSheet(self.term, lines, state.cumulative_issuance,
+                             state.securities_outstanding, dict(state.rates), figures)
+        self.term += 1
+        return sheet
 
 
 def run_record(state: NetworkState, n_terms: int,
                checkpoints: list[NetworkState] | None = None) -> Record:
-    """Advance the state by whole terms, forcing the boundary cut each term.
+    """Record `n_terms` whole terms of a fresh state, standing at time 0.
 
-    The forced settlement is flagged `observer` in the log so that organic
-    settlements remain distinguishable from recorder-induced ones. The record
-    holds every term from 0: terms already cut in the log are compiled again
-    from it, and a state advanced without cuts raises RecordError.
+    Each term ends with the recorder's observer cut, flagged `observer` in
+    the log so that organic settlements remain distinguishable from
+    recorder-induced ones.
 
     Given a `checkpoints` list, a clone of the state at the opening boundary
     of each term it records is appended to it, with an empty log; a
@@ -234,24 +164,16 @@ def run_record(state: NetworkState, n_terms: int,
     """
     if n_terms < 0:
         raise ValueError("n_terms must be non-negative")
-    term_length = state.spec.term_length
-    first = int(round(state.now / term_length))
-    if abs(state.now - first * term_length) > 1e-9:
-        raise ValueError(f"run_record must start at a term boundary, state is at {state.now}")
     recorder = Recorder(state)
-    sheets = [recorder.compile_term() for _ in range(first)]
+    sheets = []
     for _ in range(n_terms):
         if checkpoints is not None:
             checkpoint = state.clone()
             checkpoint.log = []
             checkpoints.append(checkpoint)
         sheets.append(recorder.record_term())
-    return Record(
-        sheets=tuple(sheets),
-        fingerprint=state.spec.fingerprint(),
-        term_length=term_length,
-        initial_total_stock=sum(state.initial_stocks.values()),
-    )
+    return Record(tuple(sheets), state.spec.fingerprint(), state.spec.term_length,
+                  sum(state.initial_stocks.values()))
 
 
 def verify_identities(sheet: BalanceSheet, initial_total_stock: int = 0) -> IdentityReport:
@@ -458,6 +380,8 @@ def record_from_csv(text: str) -> Record:
             except ValueError:
                 line = AgentLine(*(_parse_int(parts[c], f"line {lineno + 1} column {c + 1}")
                                    for c in range(3, 7)))
+            if aid in agents:
+                raise RecordError(f"line {lineno + 1} column 3: agent {aid!r} repeated in term {term}")
             agents[aid] = line
         elif kind == "aggregates":
             pairs = []
@@ -478,19 +402,38 @@ def record_from_csv(text: str) -> Record:
     return Record(tuple(sheets), fingerprint, term_length, initial_total)
 
 
+class _RepeatedKeys(dict):
+    """A JSON object naming `key` more than once, which `_expect` rejects."""
+
+    key = ""
+
+
+def _json_object(pairs: list[tuple[str, object]]) -> dict:
+    """`json.loads` object hook that marks, rather than drops, repeated keys."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        obj = _RepeatedKeys(obj)
+        obj.key = next(key for key in keys if keys.count(key) > 1)
+    return obj
+
+
 def _expect(value, kind: type, where: str):
     if isinstance(value, bool) or not isinstance(value, kind):
         raise RecordError(f"{where}: expected {kind.__name__}, got {value!r}")
+    if isinstance(value, _RepeatedKeys):
+        raise RecordError(f"{where}: key {value.key!r} repeated")
     return value
 
 
 def record_from_json(text: str) -> Record:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_json_object)
     except json.JSONDecodeError as exc:
         raise RecordError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     if not isinstance(doc, dict) or doc.get("format") != "moneyflow-record":
         raise RecordError("not a moneyflow record document")
+    _expect(doc, dict, "record")
     sheets = []
     for i, raw in enumerate(_expect(doc.get("sheets", []), list, "sheets")):
         where = f"sheet {i}"

@@ -181,6 +181,10 @@ class ScenarioSpec:
                 if not name or _UNRECORDABLE.search(name):
                     raise ScenarioError(f"{what} {name!r}: a record cannot hold an empty name "
                                         f"or one with a comma, whitespace or '='")
+        names = [f.name for f in self.figures]
+        for name in names:
+            if names.count(name) > 1:
+                raise ScenarioError(f"figure name {name!r} is used more than once")
 
     def with_seed(self, seed: int) -> "ScenarioSpec":
         return replace(self, seed=seed)

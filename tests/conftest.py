@@ -17,6 +17,7 @@ from moneyflow import (
     update_agent,
 )
 from moneyflow.engine import _peek_scheduled, _run_scheduled
+from moneyflow.recorder import AgentLine, BalanceSheet
 from moneyflow.retrieval import apply_assignment
 from moneyflow.scenario import AgentSpec, ChannelSpec, FigureSpec, ScenarioSpec
 
@@ -132,6 +133,89 @@ def residual_only_updates(log) -> list:
     """Logged non-exempt updates with a zero deficit that moved no rate."""
     return [ev for ev in log if ev.kind == "AgentUpdate" and not ev.payload.get("exempt")
             and ev.payload["deficit"] == 0 and not any(ev.payload["deltas"].values())]
+
+
+def sheets_from_log(state: NetworkState, opening: NetworkState | None = None) -> list[BalanceSheet]:
+    """Reference sheets, one per observer cut, replayed from the event log.
+
+    Every Settlement, Shock, Issue and Policy payload of `state.log` is booked
+    into a separate copy of the stocks, notes, securities and rates, which
+    starts from `opening` (the state the log starts from, such as a
+    checkpoint) or else from the scenario's initial values. The sheet of a
+    cut covers the events after the previous cut through its own. The
+    recorder reads the same sheets off the state's running tallies.
+    """
+    spec = state.spec
+    agent_ids = [a.id for a in spec.agents]
+    if opening is None:
+        stocks, rates = dict(state.initial_stocks), dict(spec.rates)
+        notes = securities = 0
+    else:
+        stocks = {aid: opening.agents[aid].stock for aid in agent_ids}
+        rates = dict(opening.rates)
+        notes, securities = opening.cumulative_issuance, opening.securities_outstanding
+    flow_figures = [(f.name, f.channel) for f in spec.figures if f.channel is not None]
+    stock_figures = [(f.name, f.stock) for f in spec.figures if f.stock is not None]
+    sheets = []
+    term = None
+    opened = dict(stocks)
+    inflow, outflow = dict.fromkeys(agent_ids, 0), dict.fromkeys(agent_ids, 0)
+    settled = dict.fromkeys(state.channels, 0)
+    for ev in state.log:
+        kind, payload = ev.kind, ev.payload
+        if kind == "Settlement":
+            for cid, amount in payload["amounts"]:
+                channel = state.channels[cid]
+                stocks[channel.source] -= amount
+                stocks[channel.sink] += amount
+                outflow[channel.source] += amount
+                inflow[channel.sink] += amount
+                settled[cid] += amount
+            if not payload["observer"]:
+                continue
+            assert term is None or payload["term"] == term + 1, "observer cuts out of order"
+            term = payload["term"]
+            figures = {name: settled[cid] for name, cid in flow_figures}
+            figures.update((name, stocks[aid]) for name, aid in stock_figures)
+            sheets.append(BalanceSheet(
+                term_index=term,
+                agents={aid: AgentLine(opened[aid], inflow[aid], outflow[aid], stocks[aid])
+                        for aid in agent_ids},
+                notes_outstanding=notes,
+                securities_outstanding=securities,
+                rates=dict(rates),
+                figures=figures,
+            ))
+            opened = dict(stocks)
+            inflow, outflow = dict.fromkeys(agent_ids, 0), dict.fromkeys(agent_ids, 0)
+            settled = dict.fromkeys(state.channels, 0)
+        elif kind == "Shock":
+            # Shocks redistribute stocks; they are not flow on the channel.
+            amount = payload["amount"]
+            stocks[payload["source"]] -= amount
+            stocks[payload["sink"]] += amount
+            outflow[payload["source"]] += amount
+            inflow[payload["sink"]] += amount
+        elif kind == "Issue":
+            amount = payload["amount"]
+            if payload["instrument"] == "securities":
+                securities += amount
+            else:
+                stocks[payload["agent"]] += amount
+                notes += amount
+                if amount >= 0:
+                    inflow[payload["agent"]] += amount
+                else:
+                    outflow[payload["agent"]] += -amount
+        elif kind == "Policy" and payload["action"] == "set_rate":
+            rates[payload["target"]] = payload["value"]
+    return sheets
+
+
+def tallies_hold(state: NetworkState) -> bool:
+    """Every agent's stock is its initial stock plus what it received less what it paid."""
+    return all(agent.stock == state.initial_stocks[aid] + agent.received - agent.paid
+               for aid, agent in state.agents.items())
 
 
 def json_values(max_leaves: int = 10):

@@ -264,6 +264,26 @@ class TestParseErrors:
         assert code == 2
         assert "opening" in capsys.readouterr().err
 
+    def test_verify_csv_agent_repeated(self, tmp_path, capsys):
+        path = tmp_path / "r.csv"
+        invoke("record", "--scenario", "two-agent-kernel", "--terms", "1", "--out", str(path))
+        lines = path.read_text().splitlines(keepends=True)
+        row = next(i for i, line in enumerate(lines) if line.startswith("0,agent,A,"))
+        lines.insert(row + 1, lines[row])
+        path.write_text("".join(lines))
+        code, _ = invoke("verify", "--record", str(path))
+        assert code == 2
+        assert f"line {row + 2} column 3: agent 'A' repeated in term 0" in capsys.readouterr().err
+
+    def test_verify_json_agent_repeated(self, tmp_path, capsys):
+        line = '{"opening": 0, "inflow": 0, "outflow": 0, "closing": 0}'
+        path = tmp_path / "r.json"
+        path.write_text('{"format": "moneyflow-record", "sheets": [{"term_index": 0, '
+                        f'"agents": {{"A": {line}, "B": {line}, "A": {line}}}}}]}}')
+        code, _ = invoke("verify", "--record", str(path))
+        assert code == 2
+        assert "sheet 0 agents: key 'A' repeated" in capsys.readouterr().err
+
     def test_simulate_agents_not_objects(self, tmp_path, capsys):
         path = tmp_path / "s.json"
         path.write_text(json.dumps({"agents": [1, 2]}))

@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moneyflow import (
+    BUILTIN_SCENARIOS,
+    Assignment,
     BalanceSheet,
     PolicyAction,
     Record,
@@ -20,11 +22,12 @@ from moneyflow import (
     build_network,
     inject_shock,
     issue,
+    national_5,
     read_record,
     run,
     run_record,
     settle,
-    settle_all,
+    three_agent_cycle,
     two_agent_kernel,
     verify_identities,
     verify_record,
@@ -32,10 +35,13 @@ from moneyflow import (
 )
 from moneyflow.recorder import AgentLine, record_from_csv, record_to_csv, record_to_json
 from moneyflow.recorder import record_from_json
+from moneyflow.retrieval import apply_assignment
 from moneyflow.scenario import AgentSpec, ChannelSpec, FigureSpec, ScenarioError, ScenarioSpec
+from moneyflow.scenario import ScheduledAmount
 from moneyflow.scenario import rational_str
 
-from conftest import json_values, tiny_spec
+from conftest import json_values, sheets_from_log, tallies_hold, tiny_spec
+from test_pins import LIVE_OFFSETS, LIVE_SPEC, PIN_TERMS, SCENARIO_PINS, boundary_shock_spec
 
 DATA = Path(__file__).parent / "data"
 DOCS = Path(__file__).parent.parent / "docs"
@@ -57,80 +63,76 @@ def pair_spec(rate_ab=0, rate_ba=0):
     )
 
 
-def cut_and_compile(state, n_terms):
-    """Take the observer cuts of terms 0..n_terms-1 now and compile their sheets."""
-    recorder = Recorder(state)
-    sheets = []
-    for k in range(n_terms):
-        settle_all(state, float(k + 1), term=k)
-        sheets.append(recorder.compile_term())
-    return sheets
+def hand_driven(rate_ab=0, rate_ba=0):
+    """A pair state at time 0 and its recorder, before any hand-made event.
+
+    The agents have zero gain, so running a term changes no rate and moves
+    only what the hand-made events and the observer cut move.
+    """
+    state = build_network(pair_spec(rate_ab, rate_ba))
+    return state, Recorder(state)
 
 
 class TestCompile:
+    """Sheets of hand-driven terms, read off the tallies at each cut."""
+
     def test_empty_term_all_zero(self):
-        state = build_network(pair_spec())
-        sheet = cut_and_compile(state, 2)[1]
+        state, recorder = hand_driven()
+        recorder.record_term()
+        sheet = recorder.record_term()
         for line in sheet.agents.values():
             assert line.inflow == line.outflow == 0
             assert line.closing == line.opening
 
     def test_single_transfer(self):
-        state = build_network(pair_spec(rate_ab=60))
+        state, recorder = hand_driven(rate_ab=60)
         settle(state, "A", "B", 0.5)
         state.channels["ab"].rate = 0  # nothing more accrues before the cut
-        sheet = cut_and_compile(state, 1)[0]
+        sheet = recorder.record_term()
         assert sheet.agents["A"].outflow == 30
         assert sheet.agents["B"].inflow == 30
         assert sheet.figures["ab_flow"] == 30
 
     def test_three_event_hand_sum(self):
         # Hand oracle: settlements of 30 out of A and 12 back, issuance 100 to CB.
-        state = build_network(pair_spec(rate_ab=30, rate_ba=12))
+        state, recorder = hand_driven(rate_ab=30, rate_ba=12)
         settle(state, "A", "B", 0.5)
         issue(state, 100, 0.6)
         settle(state, "B", "A", 1.0)
-        sheet = cut_and_compile(state, 1)[0]
+        sheet = recorder.record_term()
         assert sheet.agents["A"] == AgentLine(0, 12, 30, -18)
         assert sheet.agents["B"] == AgentLine(0, 30, 12, 18)
         assert sheet.agents["CB"] == AgentLine(0, 100, 0, 100)
         assert sheet.notes_outstanding == 100
         assert verify_identities(sheet).ok
 
-    def test_incomplete_coverage_rejected(self):
-        state = build_network(pair_spec(rate_ab=30))
-        settle(state, "A", "B", 0.5)
-        recorder = Recorder(state)
-        with pytest.raises(RecordError, match="no observer cut for term 0"):
-            recorder.compile_term()
-        settle_all(state, 1.0, term=0)
-        assert recorder.compile_term().agents["A"] == AgentLine(0, 0, 30, -30)
+    def test_retirement_counts_as_outflow(self):
+        state, recorder = hand_driven()
+        issue(state, 100, 0.2)
+        issue(state, -40, 0.4)
+        sheet = recorder.record_term()
+        assert sheet.agents["CB"] == AgentLine(0, 100, 40, 60)
+        assert sheet.notes_outstanding == 60
+        assert verify_identities(sheet).ok
 
     def test_shock_counts_in_totals_not_figures(self):
-        state = build_network(pair_spec())
+        state, recorder = hand_driven()
         inject_shock(state, "B", 40, 0.3, channel_id="ab")
-        sheet = cut_and_compile(state, 1)[0]
+        sheet = recorder.record_term()
         assert sheet.agents["B"].inflow == 40
         assert sheet.agents["A"].outflow == 40
         assert sheet.figures["ab_flow"] == 0
         assert verify_identities(sheet).ok
 
     def test_events_after_a_cut_open_the_next_term(self):
-        state = build_network(pair_spec())
-        recorder = Recorder(state)
-        settle_all(state, 1.0, term=0)
+        state, recorder = hand_driven()
+        first = recorder.record_term()
         state.channels["ab"].rate = 30
-        settle(state, "A", "B", 2.0)
-        settle_all(state, 2.0, term=1)
-        first, second = recorder.compile_term(), recorder.compile_term()
+        second = recorder.record_term()
         assert first.agents["A"] == AgentLine(0, 0, 0, 0)
         assert second.agents["A"] == AgentLine(0, 0, 30, -30)
-
-    def test_cut_of_another_term_rejected(self):
-        state = build_network(pair_spec())
-        settle_all(state, 1.0, term=1)
-        with pytest.raises(RecordError, match="cut of term 1 where term 0 was expected"):
-            Recorder(state).compile_term()
+        assert [sheet.agents["A"] for sheet in sheets_from_log(state)] == [
+            first.agents["A"], second.agents["A"]]
 
 
 def boundary_kernel(term_length, shocks, gain=Fraction(0)):
@@ -151,19 +153,19 @@ class TestTermBoundaries:
 
     @pytest.mark.parametrize("length", [0.1, 0.3, 0.7, 1 / 3])
     def test_closing_stocks_equal_stocks_at_the_cut(self, length):
-        # Compiled again once the whole log exists, each sheet still closes
-        # at the stocks its own cut saw.
+        # Replayed from the log once the whole log exists, each sheet still
+        # closes at the stocks its own cut saw.
         shocks = [(k, 10 * k - 60) for k in range(1, 13)]
         state = build_network(boundary_kernel(length, shocks, gain=Fraction(1)))
         recorder = Recorder(state)
-        at_cut = []
+        sheets, at_cut = [], []
         for _ in range(13):
-            recorder.record_term()
+            sheets.append(recorder.record_term())
             at_cut.append({aid: agent.stock for aid, agent in state.agents.items()})
-        record = run_record(state, 0)
+        assert sheets_from_log(state) == sheets
         assert [{aid: line.closing for aid, line in sheet.agents.items()}
-                for sheet in record.sheets] == at_cut
-        assert verify_record(record).ok
+                for sheet in sheets] == at_cut
+        assert verify_record(Record(tuple(sheets))).ok
 
 
 class TestResume:
@@ -186,6 +188,8 @@ class TestResume:
             state = checkpoint.clone()
             recorder = Recorder(state, k)
             assert [recorder.record_term() for _ in range(k, 5)] == list(record.sheets[k:])
+            assert sheets_from_log(state, checkpoint) == list(record.sheets[k:])
+            assert tallies_hold(state)
         assert checkpoints[3].now == 3 * length  # the checkpoints stay as taken
 
     def test_off_boundary_state_rejected(self, national5_spec):
@@ -324,25 +328,107 @@ class TestRecordOfRun:
         cuts = [e for e in state.log if e.kind == "Settlement" and e.payload.get("observer")]
         assert [e.payload["term"] for e in cuts] == [0, 1]
 
-    def test_incremental_runs_extend_the_record(self):
-        state = build_network(tiny_spec(seed=3))
-        first = run_record(state, 2)
-        both = run_record(state, 1)
-        assert len(first.sheets) == 2
-        assert len(both.sheets) == 3
-        assert both.sheets[:2] == first.sheets
-
-    def test_prefix_without_cuts_rejected(self):
-        state = build_network(tiny_spec(seed=3))
-        run(state, 2.0)
-        with pytest.raises(RecordError, match="no observer cut for term 0"):
-            run_record(state, 1)
-
     def test_must_start_on_a_term_boundary(self):
         state = build_network(tiny_spec(seed=3))
         run(state, 0.4)
         with pytest.raises(ValueError, match="term boundary"):
             run_record(state, 1)
+
+    def test_must_start_at_time_zero(self):
+        # A record starts from a fresh state: a later boundary is a resume.
+        state = build_network(tiny_spec(seed=3))
+        run_record(state, 2)
+        with pytest.raises(ValueError, match="cannot resume term 0: the state is at 2.0"):
+            run_record(state, 1)
+
+
+PINNED_RUNS = {
+    **{f"{name}-{seed}": (BUILTIN_SCENARIOS[name]().with_seed(seed), None, PIN_TERMS)
+       for name, seed in sorted(SCENARIO_PINS)},
+    "boundary-shocks": (boundary_shock_spec(), None, 8),
+    "live-dynamics": (LIVE_SPEC, LIVE_OFFSETS, PIN_TERMS),
+}
+
+
+@st.composite
+def disturbed_runs(draw):
+    """A built-in scenario at another term length with every kind of money move.
+
+    Shocks land on term boundaries, multipliers change mid-term, a rate the
+    scenario never declared is set, notes are issued and partly retired,
+    agents start off balance under overridden gains, and a second flow
+    figure watches a channel that already has one.
+    """
+    spec = draw(st.sampled_from([national_5, three_agent_cycle, two_agent_kernel]))()
+    length = draw(st.sampled_from([0.1, 1 / 3, 0.5, 0.75]))
+    n_terms = draw(st.integers(1, 5))
+    channels = st.sampled_from([c.id for c in spec.channels])
+    terms = st.integers(0, n_terms - 1)
+    issued = draw(st.integers(1, 500))
+    issuance = (*spec.issuance, ScheduledAmount(draw(terms) * length, issued),
+                ScheduledAmount((n_terms - 0.5) * length, -draw(st.integers(0, issued))))
+    first = spec.figures[0]
+    spec = replace(spec, term_length=length, seed=draw(st.integers(0, 2 ** 16)),
+                   issuance=tuple(sorted(issuance, key=lambda e: e.time)),
+                   figures=(*spec.figures, FigureSpec("again_flow", channel=first.channel),
+                            FigureSpec("cb_stock", stock="CB")))
+    spec = spec.with_extra_shocks(draw(st.lists(st.builds(
+        lambda k, cid, amount: ShockSpec(k * length, cid, amount),
+        st.integers(1, n_terms), channels, st.integers(-80, 80)), max_size=3)))
+    spec = spec.with_extra_policy([
+        *draw(st.lists(st.builds(
+            lambda k, cid, value: PolicyAction((k + 0.5) * length, "set_multiplier", cid, value),
+            terms, channels, st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(3, 2)])),
+            max_size=2)),
+        PolicyAction(draw(terms) * length + 0.01, "set_rate", "policy_rate", Fraction(1, 50)),
+    ])
+    state = build_network(spec)
+    movers = [a.id for a in spec.agents if not a.continuity_exempt]
+    apply_assignment(state, Assignment(
+        offsets={aid: draw(st.sampled_from([0, 7, 30])) for aid in movers},
+        gain_overrides={aid: draw(st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(3)]))
+                        for aid in movers}))
+    return state, n_terms
+
+
+class TestLogOracle:
+    """The sheets read off the tallies equal the sheets replayed from the log."""
+
+    @pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+    def test_pinned_runs(self, name):
+        spec, assignment, n_terms = PINNED_RUNS[name]
+        state = build_network(spec)
+        if assignment is not None:
+            apply_assignment(state, assignment)
+        record = run_record(state, n_terms)
+        assert sheets_from_log(state) == list(record.sheets)
+        assert tallies_hold(state)
+
+    @given(run=disturbed_runs())
+    @settings(max_examples=60, deadline=None)
+    def test_disturbed_runs(self, run):
+        state, n_terms = run
+        record = run_record(state, n_terms)
+        assert sheets_from_log(state) == list(record.sheets)
+        assert tallies_hold(state)
+        assert verify_record(record).ok
+        assert all("policy_rate" in sheet.rates for sheet in record.sheets[n_terms - 1:])
+
+
+class TestFigures:
+    def test_two_figures_on_one_channel_both_recorded(self):
+        spec = three_agent_cycle()
+        spec = replace(spec, figures=(*spec.figures, FigureSpec("ab_again", channel="ab")))
+        sheet = run_record(build_network(spec), 1).sheets[0]
+        assert list(sheet.figures) == ["ab_flow", "bc_flow", "ca_flow", "ab_again"]
+        assert sheet.figures["ab_again"] == sheet.figures["ab_flow"] == 300
+
+    @pytest.mark.parametrize("second", [FigureSpec("ab_flow", stock="A"),
+                                        FigureSpec("ab_flow", channel="bc")])
+    def test_repeated_figure_name_rejected(self, second):
+        spec = three_agent_cycle()
+        with pytest.raises(ScenarioError, match="figure name 'ab_flow' is used more than once"):
+            replace(spec, figures=(*spec.figures, second))
 
 
 AGENT_COLUMNS = ("opening", "inflow", "outflow", "closing")
@@ -513,6 +599,7 @@ class TestCsvRowMessages:
         ("0,aggregates,,,,,,flow=1.5x", "line 2 flow: cannot parse rational '1.5x'"),
         ("0,aggregates,,,,,,flow=2 bad", "line 2 column 8: malformed aggregate 'bad'"),
         ("0,agent,A,1,2,3,4,", "term 0: agent rows without a closing aggregates row"),
+        ("0,agent,A,1,2,3,4,\n0,agent,A,1,2,3,4,", "line 3 column 3: agent 'A' repeated in term 0"),
     ])
     def test_exact_messages(self, rows, message):
         with pytest.raises(RecordError) as info:
