@@ -17,6 +17,21 @@ shock, so it resumes from that run's checkpoint at the last term boundary
 before the shock instead of simulating from time 0; the divergences are the
 same to the bit.
 
+Most replays need not run at all. A shock moves stock between the ends of a
+channel and refreshes the sink's snapshot of its rate, and nothing in the
+dynamics reads stock, so a shock can change a flow only by refreshing a
+snapshot that is stale. A snapshot is stale only where assignment offsets
+moved a true rate at time 0: every later rate change happens in an agent
+update that settles the channel in the same event. Once a channel's first
+settlement or nonzero shock has refreshed it, its snapshot is current
+whenever anything reads it. A replay whose every nonzero shock comes
+strictly after its channel's first refresh in the unshocked run therefore
+leaves every flow, rate and issuance figure exactly where the unshocked run
+has them, and diverges by 0.0 without running. A tie still runs, since a
+scheduled shock precedes an agent's wake at the same time. Stock figures
+move by the shock amounts themselves, so a set whose dims name one runs its
+replays as before.
+
 The divergence metric here is max-over-horizon scaled Euclidean distance with
 a harmonic score 1/(1+divergence); both are conventions, pluggable via the
 `scales` argument and this module's small function surface.
@@ -26,11 +41,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import sqrt
+from math import inf, sqrt
 from typing import Mapping, Sequence
 
 from . import rng
-from .network import NetworkState, build_network
+from .network import Event, NetworkState, build_network
 from .recorder import BalanceSheet, Record, Recorder, run_record
 from .retrieval import Assignment, FitConfig, apply_assignment, fit
 from .scenario import PolicyAction, ScenarioError, ScenarioSpec, ShockSpec, as_fraction
@@ -115,6 +130,9 @@ class Candidate:
     record: Record
     trajectory: Trajectory
     imbalance_pool: tuple[float, ...]  # |observed deficit| per event of the unshocked run
+    # Each channel whose snapshot is stale at time 0 (offsets), with the time
+    # the unshocked run first refreshes it: inf if it never does.
+    refresh_times: Mapping[str, float]
 
 
 @dataclass(frozen=True)
@@ -179,7 +197,8 @@ def simulate_candidate(spec: ScenarioSpec, candidate_id: int, n_terms: int,
                        schedule: Sequence[PolicyAction] = (),
                        assignment: Assignment | None = None,
                        checkpoints: list[NetworkState] | None = None) -> Candidate:
-    """Run one candidate future and collect its trajectory and imbalance pool.
+    """Run one candidate future and collect its trajectory, imbalance pool
+    and the refresh times of the snapshots its assignment leaves stale.
 
     A `checkpoints` list receives the run's state at the opening boundary of
     each term (see `run_record`), for shock replays to resume from.
@@ -188,6 +207,7 @@ def simulate_candidate(spec: ScenarioSpec, candidate_id: int, n_terms: int,
     state = build_network(candidate_spec)
     if assignment is not None:
         apply_assignment(state, assignment)
+    stale = [cid for cid, ch in state.channels.items() if ch.snap_rate_sink != ch.rate]
     record = run_record(state, n_terms, checkpoints)
     pool = tuple(
         abs(float(ev.payload["deficit"]))
@@ -200,7 +220,28 @@ def simulate_candidate(spec: ScenarioSpec, candidate_id: int, n_terms: int,
         record=record,
         trajectory=extract_trajectory(record, dims),
         imbalance_pool=pool,
+        refresh_times=_refresh_times(state.log, stale),
     )
+
+
+def _refresh_times(log: Sequence[Event], stale: Sequence[str]) -> dict[str, float]:
+    """Time of the first settlement listing each `stale` channel, or of the
+    first nonzero shock on it, whichever comes first in `log`; inf if none."""
+    refresh = dict.fromkeys(stale, inf)
+    pending = set(stale)
+    for ev in log:
+        if not pending:
+            break
+        if ev.kind == "Settlement":
+            touched = pending.intersection(cid for cid, _ in ev.payload["amounts"])
+        elif ev.kind == "Shock" and ev.payload["amount"] and ev.payload["channel"] in pending:
+            touched = {ev.payload["channel"]}
+        else:
+            continue
+        for cid in touched:
+            refresh[cid] = ev.time
+        pending -= touched
+    return refresh
 
 
 def generate_candidates(spec: ScenarioSpec, n: int, sampler: SamplerConfig = SamplerConfig(),
@@ -318,18 +359,23 @@ def score_candidates(candidates: Sequence[Candidate], spec: ScenarioSpec,
     faces the same one. Each candidate is replayed under its assignment and
     measured against its own base.
 
-    A replay runs only from the last term boundary before its first nonzero
-    shock: each base runs unshocked once, here, keeping a checkpoint at every
-    term boundary (the same run yields the re-simulated base), and the replay
-    resumes from the checkpoint with its nonzero shocks. A zero shock only
-    logs an event, and a replay without a nonzero one is its base, so it
-    diverges by 0.0 without running. The replays that run form one task list,
-    run in this process or, with `jobs` > 1, in one process pool. A candidate
-    with no replays scores 1.
+    A replay runs only if one of its nonzero shocks can land on a stale
+    snapshot: at or before the base's first refresh of a channel that its
+    offsets left stale (`Candidate.refresh_times`). Any other replay moves
+    stocks alone, as the module docstring argues, so unless a dim names a
+    stock figure it diverges by 0.0 without running; a base without offsets
+    has no stale channel and runs none. A zero shock only logs an event. A
+    replay that runs starts from the last term boundary before its first
+    nonzero shock: each base runs unshocked once, here, keeping a checkpoint
+    at every term boundary (the same run yields the re-simulated base), and
+    the replay resumes from the checkpoint with its nonzero shocks. The
+    replays that run form one task list, run in this process or, with
+    `jobs` > 1, in one process pool. A candidate with no replays scores 1.
     """
     if not candidates:
         raise ValueError("empty candidate set")
     dims, assignments = tuple(dims), assignments or {}
+    stock_dims = any(f.stock is not None and f.name in dims for f in spec.figures)
     bases, checkpoints = [], []
     for candidate in candidates:
         assignment = assignments.get(candidate.id)
@@ -345,6 +391,9 @@ def score_candidates(candidates: Sequence[Candidate], spec: ScenarioSpec,
     sequences: dict[int, list[list[ShockSpec]]] = {}  # nonzero shocks by horizon, replay
     tasks, slots = [], []
     for i, base in enumerate(bases):
+        refresh = base.refresh_times
+        if not (stock_dims or refresh):
+            continue
         n_terms = len(base.record.sheets)
         if n_terms not in sequences:
             sequences[n_terms] = [
@@ -353,7 +402,8 @@ def score_candidates(candidates: Sequence[Candidate], spec: ScenarioSpec,
                  if shock.amount]
                 for m in range(config.replays)]
         for m, shocks in enumerate(sequences[n_terms]):
-            if not shocks:
+            if not shocks or (not stock_dims
+                              and all(s.time > refresh.get(s.channel, -inf) for s in shocks)):
                 continue
             if not checkpoints[i]:
                 simulate_candidate(spec, base.id, n_terms, dims, base.schedule,

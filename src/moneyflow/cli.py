@@ -159,10 +159,16 @@ def cmd_anticipate(args, out) -> int:
     out.write(payload)
     if all(d == 0.0 for s in report.scores for d in s.divergences):
         # Without fitted offsets the shock magnitudes come from candidate 0's
-        # own pool, and an empty pool makes every shock 0.
-        cause = ("the shock pool is empty (the reference candidate's unshocked run never "
-                 "observed a nonzero deficit), so every replay shock was 0 and "
-                 if not args.fit_candidates and not candidates[0].imbalance_pool else "")
+        # own pool, and an empty pool makes every shock 0. A nonzero shock
+        # moves a flow only by refreshing a snapshot that offsets left stale.
+        if args.fit_candidates:
+            cause = ""
+        elif not candidates[0].imbalance_pool:
+            cause = ("the shock pool is empty (the reference candidate's unshocked run never "
+                     "observed a nonzero deficit), so every replay shock was 0 and ")
+        else:
+            cause = ("no candidate carries offsets, so no snapshot is stale, no replay shock "
+                     "can move a dim that is not a stock figure, and ")
         print(f"moneyflow: warning: {cause}every shock replay of every candidate diverged by 0.0, "
               "so the scores cannot tell the candidates apart and the selection is the tie-break",
               file=sys.stderr)

@@ -328,11 +328,15 @@ def _residual_moves_a_rate(state: NetworkState, agent: Agent) -> bool:
     deltas and carry the same residual on: a sub-unit remainder, or a
     correction the rate >= 0 clamp blocks. With deficit 0 the demand is the
     residual itself, whose whole units are its truncation toward zero, so
-    one below a unit in magnitude moves nothing.
+    one below a unit in magnitude moves nothing. A negative one only lowers
+    rates, which the clamp keeps at 0, so it moves nothing when every
+    adjustable channel is already at rate 0.
     """
     if -1 < agent.pending_correction < 1:
         return False
     channels = [state.channels[cid] for cid in state.adjustable_outgoing[agent.id]]
+    if agent.pending_correction < 0 and not any(ch.rate for ch in channels):
+        return False
     deltas, _ = equilibrate(channels, 0, agent.gain, agent.pending_correction)
     return any(deltas.values())
 

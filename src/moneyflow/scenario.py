@@ -182,9 +182,15 @@ class ScenarioSpec:
                     raise ScenarioError(f"{what} {name!r}: a record cannot hold an empty name "
                                         f"or one with a comma, whitespace or '='")
         names = [f.name for f in self.figures]
+        # A record keeps figures in one namespace with these aggregates.
+        aggregates = {"notes_outstanding", "government_securities_outstanding", *merged,
+                      *(p.target for p in self.policy if p.kind == "set_rate")}
         for name in names:
             if names.count(name) > 1:
                 raise ScenarioError(f"figure name {name!r} is used more than once")
+            if name in aggregates:
+                raise ScenarioError(f"figure name {name!r} is the name of a record aggregate "
+                                    "(notes or securities outstanding, or a rate)")
 
     def with_seed(self, seed: int) -> "ScenarioSpec":
         return replace(self, seed=seed)

@@ -1,6 +1,8 @@
 """Candidate futures, divergence scoring, and robust-trajectory selection."""
 
 import concurrent.futures
+import functools
+import math
 import multiprocessing
 from dataclasses import replace
 from fractions import Fraction
@@ -27,12 +29,13 @@ from moneyflow import (
     select_most_robust,
     simulate_candidate,
     three_agent_cycle,
+    two_agent_kernel,
 )
-from moneyflow import anticipation
-from moneyflow.anticipation import default_scales
+from moneyflow import anticipation, engine
+from moneyflow.anticipation import _resume_term, default_scales
 from moneyflow.recorder import BalanceSheet, Record
 from moneyflow.retrieval import apply_assignment
-from moneyflow.scenario import ScenarioError, ShockSpec, national_5
+from moneyflow.scenario import FigureSpec, PolicyAction, ScenarioError, ShockSpec, national_5
 
 from conftest import tiny_spec
 
@@ -263,12 +266,13 @@ def checkpoint_set(term_length, n_terms):
     return spec, candidates, assignments
 
 
-def checkpointed_divergences(monkeypatch, spec, candidates, assignments, shock_lists, jobs):
+def checkpointed_divergences(monkeypatch, spec, candidates, assignments, shock_lists, jobs,
+                             dims=CYCLE_DIMS):
     """`score_candidates` with its sampled shocks replaced by `shock_lists`."""
     monkeypatch.setattr(anticipation, "sample_shock_sequence",
                         lambda pool, spec, config, m, n_terms: list(shock_lists[m]))
     config = ReplayConfig(replays=len(shock_lists), jobs=jobs)
-    report = score_candidates(candidates, spec, config, CYCLE_DIMS, assignments)
+    report = score_candidates(candidates, spec, config, dims, assignments)
     return [list(s.divergences) for s in report.scores]
 
 
@@ -338,17 +342,208 @@ class TestCheckpointOracle:
         assert bits([list(s.divergences) for s in report.scores]) == bits(expected)
         assert any(d != 0.0 for row in expected for d in row)
 
-    def test_replays_without_a_nonzero_shock_do_not_run(self, cycle_spec, monkeypatch):
+    def test_only_replays_that_can_reach_a_stale_snapshot_run(self, cycle_spec, monkeypatch):
         candidates, assignments = cycle_set(cycle_spec)
+        refresh = base_refresh_times(cycle_spec, candidates, assignments, 3)
+        # The offsets move ab (A's) and ca (C's) at time 0; candidate 1 has none.
+        assert refresh[1] == {} and set(refresh[0]) == set(refresh[2]) == {"ab", "ca"}
+        assert refresh[0] == refresh[2]  # same wake times, so the same first settlements
+        ab, ca = refresh[0]["ab"], refresh[0]["ca"]
         ran = []
         monkeypatch.setattr(anticipation, "_run_replay", lambda task: ran.append(task) or 1.0)
-        shock_lists = [[], [ShockSpec(0.5, "ab", 0)], [ShockSpec(1.5, "ab", 0),
-                                                         ShockSpec(2.0, "bc", 5)]]
+        runs = [ShockSpec(ca, "ca", 5), ShockSpec(2.0, "bc", 5)]  # a tie with ca's refresh
+        shock_lists = [
+            [],  # the base itself
+            [ShockSpec(0.5 * ca, "ab", 0)],  # only a zero shock, in the stale window
+            [ShockSpec(0.5 * ca, "bc", 40)],  # bc is never stale
+            [ShockSpec(ca + 0.125, "ca", 40), ShockSpec(ab + 0.5, "ab", -25)],  # both refreshed
+            runs,
+            [ShockSpec(ab, "ab", -25)],  # a tie with ab's refresh
+        ]
         got = checkpointed_divergences(monkeypatch, cycle_spec, candidates, assignments,
                                        shock_lists, jobs=1)
-        assert got == [[0.0, 0.0, 1.0]] * 3
-        # Each task starts at term 2 with the one nonzero shock.
-        assert [(task[1], task[2]) for task in ran] == [(2, [ShockSpec(2.0, "bc", 5)])] * 3
+        assert got == [[0.0, 0.0, 0.0, 0.0, 1.0, 1.0], [0.0] * 6,
+                       [0.0, 0.0, 0.0, 0.0, 1.0, 1.0]]
+        # Each task resumes at the term of its first nonzero shock, with every one of them.
+        first = _resume_term(ab, 1.0, 3)
+        assert [(task[1], task[2]) for task in ran] == [(0, runs), (first, shock_lists[5])] * 2
+
+
+def base_refresh_times(spec, candidates, assignments, n_terms, dims=CYCLE_DIMS):
+    """Each candidate's `refresh_times` as `score_candidates` sees them."""
+    return [simulate_candidate(spec, c.id, n_terms, dims, c.schedule,
+                               assignments.get(c.id)).refresh_times for c in candidates]
+
+
+# Scenario, channel of the mid-term policy, offsets and dims. In the kernel
+# the pair's one settlement refreshes both directions, so a shock tied with
+# it refreshes the snapshot the waking agent is about to read. The cycle's
+# own shocks early in term 0 refresh ab (a nonzero one) and leave ca stale
+# (a zero one).
+STALE_WORLDS = {
+    "cycle": (three_agent_cycle(), "ca", {"A": 30, "C": -15}, CYCLE_DIMS),
+    "kernel": (two_agent_kernel(40, 40), "ba", {"A": 6, "B": -4}, ("ab_flow", "ba_flow")),
+}
+
+
+def stale_window_set(world, term_length, n_terms, seed=7):
+    """Three candidates with a mid-term policy on a channel that starts
+    stale. Candidate 0 carries offsets, 1 a gain override only and 2 both."""
+    base, policy_channel, offsets, dims = STALE_WORLDS[world]
+    spec = replace(base, term_length=term_length, seed=seed).with_extra_policy([
+        PolicyAction(0.25 * term_length, "set_multiplier", policy_channel, Fraction(5, 4))])
+    if world == "cycle":
+        spec = spec.with_extra_shocks([ShockSpec(0.0625 * term_length, "ca", 0),
+                                       ShockSpec(0.125 * term_length, "ab", 20)])
+    candidates = generate_candidates(spec, 3, SamplerConfig(seed=6, channels=("ab",)),
+                                     n_terms=n_terms, dims=dims)
+    gains = {agent: Fraction(3) for agent in offsets}
+    assignments = {0: Assignment(offsets=offsets), 1: Assignment(gain_overrides=gains),
+                   2: Assignment(offsets=offsets, gain_overrides=gains)}
+    return spec, candidates, assignments, dims
+
+
+@functools.lru_cache(maxsize=None)
+def stale_window_times(world, term_length, n_terms, seed=7):
+    """Shock times around every base's first refreshes: just before, at and
+    just after each, plus the term boundaries and mid-terms."""
+    spec, candidates, assignments, dims = stale_window_set(world, term_length, n_terms, seed)
+    times = {k * term_length for k in range(n_terms)}
+    times |= {(k + 0.5) * term_length for k in range(n_terms)}
+    for refresh in base_refresh_times(spec, candidates, assignments, n_terms, dims):
+        for t in refresh.values():
+            times |= {math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf), t + 0.0625}
+    horizon = n_terms * term_length
+    return sorted(t for t in times if 0 <= t < horizon)
+
+
+def stale_window_divergences(monkeypatch, world, term_length, n_terms, shock_lists, seed=7):
+    """The from-scratch and the scored divergences, and the replays that ran."""
+    spec, candidates, assignments, dims = stale_window_set(world, term_length, n_terms, seed)
+    expected = from_scratch_divergences(candidates, spec, dims, assignments, shock_lists)
+    ran = []
+    run_replay = anticipation._run_replay
+    monkeypatch.setattr(anticipation, "_run_replay",
+                        lambda task: ran.append(task) or run_replay(task))
+    got = checkpointed_divergences(monkeypatch, spec, candidates, assignments, shock_lists,
+                                   jobs=1, dims=dims)
+    return expected, got, ran
+
+
+class TestStaleWindowOracle:
+    """Skipping the replays that cannot reach a stale snapshot gives the
+    from-scratch divergences, bit for bit."""
+
+    @given(data=st.data(), world=st.sampled_from(sorted(STALE_WORLDS)),
+           term_length=st.sampled_from([1.0, 1 / 3, 0.75]), n_terms=st.integers(1, 3),
+           seed=st.sampled_from([3, 7, 11, 19]))
+    @settings(max_examples=60, deadline=None)
+    def test_shocks_around_the_first_refresh(self, data, world, term_length, n_terms, seed):
+        channels = sorted(c.id for c in STALE_WORLDS[world][0].channels)
+        horizon = n_terms * term_length
+        time = st.one_of(st.sampled_from(stale_window_times(world, term_length, n_terms, seed)),
+                         st.floats(0, horizon, exclude_max=True))
+        shock = st.builds(ShockSpec, time, st.sampled_from(channels),
+                          st.sampled_from([0, -4, 5, 40]))
+        shock_lists = data.draw(st.lists(st.lists(shock, max_size=3), min_size=1, max_size=3))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            expected, got, _ = stale_window_divergences(monkeypatch, world, term_length,
+                                                        n_terms, shock_lists, seed)
+        assert bits(got) == bits(expected)
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    @pytest.mark.parametrize("world", sorted(STALE_WORLDS))
+    @pytest.mark.parametrize("term_length", [1.0, 0.75])
+    def test_both_sides_of_each_refresh(self, monkeypatch, world, term_length, seed):
+        # One lone shock per time and stale channel: the skipped ones diverge
+        # by 0.0 in the from-scratch runs too, and some that run do not.
+        n_terms = 2
+        stale = STALE_WORLDS[world][2]  # the offset agents' channels
+        channels = [c.id for c in STALE_WORLDS[world][0].channels if c.source in stale]
+        shock_lists = [[ShockSpec(t, cid, amount)]
+                       for t in stale_window_times(world, term_length, n_terms, seed)
+                       for cid in channels for amount in (-4, 40)]
+        expected, got, ran = stale_window_divergences(monkeypatch, world, term_length,
+                                                      n_terms, shock_lists, seed)
+        assert bits(got) == bits(expected)
+        assert 0 < len(ran) < 2 * len(shock_lists)  # bases 0 and 2 skip some, 1 runs none
+        assert any(d != 0.0 for row in expected for d in row)
+
+    def test_stock_dims_run_every_replay_with_a_nonzero_shock(self, monkeypatch):
+        spec, candidates, assignments, dims = stale_window_set("cycle", 1.0, 3)
+        spec = replace(spec, figures=spec.figures + (FigureSpec("a_stock", stock="A"),))
+        dims = dims + ("a_stock",)
+        # After every refresh: skipped on flow dims alone, but they move A's stock.
+        shock_lists = [[], [ShockSpec(1.5, "ab", 40)], [ShockSpec(2.25, "ca", -25),
+                                                         ShockSpec(1.75, "bc", 0)]]
+        expected = from_scratch_divergences(candidates, spec, dims, assignments, shock_lists)
+        ran = []
+        run_replay = anticipation._run_replay
+        monkeypatch.setattr(anticipation, "_run_replay",
+                            lambda task: ran.append(task) or run_replay(task))
+        monkeypatch.setattr(anticipation, "sample_shock_sequence",
+                            lambda pool, spec, config, m, n_terms: list(shock_lists[m]))
+        report = score_candidates(candidates, spec, ReplayConfig(replays=3), dims, assignments)
+        assert bits([list(s.divergences) for s in report.scores]) == bits(expected)
+        assert len(ran) == 2 * 3  # every candidate, gain override only included
+        assert all(row[0] == 0.0 and row[1] != 0.0 and row[2] != 0.0 for row in expected)
+
+
+def refreshes(event, channel):
+    """Whether a logged event refreshes the channel's snapshot."""
+    if event.kind == "Settlement":
+        return any(cid == channel for cid, _ in event.payload["amounts"])
+    return event.kind == "Shock" and bool(event.payload["amount"]) and \
+        event.payload["channel"] == channel
+
+
+def tax_policy_spec():
+    return national_5().with_extra_policy([
+        PolicyAction(1.5, "set_multiplier", "tax_hh", Fraction(3, 10)),
+        PolicyAction(1.5, "set_multiplier", "tax_corp", Fraction(3, 10)),
+    ])
+
+
+class TestRefreshedSnapshotsStayCurrent:
+    """The invariant behind the skip rule: once a channel's snapshot has been
+    refreshed, every later shock on it finds the snapshot current."""
+
+    @given(case=st.sampled_from([
+               (three_agent_cycle, {"A": 30, "C": -15}, {}),
+               (three_agent_cycle, {"B": 45}, dict.fromkeys("ABC", Fraction(3))),
+               (tax_policy_spec, {"HH": 60, "GOV": -50}, {}),
+               (tax_policy_spec, {}, {}),
+           ]),
+           term_length=st.sampled_from([1.0, 0.75]), seed=st.integers(0, 2 ** 16),
+           data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_at_every_shock(self, case, term_length, seed, data):
+        make_spec, offsets, gains = case
+        spec = replace(make_spec(), term_length=term_length, seed=seed)
+        n_terms = 3
+        shock = st.builds(ShockSpec, st.floats(0, n_terms * term_length, exclude_max=True),
+                          st.sampled_from(sorted(c.id for c in spec.channels)),
+                          st.sampled_from([0, -40, 25]))
+        shocks = data.draw(st.lists(shock, min_size=1, max_size=6))
+        state = build_network(spec.with_extra_shocks(shocks))
+        apply_assignment(state, Assignment(offsets=offsets, gain_overrides=gains))
+        stale = {cid for cid, ch in state.channels.items() if ch.snap_rate_sink != ch.rate}
+        assert bool(stale) == any(offsets.values())
+        checked = []
+        inject = engine.inject_shock
+
+        def checking(state, agent_id, amount, time, *, channel_id):
+            if channel_id not in stale or any(refreshes(ev, channel_id) for ev in state.log):
+                ch = state.channels[channel_id]
+                assert ch.snap_rate_sink == ch.rate, (channel_id, time)
+                checked.append(channel_id)
+            return inject(state, agent_id, amount, time, channel_id=channel_id)
+
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(engine, "inject_shock", checking)
+            run_record(state, n_terms)
+        # The first observer cut refreshes every channel.
+        assert len(checked) >= sum(s.time >= term_length for s in shocks)
 
 
 class TestFanOut:
@@ -371,6 +566,8 @@ class TestFanOut:
         report = score_set(cycle_spec, jobs)
         assert len(opened) == pools
         assert [len(s.divergences) for s in report.scores] == [4, 4, 4]
+        # Replays ran: some shocks land on a snapshot the offsets left stale.
+        assert any(d != 0.0 for s in report.scores for d in s.divergences)
 
     def test_spawn_start_method_same_report(self, cycle_spec, monkeypatch):
         serial = score_set(cycle_spec, jobs=1)

@@ -139,16 +139,20 @@ class TestAnticipate:
         assert err.count("\n") == 1
         assert "shock pool is empty" in err
 
-    def test_nonempty_shock_pool_gets_no_pool_warning(self, capsys):
-        # three-agent-skew starts unbalanced: the pool is not empty, but over
-        # two terms no replay moves the flows, so only the general warning shows.
+    def test_nonempty_shock_pool_gets_no_pool_warning(self, tmp_path, capsys):
+        # three-agent-skew starts unbalanced: the pool is not empty, but no
+        # candidate carries offsets, so no replay shock moves a flow.
+        report_path = tmp_path / "rep.json"
         code, output = invoke("anticipate", "--scenario", "three-agent-skew", "--horizon", "2",
-                              "--candidates", "2", "--replays", "2")
+                              "--candidates", "2", "--replays", "2",
+                              "--dims", "ab_flow,bc_flow", "--out", str(report_path))
         assert code == 0
+        assert output[output.index("{"):] == report_path.read_text()
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "diverged by 0.0" in err
         assert "shock pool" not in err
+        assert "no candidate carries offsets, so no snapshot is stale" in err
 
     def test_equal_divergences_warn_on_stderr(self, tmp_path, capsys):
         # national-5 with a household-stock figure and the tax policy from
@@ -283,6 +287,19 @@ class TestParseErrors:
         code, _ = invoke("verify", "--record", str(path))
         assert code == 2
         assert "sheet 0 agents: key 'A' repeated" in capsys.readouterr().err
+
+    def test_figure_named_like_an_aggregate(self, tmp_path, capsys):
+        from moneyflow import three_agent_cycle
+
+        doc = three_agent_cycle().to_dict()
+        doc["figures"].append({"name": "notes_outstanding", "stock": "A"})
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        code, _ = invoke("record", "--scenario", str(path), "--terms", "1",
+                         "--out", str(tmp_path / "r.csv"))
+        assert code == 2
+        assert "figure name 'notes_outstanding' is the name of a record aggregate" \
+            in capsys.readouterr().err
 
     def test_simulate_agents_not_objects(self, tmp_path, capsys):
         path = tmp_path / "s.json"

@@ -29,7 +29,7 @@ from moneyflow import (
     two_agent_kernel,
     update_agent,
 )
-from moneyflow import rng
+from moneyflow import engine, rng
 from moneyflow.engine import _residual_moves_a_rate, _split, apportion
 from moneyflow.network import Event
 from moneyflow.retrieval import Assignment, apply_assignment
@@ -391,6 +391,27 @@ class TestResidualPreCheck:
         channels = [state.channels[cid] for cid in state.adjustable_outgoing["A"]]
         deltas, _ = equilibrate(channels, 0, gain, carry)
         assert _residual_moves_a_rate(state, agent) == any(deltas.values())
+
+    @given(
+        n_channels=st.integers(0, 3),
+        multipliers=st.lists(st.sampled_from([Fraction(0), Fraction(1, 3), ONE, Fraction(5, 2)]),
+                             min_size=3, max_size=3),
+        gain=st.builds(Fraction, st.integers(0, 6), st.integers(1, 4)),
+        carry=st.builds(Fraction, st.integers(-400, -4), st.integers(1, 4)),
+    )
+    @example(n_channels=1, multipliers=[ONE] * 3, gain=ONE, carry=Fraction(-1))
+    @settings(max_examples=100, deadline=None)
+    def test_clamp_blocked_residual_skips_equilibrate(self, n_channels, multipliers, gain, carry):
+        # A residual of at most -1 over channels all at rate 0 can only push
+        # them below 0, which the clamp blocks.
+        state = fan_state([0] * n_channels, multipliers, gain, carry)
+
+        def must_not_run(*args):
+            raise AssertionError("equilibrate ran")
+
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(engine, "equilibrate", must_not_run)
+            assert not _residual_moves_a_rate(state, state.agents["A"])
 
 
 def fraction_calls(fn, *args, **kwargs):

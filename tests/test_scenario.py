@@ -22,6 +22,7 @@ from moneyflow.recorder import record_from_csv, record_to_csv
 from moneyflow.scenario import (
     AgentSpec,
     FigureSpec,
+    PolicyAction,
     ScenarioError,
     as_fraction,
     as_money,
@@ -132,6 +133,22 @@ class TestRecordableNames:
         spec = two_agent_kernel()
         with pytest.raises(ScenarioError, match="agent id 'A,1'"):
             replace(spec, agents=(*spec.agents, AgentSpec("A,1", "Custom:pair")))
+
+    @pytest.mark.parametrize("name", ["notes_outstanding", "government_securities_outstanding",
+                                      "discount_rate", "securities_interest_rate", "tax_rate",
+                                      "target_rate"])
+    def test_aggregate_names_rejected_for_figures(self, name):
+        # A figure of one of these names shares the aggregates cell of a CSV
+        # record with the aggregate, so the record would not read back equal.
+        spec = replace(three_agent_cycle(), rates={"tax_rate": Fraction(1, 8)}).with_extra_policy(
+            [PolicyAction(1.0, "set_rate", "target_rate", Fraction(1, 4))])
+        with pytest.raises(ScenarioError, match=f"figure name {name!r} is the name of a record "
+                                                "aggregate"):
+            replace(spec, figures=spec.figures + (FigureSpec(name, stock="A"),))
+        doc = spec.to_dict()
+        doc["figures"].append({"name": name, "stock": "A"})
+        with pytest.raises(ScenarioError, match=f"figure name {name!r}"):
+            scenario_from_dict(doc)
 
     def test_other_characters_round_trip(self):
         spec = replace(three_agent_cycle(), rates={"rate.1/2;#": Fraction(1, 8)},
