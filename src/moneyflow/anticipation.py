@@ -32,6 +32,17 @@ scheduled shock precedes an agent's wake at the same time. Stock figures
 move by the shock amounts themselves, so a set whose dims name one runs its
 replays as before.
 
+A replay that runs stops once it has rejoined its base. An observer cut
+refreshes every snapshot and they stay current from then on, so the
+replay's later shocks move stock alone. Its flows, issuance and rates from
+that cut on are then fixed by the clock, the notes, securities and rates,
+the policy, securities and issuance cursors, each agent's carried
+correction and wake count and time, and each channel's rate, multiplier,
+snapshot and accrual. Where all of these equal the base checkpoint's at
+the same boundary, every later phase point is the base's, at distance 0.0,
+which cannot raise the max: the replay stops there with the same
+divergence to the bit. With a stock dim it runs to the horizon.
+
 The divergence metric here is max-over-horizon scaled Euclidean distance with
 a harmonic score 1/(1+divergence); both are conventions, pluggable via the
 `scales` argument and this module's small function surface.
@@ -63,6 +74,10 @@ Trajectory = list[tuple[float, ...]]
 # and shocks per term of each shock replay.
 GRID = 8
 SHOCKS_PER_TERM = 1
+
+# Expected agent wakes a replay list must hold per worker process for the
+# worker to pay for its start (measured at jobs 2 on two cores).
+_MIN_WAKES_PER_WORKER = 3000
 
 
 def extract_trajectory(record: Record, dims: Sequence[str] = DEFAULT_DIMS) -> Trajectory:
@@ -153,8 +168,9 @@ class SamplerConfig:
 
 @dataclass(frozen=True)
 class ReplayConfig:
-    """Shock replays per candidate. `jobs` > 1 runs a set's replays in that
-    many worker processes; the results do not depend on it."""
+    """Shock replays per candidate. `jobs` is a ceiling on the worker
+    processes that run a set's replays: a replay list too small to pay for
+    two workers runs in this process. The results do not depend on it."""
 
     replays: int = 32
     shock_scale: float = 1.0
@@ -307,20 +323,43 @@ def _resume_term(time: float, term_length: float, n_terms: int) -> int:
     return k
 
 
+def _rejoin_key(state: NetworkState) -> tuple:
+    """Everything the dynamics read of a state just after an observer cut.
+
+    The cut leaves every snapshot current and later shocks keep it so, so
+    from there on shocks move stock alone, which nothing reads: the flows,
+    issuance and rates that follow depend on this key only. The shock
+    cursor, stocks and tallies are left out. Accruals compare as raw
+    integers, so one amount in two representations is merely not a match.
+    """
+    cursors = state.cursors
+    return (state.now, state.cumulative_issuance, state.securities_outstanding,
+            dict(state.rates), cursors["policy"], cursors["securities"], cursors["issuance"],
+            [(a.pending_correction, a.event_count, a.next_time) for a in state.agents.values()],
+            [(c.rate, c.multiplier, c.snap_rate_sink, c.accrued_num, c.accrued_den,
+              c.accrued_until) for c in state.channels.values()])
+
+
 def _run_replay(task) -> float:
     """Divergence of one replay, resumed from the checkpoint of term k.
 
     Terms before k match the base exactly, so only terms k onwards run; the
     shocked spec replaces the checkpoint's, whose shock cursor still counts
-    only the scenario's own shocks, as no replay shock comes before k.
+    only the scenario's own shocks, as no replay shock comes before k. The
+    task carries the base's rejoin key at each boundary after k, or None
+    where none may be used; the replay stops at the first boundary whose
+    key its state matches, since every later phase point is then the base's.
     """
-    checkpoint, term, shocks, dims, base_trajectory, scales = task
+    checkpoint, term, shocks, dims, base_trajectory, scales, keys = task
     state = checkpoint.clone()
     state.spec = state.spec.with_extra_shocks(shocks)
     recorder = Recorder(state, term)
-    shocked = [_phase_point(recorder.record_term(), dims)
-               for _ in range(term, len(base_trajectory))]
-    return divergence(base_trajectory[term:], shocked, scales)
+    shocked = [_phase_point(recorder.record_term(), dims)]
+    for key in keys:
+        if key is not None and _rejoin_key(state) == key:
+            break
+        shocked.append(_phase_point(recorder.record_term(), dims))
+    return divergence(base_trajectory[term:term + len(shocked)], shocked, scales)
 
 
 def _map_tasks(fn, tasks, jobs: int) -> list:
@@ -368,9 +407,23 @@ def score_candidates(candidates: Sequence[Candidate], spec: ScenarioSpec,
     replay that runs starts from the last term boundary before its first
     nonzero shock: each base runs unshocked once, here, keeping a checkpoint
     at every term boundary (the same run yields the re-simulated base), and
-    the replay resumes from the checkpoint with its nonzero shocks. The
-    replays that run form one task list, run in this process or, with
-    `jobs` > 1, in one process pool. A candidate with no replays scores 1.
+    the replay resumes from the checkpoint with its nonzero shocks. It stops
+    at the first later boundary where it has rejoined its base: where its
+    state equals the base checkpoint's in everything the dynamics read, every
+    later phase point is the base's and adds 0.0 to the divergence, as the
+    module docstring argues. With a stock figure among the dims it runs to
+    the horizon.
+
+    The replays that run form one task list. `jobs` is a ceiling: the list's
+    work is estimated as `ScenarioSpec.wakes_per_term` times the terms its
+    replays would run from their resume terms, one worker process is started
+    per `_MIN_WAKES_PER_WORKER` expected wakes, at most `jobs`, and a list
+    that pays for fewer than two runs in this process. A candidate with no
+    replays scores 1.
+
+    A candidate simulated with offsets must be passed the assignment it was
+    simulated with: its replays resume from checkpoints of its base, which
+    carries the offsets only if the assignment does. Without one, ValueError.
     """
     if not candidates:
         raise ValueError("empty candidate set")
@@ -379,6 +432,10 @@ def score_candidates(candidates: Sequence[Candidate], spec: ScenarioSpec,
     bases, checkpoints = [], []
     for candidate in candidates:
         assignment = assignments.get(candidate.id)
+        if candidate.refresh_times and not (assignment and any(assignment.offsets.values())):
+            raise ValueError(f"candidate {candidate.id} was simulated with offsets, but "
+                             "`assignments` gives it none; pass the assignment it was "
+                             "simulated with")
         states: list[NetworkState] = []
         if assignment is not None and (assignment.offsets or assignment.gain_overrides):
             candidate = simulate_candidate(spec, candidate.id, len(candidate.record.sheets), dims,
@@ -401,17 +458,23 @@ def score_candidates(candidates: Sequence[Candidate], spec: ScenarioSpec,
                  sample_shock_sequence(reference.imbalance_pool, spec, config, m, n_terms)
                  if shock.amount]
                 for m in range(config.replays)]
+        keys = None  # the base's rejoin key at each term boundary
         for m, shocks in enumerate(sequences[n_terms]):
             if not shocks or (not stock_dims
                               and all(s.time > refresh.get(s.channel, -inf) for s in shocks)):
                 continue
-            if not checkpoints[i]:
-                simulate_candidate(spec, base.id, n_terms, dims, base.schedule,
-                                   assignments.get(base.id), checkpoints[i])
+            if keys is None:
+                if not checkpoints[i]:
+                    simulate_candidate(spec, base.id, n_terms, dims, base.schedule,
+                                       assignments.get(base.id), checkpoints[i])
+                keys = [None if stock_dims else _rejoin_key(cp) for cp in checkpoints[i]]
             term = _resume_term(min(shock.time for shock in shocks), spec.term_length, n_terms)
-            tasks.append((checkpoints[i][term], term, shocks, dims, base.trajectory, scales))
+            tasks.append((checkpoints[i][term], term, shocks, dims, base.trajectory, scales,
+                          keys[term + 1:]))
             slots.append((i, m))
-    for (i, m), value in zip(slots, _map_tasks(_run_replay, tasks, config.jobs)):
+    wakes = spec.wakes_per_term * sum(len(task[4]) - task[1] for task in tasks)
+    workers = min(config.jobs, int(wakes // _MIN_WAKES_PER_WORKER))
+    for (i, m), value in zip(slots, _map_tasks(_run_replay, tasks, workers)):
         divergences[i][m] = value
     scores = []
     for base, own in zip(bases, map(tuple, divergences)):

@@ -19,7 +19,7 @@ from typing import Mapping
 from . import rng
 from .scenario import CENTRAL_BANK, ScenarioError, ScenarioSpec
 
-# Ceiling on the expected agent wakes per term, term_length * sum(1 / mean_wait).
+# Ceiling on the expected agent wakes per term (`ScenarioSpec.wakes_per_term`).
 # Every wake costs at least one draw, even a skipped one, so a scenario above
 # it would not finish a term; the built-in scenarios expect at most 20.
 _MAX_WAKES_PER_TERM = 1e6
@@ -162,7 +162,7 @@ def build_network(spec: ScenarioSpec) -> NetworkState:
             event_key=rng.stream_key(spec.seed, rng.string_key("agent-events"), rng.string_key(a.id)),
         )
 
-    wakes = spec.term_length * sum(1 / a.mean_wait for a in spec.agents)
+    wakes = spec.wakes_per_term
     if wakes > _MAX_WAKES_PER_TERM:
         raise ScenarioError(
             f"agents would wake about {wakes:.3g} times per term (term_length x sum of "

@@ -181,16 +181,26 @@ class ScenarioSpec:
                 if not name or _UNRECORDABLE.search(name):
                     raise ScenarioError(f"{what} {name!r}: a record cannot hold an empty name "
                                         f"or one with a comma, whitespace or '='")
+        # A record keeps rates and figures in one namespace with the totals.
+        totals = ("notes_outstanding", "government_securities_outstanding")
+        rate_names = {*merged, *(p.target for p in self.policy if p.kind == "set_rate")}
+        for name in totals:
+            if name in rate_names:
+                raise ScenarioError(f"rate name {name!r} is the name of a record aggregate "
+                                    "(notes or securities outstanding)")
+        aggregates = {*totals, *rate_names}
         names = [f.name for f in self.figures]
-        # A record keeps figures in one namespace with these aggregates.
-        aggregates = {"notes_outstanding", "government_securities_outstanding", *merged,
-                      *(p.target for p in self.policy if p.kind == "set_rate")}
         for name in names:
             if names.count(name) > 1:
                 raise ScenarioError(f"figure name {name!r} is used more than once")
             if name in aggregates:
                 raise ScenarioError(f"figure name {name!r} is the name of a record aggregate "
                                     "(notes or securities outstanding, or a rate)")
+
+    @property
+    def wakes_per_term(self) -> float:
+        """Expected agent wakes per term: term_length * sum(1 / mean_wait)."""
+        return self.term_length * sum(1 / a.mean_wait for a in self.agents)
 
     def with_seed(self, seed: int) -> "ScenarioSpec":
         return replace(self, seed=seed)

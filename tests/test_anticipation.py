@@ -177,6 +177,19 @@ class TestRobustnessScore:
         assert divs == [0.0] * 6
         assert score == 1.0
 
+    def test_offsets_without_their_assignment_rejected(self, cycle_spec):
+        # The replays would resume from a base without the offsets, so the
+        # divergences would measure the missing offsets rather than the shocks.
+        dims = ("ab_flow", "bc_flow", "ca_flow")
+        assignment = Assignment(offsets={"A": 30, "C": -15})
+        candidate = simulate_candidate(cycle_spec, 0, 6, dims, assignment=assignment)
+        config = ReplayConfig(replays=6, seed=5)
+        for passed in (None, Assignment(gain_overrides={"A": Fraction(2)}),
+                       Assignment(offsets={"A": 0})):
+            with pytest.raises(ValueError, match="candidate 0 was simulated with offsets"):
+                robustness_score(candidate, cycle_spec, config, dims, passed)
+        assert len(robustness_score(candidate, cycle_spec, config, dims, assignment)[1]) == 6
+
     def test_score_in_unit_interval(self, cycle_spec):
         dims = ("ab_flow", "bc_flow", "ca_flow")
         assignment = Assignment(offsets={"A": 30, "C": -15})
@@ -417,25 +430,46 @@ def stale_window_times(world, term_length, n_terms, seed=7):
     return sorted(t for t in times if 0 <= t < horizon)
 
 
-def stale_window_divergences(monkeypatch, world, term_length, n_terms, shock_lists, seed=7):
-    """The from-scratch and the scored divergences, and the replays that ran."""
-    spec, candidates, assignments, dims = stale_window_set(world, term_length, n_terms, seed)
-    expected = from_scratch_divergences(candidates, spec, dims, assignments, shock_lists)
+def recording_replays(monkeypatch):
+    """Record each replay task that runs, with the number of terms it records."""
     ran = []
     run_replay = anticipation._run_replay
+
+    class Counting(anticipation.Recorder):
+        def record_term(self):
+            ran[-1][1] += 1
+            return super().record_term()
+
+    monkeypatch.setattr(anticipation, "Recorder", Counting)
     monkeypatch.setattr(anticipation, "_run_replay",
-                        lambda task: ran.append(task) or run_replay(task))
+                        lambda task: ran.append([task, 0]) or run_replay(task))
+    return ran
+
+
+def stopped_early(ran):
+    """The recorded replays that stopped before the horizon, and the others."""
+    early = [task for task, terms in ran if terms < len(task[4]) - task[1]]
+    return early, [task for task, terms in ran if terms == len(task[4]) - task[1]]
+
+
+def stale_window_divergences(monkeypatch, world, term_length, n_terms, shock_lists, seed=7):
+    """The from-scratch and the scored divergences, and the replays that ran
+    with the terms each recorded."""
+    spec, candidates, assignments, dims = stale_window_set(world, term_length, n_terms, seed)
+    expected = from_scratch_divergences(candidates, spec, dims, assignments, shock_lists)
+    ran = recording_replays(monkeypatch)
     got = checkpointed_divergences(monkeypatch, spec, candidates, assignments, shock_lists,
                                    jobs=1, dims=dims)
     return expected, got, ran
 
 
 class TestStaleWindowOracle:
-    """Skipping the replays that cannot reach a stale snapshot gives the
-    from-scratch divergences, bit for bit."""
+    """Skipping the replays that cannot reach a stale snapshot, and stopping
+    those that run where they rejoin their base, gives the from-scratch
+    divergences, bit for bit."""
 
     @given(data=st.data(), world=st.sampled_from(sorted(STALE_WORLDS)),
-           term_length=st.sampled_from([1.0, 1 / 3, 0.75]), n_terms=st.integers(1, 3),
+           term_length=st.sampled_from([1.0, 1 / 3, 0.75]), n_terms=st.integers(1, 4),
            seed=st.sampled_from([3, 7, 11, 19]))
     @settings(max_examples=60, deadline=None)
     def test_shocks_around_the_first_refresh(self, data, world, term_length, n_terms, seed):
@@ -469,6 +503,27 @@ class TestStaleWindowOracle:
         assert 0 < len(ran) < 2 * len(shock_lists)  # bases 0 and 2 skip some, 1 runs none
         assert any(d != 0.0 for row in expected for d in row)
 
+    @pytest.mark.parametrize("world", sorted(STALE_WORLDS))
+    @pytest.mark.parametrize("term_length", [1.0, 1 / 3, 0.75])
+    def test_replays_stop_where_they_rejoin(self, monkeypatch, world, term_length):
+        # Lone shocks and pairs across terms in the stale windows: some
+        # replays absorb theirs within a term and stop at the next cut,
+        # others still differ from the base there and run on.
+        n_terms = 4
+        stale = STALE_WORLDS[world][2]
+        channels = [c.id for c in STALE_WORLDS[world][0].channels if c.source in stale]
+        times = stale_window_times(world, term_length, n_terms)
+        shock_lists = [[ShockSpec(t, cid, amount)]
+                       for t in times for cid in channels for amount in (-4, 40)]
+        shock_lists += [[ShockSpec(t, channels[0], 40), ShockSpec(t + term_length, cid, -4)]
+                        for t in times for cid in channels]
+        expected, got, ran = stale_window_divergences(monkeypatch, world, term_length,
+                                                      n_terms, shock_lists)
+        assert bits(got) == bits(expected)
+        early, full = stopped_early(ran)
+        assert early, "no replay rejoined its base"
+        assert any(len(task[4]) - task[1] > 1 for task in full), "every replay rejoined"
+
     def test_stock_dims_run_every_replay_with_a_nonzero_shock(self, monkeypatch):
         spec, candidates, assignments, dims = stale_window_set("cycle", 1.0, 3)
         spec = replace(spec, figures=spec.figures + (FigureSpec("a_stock", stock="A"),))
@@ -476,17 +531,18 @@ class TestStaleWindowOracle:
         # After every refresh: skipped on flow dims alone, but they move A's stock.
         shock_lists = [[], [ShockSpec(1.5, "ab", 40)], [ShockSpec(2.25, "ca", -25),
                                                          ShockSpec(1.75, "bc", 0)]]
+        # Two shocks on ab a term apart, after its refresh: the flows rejoin
+        # the base at the first cut, while A's stock moves again later.
+        shock_lists.append([ShockSpec(0.5, "ab", 40), ShockSpec(1.5, "ab", 40)])
         expected = from_scratch_divergences(candidates, spec, dims, assignments, shock_lists)
-        ran = []
-        run_replay = anticipation._run_replay
-        monkeypatch.setattr(anticipation, "_run_replay",
-                            lambda task: ran.append(task) or run_replay(task))
+        ran = recording_replays(monkeypatch)
         monkeypatch.setattr(anticipation, "sample_shock_sequence",
                             lambda pool, spec, config, m, n_terms: list(shock_lists[m]))
-        report = score_candidates(candidates, spec, ReplayConfig(replays=3), dims, assignments)
+        report = score_candidates(candidates, spec, ReplayConfig(replays=4), dims, assignments)
         assert bits([list(s.divergences) for s in report.scores]) == bits(expected)
-        assert len(ran) == 2 * 3  # every candidate, gain override only included
-        assert all(row[0] == 0.0 and row[1] != 0.0 and row[2] != 0.0 for row in expected)
+        assert len(ran) == 3 * 3  # every candidate, gain override only included
+        assert stopped_early(ran)[0] == []  # and each to the horizon
+        assert all(row[0] == 0.0 and 0.0 not in row[1:] for row in expected)
 
 
 def refreshes(event, channel):
@@ -546,8 +602,71 @@ class TestRefreshedSnapshotsStayCurrent:
         assert len(checked) >= sum(s.time >= term_length for s in shocks)
 
 
+class TestRejoinKey:
+    """The key holds every field the dynamics read after a cut, and nothing
+    that only stocks, tallies or the shock cursor hold."""
+
+    def checkpoint(self):
+        spec = tax_policy_spec()
+        state = build_network(spec)
+        apply_assignment(state, Assignment(offsets={"HH": 60}))
+        checkpoints = []
+        run_record(state, 2, checkpoints)
+        return checkpoints[1]
+
+    @pytest.mark.parametrize("change", [
+        lambda s: setattr(s, "now", s.now + 0.5),
+        lambda s: setattr(s, "cumulative_issuance", s.cumulative_issuance + 1),
+        lambda s: setattr(s, "securities_outstanding", s.securities_outstanding + 1),
+        lambda s: s.rates.update(discount_rate=Fraction(1, 3)),
+        lambda s: s.cursors.update(policy=s.cursors["policy"] + 1),
+        lambda s: s.cursors.update(securities=s.cursors["securities"] + 1),
+        lambda s: s.cursors.update(issuance=s.cursors["issuance"] + 1),
+        lambda s: setattr(s.agents["HH"], "pending_correction", Fraction(1, 2)),
+        lambda s: setattr(s.agents["HH"], "event_count", s.agents["HH"].event_count + 1),
+        lambda s: setattr(s.agents["HH"], "next_time", s.agents["HH"].next_time + 1),
+        lambda s: setattr(s.channels["tax_hh"], "rate", s.channels["tax_hh"].rate + 1),
+        lambda s: setattr(s.channels["tax_hh"], "multiplier", Fraction(1, 7)),
+        lambda s: setattr(s.channels["tax_hh"], "snap_rate_sink", -1),
+        lambda s: setattr(s.channels["tax_hh"], "accrued_num", s.channels["tax_hh"].accrued_num + 1),
+        lambda s: setattr(s.channels["tax_hh"], "accrued_den", 2 * s.channels["tax_hh"].accrued_den),
+        lambda s: setattr(s.channels["tax_hh"], "accrued_until", s.now + 1),
+    ], ids=["now", "notes", "securities", "rates", "policy_cursor", "securities_cursor",
+            "issuance_cursor", "pending_correction", "event_count", "next_time", "rate",
+            "multiplier", "snap_rate_sink", "accrued_num", "accrued_den", "accrued_until"])
+    def test_every_field_the_dynamics_read_counts(self, change):
+        checkpoint = self.checkpoint()
+        changed = checkpoint.clone()
+        change(changed)
+        assert anticipation._rejoin_key(changed) != anticipation._rejoin_key(checkpoint)
+
+    def test_stocks_tallies_and_shocks_do_not(self):
+        checkpoint = self.checkpoint()
+        changed = checkpoint.clone()
+        for agent in changed.agents.values():
+            agent.stock += 7
+            agent.received += 3
+            agent.paid += 5
+        for channel in changed.channels.values():
+            channel.settled += 11
+        changed.cursors["shock"] += 1
+        changed.spec = changed.spec.with_extra_shocks([ShockSpec(9.0, "tax_hh", 40)])
+        changed.log.append(None)
+        assert anticipation._rejoin_key(changed) == anticipation._rejoin_key(checkpoint)
+
+
+def replay_wakes(spec, monkeypatch):
+    """The expected wakes of `score_set`'s replay list, as fan-out counts them."""
+    with monkeypatch.context() as patch:
+        ran = recording_replays(patch)
+        score_set(spec, jobs=1)
+    return spec.wakes_per_term * sum(len(task[4]) - task[1] for task, _ in ran)
+
+
 class TestFanOut:
-    """A set's replays run in one process pool, under any start method."""
+    """`jobs` is a ceiling: a replay list opens a pool, of one worker per
+    `_MIN_WAKES_PER_WORKER` expected wakes, only when that buys at least two,
+    and the report is the same under any start method."""
 
     def patch_pool(self, monkeypatch, **extra):
         opened = []
@@ -560,20 +679,47 @@ class TestFanOut:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         return opened
 
-    @pytest.mark.parametrize("jobs,pools", [(1, 0), (2, 1), (3, 1)])
-    def test_one_pool_per_set(self, cycle_spec, monkeypatch, jobs, pools):
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_small_set_runs_in_process(self, cycle_spec, monkeypatch, jobs):
+        assert replay_wakes(cycle_spec, monkeypatch) < 2 * anticipation._MIN_WAKES_PER_WORKER
         opened = self.patch_pool(monkeypatch)
         report = score_set(cycle_spec, jobs)
-        assert len(opened) == pools
+        assert opened == []
         assert [len(s.divergences) for s in report.scores] == [4, 4, 4]
         # Replays ran: some shocks land on a snapshot the offsets left stale.
         assert any(d != 0.0 for s in report.scores for d in s.divergences)
 
-    def test_spawn_start_method_same_report(self, cycle_spec, monkeypatch):
+    @pytest.mark.parametrize("jobs,pools", [(1, 0), (2, 1), (3, 1)])
+    def test_one_pool_per_set(self, cycle_spec, monkeypatch, jobs, pools):
+        # With the threshold lowered, the small set pays for every worker.
         serial = score_set(cycle_spec, jobs=1)
-        opened = self.patch_pool(monkeypatch, mp_context=multiprocessing.get_context("spawn"))
+        monkeypatch.setattr(anticipation, "_MIN_WAKES_PER_WORKER", 1)
+        opened = self.patch_pool(monkeypatch)
+        assert score_set(cycle_spec, jobs) == serial
+        assert [kwargs["max_workers"] for kwargs in opened] == [jobs] * pools
+
+    @pytest.mark.parametrize("workers", [1.5, 2, 2.5])
+    def test_workers_round_down(self, cycle_spec, monkeypatch, workers):
+        wakes = replay_wakes(cycle_spec, monkeypatch)
+        monkeypatch.setattr(anticipation, "_MIN_WAKES_PER_WORKER", wakes / workers)
+        opened = self.patch_pool(monkeypatch)
+        score_set(cycle_spec, jobs=3)
+        assert [kwargs["max_workers"] for kwargs in opened] == [2] * (workers >= 2)
+
+    def same_report_under(self, method, cycle_spec, monkeypatch):
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method on this platform")
+        serial = score_set(cycle_spec, jobs=1)
+        monkeypatch.setattr(anticipation, "_MIN_WAKES_PER_WORKER", 1)
+        opened = self.patch_pool(monkeypatch, mp_context=multiprocessing.get_context(method))
         assert score_set(cycle_spec, jobs=2) == serial
         assert len(opened) == 1
+
+    def test_fork_start_method_same_report(self, cycle_spec, monkeypatch):
+        self.same_report_under("fork", cycle_spec, monkeypatch)
+
+    def test_spawn_start_method_same_report(self, cycle_spec, monkeypatch):
+        self.same_report_under("spawn", cycle_spec, monkeypatch)
 
 
 class TestSelect:

@@ -301,6 +301,19 @@ class TestParseErrors:
         assert "figure name 'notes_outstanding' is the name of a record aggregate" \
             in capsys.readouterr().err
 
+    def test_rate_named_like_an_aggregate(self, tmp_path, capsys):
+        from moneyflow import three_agent_cycle
+
+        doc = three_agent_cycle().to_dict()
+        doc["rates"]["notes_outstanding"] = "1/8"
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        code, _ = invoke("record", "--scenario", str(path), "--terms", "1",
+                         "--out", str(tmp_path / "r.csv"))
+        assert code == 2
+        assert "rate name 'notes_outstanding' is the name of a record aggregate" \
+            in capsys.readouterr().err
+
     def test_simulate_agents_not_objects(self, tmp_path, capsys):
         path = tmp_path / "s.json"
         path.write_text(json.dumps({"agents": [1, 2]}))

@@ -150,6 +150,21 @@ class TestRecordableNames:
         with pytest.raises(ScenarioError, match=f"figure name {name!r}"):
             scenario_from_dict(doc)
 
+    @pytest.mark.parametrize("name", ["notes_outstanding", "government_securities_outstanding"])
+    def test_total_names_rejected_for_rates(self, name):
+        # A rate of one of these names shares the aggregates cell of a CSV
+        # record with the total, so the record would not read back.
+        spec = three_agent_cycle()
+        with pytest.raises(ScenarioError, match=f"rate name {name!r} is the name of a record "
+                                                "aggregate"):
+            replace(spec, rates={name: Fraction(1, 8)})
+        with pytest.raises(ScenarioError, match=f"rate name {name!r}"):
+            spec.with_extra_policy([PolicyAction(1.0, "set_rate", name, Fraction(1, 4))])
+        doc = spec.to_dict()
+        doc["rates"][name] = "1/8"
+        with pytest.raises(ScenarioError, match=f"rate name {name!r}"):
+            scenario_from_dict(doc)
+
     def test_other_characters_round_trip(self):
         spec = replace(three_agent_cycle(), rates={"rate.1/2;#": Fraction(1, 8)},
                        figures=(FigureSpec("ab:flow-é", channel="ab"),))
