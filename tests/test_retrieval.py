@@ -1,6 +1,9 @@
 """Inverse fitting: retracing records from hidden initial rate offsets."""
 
+import hashlib
+import json
 from fractions import Fraction
+from itertools import product
 from math import inf, sqrt
 
 import pytest
@@ -21,6 +24,13 @@ from moneyflow.retrieval import apply_assignment
 from moneyflow.scenario import ScenarioError
 
 from conftest import tiny_spec
+
+# SHA-256 over the FitResult.to_dict() documents of `test_search_sweep_pin`,
+# each rendered as sorted-key JSON; recorded before the search loop was restructured.
+FIT_SWEEP_PIN = "236fc109455ebabf50782f9e37522b0d27b5e7603509e1ccb82199f3b889eaec"
+
+
+HIDDEN = Assignment(offsets={"A": 7, "B": -4, "C": 2})
 
 
 class TestApplyAssignment:
@@ -170,8 +180,26 @@ class TestFit:
         with pytest.raises(ValueError, match="no terms"):
             fit(Record(()), cycle_spec, FitConfig(budget=10))
 
+    def test_search_sweep_pin(self):
+        # Every way a search ends: the tolerance met at a start, in the
+        # pattern or in the polish phase; the budget spent in either phase;
+        # and every start run out (a target recorded at another seed, which
+        # no offsets reproduce). Only that last case reaches a third start.
+        digest = hashlib.sha256()
+        for seed in (100, 103, 105, 201):
+            spec = three_agent_cycle().with_seed(seed)
+            target = retrace(HIDDEN, spec, 2)
+            for budget, starts, tolerance in product((1, 6, 90, 200), (1, 8), (0.5, 0.05, 1e-3)):
+                result = fit(target, spec, FitConfig(budget, tolerance, seed, starts))
+                digest.update(json.dumps(result.to_dict(), sort_keys=True).encode())
+        spec = three_agent_cycle().with_seed(103)
+        target = retrace(HIDDEN, spec.with_seed(104), 2)
+        for starts in (1, 8):
+            result = fit(target, spec, FitConfig(700, 0.0, 103, starts))
+            digest.update(json.dumps(result.to_dict(), sort_keys=True).encode())
+        assert digest.hexdigest() == FIT_SWEEP_PIN
 
-HIDDEN = Assignment(offsets={"A": 7, "B": -4, "C": 2})
+
 PROBES = [(7, -4, 2), (0, 0, 0), (6, -4, 2), (7, -4, 3), (8, -3, 2), (20, 5, -10)]
 
 
