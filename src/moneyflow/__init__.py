@@ -48,7 +48,6 @@ from .recorder import (
     RecordError,
     read_record,
     run_record,
-    verify_identities,
     verify_record,
     write_record,
 )

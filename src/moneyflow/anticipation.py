@@ -326,11 +326,9 @@ def _resume_term(time: float, term_length: float, n_terms: int) -> int:
 def _rejoin_key(state: NetworkState) -> tuple:
     """Everything the dynamics read of a state just after an observer cut.
 
-    The cut leaves every snapshot current and later shocks keep it so, so
-    from there on shocks move stock alone, which nothing reads: the flows,
-    issuance and rates that follow depend on this key only. The shock
-    cursor, stocks and tallies are left out. Accruals compare as raw
-    integers, so one amount in two representations is merely not a match.
+    The module docstring argues why the rest (the shock cursor, stocks and
+    tallies) may differ. Accruals compare as raw integers, so one amount in
+    two representations is merely not a match.
     """
     cursors = state.cursors
     return (state.now, state.cumulative_issuance, state.securities_outstanding,
@@ -348,7 +346,7 @@ def _run_replay(task) -> float:
     only the scenario's own shocks, as no replay shock comes before k. The
     task carries the base's rejoin key at each boundary after k, or None
     where none may be used; the replay stops at the first boundary whose
-    key its state matches, since every later phase point is then the base's.
+    key its state matches (see the module docstring).
     """
     checkpoint, term, shocks, dims, base_trajectory, scales, keys = task
     state = checkpoint.clone()
@@ -398,28 +396,21 @@ def score_candidates(candidates: Sequence[Candidate], spec: ScenarioSpec,
     faces the same one. Each candidate is replayed under its assignment and
     measured against its own base.
 
-    A replay runs only if one of its nonzero shocks can land on a stale
-    snapshot: at or before the base's first refresh of a channel that its
-    offsets left stale (`Candidate.refresh_times`). Any other replay moves
-    stocks alone, as the module docstring argues, so unless a dim names a
-    stock figure it diverges by 0.0 without running; a base without offsets
-    has no stale channel and runs none. A zero shock only logs an event. A
-    replay that runs starts from the last term boundary before its first
-    nonzero shock: each base runs unshocked once, here, keeping a checkpoint
-    at every term boundary (the same run yields the re-simulated base), and
-    the replay resumes from the checkpoint with its nonzero shocks. It stops
-    at the first later boundary where it has rejoined its base: where its
-    state equals the base checkpoint's in everything the dynamics read, every
-    later phase point is the base's and adds 0.0 to the divergence, as the
-    module docstring argues. With a stock figure among the dims it runs to
-    the horizon.
+    Which replays run, where they resume and where they stop follows the
+    module docstring: unless a dim names a stock figure, only a replay with
+    a nonzero shock at or before the base's first refresh of a channel its
+    offsets left stale (`Candidate.refresh_times`) runs, so a base without
+    offsets runs none. A replay resumes from the base's checkpoint at the
+    last term boundary before its first nonzero shock; each base runs
+    unshocked once, here, for those checkpoints, and the same run yields
+    the re-simulated base.
 
     The replays that run form one task list. `jobs` is a ceiling: the list's
     work is estimated as `ScenarioSpec.wakes_per_term` times the terms its
     replays would run from their resume terms, one worker process is started
     per `_MIN_WAKES_PER_WORKER` expected wakes, at most `jobs`, and a list
-    that pays for fewer than two runs in this process. A candidate with no
-    replays scores 1.
+    that pays for fewer than two workers runs in this process. A candidate
+    with no replays scores 1.
 
     A candidate simulated with offsets must be passed the assignment it was
     simulated with: its replays resume from checkpoints of its base, which

@@ -270,8 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="retrace each candidate through the fitter before scoring")
     p.add_argument("--jobs", type=_positive, default=1,
                    help="at most this many worker processes for the shock replays of the "
-                        "candidate set; a replay list too small to pay for two runs in this "
-                        "process, as do fits and candidate runs")
+                        "candidate set; a replay list too small to pay for two workers runs "
+                        "in this process, as do fits and candidate runs")
     p.add_argument("--out", help="write the robustness report JSON to a file")
     p.add_argument("--trajectory-out", help="write the selected trajectory as CSV")
     p.set_defaults(func=cmd_anticipate)

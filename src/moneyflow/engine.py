@@ -266,14 +266,16 @@ def next_event(state: NetworkState, awake: Iterable[str] | None = None) -> tuple
     return best_id, best_t
 
 
-def update_agent(state: NetworkState, agent_id: str, now: float) -> Event:
+def update_agent(state: NetworkState, agent_id: str, now: float,
+                 deficit: Fraction | int | None = None) -> Event:
     """Process one wake that acts: adjust and settle, or run issuance.
 
     A non-exempt agent reads its observed deficit, equilibrates its adjustable
     outgoing channels, applies the deltas to their true rates and settles
     with every partner it adjusted against. The central bank executes its
     due issuance schedule entries instead. `run` calls this only for wakes
-    that have something to log; it skips the others.
+    that have something to log; it skips the others, and passes the
+    `observed_deficit` it has already read, which is computed here otherwise.
     """
     agent = state.agents[agent_id]
     state.now = now
@@ -281,7 +283,8 @@ def update_agent(state: NetworkState, agent_id: str, now: float) -> Event:
         issued = _run_issuance(state, now)
         event = state.append_event(now, "AgentUpdate", {"agent": agent_id, "exempt": True, "issued": issued})
     else:
-        deficit = observed_deficit(state, agent_id)
+        if deficit is None:
+            deficit = observed_deficit(state, agent_id)
         channels = [state.channels[cid] for cid in state.adjustable_outgoing[agent_id]]
         deltas, residual = equilibrate(channels, deficit, agent.gain, agent.pending_correction)
         agent.pending_correction = residual
@@ -475,11 +478,11 @@ def run(state: NetworkState, horizon: float) -> tuple[NetworkState, list[Event]]
                 _skip_wakes(agent, min(due, end))
             else:
                 update_agent(state, agent_id, agent_t)
-        elif observed_deficit(state, agent_id) == 0 and (
+        elif (deficit := observed_deficit(state, agent_id)) == 0 and (
                 agent.pending_correction == 0 or not _residual_moves_a_rate(state, agent)):
             awake.remove(agent_id)
         else:
-            event = update_agent(state, agent_id, agent_t)
+            event = update_agent(state, agent_id, agent_t, deficit)
             for cid, delta in event.payload["deltas"].items():
                 sink = channels[cid].sink
                 if delta and sink not in awake:

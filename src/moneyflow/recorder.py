@@ -11,7 +11,7 @@ snapshots, so the recorder is not a perfectly passive observer, and
 downstream consumers can tell its settlements apart from organic ones.
 
 Sheets satisfy the accounting identities exactly, by construction;
-`verify_identities` re-checks them and reports any discrepancy rather than
+`verify_record` re-checks them and reports any discrepancy rather than
 raising. Records serialize to CSV and JSON with a documented, bit-exact
 encoding; see docs/record-format.md.
 """
@@ -176,31 +176,23 @@ def run_record(state: NetworkState, n_terms: int,
                   sum(state.initial_stocks.values()))
 
 
-def verify_identities(sheet: BalanceSheet, initial_total_stock: int = 0) -> IdentityReport:
-    """Exact check of the sheet's accounting identities.
-
-    Failures are reported, never raised. The stock-versus-notes identity
-    compares total closing stock against initial total plus notes outstanding
-    (with zero initial stocks this is the plain sum-equals-outstanding form).
-    """
-    return IdentityReport(tuple(_identity_checks(sheet, initial_total_stock, "")))
-
-
-def _identity_checks(sheet: BalanceSheet, initial_total_stock: int, prefix: str) -> list[IdentityCheck]:
-    checks = []
-    for aid, line in sheet.agents.items():
-        gap = line.closing - (line.opening + line.inflow - line.outflow)
-        checks.append(IdentityCheck(f"{prefix}continuity:{aid}", gap == 0, gap))
-    total_closing = sum(line.closing for line in sheet.agents.values())
-    gap = total_closing - (initial_total_stock + sheet.notes_outstanding)
-    checks.append(IdentityCheck(f"{prefix}total_stock_vs_notes_outstanding", gap == 0, gap))
-    return checks
-
-
 def verify_record(record: Record) -> IdentityReport:
-    checks: list[IdentityCheck] = []
+    """Exact check of every sheet's accounting identities.
+
+    Failures are reported, never raised. Each agent's closing stock must be
+    its opening plus inflow minus outflow, and the total closing stock must
+    equal the record's initial total plus notes outstanding (with zero
+    initial stocks, the plain sum-equals-outstanding form).
+    """
+    checks = []
     for sheet in record.sheets:
-        checks += _identity_checks(sheet, record.initial_total_stock, f"term{sheet.term_index}:")
+        prefix = f"term{sheet.term_index}:"
+        for aid, line in sheet.agents.items():
+            gap = line.closing - (line.opening + line.inflow - line.outflow)
+            checks.append(IdentityCheck(f"{prefix}continuity:{aid}", gap == 0, gap))
+        total_closing = sum(line.closing for line in sheet.agents.values())
+        gap = total_closing - (record.initial_total_stock + sheet.notes_outstanding)
+        checks.append(IdentityCheck(f"{prefix}total_stock_vs_notes_outstanding", gap == 0, gap))
     return IdentityReport(tuple(checks))
 
 

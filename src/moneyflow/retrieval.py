@@ -131,13 +131,13 @@ class _Yardstick:
         """`reproduction_error` of `simulated` against the target."""
         target, tgt_series = self.target, self.series
         if len(simulated.sheets) != len(target.sheets):
-            raise ValueError(
+            raise RecordError(
                 f"term count mismatch: simulated has {len(simulated.sheets)}, target has {len(target.sheets)}"
             )
         sim_series = _figure_values(simulated)
         if set(sim_series) != set(tgt_series):
             missing = set(tgt_series) ^ set(sim_series)
-            raise ValueError(f"figure sets differ: {sorted(missing)}")
+            raise RecordError(f"figure sets differ: {sorted(missing)}")
         if not tgt_series:
             return 0.0
         total = 0.0
@@ -334,6 +334,34 @@ def _search_directions(dims: int) -> list[tuple[int, ...]]:
     return directions
 
 
+class _Stop(Exception):
+    """Ends a fit: the budget is spent or an error meets the tolerance."""
+
+
+def _pattern_search(x: tuple[int, ...], fx: float, directions: Sequence[tuple[int, ...]],
+                    probe) -> tuple[tuple[int, ...], float]:
+    """Hooke & Jeeves moves from `x` until every step collapses below one unit.
+
+    Each direction's step doubles after a move along it and halves after
+    none; `probe(candidate, fx)` gives a candidate's error bounded by `fx`.
+    """
+    steps = [INITIAL_STEP] * len(directions)
+    while any(s >= 1 for s in steps):
+        for d, direction in enumerate(directions):
+            if steps[d] < 1:
+                continue
+            for sign in (1, -1):
+                candidate = tuple(xi + sign * steps[d] * vi for xi, vi in zip(x, direction))
+                fc = probe(candidate, fx)
+                if fc < fx:
+                    x, fx = candidate, fc
+                    steps[d] *= 2
+                    break
+            else:
+                steps[d] //= 2
+    return x, fx
+
+
 def _informed_start(target: Record, spec: ScenarioSpec, agent_ids: Sequence[str]) -> tuple[int, ...]:
     """Crude inverse read: term-0 outflow excess over the scenario's flow rates.
 
@@ -403,91 +431,49 @@ def fit(target: Record, spec: ScenarioSpec, config: FitConfig = FitConfig()) -> 
         )
         return clamp_valid(vec)
 
-    best_error = float("inf")
+    best_error = inf
     best_vector: tuple[int, ...] | None = None
     trace: list[tuple[int, float]] = []
 
-    def consider(vector: tuple[int, ...], error: float) -> None:
+    def probe(vector: tuple[int, ...], bound: float = inf) -> float:
+        """The vector's error (inf if invalid), bounded by `bound`; records a new best."""
         nonlocal best_error, best_vector
+        if objective.evaluations >= config.budget:
+            raise _Stop
+        if not objective.valid(vector):
+            return inf
+        error = objective(vector, bound)
         if error < best_error:
-            best_error = error
-            best_vector = vector
+            best_error, best_vector = error, vector
             trace.append((objective.evaluations, error))
+            if error <= config.tolerance:
+                raise _Stop
+        return error
 
-    done = False
-    for start_index in range(max(2, config.starts)):
-        if done:
-            break
-        x = start_point(start_index)
-        if not objective.valid(x) or objective.evaluations >= config.budget:
-            continue
-        fx = objective(x)
-        consider(x, fx)
-        if best_error <= config.tolerance:
-            break
-        polish_radius = 2
-        while not done:
-            # Pattern phase: doubled/halved steps per direction until all collapse.
-            steps = [INITIAL_STEP] * len(directions)
-            while any(s >= 1 for s in steps) and not done:
-                for d, direction in enumerate(directions):
-                    if steps[d] < 1:
+    try:
+        for start_index in range(max(2, config.starts)):
+            x = start_point(start_index)  # always valid: clamped at 0
+            fx = probe(x)
+            polish_radius = 2
+            while True:
+                x, fx = _pattern_search(x, fx, directions, probe)
+                # Polish phase: exhaustive small box around the stall point.
+                improved = False
+                for offsets in product(range(-polish_radius, polish_radius + 1), repeat=dims):
+                    if not any(offsets):
                         continue
-                    moved = False
-                    for sign in (1, -1):
-                        if objective.evaluations >= config.budget:
-                            done = True
-                            break
-                        candidate = tuple(
-                            xi + sign * steps[d] * vi for xi, vi in zip(x, direction)
-                        )
-                        if not objective.valid(candidate):
-                            continue
-                        fc = objective(candidate, fx)
-                        consider(candidate, fc)
-                        if fc < fx:
-                            x, fx = candidate, fc
-                            steps[d] *= 2
-                            moved = True
-                            break
-                    if done:
+                    candidate = tuple(xi + o for xi, o in zip(x, offsets))
+                    fc = probe(candidate, fx)
+                    if fc < fx:
+                        x, fx = candidate, fc
+                        improved = True
+                # A way out reruns the pattern phase; a stall widens the box once.
+                if not improved:
+                    if polish_radius == 3:
                         break
-                    if not moved:
-                        steps[d] //= 2
-                    if best_error <= config.tolerance:
-                        done = True
-                        break
-            if done:
-                break
-            # Polish phase: exhaustive small box around the stall point.
-            improved = False
-            for offsets in product(range(-polish_radius, polish_radius + 1), repeat=dims):
-                if all(o == 0 for o in offsets):
-                    continue
-                if objective.evaluations >= config.budget:
-                    done = True
-                    break
-                candidate = tuple(xi + o for xi, o in zip(x, offsets))
-                if not objective.valid(candidate):
-                    continue
-                fc = objective(candidate, fx)
-                consider(candidate, fc)
-                if fc < fx:
-                    x, fx = candidate, fc
-                    improved = True
-                if best_error <= config.tolerance:
-                    done = True
-                    break
-            if done:
-                break
-            if improved:
-                continue  # polish found a way out; rerun the pattern phase
-            if polish_radius == 2:
-                polish_radius = 3
-                continue
-            break
-        if best_error <= config.tolerance:
-            done = True
+                    polish_radius = 3
+    except _Stop:
+        pass
 
     assert best_vector is not None
     return FitResult(

@@ -94,11 +94,14 @@ class TestFit:
         target = tmp_path / "t.csv"
         invoke("record", "--scenario", "three-agent-cycle", "--terms", "2",
                "--out", str(target))
-        # Sabotage: fit a different scenario against this target with a tiny budget.
-        code, _ = invoke("fit", "--scenario", "two-agent-kernel",
-                         "--target", str(target), "--budget", "2", "--tol", "1e-12",
-                         "--strict")
+        # A scenario with the same figure keys that two evaluations cannot fit.
+        code, output = invoke("fit", "--scenario", "three-agent-skew",
+                              "--target", str(target), "--budget", "2", "--tol", "1e-12",
+                              "--strict")
         assert code == 1
+        doc = json.loads(output[output.index("{"):])
+        assert doc["converged"] is False
+        assert doc["evaluations"] == 2
 
 
 class TestAnticipate:
@@ -214,6 +217,14 @@ class TestUsageErrors:
     def test_unknown_scenario_exits_two(self, capsys):
         code, _ = invoke("simulate", "--scenario", "no-such-thing")
         assert code == 2
+
+    def test_fit_target_of_another_scenario_exits_two(self, tmp_path, capsys):
+        target = tmp_path / "t.csv"
+        invoke("record", "--scenario", "three-agent-cycle", "--terms", "2",
+               "--out", str(target))
+        code, _ = invoke("fit", "--scenario", "two-agent-kernel", "--target", str(target))
+        assert code == 2
+        assert "figure sets differ" in capsys.readouterr().err
 
     def test_scenario_dir_env(self, tmp_path, monkeypatch):
         from moneyflow import national_5

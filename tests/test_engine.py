@@ -767,6 +767,33 @@ class TestDormancyOracle:
         assert all(state.agents[aid].pending_correction != 0 for aid in "ABC")
         assert sheets_from_log(wider) == list(record.sheets)
 
+    def test_one_deficit_per_wake(self, monkeypatch):
+        # `run` reads each wake's observed deficit once and hands it over:
+        # no update it makes computes it again.
+        calls, updates = [], []
+        deficit = engine.observed_deficit
+        update = engine.update_agent
+
+        def counted(state, agent_id):
+            calls.append(agent_id)
+            return deficit(state, agent_id)
+
+        def watched(state, agent_id, now, *given):
+            before = len(calls)
+            event = update(state, agent_id, now, *given)
+            assert len(calls) == before
+            updates.append(event)
+            return event
+
+        monkeypatch.setattr(engine, "observed_deficit", counted)
+        monkeypatch.setattr(engine, "update_agent", watched)
+        state = build_network(three_agent_cycle())
+        apply_assignment(state, Assignment(offsets={"A": 7, "B": -4, "C": 2}))
+        run(state, 3.0)
+        acted = [ev for ev in updates if not ev.payload.get("exempt")]
+        assert len(acted) > 10
+        assert len(calls) >= len(acted)
+
     def test_wake_times_match_every_wake_processed(self):
         state = build_network(two_agent_kernel(10, 10))
         run(state, 5.0)

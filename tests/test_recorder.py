@@ -29,7 +29,6 @@ from moneyflow import (
     settle,
     three_agent_cycle,
     two_agent_kernel,
-    verify_identities,
     verify_record,
     write_record,
 )
@@ -104,7 +103,7 @@ class TestCompile:
         assert sheet.agents["B"] == AgentLine(0, 30, 12, 18)
         assert sheet.agents["CB"] == AgentLine(0, 100, 0, 100)
         assert sheet.notes_outstanding == 100
-        assert verify_identities(sheet).ok
+        assert verify_record(Record((sheet,))).ok
 
     def test_retirement_counts_as_outflow(self):
         state, recorder = hand_driven()
@@ -113,7 +112,7 @@ class TestCompile:
         sheet = recorder.record_term()
         assert sheet.agents["CB"] == AgentLine(0, 100, 40, 60)
         assert sheet.notes_outstanding == 60
-        assert verify_identities(sheet).ok
+        assert verify_record(Record((sheet,))).ok
 
     def test_shock_counts_in_totals_not_figures(self):
         state, recorder = hand_driven()
@@ -122,7 +121,7 @@ class TestCompile:
         assert sheet.agents["B"].inflow == 40
         assert sheet.agents["A"].outflow == 40
         assert sheet.figures["ab_flow"] == 0
-        assert verify_identities(sheet).ok
+        assert verify_record(Record((sheet,))).ok
 
     def test_events_after_a_cut_open_the_next_term(self):
         state, recorder = hand_driven()
@@ -212,13 +211,13 @@ class TestVerifyIdentities:
         agents["HH"] = AgentLine(line.opening, line.inflow, line.outflow, line.closing + 1)
         tampered = BalanceSheet(sheet.term_index, agents, sheet.notes_outstanding,
                                 sheet.securities_outstanding, sheet.rates, sheet.figures)
-        report = verify_identities(tampered)
+        report = verify_record(Record((tampered,)))
         assert not report.ok
         assert any(c.discrepancy == 1 for c in report.failures())
 
     def test_empty_agent_sheet_vacuously_passes(self):
         sheet = BalanceSheet(0, {}, 0, 0, {}, {})
-        assert verify_identities(sheet).ok
+        assert verify_record(Record((sheet,))).ok
 
     @pytest.mark.parametrize("seed", range(8))
     def test_identities_across_seeds(self, seed, national5_spec):

@@ -26,7 +26,7 @@ from moneyflow.scenario import ScenarioError
 from conftest import tiny_spec
 
 # SHA-256 over the FitResult.to_dict() documents of `test_search_sweep_pin`,
-# each rendered as sorted-key JSON; recorded before the search loop was restructured.
+# each rendered as sorted-key JSON.
 FIT_SWEEP_PIN = "236fc109455ebabf50782f9e37522b0d27b5e7603509e1ccb82199f3b889eaec"
 
 
