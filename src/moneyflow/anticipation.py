@@ -75,10 +75,6 @@ Trajectory = list[tuple[float, ...]]
 GRID = 8
 SHOCKS_PER_TERM = 1
 
-# Expected agent wakes a replay list must hold per worker process for the
-# worker to pay for its start (measured at jobs 2 on two cores).
-_MIN_WAKES_PER_WORKER = 3000
-
 
 def extract_trajectory(record: Record, dims: Sequence[str] = DEFAULT_DIMS) -> Trajectory:
     """One point per term: the named aggregate figures in the given order."""
@@ -168,9 +164,8 @@ class SamplerConfig:
 
 @dataclass(frozen=True)
 class ReplayConfig:
-    """Shock replays per candidate. `jobs` is a ceiling on the worker
-    processes that run a set's replays: a replay list too small to pay for
-    two workers runs in this process. The results do not depend on it."""
+    """Shock replays per candidate. `jobs` is deprecated and has no effect:
+    replays run in this process."""
 
     replays: int = 32
     shock_scale: float = 1.0
@@ -338,17 +333,16 @@ def _rejoin_key(state: NetworkState) -> tuple:
               c.accrued_until) for c in state.channels.values()])
 
 
-def _run_replay(task) -> float:
-    """Divergence of one replay, resumed from the checkpoint of term k.
+def _run_replay(checkpoint, term, shocks, dims, base_trajectory, scales, keys) -> float:
+    """Divergence of one replay, resumed from the base's checkpoint of term k (`term`).
 
     Terms before k match the base exactly, so only terms k onwards run; the
     shocked spec replaces the checkpoint's, whose shock cursor still counts
-    only the scenario's own shocks, as no replay shock comes before k. The
-    task carries the base's rejoin key at each boundary after k, or None
-    where none may be used; the replay stops at the first boundary whose
-    key its state matches (see the module docstring).
+    only the scenario's own shocks, as no replay shock comes before k. `keys`
+    holds the base's rejoin key at each boundary after k, or None where none
+    may be used; the replay stops at the first boundary whose key its state
+    matches (see the module docstring).
     """
-    checkpoint, term, shocks, dims, base_trajectory, scales, keys = task
     state = checkpoint.clone()
     state.spec = state.spec.with_extra_shocks(shocks)
     recorder = Recorder(state, term)
@@ -358,19 +352,6 @@ def _run_replay(task) -> float:
             break
         shocked.append(_phase_point(recorder.record_term(), dims))
     return divergence(base_trajectory[term:term + len(shocked)], shocked, scales)
-
-
-def _map_tasks(fn, tasks, jobs: int) -> list:
-    """Order-preserving map, fanned out over one pool of `jobs` worker
-    processes when jobs > 1. Tasks travel in chunks of about a quarter of a
-    worker's share: few round trips, and unequal chunks still even out."""
-    if jobs > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunksize = max(1, len(tasks) // (4 * jobs))
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            return list(pool.map(fn, tasks, chunksize=chunksize))
-    return [fn(task) for task in tasks]
 
 
 def select_most_robust(report: RobustnessReport) -> int:
@@ -405,12 +386,8 @@ def score_candidates(candidates: Sequence[Candidate], spec: ScenarioSpec,
     unshocked once, here, for those checkpoints, and the same run yields
     the re-simulated base.
 
-    The replays that run form one task list. `jobs` is a ceiling: the list's
-    work is estimated as `ScenarioSpec.wakes_per_term` times the terms its
-    replays would run from their resume terms, one worker process is started
-    per `_MIN_WAKES_PER_WORKER` expected wakes, at most `jobs`, and a list
-    that pays for fewer than two workers runs in this process. A candidate
-    with no replays scores 1.
+    Replays run in this process; `config.jobs` is ignored. A candidate with
+    no replays scores 1.
 
     A candidate simulated with offsets must be passed the assignment it was
     simulated with: its replays resume from checkpoints of its base, which
@@ -437,7 +414,6 @@ def score_candidates(candidates: Sequence[Candidate], spec: ScenarioSpec,
     scales = default_scales(reference.trajectory)
     divergences = [[0.0] * config.replays for _ in bases]
     sequences: dict[int, list[list[ShockSpec]]] = {}  # nonzero shocks by horizon, replay
-    tasks, slots = [], []
     for i, base in enumerate(bases):
         refresh = base.refresh_times
         if not (stock_dims or refresh):
@@ -460,13 +436,8 @@ def score_candidates(candidates: Sequence[Candidate], spec: ScenarioSpec,
                                        assignments.get(base.id), checkpoints[i])
                 keys = [None if stock_dims else _rejoin_key(cp) for cp in checkpoints[i]]
             term = _resume_term(min(shock.time for shock in shocks), spec.term_length, n_terms)
-            tasks.append((checkpoints[i][term], term, shocks, dims, base.trajectory, scales,
-                          keys[term + 1:]))
-            slots.append((i, m))
-    wakes = spec.wakes_per_term * sum(len(task[4]) - task[1] for task in tasks)
-    workers = min(config.jobs, int(wakes // _MIN_WAKES_PER_WORKER))
-    for (i, m), value in zip(slots, _map_tasks(_run_replay, tasks, workers)):
-        divergences[i][m] = value
+            divergences[i][m] = _run_replay(checkpoints[i][term], term, shocks, dims,
+                                            base.trajectory, scales, keys[term + 1:])
     scores = []
     for base, own in zip(bases, map(tuple, divergences)):
         mean = sum(own) / len(own) if own else 0.0

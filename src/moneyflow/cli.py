@@ -142,10 +142,12 @@ def cmd_anticipate(args, out) -> int:
         horizon_terms=args.horizon,
         dims=dims,
         sampler=SamplerConfig(seed=seed, bound=args.bound),
-        replay=ReplayConfig(replays=args.replays, seed=seed,
-                            shock_scale=args.shock_scale, jobs=args.jobs),
+        replay=ReplayConfig(replays=args.replays, seed=seed, shock_scale=args.shock_scale),
         fit_candidates=args.fit_candidates,
     )
+    if args.jobs is not None:
+        print("moneyflow: warning: --jobs is deprecated and has no effect; shock replays run "
+              "in this process", file=sys.stderr)
     _header(out, "anticipate", scenario=spec.name, seed=seed, candidates=args.candidates,
             replays=args.replays, horizon=args.horizon, dims=",".join(dims),
             fit_candidates=args.fit_candidates)
@@ -268,10 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shock-scale", type=_finite, default=1.0)
     p.add_argument("--fit-candidates", action="store_true",
                    help="retrace each candidate through the fitter before scoring")
-    p.add_argument("--jobs", type=_positive, default=1,
-                   help="at most this many worker processes for the shock replays of the "
-                        "candidate set; a replay list too small to pay for two workers runs "
-                        "in this process, as do fits and candidate runs")
+    p.add_argument("--jobs", type=_positive, default=None,
+                   help="deprecated, no effect: shock replays run in this process")
     p.add_argument("--out", help="write the robustness report JSON to a file")
     p.add_argument("--trajectory-out", help="write the selected trajectory as CSV")
     p.set_defaults(func=cmd_anticipate)

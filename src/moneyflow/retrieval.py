@@ -408,6 +408,9 @@ def fit(target: Record, spec: ScenarioSpec, config: FitConfig = FitConfig()) -> 
     n_terms = prefix if prefix is not None else len(target.sheets)
     if n_terms == 0:
         raise RecordError("target record has no terms")
+    if target.term_length != spec.term_length:
+        raise RecordError(f"target record has term_length {target.term_length!r}, "
+                          f"but the scenario has {spec.term_length!r}")
     trimmed = Record(target.sheets[:n_terms], target.fingerprint,
                      target.term_length, target.initial_total_stock)
 

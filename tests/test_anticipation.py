@@ -3,7 +3,6 @@
 import concurrent.futures
 import functools
 import math
-import multiprocessing
 from dataclasses import replace
 from fractions import Fraction
 
@@ -279,12 +278,12 @@ def checkpoint_set(term_length, n_terms):
     return spec, candidates, assignments
 
 
-def checkpointed_divergences(monkeypatch, spec, candidates, assignments, shock_lists, jobs,
+def checkpointed_divergences(monkeypatch, spec, candidates, assignments, shock_lists,
                              dims=CYCLE_DIMS):
     """`score_candidates` with its sampled shocks replaced by `shock_lists`."""
     monkeypatch.setattr(anticipation, "sample_shock_sequence",
                         lambda pool, spec, config, m, n_terms: list(shock_lists[m]))
-    config = ReplayConfig(replays=len(shock_lists), jobs=jobs)
+    config = ReplayConfig(replays=len(shock_lists))
     report = score_candidates(candidates, spec, config, dims, assignments)
     return [list(s.divergences) for s in report.scores]
 
@@ -306,9 +305,8 @@ def boundary_shock_lists(draw, term_length, n_terms):
 class TestCheckpointOracle:
     """Replays resumed from checkpoints give the from-scratch divergences, bit for bit."""
 
-    @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("term_length", [1.0, 1 / 3, 0.75])
-    def test_boundary_and_zero_shocks(self, monkeypatch, term_length, jobs):
+    def test_boundary_and_zero_shocks(self, monkeypatch, term_length):
         n_terms, length = 4, term_length
         spec, candidates, assignments = checkpoint_set(term_length, n_terms)
         shock_lists = [
@@ -325,7 +323,7 @@ class TestCheckpointOracle:
                                             shock_lists)
         assert any(d != 0.0 for row in expected for d in row)
         got = checkpointed_divergences(monkeypatch, spec, candidates, assignments,
-                                       shock_lists, jobs)
+                                       shock_lists)
         assert bits(got) == bits(expected)
 
     @given(data=st.data(), term_length=st.sampled_from([1.0, 1 / 3, 0.75]),
@@ -338,7 +336,7 @@ class TestCheckpointOracle:
                                             shock_lists)
         with pytest.MonkeyPatch.context() as monkeypatch:
             got = checkpointed_divergences(monkeypatch, spec, candidates, assignments,
-                                           shock_lists, jobs=1)
+                                           shock_lists)
         assert bits(got) == bits(expected)
 
     def test_sampled_acceptance_set(self):
@@ -363,7 +361,7 @@ class TestCheckpointOracle:
         assert refresh[0] == refresh[2]  # same wake times, so the same first settlements
         ab, ca = refresh[0]["ab"], refresh[0]["ca"]
         ran = []
-        monkeypatch.setattr(anticipation, "_run_replay", lambda task: ran.append(task) or 1.0)
+        monkeypatch.setattr(anticipation, "_run_replay", lambda *task: ran.append(task) or 1.0)
         runs = [ShockSpec(ca, "ca", 5), ShockSpec(2.0, "bc", 5)]  # a tie with ca's refresh
         shock_lists = [
             [],  # the base itself
@@ -374,10 +372,10 @@ class TestCheckpointOracle:
             [ShockSpec(ab, "ab", -25)],  # a tie with ab's refresh
         ]
         got = checkpointed_divergences(monkeypatch, cycle_spec, candidates, assignments,
-                                       shock_lists, jobs=1)
+                                       shock_lists)
         assert got == [[0.0, 0.0, 0.0, 0.0, 1.0, 1.0], [0.0] * 6,
                        [0.0, 0.0, 0.0, 0.0, 1.0, 1.0]]
-        # Each task resumes at the term of its first nonzero shock, with every one of them.
+        # Each replay resumes at the term of its first nonzero shock, with every one of them.
         first = _resume_term(ab, 1.0, 3)
         assert [(task[1], task[2]) for task in ran] == [(0, runs), (first, shock_lists[5])] * 2
 
@@ -431,7 +429,7 @@ def stale_window_times(world, term_length, n_terms, seed=7):
 
 
 def recording_replays(monkeypatch):
-    """Record each replay task that runs, with the number of terms it records."""
+    """Record the arguments of each replay that runs, with the number of terms it records."""
     ran = []
     run_replay = anticipation._run_replay
 
@@ -442,7 +440,7 @@ def recording_replays(monkeypatch):
 
     monkeypatch.setattr(anticipation, "Recorder", Counting)
     monkeypatch.setattr(anticipation, "_run_replay",
-                        lambda task: ran.append([task, 0]) or run_replay(task))
+                        lambda *task: ran.append([task, 0]) or run_replay(*task))
     return ran
 
 
@@ -459,7 +457,7 @@ def stale_window_divergences(monkeypatch, world, term_length, n_terms, shock_lis
     expected = from_scratch_divergences(candidates, spec, dims, assignments, shock_lists)
     ran = recording_replays(monkeypatch)
     got = checkpointed_divergences(monkeypatch, spec, candidates, assignments, shock_lists,
-                                   jobs=1, dims=dims)
+                                   dims=dims)
     return expected, got, ran
 
 
@@ -655,73 +653,6 @@ class TestRejoinKey:
         assert anticipation._rejoin_key(changed) == anticipation._rejoin_key(checkpoint)
 
 
-def replay_wakes(spec, monkeypatch):
-    """The expected wakes of `score_set`'s replay list, as fan-out counts them."""
-    with monkeypatch.context() as patch:
-        ran = recording_replays(patch)
-        score_set(spec, jobs=1)
-    return spec.wakes_per_term * sum(len(task[4]) - task[1] for task, _ in ran)
-
-
-class TestFanOut:
-    """`jobs` is a ceiling: a replay list opens a pool, of one worker per
-    `_MIN_WAKES_PER_WORKER` expected wakes, only when that buys at least two,
-    and the report is the same under any start method."""
-
-    def patch_pool(self, monkeypatch, **extra):
-        opened = []
-
-        class Pool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                opened.append(kwargs)
-                super().__init__(*args, **kwargs, **extra)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-        return opened
-
-    @pytest.mark.parametrize("jobs", [1, 2, 3])
-    def test_small_set_runs_in_process(self, cycle_spec, monkeypatch, jobs):
-        assert replay_wakes(cycle_spec, monkeypatch) < 2 * anticipation._MIN_WAKES_PER_WORKER
-        opened = self.patch_pool(monkeypatch)
-        report = score_set(cycle_spec, jobs)
-        assert opened == []
-        assert [len(s.divergences) for s in report.scores] == [4, 4, 4]
-        # Replays ran: some shocks land on a snapshot the offsets left stale.
-        assert any(d != 0.0 for s in report.scores for d in s.divergences)
-
-    @pytest.mark.parametrize("jobs,pools", [(1, 0), (2, 1), (3, 1)])
-    def test_one_pool_per_set(self, cycle_spec, monkeypatch, jobs, pools):
-        # With the threshold lowered, the small set pays for every worker.
-        serial = score_set(cycle_spec, jobs=1)
-        monkeypatch.setattr(anticipation, "_MIN_WAKES_PER_WORKER", 1)
-        opened = self.patch_pool(monkeypatch)
-        assert score_set(cycle_spec, jobs) == serial
-        assert [kwargs["max_workers"] for kwargs in opened] == [jobs] * pools
-
-    @pytest.mark.parametrize("workers", [1.5, 2, 2.5])
-    def test_workers_round_down(self, cycle_spec, monkeypatch, workers):
-        wakes = replay_wakes(cycle_spec, monkeypatch)
-        monkeypatch.setattr(anticipation, "_MIN_WAKES_PER_WORKER", wakes / workers)
-        opened = self.patch_pool(monkeypatch)
-        score_set(cycle_spec, jobs=3)
-        assert [kwargs["max_workers"] for kwargs in opened] == [2] * (workers >= 2)
-
-    def same_report_under(self, method, cycle_spec, monkeypatch):
-        if method not in multiprocessing.get_all_start_methods():
-            pytest.skip(f"no {method} start method on this platform")
-        serial = score_set(cycle_spec, jobs=1)
-        monkeypatch.setattr(anticipation, "_MIN_WAKES_PER_WORKER", 1)
-        opened = self.patch_pool(monkeypatch, mp_context=multiprocessing.get_context(method))
-        assert score_set(cycle_spec, jobs=2) == serial
-        assert len(opened) == 1
-
-    def test_fork_start_method_same_report(self, cycle_spec, monkeypatch):
-        self.same_report_under("fork", cycle_spec, monkeypatch)
-
-    def test_spawn_start_method_same_report(self, cycle_spec, monkeypatch):
-        self.same_report_under("spawn", cycle_spec, monkeypatch)
-
-
 class TestSelect:
     def report(self, *scores):
         entries = tuple(
@@ -770,18 +701,20 @@ class TestAnticipatePipeline:
         assert 0 <= report.selected < len(candidates)
         assert len(report.scores) == 3
 
-    def test_jobs_do_not_change_results(self, cycle_spec):
-        dims = ("ab_flow", "bc_flow", "ca_flow")
-        assignment = Assignment(offsets={"A": 25})
-        candidate = simulate_candidate(cycle_spec, 0, 3, dims, assignment=assignment)
-        serial = robustness_score(candidate, cycle_spec,
-                                  ReplayConfig(replays=4, seed=6, jobs=1), dims, assignment)
-        parallel = robustness_score(candidate, cycle_spec,
-                                    ReplayConfig(replays=4, seed=6, jobs=2), dims, assignment)
-        assert serial == parallel
-        reports = [score_set(cycle_spec, jobs) for jobs in (1, 2)]
-        assert reports[0] == reports[1]
-        assert any(d != 0.0 for s in reports[0].scores for d in s.divergences)
+    def test_jobs_do_not_change_results(self, cycle_spec, monkeypatch):
+        # `jobs` is deprecated: replays run in this process at any value.
+        opened = []
+
+        class Pool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                opened.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        report = score_set(cycle_spec, jobs=3)
+        assert opened == []
+        assert report == score_set(cycle_spec, jobs=1)
+        assert any(d != 0.0 for s in report.scores for d in s.divergences)
 
     def test_fit_candidates_mode_runs(self, cycle_spec):
         from moneyflow import FitConfig

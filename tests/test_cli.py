@@ -180,6 +180,16 @@ class TestAnticipate:
         assert "diverged by the same amounts" in err
         assert "only the tie-break" in err
 
+    def test_jobs_is_deprecated_and_ignored(self, capsys):
+        argv = ("anticipate", "--scenario", "three-agent-cycle", "--horizon", "2",
+                "--candidates", "2", "--replays", "2")
+        code, output = invoke(*argv)
+        assert code == 0
+        assert "deprecated" not in capsys.readouterr().err
+        assert invoke(*argv, "--jobs", "2") == (0, output)
+        assert ("moneyflow: warning: --jobs is deprecated and has no effect; shock replays run "
+                "in this process\n") in capsys.readouterr().err
+
     def test_informative_report_is_silent(self, monkeypatch, capsys):
         # The acceptance-6 set: hidden offsets on three-agent-cycle make the
         # shock replays move the flows, and candidate 1's gain override (as
@@ -225,6 +235,19 @@ class TestUsageErrors:
         code, _ = invoke("fit", "--scenario", "two-agent-kernel", "--target", str(target))
         assert code == 2
         assert "figure sets differ" in capsys.readouterr().err
+
+    def test_fit_target_of_another_term_length_exits_two(self, tmp_path, capsys):
+        from moneyflow import three_agent_cycle
+
+        doc = three_agent_cycle().to_dict()
+        doc["term_length"] = 2.0
+        scenario, target = tmp_path / "long-terms.json", tmp_path / "t.csv"
+        scenario.write_text(json.dumps(doc))
+        invoke("record", "--scenario", str(scenario), "--terms", "2", "--out", str(target))
+        code, _ = invoke("fit", "--scenario", "three-agent-cycle", "--target", str(target),
+                         "--budget", "30")
+        assert code == 2
+        assert "term_length 2.0" in capsys.readouterr().err
 
     def test_scenario_dir_env(self, tmp_path, monkeypatch):
         from moneyflow import national_5
