@@ -279,11 +279,11 @@ def checkpoint_set(term_length, n_terms):
 
 
 def checkpointed_divergences(monkeypatch, spec, candidates, assignments, shock_lists,
-                             dims=CYCLE_DIMS):
+                             jobs=1, dims=CYCLE_DIMS):
     """`score_candidates` with its sampled shocks replaced by `shock_lists`."""
     monkeypatch.setattr(anticipation, "sample_shock_sequence",
                         lambda pool, spec, config, m, n_terms: list(shock_lists[m]))
-    config = ReplayConfig(replays=len(shock_lists))
+    config = ReplayConfig(replays=len(shock_lists), jobs=jobs)
     report = score_candidates(candidates, spec, config, dims, assignments)
     return [list(s.divergences) for s in report.scores]
 
@@ -305,8 +305,9 @@ def boundary_shock_lists(draw, term_length, n_terms):
 class TestCheckpointOracle:
     """Replays resumed from checkpoints give the from-scratch divergences, bit for bit."""
 
+    @pytest.mark.parametrize("jobs", [1, 2])  # `jobs` is ignored: both give the oracle
     @pytest.mark.parametrize("term_length", [1.0, 1 / 3, 0.75])
-    def test_boundary_and_zero_shocks(self, monkeypatch, term_length):
+    def test_boundary_and_zero_shocks(self, monkeypatch, term_length, jobs):
         n_terms, length = 4, term_length
         spec, candidates, assignments = checkpoint_set(term_length, n_terms)
         shock_lists = [
@@ -323,7 +324,7 @@ class TestCheckpointOracle:
                                             shock_lists)
         assert any(d != 0.0 for row in expected for d in row)
         got = checkpointed_divergences(monkeypatch, spec, candidates, assignments,
-                                       shock_lists)
+                                       shock_lists, jobs)
         assert bits(got) == bits(expected)
 
     @given(data=st.data(), term_length=st.sampled_from([1.0, 1 / 3, 0.75]),
