@@ -50,10 +50,9 @@ a harmonic score 1/(1+divergence); both are conventions, pluggable via the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import inf, sqrt
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from . import rng
 from .network import Event, NetworkState, build_network
@@ -132,8 +131,7 @@ def default_scales(base: Trajectory) -> list[float]:
     return scales
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(NamedTuple):
     """A simulated future: policy schedule, record and trajectory."""
 
     id: int
@@ -146,8 +144,7 @@ class Candidate:
     refresh_times: Mapping[str, float]
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
+class SamplerConfig(NamedTuple):
     """Seeded multiplier perturbations defining the non-baseline candidates.
 
     Perturbed channels default to every channel whose multiplier is not 1
@@ -162,8 +159,7 @@ class SamplerConfig:
     seed: int = 0
 
 
-@dataclass(frozen=True)
-class ReplayConfig:
+class ReplayConfig(NamedTuple):
     """Shock replays per candidate. `jobs` is deprecated and has no effect:
     replays run in this process."""
 
@@ -173,16 +169,14 @@ class ReplayConfig:
     jobs: int = 1
 
 
-@dataclass(frozen=True)
-class CandidateScore:
+class CandidateScore(NamedTuple):
     candidate_id: int
     mean_divergence: float
     score: float
     divergences: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class RobustnessReport:
+class RobustnessReport(NamedTuple):
     scores: tuple[CandidateScore, ...]
     selected: int
     dims: tuple[str, ...]
@@ -443,7 +437,7 @@ def score_candidates(candidates: Sequence[Candidate], spec: ScenarioSpec,
         mean = sum(own) / len(own) if own else 0.0
         scores.append(CandidateScore(base.id, mean, 1.0 / (1.0 + mean), own))
     report = RobustnessReport(tuple(scores), selected=-1, dims=dims)
-    return replace(report, selected=select_most_robust(report))
+    return report._replace(selected=select_most_robust(report))
 
 
 def robustness_score(candidate: Candidate, spec: ScenarioSpec, config: ReplayConfig,
@@ -459,15 +453,14 @@ def robustness_score(candidate: Candidate, spec: ScenarioSpec, config: ReplayCon
     return score.score, list(score.divergences)
 
 
-@dataclass(frozen=True)
-class AnticipateConfig:
+class AnticipateConfig(NamedTuple):
     candidates: int = 5
     horizon_terms: int = 8
     dims: tuple[str, ...] = DEFAULT_DIMS
-    sampler: SamplerConfig = field(default_factory=SamplerConfig)
-    replay: ReplayConfig = field(default_factory=ReplayConfig)
+    sampler: SamplerConfig = SamplerConfig()
+    replay: ReplayConfig = ReplayConfig()
     fit_candidates: bool = False
-    fit: FitConfig = field(default_factory=lambda: FitConfig(budget=400, starts=2))
+    fit: FitConfig = FitConfig(budget=400, starts=2)
 
 
 def anticipate(spec: ScenarioSpec, config: AnticipateConfig = AnticipateConfig()

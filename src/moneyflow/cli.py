@@ -159,7 +159,11 @@ def cmd_anticipate(args, out) -> int:
     if args.out:
         Path(args.out).write_text(payload, encoding="utf-8")
     out.write(payload)
-    if all(d == 0.0 for s in report.scores for d in s.divergences):
+    moved = [sum(map(bool, s.divergences)) for s in report.scores]
+    print("moneyflow: replays that moved a dim (nonzero divergence), per candidate: "
+          + ", ".join(f"{s.candidate_id}: {m}/{len(s.divergences)}"
+                      for s, m in zip(report.scores, moved)), file=sys.stderr)
+    if not any(moved):
         # Without fitted offsets the shock magnitudes come from candidate 0's
         # own pool, and an empty pool makes every shock 0. A nonzero shock
         # moves a flow only by refreshing a snapshot that offsets left stale.

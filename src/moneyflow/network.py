@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from . import rng
 from .scenario import CENTRAL_BANK, ScenarioError, ScenarioSpec
@@ -27,6 +27,8 @@ _MAX_WAKES_PER_TERM = 1e6
 
 @dataclass(slots=True)
 class Agent:
+    """An agent's stock, wake clock and tallies; a dataclass as the engine updates it in place."""
+
     id: str
     stock: int
     gain: Fraction
@@ -69,8 +71,7 @@ class Channel:
     settled: int = 0  # money moved by settlements since build
 
 
-@dataclass
-class Event:
+class Event(NamedTuple):
     time: float
     seq: int
     kind: str  # AgentUpdate | Settlement | Shock | Issue | Policy
@@ -79,6 +80,8 @@ class Event:
 
 @dataclass
 class NetworkState:
+    """The simulation at `now`; a dataclass as the engine mutates it and tests compare by value."""
+
     spec: ScenarioSpec
     agents: dict[str, Agent]
     channels: dict[str, Channel]

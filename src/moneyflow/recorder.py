@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .engine import run, settle_all
 from .network import NetworkState
@@ -35,16 +35,14 @@ class RecordError(ValueError):
     """Raised for malformed record files or violated record invariants."""
 
 
-@dataclass(frozen=True)
-class AgentLine:
+class AgentLine(NamedTuple):
     opening: int
     inflow: int
     outflow: int
     closing: int
 
 
-@dataclass(frozen=True)
-class BalanceSheet:
+class BalanceSheet(NamedTuple):
     term_index: int
     agents: Mapping[str, AgentLine]
     notes_outstanding: int
@@ -68,6 +66,8 @@ class BalanceSheet:
 
 @dataclass(frozen=True)
 class Record:
+    """A run's balance sheets, one a term; a dataclass as `__post_init__` checks their indices."""
+
     sheets: tuple[BalanceSheet, ...]
     fingerprint: str = ""
     term_length: float = 1.0
@@ -81,15 +81,13 @@ class Record:
                 )
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     name: str
     passed: bool
     discrepancy: int
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     checks: tuple[IdentityCheck, ...]
 
     @property

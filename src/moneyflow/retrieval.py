@@ -14,11 +14,11 @@ all counting alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 from math import inf, sqrt
-from typing import Mapping, Sequence
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Sequence
 
 from . import rng
 from .engine import apportion
@@ -27,8 +27,7 @@ from .recorder import BalanceSheet, Record, RecordError, Recorder, run_record
 from .scenario import ScenarioError, ScenarioSpec
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(NamedTuple):
     """Hidden initial offsets: per-agent rate deviations and optional gain overrides.
 
     An agent's offset is spread over its adjustable outgoing channels by
@@ -37,8 +36,8 @@ class Assignment:
     non-negative.
     """
 
-    offsets: Mapping[str, int] = field(default_factory=dict)
-    gain_overrides: Mapping[str, Fraction] = field(default_factory=dict)
+    offsets: Mapping[str, int] = MappingProxyType({})
+    gain_overrides: Mapping[str, Fraction] = MappingProxyType({})
 
     def to_dict(self) -> dict:
         return {
@@ -165,8 +164,7 @@ def reproduction_error(simulated: Record, target: Record) -> float:
     return _Yardstick(target).error(simulated)
 
 
-@dataclass(frozen=True)
-class FitConfig:
+class FitConfig(NamedTuple):
     budget: int = 10_000
     tolerance: float = 1e-3
     seed: int = 0
@@ -174,8 +172,7 @@ class FitConfig:
     prefix_terms: int | None = None
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     best: Assignment
     error: float
     evaluations: int

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, NamedTuple
 
 CENTRAL_BANK = "CentralBank"
 DEFAULT_RATE_NAMES = ("discount_rate", "securities_interest_rate")
@@ -98,6 +98,8 @@ def _read_utf8(path: str | Path, error: type[ValueError]) -> str:
 
 @dataclass(frozen=True)
 class AgentSpec:
+    """One agent of a scenario; a dataclass so that `dataclasses.replace` can vary it."""
+
     id: str
     role: str
     stock: int = 0
@@ -109,8 +111,7 @@ class AgentSpec:
         return self.role == CENTRAL_BANK
 
 
-@dataclass(frozen=True)
-class ChannelSpec:
+class ChannelSpec(NamedTuple):
     id: str
     source: str
     sink: str
@@ -119,8 +120,7 @@ class ChannelSpec:
     adjustable: bool = False
 
 
-@dataclass(frozen=True)
-class FigureSpec:
+class FigureSpec(NamedTuple):
     """A named per-term aggregate: settled flow on a channel, or an agent's stock."""
 
     name: str
@@ -128,14 +128,12 @@ class FigureSpec:
     stock: str | None = None
 
 
-@dataclass(frozen=True)
-class ScheduledAmount:
+class ScheduledAmount(NamedTuple):
     time: float
     amount: int
 
 
-@dataclass(frozen=True)
-class PolicyAction:
+class PolicyAction(NamedTuple):
     """Timed instrument setting: a channel multiplier or a named policy rate."""
 
     time: float
@@ -144,8 +142,7 @@ class PolicyAction:
     value: Fraction
 
 
-@dataclass(frozen=True)
-class ShockSpec:
+class ShockSpec(NamedTuple):
     """One-off redistribution riding a channel; positive amounts flow source->sink."""
 
     time: float
@@ -155,6 +152,8 @@ class ShockSpec:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
+    """A whole scenario; a dataclass as `__post_init__` validates it and `replace` varies it."""
+
     name: str
     agents: tuple[AgentSpec, ...]
     channels: tuple[ChannelSpec, ...]

@@ -18,6 +18,10 @@ def invoke(*argv):
     return code, out.getvalue()
 
 
+# The stderr line of every `anticipate` run, before the per-candidate counts.
+MOVED = "moneyflow: replays that moved a dim (nonzero divergence), per candidate: "
+
+
 class TestSimulate:
     def test_runs_builtin_scenario(self, tmp_path):
         code, output = invoke("simulate", "--scenario", "national-5", "--terms", "3")
@@ -129,7 +133,8 @@ class TestAnticipate:
         doc = json.loads(output[output.index("{"):])
         assert all(d == 0.0 for c in doc["candidates"] for d in c["divergences"])
         err = capsys.readouterr().err
-        assert err.count("\n") == 1
+        assert err.count("\n") == 2
+        assert err.startswith(MOVED + "0: 0/2, 1: 0/2\n")
         assert "diverged by 0.0" in err
 
     def test_empty_shock_pool_warns_on_stderr(self, capsys):
@@ -139,7 +144,7 @@ class TestAnticipate:
                               "--candidates", "2", "--replays", "2")
         assert code == 0
         err = capsys.readouterr().err
-        assert err.count("\n") == 1
+        assert err.count("\n") == 2
         assert "shock pool is empty" in err
 
     def test_nonempty_shock_pool_gets_no_pool_warning(self, tmp_path, capsys):
@@ -152,7 +157,7 @@ class TestAnticipate:
         assert code == 0
         assert output[output.index("{"):] == report_path.read_text()
         err = capsys.readouterr().err
-        assert err.count("\n") == 1
+        assert err.count("\n") == 2
         assert "diverged by 0.0" in err
         assert "shock pool" not in err
         assert "no candidate carries offsets, so no snapshot is stale" in err
@@ -161,7 +166,7 @@ class TestAnticipate:
         # national-5 with a household-stock figure and the tax policy from
         # t = 1: candidate 0 observes deficits, so the shocks are not 0, but
         # no shock moves a flow and HH's stock departs by exactly the shocks,
-        # the same in every candidate.
+        # the same in every candidate. One replay of four leaves it where it was.
         doc = national_5().to_dict()
         doc["figures"].append({"name": "hh_stock", "stock": "HH"})
         doc["policy_schedule"] = [{"time": 1.0, "action": "set_multiplier", "target": target,
@@ -169,14 +174,15 @@ class TestAnticipate:
         scenario, report_path = tmp_path / "n5-stock.json", tmp_path / "rep.json"
         scenario.write_text(json.dumps(doc))
         code, output = invoke("anticipate", "--scenario", str(scenario), "--horizon", "2",
-                              "--candidates", "2", "--replays", "2", "--dims", "hh_stock",
+                              "--candidates", "2", "--replays", "4", "--dims", "hh_stock",
                               "--out", str(report_path))
         assert code == 0
         assert output[output.index("{"):] == report_path.read_text()
         first, second = (c["divergences"] for c in json.loads(report_path.read_text())["candidates"])
-        assert first == second and any(d > 0.0 for d in first)
+        assert first == second and any(d > 0.0 for d in first) and 0.0 in first
         err = capsys.readouterr().err
-        assert err.count("\n") == 1
+        assert err.count("\n") == 2
+        assert err.startswith(MOVED + "0: 3/4, 1: 3/4\n")
         assert "diverged by the same amounts" in err
         assert "only the tie-break" in err
 
@@ -190,7 +196,7 @@ class TestAnticipate:
         assert ("moneyflow: warning: --jobs is deprecated and has no effect; shock replays run "
                 "in this process\n") in capsys.readouterr().err
 
-    def test_informative_report_is_silent(self, monkeypatch, capsys):
+    def test_informative_report_gets_no_warning(self, monkeypatch, capsys):
         # The acceptance-6 set: hidden offsets on three-agent-cycle make the
         # shock replays move the flows, and candidate 1's gain override (as
         # in acceptance 6) makes its divergences differ from candidate 0's.
@@ -212,7 +218,7 @@ class TestAnticipate:
         doc = json.loads(output[output.index("{"):])
         assert any(d > 0.0 for c in doc["candidates"] for d in c["divergences"])
         assert doc["candidates"][0]["divergences"] != doc["candidates"][1]["divergences"]
-        assert capsys.readouterr().err == ""
+        assert capsys.readouterr().err == MOVED + "0: 2/4, 1: 2/4\n"
 
 
 class TestUsageErrors:
