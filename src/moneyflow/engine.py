@@ -15,7 +15,9 @@ be applied. `run` keeps such agents dormant: out of the event scan and out
 of the log, until something changes what they observe. Their wake times come
 from counter-keyed streams, so the skipped wakes are consumed later with the
 same float additions, and every later event and the state at each run
-boundary are exactly as if each wake had been processed.
+boundary are exactly as if each wake had been processed. `run_record`
+drives this one loop through a whole record, so an agent stays dormant
+across the recorder's term cuts unless a cut refreshes a snapshot it reads.
 
 The engine is strictly sequential over the event order. Independent runs own
 their state exclusively and may execute concurrently.
@@ -26,7 +28,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import rng
 from .network import Agent, Channel, Event, NetworkState, accrue, issue
@@ -428,7 +430,7 @@ def run(state: NetworkState, horizon: float) -> tuple[NetworkState, list[Event]]
     Deterministic for a fixed seed; running h1 then h2 is identical to running
     h1 + h2 in one call, with the logs concatenating. The pending policy,
     securities and shock items are read once on entry and again after each
-    one runs, as nothing else in the call moves them.
+    one runs, as nothing else in the loop moves them.
 
     Wakes that cannot act are not logged. A non-exempt agent that wakes with
     a zero observed deficit and either no pending correction or one whose
@@ -441,60 +443,78 @@ def run(state: NetworkState, horizon: float) -> tuple[NetworkState, list[Event]]
     or a nonzero shock) or a multiplier on one of its channels (a
     `set_multiplier` policy) changes. Those events wake it: it consumes the
     wakes it skipped and rejoins the scan. The central bank's wakes before
-    its next issuance entry are consumed in one go. Dormancy lives only
-    inside one call; at the end every dormant agent's wakes are consumed up
-    to the horizon, so the state at the boundary is the same as if every
-    wake had been processed.
+    its next issuance entry are consumed in one go.
+
+    At the end, and at each term end of `run_record`, which drives this loop
+    through a whole record, every dormant agent's wakes are consumed up to
+    it, so the state there is as if every wake had been processed. Dormancy
+    survives `run_record`'s observer cuts: a cut moves stocks, tallies and
+    accruals, which no dynamics read, and refreshes snapshots, so only the
+    sinks of the channels whose snapshot it changed rejoin the scan.
     """
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
-    end = state.now + horizon
     start = len(state.log)
+    _advance(state, (state.now + horizon,))
+    return state, state.log[start:]
+
+
+def _advance(state: NetworkState, ends: Iterable[float],
+             cut: Callable[[], None] | None = None) -> None:
+    """The event loop of `run`, through each of `ends` in turn (see `run`).
+
+    At each end the state stands as `run` leaves it and `cut` is called.
+    """
     agents = state.agents
     channels = state.channels
     awake = set(state.agent_order)
     # Only `_run_scheduled` moves the policy, securities and shock cursors.
     sched_t, sched_kind = _peek_scheduled(state)
-    while True:
-        agent_id, agent_t = next_event(state, awake)
-        if min(agent_t, sched_t) >= end:
-            break
-        if sched_t <= agent_t:
-            # Scheduled items precede every agent wake at the same time.
-            item_t = sched_t
-            changed = _run_scheduled(state, sched_kind, item_t)
-            sched_t, sched_kind = _peek_scheduled(state)
-            if changed is not None:
-                ch = channels[changed]
-                for aid in (ch.source, ch.sink):
-                    if aid not in awake:
-                        awake.add(aid)
-                        _skip_wakes(agents[aid], item_t)
-            continue
-        agent = agents[agent_id]
-        if agent.continuity_exempt:
-            due = _next_issuance_time(state)
-            if due > agent_t:
-                _skip_wakes(agent, min(due, end))
+    for end in ends:
+        while True:
+            agent_id, agent_t = next_event(state, awake)
+            if min(agent_t, sched_t) >= end:
+                break
+            if sched_t <= agent_t:
+                # Scheduled items precede every agent wake at the same time.
+                item_t = sched_t
+                changed = _run_scheduled(state, sched_kind, item_t)
+                sched_t, sched_kind = _peek_scheduled(state)
+                if changed is not None:
+                    ch = channels[changed]
+                    for aid in (ch.source, ch.sink):
+                        if aid not in awake:
+                            awake.add(aid)
+                            _skip_wakes(agents[aid], item_t)
+                continue
+            agent = agents[agent_id]
+            if agent.continuity_exempt:
+                due = _next_issuance_time(state)
+                if due > agent_t:
+                    _skip_wakes(agent, min(due, end))
+                else:
+                    update_agent(state, agent_id, agent_t)
+            elif (deficit := observed_deficit(state, agent_id)) == 0 and (
+                    agent.pending_correction == 0 or not _residual_moves_a_rate(state, agent)):
+                awake.remove(agent_id)
             else:
-                update_agent(state, agent_id, agent_t)
-        elif (deficit := observed_deficit(state, agent_id)) == 0 and (
-                agent.pending_correction == 0 or not _residual_moves_a_rate(state, agent)):
-            awake.remove(agent_id)
-        else:
-            event = update_agent(state, agent_id, agent_t, deficit)
-            for cid, delta in event.payload["deltas"].items():
-                sink = channels[cid].sink
-                if delta and sink not in awake:
-                    # A partner's wake at this very time came before this
-                    # one when its id is lower (ties go to the lower id).
-                    awake.add(sink)
-                    _skip_wakes(agents[sink], agent_t, inclusive=sink < agent_id)
-    for aid in state.agent_order:
-        if aid not in awake:
-            _skip_wakes(agents[aid], end)
-    state.now = end
-    return state, state.log[start:]
+                event = update_agent(state, agent_id, agent_t, deficit)
+                for cid, delta in event.payload["deltas"].items():
+                    sink = channels[cid].sink
+                    if delta and sink not in awake:
+                        # A partner's wake at this very time came before this
+                        # one when its id is lower (ties go to the lower id).
+                        awake.add(sink)
+                        _skip_wakes(agents[sink], agent_t, inclusive=sink < agent_id)
+        for aid in state.agent_order:
+            if aid not in awake:
+                _skip_wakes(agents[aid], end)
+        state.now = end
+        if cut is not None:
+            snaps = [ch.snap_rate_sink for ch in channels.values()]
+            cut()
+            awake.update(ch.sink for ch, snap in zip(channels.values(), snaps)
+                         if ch.snap_rate_sink != snap)
 
 
 def _fraction_str(value) -> str:

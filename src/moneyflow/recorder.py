@@ -26,7 +26,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Mapping, NamedTuple
 
-from .engine import run, settle_all
+from .engine import _advance, run, settle_all
 from .network import NetworkState
 from .scenario import ScenarioError, _as_float, _read_utf8, as_fraction, rational_str
 
@@ -131,9 +131,13 @@ class Recorder:
     def record_term(self) -> BalanceSheet:
         """Run the next term, take its observer cut and read its sheet off the state."""
         state = self.state
-        boundary = (self.term + 1) * state.spec.term_length
-        run(state, boundary - state.now)
-        settle_all(state, boundary, term=self.term)
+        run(state, (self.term + 1) * state.spec.term_length - state.now)
+        return self._cut()
+
+    def _cut(self) -> BalanceSheet:
+        """Take the observer cut that closes the term and read its sheet off the state."""
+        state = self.state
+        settle_all(state, (self.term + 1) * state.spec.term_length, term=self.term)
         (opening, settled), self._opened = self._opened, self._tallies()
         agents = state.agents
         lines = {aid: AgentLine(stock, agents[aid].received - received, agents[aid].paid - paid,
@@ -154,7 +158,10 @@ def run_record(state: NetworkState, n_terms: int,
 
     Each term ends with the recorder's observer cut, flagged `observer` in
     the log so that organic settlements remain distinguishable from
-    recorder-induced ones.
+    recorder-induced ones. The whole record is one pass of the engine's
+    event loop with the cuts taken inside it, so dormant agents stay out of
+    the scan across cuts (see `engine.run`); sheets, log and state are those
+    of `Recorder.record_term` called once a term.
 
     Given a `checkpoints` list, a clone of the state at the opening boundary
     of each term it records is appended to it, with an empty log; a
@@ -164,12 +171,22 @@ def run_record(state: NetworkState, n_terms: int,
         raise ValueError("n_terms must be non-negative")
     recorder = Recorder(state)
     sheets = []
-    for _ in range(n_terms):
-        if checkpoints is not None:
-            checkpoint = state.clone()
-            checkpoint.log = []
-            checkpoints.append(checkpoint)
-        sheets.append(recorder.record_term())
+
+    def checkpoint() -> None:
+        if checkpoints is not None and recorder.term < n_terms:
+            clone = state.clone()
+            clone.log = []
+            checkpoints.append(clone)
+
+    def cut() -> None:
+        sheets.append(recorder._cut())
+        checkpoint()
+
+    # The loop reads each end after the previous cut, so it is the end
+    # `record_term` would run to, and every wake lands in the same term.
+    checkpoint()
+    _advance(state, (state.now + (k * state.spec.term_length - state.now)
+                     for k in range(1, n_terms + 1)), cut)
     return Record(tuple(sheets), state.spec.fingerprint(), state.spec.term_length,
                   sum(state.initial_stocks.values()))
 
@@ -291,6 +308,13 @@ def _parse_value(parse, value, where: str):
         raise RecordError(str(exc)) from exc
 
 
+def _term_length(value, where: str) -> float:
+    length = _parse_value(_as_float, value, where)
+    if not length > 0:
+        raise RecordError(f"{where}: must be positive, got {length}")
+    return length
+
+
 def _parse_int(text: str, where: str) -> int:
     try:
         return int(text)
@@ -331,7 +355,7 @@ def record_from_csv(text: str) -> Record:
             if key == "fingerprint":
                 fingerprint = value
             elif key == "term_length":
-                term_length = _parse_value(_as_float, value, f"line {idx + 1}: term_length")
+                term_length = _term_length(value, f"line {idx + 1}: term_length")
             elif key == "initial_total_stock":
                 initial_total = _parse_int(value, f"line {idx + 1}: initial_total_stock")
         idx += 1
@@ -447,7 +471,7 @@ def record_from_json(text: str) -> Record:
     return Record(
         sheets=tuple(sheets),
         fingerprint=_expect(doc.get("fingerprint", ""), str, "fingerprint"),
-        term_length=_parse_value(_as_float, doc.get("term_length", 1.0), "term_length"),
+        term_length=_term_length(doc.get("term_length", 1.0), "term_length"),
         initial_total_stock=_expect(doc.get("initial_total_stock", 0), int, "initial_total_stock"),
     )
 
@@ -460,7 +484,10 @@ def read_record(path: str | Path, *, on_identity_violation: str = "reject") -> R
     """
     text = _read_utf8(path, RecordError)
     if text.lstrip().startswith("{"):
-        record = record_from_json(text)
+        try:
+            record = record_from_json(text)
+        except RecursionError:
+            raise RecordError(f"{path}: JSON nested too deeply to read") from None
     else:
         record = record_from_csv(text)
     if on_identity_violation != "skip":

@@ -268,6 +268,14 @@ def _require(mapping: Mapping, key: str, where: str) -> Any:
     return mapping[key]
 
 
+def _text(mapping: Mapping, key: str, where: str, required: bool = True) -> Any:
+    """The JSON string under `key`, an id or a reference; None if optional and absent."""
+    value = _require(mapping, key, where) if required else mapping.get(key)
+    if not isinstance(value, str) and (required or value is not None):
+        raise ScenarioError(f"{where}: {key} must be a JSON string, got {value!r}")
+    return value
+
+
 def _entries(data: Mapping, key: str, kind: type | tuple = Mapping, required: bool = False) -> list:
     """The list under `key`, each of whose entries must be a `kind`."""
     value = _require(data, key, "scenario") if required else data.get(key, [])
@@ -293,8 +301,8 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioSpec:
             raise ScenarioError(f"{where}: mean_wait must be positive")
         agents.append(
             AgentSpec(
-                id=str(_require(raw, "id", "agent")),
-                role=str(_require(raw, "role", where)),
+                id=_text(raw, "id", "agent"),
+                role=_text(raw, "role", where),
                 stock=as_money(raw.get("stock", 0), f"{where} stock"),
                 gain=as_fraction(raw.get("gain", 0), f"{where} gain"),
                 mean_wait=mean_wait,
@@ -309,14 +317,17 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioSpec:
         mult = as_fraction(raw.get("multiplier", 1), f"{where} multiplier")
         if mult < 0:
             raise ScenarioError(f"{where}: multiplier must be non-negative")
+        adjustable = raw.get("adjustable", False)
+        if not isinstance(adjustable, bool):
+            raise ScenarioError(f"{where}: adjustable must be a JSON boolean, got {adjustable!r}")
         channels.append(
             ChannelSpec(
-                id=str(_require(raw, "id", "channel")),
-                source=str(_require(raw, "source", where)),
-                sink=str(_require(raw, "sink", where)),
+                id=_text(raw, "id", "channel"),
+                source=_text(raw, "source", where),
+                sink=_text(raw, "sink", where),
                 rate=as_money(_require(raw, "rate", where), f"{where} rate"),
                 multiplier=mult,
-                adjustable=bool(raw.get("adjustable", False)),
+                adjustable=adjustable,
             )
         )
 
@@ -338,7 +349,7 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioSpec:
             PolicyAction(
                 time=_as_float(_require(raw, "time", "policy entry"), "policy time"),
                 kind=kind,
-                target=str(_require(raw, "target", "policy entry")),
+                target=_text(raw, "target", "policy entry"),
                 value=as_fraction(_require(raw, "value", "policy entry"), "policy value"),
             )
         )
@@ -348,7 +359,7 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioSpec:
         shocks.append(
             ShockSpec(
                 time=_as_float(_require(raw, "time", "shock entry"), "shock time"),
-                channel=str(_require(raw, "channel", "shock entry")),
+                channel=_text(raw, "channel", "shock entry"),
                 amount=as_money(_require(raw, "amount", "shock entry"), "shock amount"),
             )
         )
@@ -356,9 +367,9 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioSpec:
     figures = []
     for raw in _entries(data, "figures"):
         fig = FigureSpec(
-            name=str(_require(raw, "name", "figure entry")),
-            channel=raw.get("channel"),
-            stock=raw.get("stock"),
+            name=_text(raw, "name", "figure entry"),
+            channel=_text(raw, "channel", "figure entry", False),
+            stock=_text(raw, "stock", "figure entry", False),
         )
         if (fig.channel is None) == (fig.stock is None):
             raise ScenarioError(f"figure {fig.name!r}: exactly one of channel/stock required")
@@ -392,6 +403,8 @@ def load_scenario(path: str | Path) -> ScenarioSpec:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except RecursionError:
+        raise ScenarioError(f"{path}: JSON nested too deeply to read") from None
     return scenario_from_dict(data)
 
 

@@ -354,6 +354,64 @@ class TestParseErrors:
         assert "rate name 'notes_outstanding' is the name of a record aggregate" \
             in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,edit,message", [
+        ("simulate", lambda d: d["figures"][0].update(channel=["ab"]),
+         "figure entry: channel must be a JSON string, got ['ab']"),
+        ("anticipate", lambda d: d["figures"][0].update(channel=["ab"]),
+         "figure entry: channel must be a JSON string, got ['ab']"),
+        ("simulate", lambda d: d["figures"].append({"name": "a_stock", "stock": 1}),
+         "figure entry: stock must be a JSON string, got 1"),
+        ("simulate", lambda d: d["figures"][0].update(name=7), "figure entry: name must be a JSON string"),
+        ("simulate", lambda d: d["policy_schedule"].append(
+            {"time": 0.5, "action": "set_rate", "target": ["x"], "value": "0.1"}),
+         "policy entry: target must be a JSON string, got ['x']"),
+        ("simulate", lambda d: d["shock_schedule"].append({"time": 0.5, "channel": ["ab"], "amount": 5}),
+         "shock entry: channel must be a JSON string, got ['ab']"),
+        ("simulate", lambda d: d["channels"][0].update(adjustable="false"),
+         "channel 'ab': adjustable must be a JSON boolean, got 'false'"),
+        ("simulate", lambda d: d["channels"][0].update(adjustable=0),
+         "channel 'ab': adjustable must be a JSON boolean, got 0"),
+        ("simulate", lambda d: d["channels"][0].update(id=1), "channel: id must be a JSON string"),
+        ("simulate", lambda d: d["channels"][0].update(source=["A"]), "source must be a JSON string"),
+        ("simulate", lambda d: d["channels"][0].update(sink=None), "sink must be a JSON string"),
+        ("simulate", lambda d: d["agents"][1].update(id=["A"]), "agent: id must be a JSON string"),
+        ("simulate", lambda d: d["agents"][1].update(role=False), "role must be a JSON string"),
+    ], ids=["figure-channel", "anticipate-figure-channel", "figure-stock", "figure-name",
+            "policy-target", "shock-channel", "adjustable-string", "adjustable-int", "channel-id",
+            "channel-source", "channel-sink", "agent-id", "agent-role"])
+    def test_scenario_field_types(self, tmp_path, command, edit, message, capsys):
+        from moneyflow import three_agent_cycle
+
+        doc = three_agent_cycle().to_dict()
+        edit(doc)
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        extra = ("--candidates", "1", "--replays", "1", "--horizon", "1") if command == "anticipate" \
+            else ("--terms", "1")
+        code, _ = invoke(command, "--scenario", str(path), *extra)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("moneyflow: error: ") and message in err
+
+    @pytest.mark.parametrize("argv", [("simulate", "--scenario"), ("verify", "--record"),
+                                      ("fit", "--scenario", "two-agent-kernel", "--target")])
+    def test_deep_nesting(self, tmp_path, argv, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text('{"a": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        code, _ = invoke(*argv, str(path))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"moneyflow: error: {path}: JSON nested too deeply to read\n"
+
+    def test_verify_term_length_not_positive(self, tmp_path, capsys):
+        path = tmp_path / "r.json"
+        invoke("record", "--scenario", "two-agent-kernel", "--terms", "1", "--out", str(path),
+               "--format", "json")
+        path.write_text(path.read_text().replace('"term_length": 1.0', '"term_length": -1'))
+        code, _ = invoke("verify", "--record", str(path))
+        assert code == 2
+        assert "term_length: must be positive, got -1.0" in capsys.readouterr().err
+
     def test_simulate_agents_not_objects(self, tmp_path, capsys):
         path = tmp_path / "s.json"
         path.write_text(json.dumps({"agents": [1, 2]}))

@@ -671,7 +671,7 @@ CHANNEL_IDS = st.sampled_from([cid for cid, _, _ in ORACLE_CHANNELS])
 
 
 @st.composite
-def oracle_states(draw):
+def oracle_states(draw, lengths=(1.0, 0.5, 0.75, 1 / 3)):
     """A cycle with a chord and a central-bank channel, disturbed at random.
 
     The cycle often starts balanced, so agents go dormant; hidden offsets move
@@ -686,7 +686,7 @@ def oracle_states(draw):
     spec = ScenarioSpec(
         name="oracle",
         seed=draw(st.integers(0, 2 ** 16)),
-        term_length=draw(st.sampled_from([1.0, 0.5, 0.75, 1 / 3])),
+        term_length=draw(st.sampled_from(lengths)),
         agents=(AgentSpec("CB", "CentralBank", mean_wait=0.5),
                 *(AgentSpec(aid, "Custom:x", gain=gain, mean_wait=0.25)
                   for aid, gain in zip("ABC", gains))),

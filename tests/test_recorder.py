@@ -5,11 +5,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moneyflow import engine
 from moneyflow import (
     BUILTIN_SCENARIOS,
     Assignment,
@@ -28,6 +30,7 @@ from moneyflow import (
     run_record,
     settle,
     three_agent_cycle,
+    three_agent_skew,
     two_agent_kernel,
     verify_record,
     write_record,
@@ -40,6 +43,7 @@ from moneyflow.scenario import ScheduledAmount
 from moneyflow.scenario import rational_str
 
 from conftest import json_values, sheets_from_log, tallies_hold, tiny_spec
+from test_engine import assert_same_run, oracle_states
 from test_pins import LIVE_OFFSETS, LIVE_SPEC, PIN_TERMS, SCENARIO_PINS, boundary_shock_spec
 
 DATA = Path(__file__).parent / "data"
@@ -350,7 +354,7 @@ PINNED_RUNS = {
 
 
 @st.composite
-def disturbed_runs(draw):
+def disturbed_runs(draw, lengths=(0.1, 1 / 3, 0.5, 0.75), max_terms=5):
     """A built-in scenario at another term length with every kind of money move.
 
     Shocks land on term boundaries, multipliers change mid-term, a rate the
@@ -358,9 +362,10 @@ def disturbed_runs(draw):
     agents start off balance under overridden gains, and a second flow
     figure watches a channel that already has one.
     """
-    spec = draw(st.sampled_from([national_5, three_agent_cycle, two_agent_kernel]))()
-    length = draw(st.sampled_from([0.1, 1 / 3, 0.5, 0.75]))
-    n_terms = draw(st.integers(1, 5))
+    spec = draw(st.sampled_from([national_5, three_agent_cycle, three_agent_skew,
+                                 two_agent_kernel]))()
+    length = draw(st.sampled_from(lengths))
+    n_terms = draw(st.integers(1, max_terms))
     channels = st.sampled_from([c.id for c in spec.channels])
     terms = st.integers(0, n_terms - 1)
     issued = draw(st.integers(1, 500))
@@ -412,6 +417,60 @@ class TestLogOracle:
         assert tallies_hold(state)
         assert verify_record(record).ok
         assert all("policy_rate" in sheet.rates for sheet in record.sheets[n_terms - 1:])
+
+
+RECORD_LENGTHS = (1.0, 0.1, 1 / 3, 0.75, 2.5)
+TAX_POLICY = (PolicyAction(10.0, "set_multiplier", "tax_hh", Fraction(3, 10)),
+              PolicyAction(10.0, "set_multiplier", "tax_corp", Fraction(3, 10)))
+
+
+def record_both_ways(state, n_terms):
+    """`run_record` on the state and `record_term` once a term on a clone; they must agree."""
+    ref = state.clone()
+    checkpoints, ref_checkpoints, sheets = [], [], []
+    record = run_record(state, n_terms, checkpoints)
+    recorder = Recorder(ref)
+    for _ in range(n_terms):
+        ref_checkpoints.append(ref.clone())
+        ref_checkpoints[-1].log = []
+        sheets.append(recorder.record_term())
+    assert list(record.sheets) == sheets
+    assert_same_run(state, ref)
+    assert checkpoints == ref_checkpoints
+
+
+class TestOneLoopOracle:
+    """`run_record` is one event loop with the cuts inside it: dormant agents
+    stay dormant across cuts, and the sheets, log, final state and checkpoints
+    are those of `record_term` called once a term."""
+
+    @given(run=disturbed_runs(lengths=RECORD_LENGTHS, max_terms=8))
+    @settings(max_examples=80, deadline=None)
+    def test_builtin_scenarios(self, run):
+        record_both_ways(*run)
+
+    @given(state=oracle_states(lengths=RECORD_LENGTHS), n_terms=st.integers(1, 8))
+    @settings(max_examples=150, deadline=None)
+    def test_generated_scenarios(self, state, n_terms):
+        record_both_ways(state, n_terms)
+
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_no_deficit_read_once_the_tax_change_settles(self, monkeypatch, seed):
+        # The last update after the tax change of t = 10 comes at about 14;
+        # from then on no cut refreshes a stale snapshot, so no agent wakes.
+        woken = []
+        deficit = engine.observed_deficit
+
+        def counted(state, agent_id):
+            woken.append(state.agents[agent_id].next_time)
+            return deficit(state, agent_id)
+
+        monkeypatch.setattr(engine, "observed_deficit", counted)
+        spec = national_5().with_extra_policy(TAX_POLICY).with_seed(seed)
+        state = build_network(spec)
+        run_record(state, 200)
+        assert 0 < max(woken) < 20
+        assert len(woken) < 100
 
 
 class TestFigures:
@@ -609,6 +668,11 @@ class TestCsvRowMessages:
         with pytest.raises(RecordError, match="line 2: term_length: expected a finite number"):
             record_from_csv("# moneyflow-record v1\n# term_length=1.5x\n" + self.HEADER)
 
+    @pytest.mark.parametrize("length", ["-1", "0", "-0.0"])
+    def test_term_length_header_must_be_positive(self, length):
+        with pytest.raises(RecordError, match="line 2: term_length: must be positive"):
+            record_from_csv(f"# moneyflow-record v1\n# term_length={length}\n" + self.HEADER)
+
 
 class TestJsonFieldErrors:
     """The JSON reader's number fields fail with RecordError too."""
@@ -631,3 +695,15 @@ class TestJsonFieldErrors:
         text = json.dumps({**self.document(), "term_length": "abc"})
         with pytest.raises(RecordError, match="term_length: expected a finite number"):
             record_from_json(text)
+
+    @pytest.mark.parametrize("length", [-1, 0, "-2.5"])
+    def test_term_length_must_be_positive(self, length):
+        text = json.dumps({**self.document(), "term_length": length})
+        with pytest.raises(RecordError, match="^term_length: must be positive"):
+            record_from_json(text)
+
+    def test_deep_nesting_names_the_file(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text('{"format": "moneyflow-record", "sheets": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        with pytest.raises(RecordError, match=f"^{re.escape(str(path))}: JSON nested too deeply"):
+            read_record(path)

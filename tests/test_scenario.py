@@ -109,6 +109,12 @@ class TestParsing:
         with pytest.raises(ScenarioError, match="exactly one of channel/stock"):
             scenario_from_dict(doc)
 
+    def test_deep_nesting_names_the_file(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(ScenarioError, match=f"^{re.escape(str(path))}: JSON nested too deeply"):
+            load_scenario(path)
+
 
 class TestRecordableNames:
     """Agent ids, figure and rate names must fit a CSV record cell."""
