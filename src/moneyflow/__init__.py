@@ -44,9 +44,9 @@ from .recorder import (
     BalanceSheet,
     IdentityReport,
     Record,
-    Recorder,
     RecordError,
     read_record,
+    record_terms,
     run_record,
     verify_record,
     write_record,

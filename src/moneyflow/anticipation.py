@@ -56,7 +56,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from . import rng
 from .network import Event, NetworkState, build_network
-from .recorder import BalanceSheet, Record, Recorder, run_record
+from .recorder import BalanceSheet, Record, record_terms, run_record
 from .retrieval import Assignment, FitConfig, apply_assignment, fit
 from .scenario import PolicyAction, ScenarioError, ScenarioSpec, ShockSpec, as_fraction
 
@@ -303,8 +303,8 @@ def sample_shock_sequence(pool: Sequence[float], spec: ScenarioSpec, config: Rep
 def _resume_term(time: float, term_length: float, n_terms: int) -> int:
     """The last term whose opening boundary is at or before `time`.
 
-    Boundaries are the Recorder's own `(k + 1) * term_length`, so an item at
-    `time` is still pending in the checkpoint taken there.
+    Boundaries are the loop ends of `record_terms`, `(k + 1) * term_length`,
+    so an item at `time` is still pending in the checkpoint taken there.
     """
     k = 0
     while k + 1 < n_terms and (k + 1) * term_length <= time:
@@ -339,12 +339,12 @@ def _run_replay(checkpoint, term, shocks, dims, base_trajectory, scales, keys) -
     """
     state = checkpoint.clone()
     state.spec = state.spec.with_extra_shocks(shocks)
-    recorder = Recorder(state, term)
-    shocked = [_phase_point(recorder.record_term(), dims)]
+    terms = record_terms(state, term)
+    shocked = [_phase_point(next(terms), dims)]
     for key in keys:
         if key is not None and _rejoin_key(state) == key:
             break
-        shocked.append(_phase_point(recorder.record_term(), dims))
+        shocked.append(_phase_point(next(terms), dims))
     return divergence(base_trajectory[term:term + len(shocked)], shocked, scales)
 
 

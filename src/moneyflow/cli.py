@@ -267,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="score candidate futures by shock-replay robustness")
     p.add_argument("--candidates", type=_positive, default=5)
     p.add_argument("--replays", type=_positive, default=32)
-    p.add_argument("--horizon", type=_count, default=8, help="horizon in terms")
+    p.add_argument("--horizon", type=_positive, default=8, help="horizon in terms")
     p.add_argument("--dims", help="comma-separated aggregate names for the phase vector")
     p.add_argument("--bound", type=_finite, default=0.2,
                    help="multiplier sampling bound, in [0, 1]")

@@ -15,9 +15,8 @@ be applied. `run` keeps such agents dormant: out of the event scan and out
 of the log, until something changes what they observe. Their wake times come
 from counter-keyed streams, so the skipped wakes are consumed later with the
 same float additions, and every later event and the state at each run
-boundary are exactly as if each wake had been processed. `run_record`
-drives this one loop through a whole record, so an agent stays dormant
-across the recorder's term cuts unless a cut refreshes a snapshot it reads.
+boundary are exactly as if each wake had been processed. The recorder's
+observer cuts are taken inside this one loop (see `run`).
 
 The engine is strictly sequential over the event order. Independent runs own
 their state exclusively and may execute concurrently.
@@ -28,7 +27,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import rng
 from .network import Agent, Channel, Event, NetworkState, accrue, issue
@@ -445,25 +444,26 @@ def run(state: NetworkState, horizon: float) -> tuple[NetworkState, list[Event]]
     wakes it skipped and rejoins the scan. The central bank's wakes before
     its next issuance entry are consumed in one go.
 
-    At the end, and at each term end of `run_record`, which drives this loop
-    through a whole record, every dormant agent's wakes are consumed up to
-    it, so the state there is as if every wake had been processed. Dormancy
-    survives `run_record`'s observer cuts: a cut moves stocks, tallies and
+    At the end every dormant agent's wakes are consumed up to it, so the
+    state there is as if every wake had been processed. `run` is this loop
+    with one end; `recorder.record_terms` drives it through every term of a
+    record and takes the observer cut at each term end before the loop goes
+    on. Dormancy survives those cuts: a cut moves stocks, tallies and
     accruals, which no dynamics read, and refreshes snapshots, so only the
     sinks of the channels whose snapshot it changed rejoin the scan.
     """
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
     start = len(state.log)
-    _advance(state, (state.now + horizon,))
+    next(_advance(state, (state.now + horizon,)))
     return state, state.log[start:]
 
 
-def _advance(state: NetworkState, ends: Iterable[float],
-             cut: Callable[[], None] | None = None) -> None:
+def _advance(state: NetworkState, ends: Iterable[float]) -> Iterator[None]:
     """The event loop of `run`, through each of `ends` in turn (see `run`).
 
-    At each end the state stands as `run` leaves it and `cut` is called.
+    Yields at each end, with the state as `run` leaves it there. The caller
+    may take an observer cut before asking for the next end.
     """
     agents = state.agents
     channels = state.channels
@@ -510,11 +510,10 @@ def _advance(state: NetworkState, ends: Iterable[float],
             if aid not in awake:
                 _skip_wakes(agents[aid], end)
         state.now = end
-        if cut is not None:
-            snaps = [ch.snap_rate_sink for ch in channels.values()]
-            cut()
-            awake.update(ch.sink for ch, snap in zip(channels.values(), snaps)
-                         if ch.snap_rate_sink != snap)
+        snaps = [ch.snap_rate_sink for ch in channels.values()]
+        yield
+        awake.update(ch.sink for ch, snap in zip(channels.values(), snaps)
+                     if ch.snap_rate_sink != snap)
 
 
 def _fraction_str(value) -> str:

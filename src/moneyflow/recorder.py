@@ -22,11 +22,13 @@ import json
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
-from .engine import _advance, run, settle_all
+# `run` is not called here; mfbench's tracer test reads it as `moneyflow.recorder.run`.
+from .engine import _advance, run, settle_all  # noqa: F401
 from .network import NetworkState
 from .scenario import ScenarioError, _as_float, _read_utf8, as_fraction, rational_str
 
@@ -98,95 +100,76 @@ class IdentityReport(NamedTuple):
         return [c for c in self.checks if not c.passed]
 
 
-class Recorder:
+def record_terms(state: NetworkState, term: int = 0) -> Iterator[BalanceSheet]:
     """Term-by-term sheets of one state, read off its running tallies.
 
-    Each `record_term` runs the state to the next term boundary and takes the
-    observer cut there. Its sheet is the money moved since the previous cut:
-    the change in every agent's `received` and `paid` tallies and in the
-    `settled` tally of each flow figure's channel. The closing stocks, notes,
-    securities and rates are the state's own at the cut.
+    Each sheet runs the state on to the next term boundary, in one pass of
+    the event loop (see `engine.run`), and takes the observer cut there,
+    flagged `observer` in the log so that organic settlements remain
+    distinguishable from recorder-induced ones. Its sheet is the money moved
+    since the previous cut: the change in every agent's `received` and
+    `paid` tallies and in the `settled` tally of each flow figure's channel.
+    The closing stocks, notes, securities and rates are the state's own at
+    the cut.
 
     The state must stand at the opening boundary of `term`: a fresh state
-    for term 0, or for a later term a checkpoint `run_record` took.
+    for term 0, or for a later term a checkpoint `run_record` took. That is
+    checked, and the opening tallies are read, on the call. The generator
+    returned yields one sheet per term, without end.
     """
+    spec = state.spec
+    length = spec.term_length
+    if state.now != term * length:
+        raise ValueError(f"cannot resume term {term}: the state is at {state.now}, "
+                         f"not at the term boundary {term * length}")
+    agents, channels = state.agents, state.channels
+    flow_figures = [(f.name, f.channel) for f in spec.figures if f.channel is not None]
+    stock_figures = [(f.name, f.stock) for f in spec.figures if f.stock is not None]
 
-    def __init__(self, state: NetworkState, term: int = 0):
-        spec = state.spec
-        if state.now != term * spec.term_length:
-            raise ValueError(f"cannot resume term {term}: the state is at {state.now}, "
-                             f"not at the term boundary {term * spec.term_length}")
-        self.state = state
-        self.term = term  # index of the next sheet to record
-        self._flow_figures = [(f.name, f.channel) for f in spec.figures if f.channel is not None]
-        self._stock_figures = [(f.name, f.stock) for f in spec.figures if f.stock is not None]
-        self._opened = self._tallies()
-
-    def _tallies(self) -> tuple[dict[str, tuple[int, int, int]], dict[str, int]]:
+    def tallies() -> tuple[dict[str, tuple[int, int, int]], dict[str, int]]:
         """Each agent's stock, received and paid, and each flow figure's settled total."""
-        channels = self.state.channels
-        return ({aid: (a.stock, a.received, a.paid) for aid, a in self.state.agents.items()},
-                {name: channels[cid].settled for name, cid in self._flow_figures})
+        return ({aid: (a.stock, a.received, a.paid) for aid, a in agents.items()},
+                {name: channels[cid].settled for name, cid in flow_figures})
 
-    def record_term(self) -> BalanceSheet:
-        """Run the next term, take its observer cut and read its sheet off the state."""
-        state = self.state
-        run(state, (self.term + 1) * state.spec.term_length - state.now)
-        return self._cut()
+    def sheets(opened) -> Iterator[BalanceSheet]:
+        # Term k ends at (k + 1) * length, the very float at which a `run`
+        # from now = k * length stops, now + ((k + 1) * length - now): at
+        # k = 0 now is 0, and for k >= 1 the two products lie within a factor
+        # of two of each other, so by Sterbenz's lemma their difference is exact.
+        ends = ((k + 1) * length for k in count(term))
+        for k, _ in enumerate(_advance(state, ends), term):
+            settle_all(state, state.now, term=k)
+            (opening, settled), opened = opened, tallies()
+            lines = {aid: AgentLine(stock, agents[aid].received - received,
+                                    agents[aid].paid - paid, agents[aid].stock)
+                     for aid, (stock, received, paid) in opening.items()}
+            figures = {name: channels[cid].settled - settled[name] for name, cid in flow_figures}
+            figures.update((name, agents[aid].stock) for name, aid in stock_figures)
+            yield BalanceSheet(k, lines, state.cumulative_issuance,
+                               state.securities_outstanding, dict(state.rates), figures)
 
-    def _cut(self) -> BalanceSheet:
-        """Take the observer cut that closes the term and read its sheet off the state."""
-        state = self.state
-        settle_all(state, (self.term + 1) * state.spec.term_length, term=self.term)
-        (opening, settled), self._opened = self._opened, self._tallies()
-        agents = state.agents
-        lines = {aid: AgentLine(stock, agents[aid].received - received, agents[aid].paid - paid,
-                                agents[aid].stock)
-                 for aid, (stock, received, paid) in opening.items()}
-        figures = {name: state.channels[cid].settled - settled[name]
-                   for name, cid in self._flow_figures}
-        figures.update((name, agents[aid].stock) for name, aid in self._stock_figures)
-        sheet = BalanceSheet(self.term, lines, state.cumulative_issuance,
-                             state.securities_outstanding, dict(state.rates), figures)
-        self.term += 1
-        return sheet
+    return sheets(tallies())
 
 
 def run_record(state: NetworkState, n_terms: int,
                checkpoints: list[NetworkState] | None = None) -> Record:
     """Record `n_terms` whole terms of a fresh state, standing at time 0.
 
-    Each term ends with the recorder's observer cut, flagged `observer` in
-    the log so that organic settlements remain distinguishable from
-    recorder-induced ones. The whole record is one pass of the engine's
-    event loop with the cuts taken inside it, so dormant agents stay out of
-    the scan across cuts (see `engine.run`); sheets, log and state are those
-    of `Recorder.record_term` called once a term.
-
-    Given a `checkpoints` list, a clone of the state at the opening boundary
-    of each term it records is appended to it, with an empty log; a
-    `Recorder(checkpoint, term)` continues the run from there.
+    The sheets are the first `n_terms` of `record_terms(state)`. Given a
+    `checkpoints` list, a clone of the state at the opening boundary of each
+    term it records is appended to it, with an empty log;
+    `record_terms(checkpoint, term)` continues the run from there.
     """
     if n_terms < 0:
         raise ValueError("n_terms must be non-negative")
-    recorder = Recorder(state)
+    terms = record_terms(state)
     sheets = []
-
-    def checkpoint() -> None:
-        if checkpoints is not None and recorder.term < n_terms:
+    for _ in range(n_terms):
+        if checkpoints is not None:
             clone = state.clone()
             clone.log = []
             checkpoints.append(clone)
-
-    def cut() -> None:
-        sheets.append(recorder._cut())
-        checkpoint()
-
-    # The loop reads each end after the previous cut, so it is the end
-    # `record_term` would run to, and every wake lands in the same term.
-    checkpoint()
-    _advance(state, (state.now + (k * state.spec.term_length - state.now)
-                     for k in range(1, n_terms + 1)), cut)
+        sheets.append(next(terms))
     return Record(tuple(sheets), state.spec.fingerprint(), state.spec.term_length,
                   sum(state.initial_stocks.values()))
 

@@ -23,7 +23,7 @@ from typing import Mapping, NamedTuple, Sequence
 from . import rng
 from .engine import apportion
 from .network import NetworkState, build_network
-from .recorder import BalanceSheet, Record, RecordError, Recorder, run_record
+from .recorder import BalanceSheet, Record, RecordError, record_terms, run_record
 from .scenario import ScenarioError, ScenarioSpec
 
 
@@ -292,14 +292,14 @@ class _Objective:
         """(error, True) from a full replay, or (floor, False) from a stopped one."""
         state = self.base_state.clone()
         apply_assignment(state, Assignment(offsets=dict(zip(self.agent_ids, vector))))
-        recorder = Recorder(state)
+        terms = record_terms(state)
         limit = bound * bound * self.count * (1 + _MARGIN) if self.rows else inf
         partial = 0.0
         sheets = []
         for rows in self.rows if limit < inf else ():
             if len(sheets) == self.n_terms - 1:
                 break  # the last term completes the record: compute it exactly
-            sheet = recorder.record_term()
+            sheet = next(terms)
             sheets.append(sheet)
             figures = _sheet_figures(sheet)
             values = dict(figures)
@@ -311,7 +311,7 @@ class _Objective:
             if partial > limit:
                 return max(bound, sqrt(partial / self.count) * (1 - _MARGIN)), False
         while len(sheets) < self.n_terms:
-            sheets.append(recorder.record_term())
+            sheets.append(next(terms))
         return self.yardstick.error(Record(tuple(sheets))), True
 
 

@@ -287,7 +287,9 @@ def _entries(data: Mapping, key: str, kind: type | tuple = Mapping, required: bo
 def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioSpec:
     if not isinstance(data, Mapping):
         raise ScenarioError("scenario document must be a JSON object")
-    name = str(data.get("name", "unnamed"))
+    name = _text(data, "name", "scenario") if "name" in data else "unnamed"
+    if "".join(name.splitlines()) != name:  # the CLI prints it in a one-line header
+        raise ScenarioError(f"scenario: name must not contain a line break, got {name!r}")
     seed = data.get("seed", 0)
     term_length = _as_float(data.get("term_length", 1.0), "term_length")
     if not term_length > 0:

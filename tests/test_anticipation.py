@@ -432,14 +432,14 @@ def stale_window_times(world, term_length, n_terms, seed=7):
 def recording_replays(monkeypatch):
     """Record the arguments of each replay that runs, with the number of terms it records."""
     ran = []
-    run_replay = anticipation._run_replay
+    run_replay, record_terms = anticipation._run_replay, anticipation.record_terms
 
-    class Counting(anticipation.Recorder):
-        def record_term(self):
+    def counted(sheets):
+        for sheet in sheets:
             ran[-1][1] += 1
-            return super().record_term()
+            yield sheet
 
-    monkeypatch.setattr(anticipation, "Recorder", Counting)
+    monkeypatch.setattr(anticipation, "record_terms", lambda *args: counted(record_terms(*args)))
     monkeypatch.setattr(anticipation, "_run_replay",
                         lambda *task: ran.append([task, 0]) or run_replay(*task))
     return ran

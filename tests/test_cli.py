@@ -376,9 +376,14 @@ class TestParseErrors:
         ("simulate", lambda d: d["channels"][0].update(sink=None), "sink must be a JSON string"),
         ("simulate", lambda d: d["agents"][1].update(id=["A"]), "agent: id must be a JSON string"),
         ("simulate", lambda d: d["agents"][1].update(role=False), "role must be a JSON string"),
+        ("simulate", lambda d: d.update(name=["x", 1]),
+         "scenario: name must be a JSON string, got ['x', 1]"),
+        ("simulate", lambda d: d.update(name="a\nb"),
+         "scenario: name must not contain a line break, got 'a\\nb'"),
     ], ids=["figure-channel", "anticipate-figure-channel", "figure-stock", "figure-name",
             "policy-target", "shock-channel", "adjustable-string", "adjustable-int", "channel-id",
-            "channel-source", "channel-sink", "agent-id", "agent-role"])
+            "channel-source", "channel-sink", "agent-id", "agent-role", "scenario-name",
+            "scenario-name-line-break"])
     def test_scenario_field_types(self, tmp_path, command, edit, message, capsys):
         from moneyflow import three_agent_cycle
 
@@ -461,11 +466,6 @@ class TestParseErrors:
         assert code == 2
         assert "non-negative integer" in capsys.readouterr().err
 
-    def test_anticipate_negative_horizon(self, capsys):
-        code, _ = invoke("anticipate", "--scenario", "two-agent-kernel", "--horizon", "-1")
-        assert code == 2
-        assert "non-negative integer" in capsys.readouterr().err
-
     @pytest.mark.parametrize("argv", [
         ("anticipate", "--replays", "0"),
         ("anticipate", "--replays", "-1"),
@@ -477,6 +477,8 @@ class TestParseErrors:
         ("fit", "--budget", "0", "--target", "t.csv"),
         ("fit", "--prefix", "0", "--target", "t.csv"),
         ("fit", "--prefix", "-1", "--target", "t.csv"),
+        ("anticipate", "--horizon", "0"),
+        ("anticipate", "--horizon", "-1"),
     ])
     def test_count_options_need_positive_integers(self, argv, capsys):
         code, output = invoke(argv[0], "--scenario", "two-agent-kernel", *argv[1:])

@@ -18,7 +18,6 @@ from moneyflow import (
     BalanceSheet,
     PolicyAction,
     Record,
-    Recorder,
     RecordError,
     ShockSpec,
     build_network,
@@ -26,15 +25,18 @@ from moneyflow import (
     issue,
     national_5,
     read_record,
+    record_terms,
     run,
     run_record,
     settle,
+    settle_all,
     three_agent_cycle,
     three_agent_skew,
     two_agent_kernel,
     verify_record,
     write_record,
 )
+from moneyflow.anticipation import _rejoin_key
 from moneyflow.recorder import AgentLine, record_from_csv, record_to_csv, record_to_json
 from moneyflow.recorder import record_from_json
 from moneyflow.retrieval import apply_assignment
@@ -67,42 +69,42 @@ def pair_spec(rate_ab=0, rate_ba=0):
 
 
 def hand_driven(rate_ab=0, rate_ba=0):
-    """A pair state at time 0 and its recorder, before any hand-made event.
+    """A pair state at time 0 and its sheets, before any hand-made event.
 
     The agents have zero gain, so running a term changes no rate and moves
     only what the hand-made events and the observer cut move.
     """
     state = build_network(pair_spec(rate_ab, rate_ba))
-    return state, Recorder(state)
+    return state, record_terms(state)
 
 
 class TestCompile:
     """Sheets of hand-driven terms, read off the tallies at each cut."""
 
     def test_empty_term_all_zero(self):
-        state, recorder = hand_driven()
-        recorder.record_term()
-        sheet = recorder.record_term()
+        state, terms = hand_driven()
+        next(terms)
+        sheet = next(terms)
         for line in sheet.agents.values():
             assert line.inflow == line.outflow == 0
             assert line.closing == line.opening
 
     def test_single_transfer(self):
-        state, recorder = hand_driven(rate_ab=60)
+        state, terms = hand_driven(rate_ab=60)
         settle(state, "A", "B", 0.5)
         state.channels["ab"].rate = 0  # nothing more accrues before the cut
-        sheet = recorder.record_term()
+        sheet = next(terms)
         assert sheet.agents["A"].outflow == 30
         assert sheet.agents["B"].inflow == 30
         assert sheet.figures["ab_flow"] == 30
 
     def test_three_event_hand_sum(self):
         # Hand oracle: settlements of 30 out of A and 12 back, issuance 100 to CB.
-        state, recorder = hand_driven(rate_ab=30, rate_ba=12)
+        state, terms = hand_driven(rate_ab=30, rate_ba=12)
         settle(state, "A", "B", 0.5)
         issue(state, 100, 0.6)
         settle(state, "B", "A", 1.0)
-        sheet = recorder.record_term()
+        sheet = next(terms)
         assert sheet.agents["A"] == AgentLine(0, 12, 30, -18)
         assert sheet.agents["B"] == AgentLine(0, 30, 12, 18)
         assert sheet.agents["CB"] == AgentLine(0, 100, 0, 100)
@@ -110,28 +112,28 @@ class TestCompile:
         assert verify_record(Record((sheet,))).ok
 
     def test_retirement_counts_as_outflow(self):
-        state, recorder = hand_driven()
+        state, terms = hand_driven()
         issue(state, 100, 0.2)
         issue(state, -40, 0.4)
-        sheet = recorder.record_term()
+        sheet = next(terms)
         assert sheet.agents["CB"] == AgentLine(0, 100, 40, 60)
         assert sheet.notes_outstanding == 60
         assert verify_record(Record((sheet,))).ok
 
     def test_shock_counts_in_totals_not_figures(self):
-        state, recorder = hand_driven()
+        state, terms = hand_driven()
         inject_shock(state, "B", 40, 0.3, channel_id="ab")
-        sheet = recorder.record_term()
+        sheet = next(terms)
         assert sheet.agents["B"].inflow == 40
         assert sheet.agents["A"].outflow == 40
         assert sheet.figures["ab_flow"] == 0
         assert verify_record(Record((sheet,))).ok
 
     def test_events_after_a_cut_open_the_next_term(self):
-        state, recorder = hand_driven()
-        first = recorder.record_term()
+        state, terms = hand_driven()
+        first = next(terms)
         state.channels["ab"].rate = 30
-        second = recorder.record_term()
+        second = next(terms)
         assert first.agents["A"] == AgentLine(0, 0, 0, 0)
         assert second.agents["A"] == AgentLine(0, 0, 30, -30)
         assert [sheet.agents["A"] for sheet in sheets_from_log(state)] == [
@@ -145,6 +147,15 @@ def boundary_kernel(term_length, shocks, gain=Fraction(0)):
 
 
 class TestTermBoundaries:
+    @given(length=st.floats(min_value=0, max_value=1e300, exclude_min=True),
+           k=st.integers(0, 5000))
+    @settings(max_examples=500, deadline=None)
+    def test_loop_end_equals_the_end_of_a_run_to_it(self, length, k):
+        # `record_terms` ends term k at (k + 1) * length; `run` from the
+        # boundary k * length to it computes that end as now + horizon.
+        now = k * length
+        assert now + ((k + 1) * length - now) == (k + 1) * length
+
     def test_boundary_shock_booked_after_the_cut(self):
         # The shock at 5 * term_length is processed after the term-4 cut, so
         # term 4 closes at the stocks of that cut and term 5 carries it.
@@ -160,10 +171,10 @@ class TestTermBoundaries:
         # closes at the stocks its own cut saw.
         shocks = [(k, 10 * k - 60) for k in range(1, 13)]
         state = build_network(boundary_kernel(length, shocks, gain=Fraction(1)))
-        recorder = Recorder(state)
+        terms = record_terms(state)
         sheets, at_cut = [], []
         for _ in range(13):
-            sheets.append(recorder.record_term())
+            sheets.append(next(terms))
             at_cut.append({aid: agent.stock for aid, agent in state.agents.items()})
         assert sheets_from_log(state) == sheets
         assert [{aid: line.closing for aid, line in sheet.agents.items()}
@@ -172,7 +183,7 @@ class TestTermBoundaries:
 
 
 class TestResume:
-    """`Recorder(checkpoint, k)` continues a run from its term-k checkpoint."""
+    """`record_terms(checkpoint, k)` continues a run from its term-k checkpoint."""
 
     @pytest.mark.parametrize("length", [1.0, 1 / 3, 0.75, 0.1])
     def test_resumed_terms_equal_the_whole_run(self, national5_spec, length):
@@ -189,8 +200,8 @@ class TestResume:
         assert all(c.log == [] for c in checkpoints)
         for k, checkpoint in enumerate(checkpoints):
             state = checkpoint.clone()
-            recorder = Recorder(state, k)
-            assert [recorder.record_term() for _ in range(k, 5)] == list(record.sheets[k:])
+            terms = record_terms(state, k)
+            assert [next(terms) for _ in range(k, 5)] == list(record.sheets[k:])
             assert sheets_from_log(state, checkpoint) == list(record.sheets[k:])
             assert tallies_hold(state)
         assert checkpoints[3].now == 3 * length  # the checkpoints stay as taken
@@ -199,7 +210,7 @@ class TestResume:
         state = build_network(national5_spec)
         run(state, 0.5)
         with pytest.raises(ValueError, match="cannot resume term 1"):
-            Recorder(state, 1)
+            record_terms(state, 1)
 
 
 class TestVerifyIdentities:
@@ -424,25 +435,32 @@ TAX_POLICY = (PolicyAction(10.0, "set_multiplier", "tax_hh", Fraction(3, 10)),
               PolicyAction(10.0, "set_multiplier", "tax_corp", Fraction(3, 10)))
 
 
+def per_term_reference(ref, first, n_terms, checkpoints=None):
+    """Terms `first` onwards of `ref`, one `run` to each term boundary and the
+    observer cut there, so that every term starts a fresh event loop."""
+    for term in range(first, first + n_terms):
+        if checkpoints is not None:
+            checkpoints.append(ref.clone())
+            checkpoints[-1].log = []
+        run(ref, (term + 1) * ref.spec.term_length - ref.now)
+        settle_all(ref, ref.now, term=term)
+
+
 def record_both_ways(state, n_terms):
-    """`run_record` on the state and `record_term` once a term on a clone; they must agree."""
+    """`run_record` on the state and the per-term reference on a clone; they must agree."""
     ref = state.clone()
-    checkpoints, ref_checkpoints, sheets = [], [], []
+    checkpoints, ref_checkpoints = [], []
     record = run_record(state, n_terms, checkpoints)
-    recorder = Recorder(ref)
-    for _ in range(n_terms):
-        ref_checkpoints.append(ref.clone())
-        ref_checkpoints[-1].log = []
-        sheets.append(recorder.record_term())
-    assert list(record.sheets) == sheets
+    per_term_reference(ref, 0, n_terms, ref_checkpoints)
+    assert list(record.sheets) == sheets_from_log(ref)
     assert_same_run(state, ref)
     assert checkpoints == ref_checkpoints
 
 
 class TestOneLoopOracle:
-    """`run_record` is one event loop with the cuts inside it: dormant agents
-    stay dormant across cuts, and the sheets, log, final state and checkpoints
-    are those of `record_term` called once a term."""
+    """`record_terms` is one event loop with the cuts inside it: dormant
+    agents stay dormant across cuts, and the sheets, log, final state and
+    checkpoints are those of a fresh `run` to each term boundary."""
 
     @given(run=disturbed_runs(lengths=RECORD_LENGTHS, max_terms=8))
     @settings(max_examples=80, deadline=None)
@@ -453,6 +471,29 @@ class TestOneLoopOracle:
     @settings(max_examples=150, deadline=None)
     def test_generated_scenarios(self, state, n_terms):
         record_both_ways(state, n_terms)
+
+    @given(run=disturbed_runs(lengths=RECORD_LENGTHS, max_terms=8), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_replays_stopped_early(self, run, data):
+        # As a shock replay runs: resumed from a checkpoint of term k under
+        # extra shocks at or after its boundary, and stopped after j sheets.
+        state, n_terms = run
+        length = state.spec.term_length
+        checkpoints = []
+        run_record(state, n_terms, checkpoints)
+        k = data.draw(st.integers(0, n_terms - 1))
+        j = data.draw(st.integers(1, n_terms - k))
+        replay = checkpoints[k].clone()
+        replay.spec = replay.spec.with_extra_shocks(data.draw(st.lists(st.builds(
+            ShockSpec, st.floats(k * length, n_terms * length),
+            st.sampled_from(sorted(replay.channels)), st.integers(-80, 80)), max_size=3)))
+        ref = replay.clone()
+        terms = record_terms(replay, k)
+        sheets = [next(terms) for _ in range(j)]
+        per_term_reference(ref, k, j)
+        assert sheets == sheets_from_log(ref, checkpoints[k])
+        assert_same_run(replay, ref)
+        assert _rejoin_key(replay) == _rejoin_key(ref)
 
     @pytest.mark.parametrize("seed", [3, 8])
     def test_no_deficit_read_once_the_tax_change_settles(self, monkeypatch, seed):
