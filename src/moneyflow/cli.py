@@ -181,7 +181,10 @@ def cmd_anticipate(args, out) -> int:
     elif len(report.scores) > 1 and len({s.divergences for s in report.scores}) == 1:
         # Every candidate faces the same shocks, so a dim that moves by the
         # shocks alone, such as a stock figure, diverges the same in each.
-        print("moneyflow: warning: every candidate's shock replays diverged by the same amounts "
+        stock_names = {f.name for f in spec.figures if f.stock is not None}
+        cause = ("every dim is a stock figure, which moves by the shocks alone, and every "
+                 "candidate faces the same shocks: " if set(dims) <= stock_names else "")
+        print(f"moneyflow: warning: {cause}every candidate's shock replays diverged by the same amounts "
               f"(mean {report.scores[0].mean_divergence!r}), so the scores cannot tell the "
               "candidates apart and the selection is only the tie-break", file=sys.stderr)
     if args.trajectory_out:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from . import rng
 from .network import Agent, Channel, Event, NetworkState, accrue, issue
@@ -249,11 +249,12 @@ def inject_shock(state: NetworkState, agent_id: str, amount: int, time: float,
     return state
 
 
-def next_event(state: NetworkState, awake: Iterable[str] | None = None) -> tuple[str, float]:
+def next_event(state: NetworkState, awake: Collection[str] | None = None) -> tuple[str, float]:
     """Agent with the earliest pending event time; ties go to the lower id.
 
     `awake` limits the scan to those agents, in any order; by default every
-    agent takes part.
+    agent takes part. When every scanned wake time is infinite (a clock that
+    overflowed), the lowest id is returned at infinity.
     """
     agents = state.agents
     best_id = None
@@ -263,7 +264,10 @@ def next_event(state: NetworkState, awake: Iterable[str] | None = None) -> tuple
         if t < best_t or (t == best_t and best_id is not None and aid < best_id):
             best_id, best_t = aid, t
     if best_id is None:
-        raise ValueError("network has no agents")
+        scanned = state.agent_order if awake is None else awake
+        if not scanned:
+            raise ValueError("network has no agents")
+        return min(scanned), _NO_EVENT
     return best_id, best_t
 
 

@@ -19,6 +19,7 @@ encoding; see docs/record-format.md.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -162,6 +163,9 @@ def run_record(state: NetworkState, n_terms: int,
     """
     if n_terms < 0:
         raise ValueError("n_terms must be non-negative")
+    if not math.isfinite(n_terms * state.spec.term_length):
+        raise ScenarioError(f"{n_terms} terms of term_length {state.spec.term_length!r} end past "
+                            "the largest float, where the clock overflows")
     terms = record_terms(state)
     sheets = []
     for _ in range(n_terms):

@@ -193,10 +193,12 @@ class FitResult(NamedTuple):
 # float sums compared, about (number of terms added) * 2**-53 relative; 1e-9
 # covers records of up to a million (term, figure) pairs.
 _MARGIN = 1e-9
-# Seeded starts draw each offset from [-START_RANGE, START_RANGE]; every
-# pattern search begins with steps of INITIAL_STEP.
+# Seeded starts draw each offset from [-START_RANGE, START_RANGE]. The
+# informed start lies near the answer, so its pattern search begins with steps
+# of INFORMED_STEP; the zero and seeded starts' begin with INITIAL_STEP.
 START_RANGE = 16
 INITIAL_STEP = 8
+INFORMED_STEP = 3
 
 
 class _Objective:
@@ -336,13 +338,14 @@ class _Stop(Exception):
 
 
 def _pattern_search(x: tuple[int, ...], fx: float, directions: Sequence[tuple[int, ...]],
-                    probe) -> tuple[tuple[int, ...], float]:
+                    probe, step: int) -> tuple[tuple[int, ...], float]:
     """Hooke & Jeeves moves from `x` until every step collapses below one unit.
 
-    Each direction's step doubles after a move along it and halves after
-    none; `probe(candidate, fx)` gives a candidate's error bounded by `fx`.
+    Every direction starts at `step`; its step doubles after a move along it
+    and halves after none. `probe(candidate, fx)` gives a candidate's error
+    bounded by `fx`.
     """
-    steps = [INITIAL_STEP] * len(directions)
+    steps = [step] * len(directions)
     while any(s >= 1 for s in steps):
         for d, direction in enumerate(directions):
             if steps[d] < 1:
@@ -380,8 +383,12 @@ def _informed_start(target: Record, spec: ScenarioSpec, agent_ids: Sequence[str]
 def fit(target: Record, spec: ScenarioSpec, config: FitConfig = FitConfig()) -> FitResult:
     """Multi-start direct search over integer offset vectors.
 
-    Starts are: the zero assignment, a crude inverse read of the target's
-    first term, then seeded uniform draws in [-START_RANGE, START_RANGE].
+    The zero assignment is evaluated first, so a target it reproduces costs
+    one evaluation. Then the starts run in this order: a crude inverse read of
+    the target's first term (`_informed_start`, initial step INFORMED_STEP),
+    the zero assignment, and seeded uniform draws in
+    [-START_RANGE, START_RANGE] (both at INITIAL_STEP), `starts` in all but
+    never fewer than the first two.
     Each start runs a pattern search over coordinate and diagonal directions
     (step doubles on improvement, halves on failure, a start ends once every
     step is below one minor unit), finished by a small exhaustive box polish
@@ -451,12 +458,14 @@ def fit(target: Record, spec: ScenarioSpec, config: FitConfig = FitConfig()) -> 
         return error
 
     try:
-        for start_index in range(max(2, config.starts)):
+        probe(start_point(0))  # a target retraced at zero offsets costs one evaluation
+        for start_index in (1, 0, *range(2, config.starts)):
             x = start_point(start_index)  # always valid: clamped at 0
             fx = probe(x)
+            step = INFORMED_STEP if start_index == 1 else INITIAL_STEP
             polish_radius = 2
             while True:
-                x, fx = _pattern_search(x, fx, directions, probe)
+                x, fx = _pattern_search(x, fx, directions, probe, step)
                 # Polish phase: exhaustive small box around the stall point.
                 improved = False
                 for offsets in product(range(-polish_radius, polish_radius + 1), repeat=dims):

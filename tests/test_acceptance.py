@@ -133,7 +133,7 @@ def test_4_two_agent_kernel_exact():
 
 # SHA-256 over the 20 FitResult.to_dict() documents of acceptance 5, each
 # rendered as sorted-key JSON: fits must stay equal field for field.
-FIT_RESULTS_PIN = "15ad9a660f8a49e304c855774c54d1dbe71e2de3dbeacf3d9ef8d314a940ca9d"
+FIT_RESULTS_PIN = "0cd23d30a30d77ef9f756b853b7f59c0cfe03e797ca61a5d79a67f7d925ef031"
 
 
 def test_5_retrieval_self_consistency():

@@ -185,6 +185,15 @@ class TestAnticipate:
         assert err.startswith(MOVED + "0: 3/4, 1: 3/4\n")
         assert "diverged by the same amounts" in err
         assert "only the tie-break" in err
+        assert ("warning: every dim is a stock figure, which moves by the shocks alone, and "
+                "every candidate faces the same shocks: every candidate's shock replays") in err
+        # With a flow dim beside it the ties remain, but the cause is not named.
+        code, _ = invoke("anticipate", "--scenario", str(scenario), "--horizon", "2",
+                         "--candidates", "2", "--replays", "4", "--dims", "hh_stock,consumption_flow")
+        err = capsys.readouterr().err
+        assert code == 0
+        assert "warning: every candidate's shock replays diverged by the same amounts" in err
+        assert "stock figure" not in err
 
     def test_jobs_is_deprecated_and_ignored(self, capsys):
         argv = ("anticipate", "--scenario", "three-agent-cycle", "--horizon", "2",
@@ -459,6 +468,27 @@ class TestParseErrors:
         code, _ = invoke("simulate", "--scenario", str(path), "--terms", "1")
         assert code == 2
         assert "per term" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [("simulate", "--terms", "2"),
+                                      ("anticipate", "--horizon", "2", "--candidates", "2",
+                                       "--replays", "2")])
+    def test_loop_end_that_overflows(self, tmp_path, argv, capsys):
+        # 30 wakes per term pass the ceiling, but a second term of 1e308
+        # would end the loop at inf, where the clock overflows.
+        from moneyflow import three_agent_cycle
+
+        doc = three_agent_cycle().to_dict()
+        doc["term_length"] = 1e308
+        for agent in doc["agents"]:
+            agent["mean_wait"] = 1e307
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        code, _ = invoke(argv[0], "--scenario", str(path), *argv[1:])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("moneyflow: error: 2 terms of term_length 1e+308 end past the largest float")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert invoke("simulate", "--scenario", str(path), "--terms", "1")[0] == 0
 
     def test_record_negative_terms(self, tmp_path, capsys):
         code, _ = invoke("record", "--scenario", "two-agent-kernel", "--terms", "-2",

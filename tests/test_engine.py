@@ -37,9 +37,11 @@ from moneyflow.scenario import (
     AgentSpec,
     ChannelSpec,
     PolicyAction,
+    ScenarioError,
     ScenarioSpec,
     ScheduledAmount,
     ShockSpec,
+    scenario_from_dict,
 )
 
 from conftest import (
@@ -92,6 +94,32 @@ class TestNextEvent:
 
     def test_repeat_invocation_identical(self, tiny_state):
         assert next_event(tiny_state) == next_event(tiny_state)
+
+    def test_every_wake_at_infinity_gives_the_lowest_id(self, tiny_state):
+        # An overflowed clock leaves every wake time at inf: the scan still
+        # names an agent, and only an empty scan has none.
+        for agent in tiny_state.agents.values():
+            agent.next_time = float("inf")
+        assert next_event(tiny_state) == ("A", float("inf"))
+        assert next_event(tiny_state, {"CB", "B"}) == ("B", float("inf"))
+        with pytest.raises(ValueError, match="no agents"):
+            next_event(tiny_state, set())
+
+    def test_a_loop_end_that_overflows_ends_the_loop(self):
+        # Two terms of 1e308 end at inf; the loop stops there instead of
+        # failing in the scan. `run_record` rejects such a run up front.
+        doc = three_agent_cycle().to_dict()
+        doc["term_length"] = 1e308
+        for agent in doc["agents"]:
+            agent["mean_wait"] = 1e307
+        state = build_network(scenario_from_dict(doc))
+        terms = engine._advance(state, (1e308, 2e308))
+        next(terms)
+        next(terms)
+        assert state.now == float("inf")
+        assert conservation_holds(state)
+        with pytest.raises(ScenarioError, match="largest float"):
+            run_record(build_network(scenario_from_dict(doc)), 2)
 
 
 class TestObserve:
