@@ -118,40 +118,21 @@ class TestReproductionError:
 
 
 class TestFit:
-    def test_zero_target_converges_at_first_evaluation(self, cycle_spec):
-        target = retrace(Assignment(), cycle_spec, 2)
-        result = fit(target, cycle_spec, FitConfig(budget=100, seed=1))
-        assert result.error == 0.0
-        assert result.evaluations == 1
-        assert result.converged
-        assert result.trace == ((1, 0.0),)
-        assert all(v == 0 for v in result.best.offsets.values())
-
-    @pytest.mark.parametrize("scenario", [three_agent_cycle, national_5])
-    @pytest.mark.parametrize("starts", [1, 8])
-    def test_zero_vector_is_evaluated_first(self, scenario, starts):
-        # Before any start's search runs: `anticipate --fit-candidates` gets
-        # zero offsets back from a generated candidate in one evaluation.
-        spec = scenario()
-        target = retrace(Assignment(), spec, 3)
-        result = fit(target, spec, FitConfig(seed=5, starts=starts))
-        assert (result.evaluations, result.error, result.converged) == (1, 0.0, True)
-        assert set(result.best.offsets.values()) == {0}
-
-    def test_acceptance_5_seeds_reproduce_in_few_evaluations(self):
-        # What the start order keeps on the acceptance-5 set-up: every fit
-        # reproduces its target, in fewer than half the 13,483 evaluations
-        # the zero-start-first order spent.
-        spec = three_agent_cycle()
-        errors, evaluations = [], 0
-        for seed in range(100, 120):
-            seeded = spec.with_seed(seed)
-            result = fit(retrace(HIDDEN, seeded, 4), seeded,
-                         FitConfig(budget=10_000, tolerance=1e-3, seed=seed, starts=8))
-            errors.append(result.error)
-            evaluations += result.evaluations
-        assert max(errors) <= 1e-3
-        assert evaluations <= 6_000
+    def test_zero_target_converges_at_first_evaluation(self):
+        # The zero vector is evaluated before any start's search runs, so
+        # `anticipate --fit-candidates` gets zero offsets back from a
+        # generated candidate in one evaluation. A multiplier that moves
+        # within term 0 leaves the informed start away from zero.
+        midterm = three_agent_cycle().with_extra_policy(
+            [PolicyAction(0.5, "set_multiplier", "ab", Fraction(2))])
+        for spec, starts in product((three_agent_cycle(), national_5(), midterm), (1, 4, 8)):
+            target = retrace(Assignment(), spec, 2)
+            result = fit(target, spec, FitConfig(budget=100, seed=1, starts=starts))
+            assert result.error == 0.0
+            assert result.evaluations == 1
+            assert result.converged
+            assert result.trace == ((1, 0.0),)
+            assert all(v == 0 for v in result.best.offsets.values())
 
     def test_budget_one_returns_first_start(self, cycle_spec):
         target = retrace(Assignment(offsets={"A": 6}), cycle_spec, 2)
