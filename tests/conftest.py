@@ -57,6 +57,19 @@ def tiny_state():
     return build_network(tiny_spec())
 
 
+def overflowing_cycle() -> dict:
+    """three-agent-cycle as a scenario document with terms of 1e308.
+
+    Its 30 wakes per term pass the ceiling, but a second term would end at
+    inf, where the clock overflows.
+    """
+    doc = three_agent_cycle().to_dict()
+    doc["term_length"] = 1e308
+    for agent in doc["agents"]:
+        agent["mean_wait"] = 1e307
+    return doc
+
+
 def true_imbalance(state: NetworkState, agent_id: str) -> Fraction | int:
     """Current true effective inflow minus outflow rate of an agent."""
     def effective(cid: str) -> Fraction | int:

@@ -11,6 +11,8 @@ from moneyflow.anticipation import score_candidates, simulate_candidate
 from moneyflow.cli import run_cli
 from moneyflow.retrieval import Assignment
 
+from conftest import overflowing_cycle
+
 
 def invoke(*argv):
     out = io.StringIO()
@@ -473,16 +475,8 @@ class TestParseErrors:
                                       ("anticipate", "--horizon", "2", "--candidates", "2",
                                        "--replays", "2")])
     def test_loop_end_that_overflows(self, tmp_path, argv, capsys):
-        # 30 wakes per term pass the ceiling, but a second term of 1e308
-        # would end the loop at inf, where the clock overflows.
-        from moneyflow import three_agent_cycle
-
-        doc = three_agent_cycle().to_dict()
-        doc["term_length"] = 1e308
-        for agent in doc["agents"]:
-            agent["mean_wait"] = 1e307
         path = tmp_path / "s.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(overflowing_cycle()))
         code, _ = invoke(argv[0], "--scenario", str(path), *argv[1:])
         err = capsys.readouterr().err
         assert code == 2

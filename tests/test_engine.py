@@ -45,6 +45,7 @@ from moneyflow.scenario import (
 )
 
 from conftest import (
+    overflowing_cycle,
     reference_run,
     residual_only_updates,
     sheets_from_log,
@@ -108,10 +109,7 @@ class TestNextEvent:
     def test_a_loop_end_that_overflows_ends_the_loop(self):
         # Two terms of 1e308 end at inf; the loop stops there instead of
         # failing in the scan. `run_record` rejects such a run up front.
-        doc = three_agent_cycle().to_dict()
-        doc["term_length"] = 1e308
-        for agent in doc["agents"]:
-            agent["mean_wait"] = 1e307
+        doc = overflowing_cycle()
         state = build_network(scenario_from_dict(doc))
         terms = engine._advance(state, (1e308, 2e308))
         next(terms)
