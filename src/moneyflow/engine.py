@@ -18,13 +18,14 @@ same float additions, and every later event and the state at each run
 boundary are exactly as if each wake had been processed. The recorder's
 observer cuts are taken inside this one loop (see `run`).
 
-The engine is strictly sequential over the event order. Independent runs own
-their state exclusively and may execute concurrently.
+The engine is strictly sequential over the event order. Clones of one state
+share its growing wake tables: do not step them from different threads.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import lcm
 from typing import Collection, Iterable, Iterator, Sequence
@@ -308,20 +309,44 @@ def update_agent(state: NetworkState, agent_id: str, now: float,
         })
         for partner in sorted(partners):
             settle(state, agent_id, partner, now)
-    agent.event_count += 1
-    agent.next_time = now + rng.exponential(agent.mean_wait, agent.event_key, agent.event_count)
+    n = agent.event_count
+    agent.event_count = n + 1
+    table = state.wake_times[agent_id] if state.wake_times is not None else ()
+    if n < len(table) and table[n] == now:  # the clock is on its table
+        _extend(table, agent, now, True)
+        agent.next_time = table[n + 1]
+    else:
+        agent.next_time = now + rng.exponential(agent.mean_wait, agent.event_key, n + 1)
     return event
 
 
-def _skip_wakes(agent: Agent, until: float, inclusive: bool = False) -> None:
+def _extend(table: list[float], agent: Agent, until: float, inclusive: bool) -> None:
+    """Draw wake times onto `table` until the last is at `until` or past it (past if `inclusive`)."""
+    t = table[-1]
+    while t < until or (inclusive and t == until):
+        t += rng.exponential(agent.mean_wait, agent.event_key, len(table))
+        table.append(t)
+
+
+def _skip_wakes(state: NetworkState, agent: Agent, until: float, inclusive: bool = False) -> None:
     """Consume the agent's wakes before `until`, and at it when `inclusive`.
 
     Each wake draws the next wait from the agent's counter-keyed stream and
     adds it to the wake time, the same float addition `update_agent` makes,
     so the wake times that follow are bit-identical to processing each one.
+    A clock on its wake table reads them there instead: the table is
+    non-decreasing (a float addition can absorb a tiny wait), so a bisect
+    finds the wake the loop would stop at.
     """
     t = agent.next_time
     n = agent.event_count
+    tables = state.wake_times
+    if tables is not None:  # None until the first clone: uncloned skips pay one test
+        table = tables[agent.id]
+        if n < len(table) and table[n] == t:
+            _extend(table, agent, until, inclusive)
+            n = (bisect_right if inclusive else bisect_left)(table, until, n)
+            t = table[n]
     while t < until or (inclusive and t == until):
         n += 1
         t += rng.exponential(agent.mean_wait, agent.event_key, n)
@@ -489,13 +514,13 @@ def _advance(state: NetworkState, ends: Iterable[float]) -> Iterator[None]:
                     for aid in (ch.source, ch.sink):
                         if aid not in awake:
                             awake.add(aid)
-                            _skip_wakes(agents[aid], item_t)
+                            _skip_wakes(state, agents[aid], item_t)
                 continue
             agent = agents[agent_id]
             if agent.continuity_exempt:
                 due = _next_issuance_time(state)
                 if due > agent_t:
-                    _skip_wakes(agent, min(due, end))
+                    _skip_wakes(state, agent, min(due, end))
                 else:
                     update_agent(state, agent_id, agent_t)
             elif (deficit := observed_deficit(state, agent_id)) == 0 and (
@@ -509,10 +534,10 @@ def _advance(state: NetworkState, ends: Iterable[float]) -> Iterator[None]:
                         # A partner's wake at this very time came before this
                         # one when its id is lower (ties go to the lower id).
                         awake.add(sink)
-                        _skip_wakes(agents[sink], agent_t, inclusive=sink < agent_id)
+                        _skip_wakes(state, agents[sink], agent_t, inclusive=sink < agent_id)
         for aid in state.agent_order:
             if aid not in awake:
-                _skip_wakes(agents[aid], end)
+                _skip_wakes(state, agents[aid], end)
         state.now = end
         snaps = [ch.snap_rate_sink for ch in channels.values()]
         yield

@@ -92,7 +92,7 @@ class NetworkState:
     log: list[Event] = field(default_factory=list)
     seq: int = 0
     cursors: dict[str, int] = field(default_factory=lambda: {"issuance": 0, "securities": 0, "policy": 0, "shock": 0})
-    # Immutable after build; shared across clones.
+    # Shared across clones; immutable after build, but `wake_times` grows.
     initial_stocks: Mapping[str, int] = field(default_factory=dict)
     agent_order: tuple[str, ...] = ()
     outgoing: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
@@ -100,14 +100,21 @@ class NetworkState:
     adjustable_outgoing: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
     pair_channels: Mapping[tuple[str, str], tuple[str, ...]] = field(default_factory=dict)
     central_bank: str = ""
+    # Per agent, its wake times W[n] = W[n-1] + exponential(mean_wait,
+    # event_key, n), extended on demand; built by the first clone.
+    wake_times: dict[str, list[float]] | None = field(default=None, compare=False, repr=False)
 
     def clone(self) -> "NetworkState":
-        """Independent copy sharing only the immutable index structures.
+        """Independent copy sharing the index structures and the wake tables.
 
+        The first clone starts the tables, so that clones draw each wait once.
         Every field is passed explicitly: building the slotted records
         directly is several times cheaper than `copy.copy`, which goes
         through `__reduce_ex__`.
         """
+        if self.wake_times is None:
+            self.wake_times = {aid: [rng.exponential(a.mean_wait, a.event_key, 0)]
+                               for aid, a in self.agents.items()}
         return NetworkState(
             self.spec,
             {k: Agent(a.id, a.stock, a.gain, a.continuity_exempt, a.mean_wait,
@@ -132,6 +139,7 @@ class NetworkState:
             self.adjustable_outgoing,
             self.pair_channels,
             self.central_bank,
+            self.wake_times,
         )
 
     def total_stock(self) -> int:

@@ -59,19 +59,8 @@ def apply_assignment(state: NetworkState, assignment: Assignment) -> NetworkStat
             raise ScenarioError(f"assignment names unknown agent {agent_id!r}")
         if state.agents[agent_id].continuity_exempt:
             raise ScenarioError(f"assignment targets exempt agent {agent_id!r}")
-        if offset == 0:
-            continue
-        channel_ids = state.adjustable_outgoing[agent_id]
-        if not channel_ids:
-            raise ScenarioError(f"agent {agent_id!r} has no adjustable outgoing channel for its offset")
-        weights = [state.channels[cid].rate for cid in channel_ids]
-        parts = apportion(offset, weights)
-        for cid, part in zip(channel_ids, parts):
-            if state.channels[cid].rate + part < 0:
-                raise ScenarioError(
-                    f"offset {offset} for agent {agent_id!r} drives channel {cid!r} below zero"
-                )
-            planned.append((cid, part))
+        if offset:
+            planned.extend(_offset_moves(state, agent_id, offset))
     for agent_id, gain in assignment.gain_overrides.items():
         if agent_id not in state.agents:
             raise ScenarioError(f"gain override names unknown agent {agent_id!r}")
@@ -82,6 +71,20 @@ def apply_assignment(state: NetworkState, assignment: Assignment) -> NetworkStat
     for agent_id, gain in assignment.gain_overrides.items():
         state.agents[agent_id].gain = gain
     return state
+
+
+def _offset_moves(state: NetworkState, agent_id: str, offset: int) -> list[tuple[str, int]]:
+    """(channel, rate change) of one agent's offset, spread over its adjustable outgoing rates."""
+    channel_ids = state.adjustable_outgoing[agent_id]
+    if not channel_ids:
+        raise ScenarioError(f"agent {agent_id!r} has no adjustable outgoing channel for its offset")
+    parts = apportion(offset, [state.channels[cid].rate for cid in channel_ids])
+    for cid, part in zip(channel_ids, parts):
+        if state.channels[cid].rate + part < 0:
+            raise ScenarioError(
+                f"offset {offset} for agent {agent_id!r} drives channel {cid!r} below zero"
+            )
+    return list(zip(channel_ids, parts))
 
 
 def retrace(assignment: Assignment, spec: ScenarioSpec, n_terms: int) -> Record:
@@ -117,14 +120,12 @@ class _Yardstick:
     def __init__(self, target: Record):
         self.target = target
         self.series = _figure_values(target)
-        self._scales: dict[str, float] = {}
-
-    def scale(self, name: str) -> float:
-        """max(1, max |target value|) of one figure, computed on first use."""
-        scale = self._scales.get(name)
-        if scale is None:
-            scale = self._scales[name] = max(1.0, max(abs(float(v)) for v in self.series[name]))
-        return scale
+        self.scales: dict[str, float] = {}  # max(1, max |target value|) per figure
+        for name, values in self.series.items():
+            try:
+                self.scales[name] = max(1.0, max(abs(float(v)) for v in values))
+            except OverflowError:
+                raise RecordError(f"target figure {name!r} exceeds the float range") from None
 
     def error(self, simulated: Record) -> float:
         """`reproduction_error` of `simulated` against the target."""
@@ -143,7 +144,7 @@ class _Yardstick:
         count = 0
         for name, tgt in tgt_series.items():
             sim = sim_series[name]
-            scale = self.scale(name)
+            scale = self.scales[name]
             for s, t in zip(sim, tgt):
                 diff = (float(s) - float(t)) / scale
                 total += diff ** 2
@@ -232,6 +233,9 @@ class _Objective:
         self.agent_ids = agent_ids
         self.n_terms = n_terms
         self.base_state = base_state
+        self.capacities = [sum(base_state.channels[cid].rate for cid in base_state.adjustable_outgoing[aid])
+                           for aid in agent_ids]
+        self.moves: dict[tuple[str, int], list[tuple[str, int]]] = {}  # by (agent, offset)
         self.yardstick = _Yardstick(target)
         self.cache: dict[tuple[int, ...], float] = {}
         self.floors: dict[tuple[int, ...], float] = {}
@@ -253,22 +257,15 @@ class _Objective:
             return []
         if any(a.kind == "set_rate" and a.target not in spec.rates for a in spec.policy):
             return []
-        scale = self.yardstick.scale
-        return [[(name, scale(name), float(values[name])) for name in self.keys] for values in tables]
+        scales = self.yardstick.scales
+        return [[(name, scales[name], float(values[name])) for name in self.keys] for values in tables]
 
     def _regular(self, figures: list, values: dict) -> bool:
         """A sheet holds each figure key once, and exactly the target's keys."""
         return len(values) == len(figures) and values.keys() == self.keys
 
     def valid(self, vector: tuple[int, ...]) -> bool:
-        for aid, offset in zip(self.agent_ids, vector):
-            if offset >= 0:
-                continue
-            capacity = sum(self.base_state.channels[cid].rate
-                           for cid in self.base_state.adjustable_outgoing[aid])
-            if offset < -capacity:
-                return False
-        return True
+        return all(offset >= -capacity for offset, capacity in zip(vector, self.capacities))
 
     def __call__(self, vector: tuple[int, ...], bound: float = inf) -> float:
         exact = self.cache.get(vector)
@@ -293,7 +290,13 @@ class _Objective:
     def _replay(self, vector: tuple[int, ...], bound: float) -> tuple[float, bool]:
         """(error, True) from a full replay, or (floor, False) from a stopped one."""
         state = self.base_state.clone()
-        apply_assignment(state, Assignment(offsets=dict(zip(self.agent_ids, vector))))
+        for aid, offset in zip(self.agent_ids, vector):
+            if offset:
+                moves = self.moves.get((aid, offset))
+                if moves is None:
+                    moves = self.moves[aid, offset] = _offset_moves(self.base_state, aid, offset)
+                for cid, part in moves:
+                    state.channels[cid].rate += part
         terms = record_terms(state)
         limit = bound * bound * self.count * (1 + _MARGIN) if self.rows else inf
         partial = 0.0

@@ -484,6 +484,19 @@ class TestParseErrors:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert invoke("simulate", "--scenario", str(path), "--terms", "1")[0] == 0
 
+    def test_fit_on_a_target_past_the_float_range(self, tmp_path, capsys):
+        # One term of 1e308 records outflows near 3e310, which no float holds.
+        scenario, target = tmp_path / "s.json", tmp_path / "t.csv"
+        scenario.write_text(json.dumps(overflowing_cycle()))
+        assert invoke("record", "--scenario", str(scenario), "--terms", "1",
+                      "--out", str(target))[0] == 0
+        capsys.readouterr()
+        code, _ = invoke("fit", "--scenario", str(scenario), "--target", str(target),
+                         "--budget", "5")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "moneyflow: error: target figure 'inflow:A' exceeds the float range\n")
+
     def test_record_negative_terms(self, tmp_path, capsys):
         code, _ = invoke("record", "--scenario", "two-agent-kernel", "--terms", "-2",
                          "--out", str(tmp_path / "r.csv"))

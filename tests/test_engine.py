@@ -22,6 +22,7 @@ from moneyflow import (
     next_event,
     observed_deficit,
     run,
+    record_terms,
     run_record,
     settle,
     settle_all,
@@ -34,6 +35,7 @@ from moneyflow.engine import _residual_moves_a_rate, _split, apportion
 from moneyflow.network import Event
 from moneyflow.retrieval import Assignment, apply_assignment
 from moneyflow.scenario import (
+    BUILTIN_SCENARIOS,
     AgentSpec,
     ChannelSpec,
     PolicyAction,
@@ -906,6 +908,82 @@ class TestWakeSources:
         apply_assignment(state, Assignment(offsets={"A": 6}))
         run_both_ways(state, 2.0)
         assert first_update_after(state, "B", 0.0) > 0.5
+
+
+def stepped(state, n_terms, term=0):
+    """The next `n_terms` sheets of `state` through `record_terms`."""
+    terms = record_terms(state, term)
+    return [next(terms) for _ in range(n_terms)]
+
+
+def clocks(state):
+    return {aid: (a.event_count, a.next_time) for aid, a in state.agents.items()}
+
+
+def perturbed(state):
+    """The state with a positive offset on every agent that has an adjustable channel."""
+    ids = [aid for aid in state.agent_order if state.adjustable_outgoing[aid]]
+    apply_assignment(state, Assignment(offsets={aid: 3 + i for i, aid in enumerate(ids)}))
+    return state
+
+
+class TestWakeTables:
+    """Clones read wake times off the tables they share; a fresh state draws them."""
+
+    @pytest.mark.parametrize("seed", [3, 8])
+    @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+    def test_clones_step_as_fresh_states(self, name, seed):
+        spec = BUILTIN_SCENARIOS[name]().with_seed(seed)
+        base = build_network(spec)
+
+        def same_steps(state, ref, n_terms):
+            assert stepped(state, n_terms) == stepped(ref, n_terms)
+            assert event_trace(state.log) == event_trace(ref.log)
+            assert clocks(state) == clocks(ref)
+            assert ref.wake_times is None and state.wake_times is base.wake_times
+
+        # Each clone reads further along the table than the one before.
+        for n_terms, perturb in ((2, False), (5, True), (6, False)):
+            clone, ref = base.clone(), build_network(spec)
+            if perturb:
+                perturbed(clone)
+                perturbed(ref)
+            same_steps(clone, ref, n_terms)
+
+        # One clock moved off its table: that agent draws, the others read.
+        clone, ref = perturbed(base.clone()), perturbed(build_network(spec))
+        aid = next(aid for aid in clone.agent_order if clone.adjustable_outgoing[aid])
+        for state in (clone, ref):
+            state.agents[aid].next_time /= 2
+        assert clone.wake_times[aid][0] != clone.agents[aid].next_time
+        same_steps(clone, ref, 6)
+
+        # A checkpoint's clone resumes on the table.
+        checkpoints = []
+        run_record(perturbed(base.clone()), 3, checkpoints)
+        resumed, ref = checkpoints[2].clone(), perturbed(build_network(spec))
+        assert resumed.wake_times is base.wake_times
+        terms = record_terms(ref)
+        for _ in range(2):
+            next(terms)
+        opened = len(ref.log)
+        assert stepped(resumed, 4, term=2) == [next(terms) for _ in range(4)]
+        assert event_trace(resumed.log) == event_trace(ref.log[opened:])
+        assert clocks(resumed) == clocks(ref)
+
+    @pytest.mark.parametrize("inclusive", [False, True])
+    def test_skip_to_a_wake_time_stops_where_drawing_does(self, inclusive):
+        # Skips end at another agent's wake time or at a term end; one equal
+        # to a wake of the agent decides between bisecting left and right.
+        spec = three_agent_cycle()
+        base = build_network(spec)
+        stepped(base.clone(), 3)
+        for k, until in enumerate(base.wake_times["A"][:4]):
+            on, off = base.clone(), build_network(spec)
+            for state in (on, off):
+                engine._skip_wakes(state, state.agents["A"], until, inclusive)
+            assert clocks(on) == clocks(off)
+            assert on.agents["A"].event_count == k + inclusive
 
 
 def json_safe(value):

@@ -19,7 +19,7 @@ from moneyflow import (
     retrace,
     three_agent_cycle,
 )
-from moneyflow import retrieval
+from moneyflow import retrieval, rng
 from moneyflow.recorder import BalanceSheet, Record
 from moneyflow.retrieval import apply_assignment
 from moneyflow.scenario import ScenarioError
@@ -262,6 +262,63 @@ class TestBoundedObjective:
         for vector in PROBES:
             assert objective(vector, 0.0) == reference(spec, target, vector)
         assert objective.early_exits == 0
+
+    def test_second_replay_of_a_vector_draws_nothing(self, monkeypatch):
+        # Each replay starts from a fresh clone of the base; the wake tables
+        # and offset moves the first one made serve the second.
+        calls = []
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def call(*args):
+                calls.append(name)
+                return original(*args)
+            monkeypatch.setattr(module, name, call)
+
+        counted(rng, "exponential")
+        counted(retrieval, "apportion")
+        spec = three_agent_cycle().with_seed(104)
+        objective = bounded_objective(spec, retrace(HIDDEN, spec, 4))
+        calls.clear()
+        first = objective._replay((20, 5, -10), inf)
+        assert calls.count("exponential") > 0 and calls.count("apportion") == 3
+        calls.clear()
+        assert objective._replay((20, 5, -10), inf) == first
+        assert calls == []
+
+    def test_cached_moves_give_the_rates_of_apply_assignment(self, monkeypatch):
+        starts = []
+        record_terms = retrieval.record_terms
+
+        def recorded(state):
+            starts.append({cid: ch.rate for cid, ch in state.channels.items()})
+            return record_terms(state)
+
+        monkeypatch.setattr(retrieval, "record_terms", recorded)
+        spec = three_agent_cycle().with_seed(104)
+        objective = bounded_objective(spec, retrace(HIDDEN, spec, 4))
+        for vector in PROBES + PROBES:
+            objective._replay(vector, inf)
+            state = apply_assignment(build_network(spec),
+                                     Assignment(offsets=dict(zip(("A", "B", "C"), vector))))
+            assert starts.pop() == {cid: ch.rate for cid, ch in state.channels.items()}
+
+    @pytest.mark.parametrize("spec, vector, message", [
+        (three_agent_cycle(), (-301, 0, 0), "offset -301 for agent 'A' drives channel 'ab' below zero"),
+        (tiny_spec(), (0, 1), "agent 'B' has no adjustable outgoing channel for its offset"),
+    ], ids=["below-zero", "no-channel"])
+    def test_rejected_offsets_raise_as_apply_assignment_does(self, spec, vector, message):
+        agent_ids = ("A", "B", "C")[:len(vector)]
+        objective = retrieval._Objective(retrace(Assignment(), spec, 2), spec, agent_ids, 2,
+                                         build_network(spec))
+        with pytest.raises(ScenarioError) as direct:
+            apply_assignment(build_network(spec), Assignment(offsets=dict(zip(agent_ids, vector))))
+        assert str(direct.value) == message
+        for _ in range(2):
+            with pytest.raises(ScenarioError) as cached:
+                objective._replay(vector, inf)
+            assert str(cached.value) == message
 
     def test_losing_candidates_stop_early_in_a_fit(self, monkeypatch):
         objectives = []
