@@ -12,10 +12,9 @@ replay index's shock sequence is drawn once per horizon and shared by every
 candidate. A candidate scored on its own is its own reference. The candidate
 with the smallest mean divergence wins.
 
-A replay agrees with its candidate's unshocked run up to its first nonzero
-shock, so it resumes from that run's checkpoint at the last term boundary
-before the shock instead of simulating from time 0; the divergences are the
-same to the bit.
+A replay that runs starts from its base's state at time 0: by the rules
+below, one that can move a flow has a nonzero shock by the first observer
+cut, so a later start would spare it one term at most.
 
 Most replays need not run at all. A shock moves stock between the ends of a
 channel and refreshes the sink's snapshot of its rate, and nothing in the
@@ -85,8 +84,12 @@ def _phase_point(sheet: BalanceSheet, dims: Sequence[str]) -> tuple[float, ...]:
     point = []
     for dim in dims:
         if dim not in aggregates:
-            raise KeyError(f"unknown trajectory dimension {dim!r}")
-        point.append(float(aggregates[dim]))
+            raise ScenarioError(f"unknown trajectory dimension {dim!r}")
+        try:
+            point.append(float(aggregates[dim]))
+        except OverflowError:
+            raise ScenarioError(f"term {sheet.term_index}: trajectory dimension {dim!r} "
+                                "exceeds the float range") from None
     return tuple(point)
 
 
@@ -206,7 +209,7 @@ def simulate_candidate(spec: ScenarioSpec, candidate_id: int, n_terms: int,
     and the refresh times of the snapshots its assignment leaves stale.
 
     A `checkpoints` list receives the run's state at the opening boundary of
-    each term (see `run_record`), for shock replays to resume from.
+    each term (see `run_record`), for shock replays to start from and rejoin.
     """
     candidate_spec = spec.with_extra_policy(schedule) if schedule else spec
     state = build_network(candidate_spec)
@@ -287,7 +290,7 @@ def sample_shock_sequence(pool: Sequence[float], spec: ScenarioSpec, config: Rep
     if not pool or config.shock_scale == 0:
         pool = (0.0,)
     channel_ids = tuple(sorted(c.id for c in spec.channels))
-    count = SHOCKS_PER_TERM * n_terms
+    count = SHOCKS_PER_TERM * n_terms if channel_ids else 0  # no channel, nothing to shock
     key = rng.stream_key(config.seed, rng.string_key("replay-shocks"), replay_index)
     horizon = n_terms * spec.term_length
     shocks = []
@@ -298,18 +301,6 @@ def sample_shock_sequence(pool: Sequence[float], spec: ScenarioSpec, config: Rep
         sign = 1 if rng.below(2, key, 4 * k + 3) == 0 else -1
         shocks.append(ShockSpec(time=time, channel=channel, amount=sign * round(magnitude)))
     return shocks
-
-
-def _resume_term(time: float, term_length: float, n_terms: int) -> int:
-    """The last term whose opening boundary is at or before `time`.
-
-    Boundaries are the loop ends of `record_terms`, `(k + 1) * term_length`,
-    so an item at `time` is still pending in the checkpoint taken there.
-    """
-    k = 0
-    while k + 1 < n_terms and (k + 1) * term_length <= time:
-        k += 1
-    return k
 
 
 def _rejoin_key(state: NetworkState) -> tuple:
@@ -327,25 +318,23 @@ def _rejoin_key(state: NetworkState) -> tuple:
               c.accrued_until) for c in state.channels.values()])
 
 
-def _run_replay(checkpoint, term, shocks, dims, base_trajectory, scales, keys) -> float:
-    """Divergence of one replay, resumed from the base's checkpoint of term k (`term`).
+def _run_replay(start, shocks, dims, base_trajectory, scales, keys) -> float:
+    """Divergence of one replay, run from the base's state at time 0 (`start`).
 
-    Terms before k match the base exactly, so only terms k onwards run; the
-    shocked spec replaces the checkpoint's, whose shock cursor still counts
-    only the scenario's own shocks, as no replay shock comes before k. `keys`
-    holds the base's rejoin key at each boundary after k, or None where none
-    may be used; the replay stops at the first boundary whose key its state
-    matches (see the module docstring).
+    The shocked spec replaces the start's. `keys` holds the base's rejoin key
+    at each boundary after time 0, or None where none may be used; the replay
+    stops at the first boundary whose key its state matches (see the module
+    docstring).
     """
-    state = checkpoint.clone()
+    state = start.clone()
     state.spec = state.spec.with_extra_shocks(shocks)
-    terms = record_terms(state, term)
+    terms = record_terms(state)
     shocked = [_phase_point(next(terms), dims)]
     for key in keys:
         if key is not None and _rejoin_key(state) == key:
             break
         shocked.append(_phase_point(next(terms), dims))
-    return divergence(base_trajectory[term:term + len(shocked)], shocked, scales)
+    return divergence(base_trajectory[:len(shocked)], shocked, scales)
 
 
 def select_most_robust(report: RobustnessReport) -> int:
@@ -371,21 +360,20 @@ def score_candidates(candidates: Sequence[Candidate], spec: ScenarioSpec,
     faces the same one. Each candidate is replayed under its assignment and
     measured against its own base.
 
-    Which replays run, where they resume and where they stop follows the
-    module docstring: unless a dim names a stock figure, only a replay with
-    a nonzero shock at or before the base's first refresh of a channel its
-    offsets left stale (`Candidate.refresh_times`) runs, so a base without
-    offsets runs none. A replay resumes from the base's checkpoint at the
-    last term boundary before its first nonzero shock; each base runs
-    unshocked once, here, for those checkpoints, and the same run yields
-    the re-simulated base.
+    Which replays run and where they stop follows the module docstring:
+    unless a dim names a stock figure, only a replay with a nonzero shock at
+    or before the base's first refresh of a channel its offsets left stale
+    (`Candidate.refresh_times`) runs, so a base without offsets runs none. A
+    replay starts from the base's checkpoint at time 0 and is compared with
+    its later ones; each base runs unshocked once, here, for those
+    checkpoints, and the same run yields the re-simulated base.
 
     Replays run in this process; `config.jobs` is ignored. A candidate with
     no replays scores 1.
 
     A candidate simulated with offsets must be passed the assignment it was
-    simulated with: its replays resume from checkpoints of its base, which
-    carries the offsets only if the assignment does. Without one, ValueError.
+    simulated with: its replays start from its base, which carries the
+    offsets only if the assignment does. Without one, ValueError.
     """
     if not candidates:
         raise ValueError("empty candidate set")
@@ -428,10 +416,9 @@ def score_candidates(candidates: Sequence[Candidate], spec: ScenarioSpec,
                 if not checkpoints[i]:
                     simulate_candidate(spec, base.id, n_terms, dims, base.schedule,
                                        assignments.get(base.id), checkpoints[i])
-                keys = [None if stock_dims else _rejoin_key(cp) for cp in checkpoints[i]]
-            term = _resume_term(min(shock.time for shock in shocks), spec.term_length, n_terms)
-            divergences[i][m] = _run_replay(checkpoints[i][term], term, shocks, dims,
-                                            base.trajectory, scales, keys[term + 1:])
+                keys = [None if stock_dims else _rejoin_key(cp) for cp in checkpoints[i][1:]]
+            divergences[i][m] = _run_replay(checkpoints[i][0], shocks, dims, base.trajectory,
+                                            scales, keys)
     scores = []
     for base, own in zip(bases, map(tuple, divergences)):
         mean = sum(own) / len(own) if own else 0.0

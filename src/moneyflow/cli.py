@@ -1,10 +1,13 @@
 """Command-line entry point.
 
 Subcommands: simulate, record, verify, fit, anticipate. Exit code 0 on
-success, 1 on a domain failure (identities violated; fit unconverged under
---strict), 2 on usage or parse errors and on files that cannot be read or
-written (a directory, a file that is not UTF-8). Identical argv plus
-identical input files produce byte-identical outputs.
+success; 1 on one of two domain failures only, accounting identities
+violated or `fit --strict` unconverged; 2 on bad input: usage errors, a
+scenario or record that is malformed or that the simulation rejects (a
+`ScenarioError` or `RecordError`), and files that cannot be read or written
+(a directory, a file that is not UTF-8). Any other exception is a bug and
+escapes with its traceback. Identical argv plus identical input files
+produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from pathlib import Path
 
 from .anticipation import (
@@ -122,7 +126,11 @@ def cmd_fit(args, out) -> int:
     )
     _header(out, "fit", scenario=spec.name, seed=seed, budget=args.budget,
             tol=args.tol, prefix=args.prefix, starts=args.starts)
-    target = read_record(args.target, on_identity_violation="warn")
+    with warnings.catch_warnings(record=True) as caught:  # one stderr line each, not a traceback
+        warnings.simplefilter("always")
+        target = read_record(args.target, on_identity_violation="warn")
+    for warning in caught:
+        print(f"moneyflow: warning: {warning.message}", file=sys.stderr)
     result = fit(target, spec, config)
     payload = json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n"
     if args.out:
@@ -145,16 +153,10 @@ def cmd_anticipate(args, out) -> int:
         replay=ReplayConfig(replays=args.replays, seed=seed, shock_scale=args.shock_scale),
         fit_candidates=args.fit_candidates,
     )
-    if args.jobs is not None:
-        print("moneyflow: warning: --jobs is deprecated and has no effect; shock replays run "
-              "in this process", file=sys.stderr)
     _header(out, "anticipate", scenario=spec.name, seed=seed, candidates=args.candidates,
             replays=args.replays, horizon=args.horizon, dims=",".join(dims),
             fit_candidates=args.fit_candidates)
-    try:
-        report, candidates = anticipate(spec, config)
-    except KeyError as exc:  # a --dims name that the records do not carry
-        raise ScenarioError(exc.args[0]) from None
+    report, candidates = anticipate(spec, config)
     payload = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
     if args.out:
         Path(args.out).write_text(payload, encoding="utf-8")
@@ -277,8 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shock-scale", type=_finite, default=1.0)
     p.add_argument("--fit-candidates", action="store_true",
                    help="retrace each candidate through the fitter before scoring")
-    p.add_argument("--jobs", type=_positive, default=None,
-                   help="deprecated, no effect: shock replays run in this process")
     p.add_argument("--out", help="write the robustness report JSON to a file")
     p.add_argument("--trajectory-out", help="write the selected trajectory as CSV")
     p.set_defaults(func=cmd_anticipate)
@@ -294,11 +294,11 @@ def run_cli(argv: list[str] | None = None, out=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args, out)
-    except (ScenarioError, RecordError, OSError, ValueError, KeyError) as exc:
+    except (ScenarioError, RecordError, OSError) as exc:
         # An unreadable path (a directory, no permission) is bad input, like
         # a malformed file; a file that is not UTF-8 reads as malformed.
         print(f"moneyflow: error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, (ScenarioError, RecordError, OSError)) else 1
+        return 2
 
 
 def main() -> None:

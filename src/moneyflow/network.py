@@ -306,7 +306,7 @@ def issue(state: NetworkState, amount: int, time: float) -> NetworkState:
     """Create (or retire, for negative amounts) central bank notes."""
     target = state.central_bank
     if state.cumulative_issuance + amount < 0:
-        raise ValueError(
+        raise ScenarioError(
             f"retirement of {-amount} would drive notes outstanding below zero "
             f"(currently {state.cumulative_issuance})"
         )

@@ -101,7 +101,7 @@ class IdentityReport(NamedTuple):
         return [c for c in self.checks if not c.passed]
 
 
-def record_terms(state: NetworkState, term: int = 0) -> Iterator[BalanceSheet]:
+def record_terms(state: NetworkState) -> Iterator[BalanceSheet]:
     """Term-by-term sheets of one state, read off its running tallies.
 
     Each sheet runs the state on to the next term boundary, in one pass of
@@ -113,16 +113,15 @@ def record_terms(state: NetworkState, term: int = 0) -> Iterator[BalanceSheet]:
     The closing stocks, notes, securities and rates are the state's own at
     the cut.
 
-    The state must stand at the opening boundary of `term`: a fresh state
-    for term 0, or for a later term a checkpoint `run_record` took. That is
-    checked, and the opening tallies are read, on the call. The generator
-    returned yields one sheet per term, without end.
+    The state must stand at time 0: a fresh state, or a clone of one such
+    as the first checkpoint `run_record` takes. That is checked, and the
+    opening tallies are read, on the call. The generator returned yields one
+    sheet per term, without end.
     """
     spec = state.spec
     length = spec.term_length
-    if state.now != term * length:
-        raise ValueError(f"cannot resume term {term}: the state is at {state.now}, "
-                         f"not at the term boundary {term * length}")
+    if state.now != 0:
+        raise ValueError(f"a record starts at time 0, but the state is at {state.now}")
     agents, channels = state.agents, state.channels
     flow_figures = [(f.name, f.channel) for f in spec.figures if f.channel is not None]
     stock_figures = [(f.name, f.stock) for f in spec.figures if f.stock is not None]
@@ -137,8 +136,8 @@ def record_terms(state: NetworkState, term: int = 0) -> Iterator[BalanceSheet]:
         # from now = k * length stops, now + ((k + 1) * length - now): at
         # k = 0 now is 0, and for k >= 1 the two products lie within a factor
         # of two of each other, so by Sterbenz's lemma their difference is exact.
-        ends = ((k + 1) * length for k in count(term))
-        for k, _ in enumerate(_advance(state, ends), term):
+        ends = ((k + 1) * length for k in count())
+        for k, _ in enumerate(_advance(state, ends)):
             settle_all(state, state.now, term=k)
             (opening, settled), opened = opened, tallies()
             lines = {aid: AgentLine(stock, agents[aid].received - received,
@@ -158,8 +157,8 @@ def run_record(state: NetworkState, n_terms: int,
 
     The sheets are the first `n_terms` of `record_terms(state)`. Given a
     `checkpoints` list, a clone of the state at the opening boundary of each
-    term it records is appended to it, with an empty log;
-    `record_terms(checkpoint, term)` continues the run from there.
+    term it records is appended to it, with an empty log: shock replays
+    start from the first and compare their state with the others.
     """
     if n_terms < 0:
         raise ValueError("n_terms must be non-negative")

@@ -221,6 +221,9 @@ class _Objective:
     cannot, so they take the same path. A vector that runs all its terms gets
     the reference value through the same `_Yardstick.error`, bit for bit.
 
+    A replay whose figures, or their squared differences from the target,
+    pass the float range scores inf, which no vector can be worse than.
+
     Each new vector counts as one evaluation, stopped or not. A floor queried
     with a higher bound is replayed in full and not counted again. The early
     exit needs every sheet to hold the same figure keys, once each, in target
@@ -278,7 +281,10 @@ class _Objective:
             bound = inf  # replay in full, already counted
         else:
             self.evaluations += 1
-        error, complete = self._replay(vector, bound)
+        try:
+            error, complete = self._replay(vector, bound)
+        except OverflowError:  # a replayed figure, or its square, is past the float range
+            error, complete = inf, True
         if complete:
             self.floors.pop(vector, None)
             self.cache[vector] = error
@@ -386,6 +392,11 @@ def _informed_start(target: Record, spec: ScenarioSpec, agent_ids: Sequence[str]
 def fit(target: Record, spec: ScenarioSpec, config: FitConfig = FitConfig()) -> FitResult:
     """Multi-start direct search over integer offset vectors.
 
+    The vectors hold one offset per non-exempt agent with an adjustable
+    outgoing channel; any other agent stays at offset 0 and is left out of
+    `best.offsets`, so with no such agent the fit is the zero assignment's
+    one evaluation.
+
     The zero assignment is evaluated first, so a target it reproduces costs
     one evaluation. Then the starts run in this order: a crude inverse read of
     the target's first term (`_informed_start`, initial step INFORMED_STEP),
@@ -406,9 +417,6 @@ def fit(target: Record, spec: ScenarioSpec, config: FitConfig = FitConfig()) -> 
     """
     if config.budget <= 0:
         raise ValueError("fit budget must be positive")
-    agent_ids = tuple(sorted(a.id for a in spec.agents if not a.continuity_exempt))
-    if not agent_ids:
-        raise ScenarioError("scenario has no non-exempt agents to fit")
     prefix = config.prefix_terms
     if prefix is not None and not 0 < prefix <= len(target.sheets):
         raise RecordError(f"prefix of {prefix} terms is outside the target's 1..{len(target.sheets)}")
@@ -421,7 +429,10 @@ def fit(target: Record, spec: ScenarioSpec, config: FitConfig = FitConfig()) -> 
     trimmed = Record(target.sheets[:n_terms], target.fingerprint,
                      target.term_length, target.initial_total_stock)
 
-    objective = _Objective(trimmed, spec, agent_ids, n_terms, build_network(spec))
+    base = build_network(spec)
+    agent_ids = tuple(aid for aid in base.agent_order
+                      if base.adjustable_outgoing[aid] and not base.agents[aid].continuity_exempt)
+    objective = _Objective(trimmed, spec, agent_ids, n_terms, base)
     dims = len(agent_ids)
     directions = _search_directions(dims)
     start_key = rng.stream_key(config.seed, rng.string_key("fit-starts"))

@@ -298,16 +298,13 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioSpec:
     agents = []
     for raw in _entries(data, "agents", required=True):
         where = f"agent {raw.get('id', '?')!r}"
-        mean_wait = _as_float(raw.get("mean_wait", 0.25), f"{where} mean_wait")
-        if not mean_wait > 0:
-            raise ScenarioError(f"{where}: mean_wait must be positive")
         agents.append(
             AgentSpec(
                 id=_text(raw, "id", "agent"),
                 role=_text(raw, "role", where),
                 stock=as_money(raw.get("stock", 0), f"{where} stock"),
                 gain=as_fraction(raw.get("gain", 0), f"{where} gain"),
-                mean_wait=mean_wait,
+                mean_wait=_as_float(raw.get("mean_wait", 0.25), f"{where} mean_wait"),
             )
         )
         if agents[-1].gain < 0:
@@ -316,9 +313,6 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioSpec:
     channels = []
     for raw in _entries(data, "channels"):
         where = f"channel {raw.get('id', '?')!r}"
-        mult = as_fraction(raw.get("multiplier", 1), f"{where} multiplier")
-        if mult < 0:
-            raise ScenarioError(f"{where}: multiplier must be non-negative")
         adjustable = raw.get("adjustable", False)
         if not isinstance(adjustable, bool):
             raise ScenarioError(f"{where}: adjustable must be a JSON boolean, got {adjustable!r}")
@@ -328,7 +322,7 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioSpec:
                 source=_text(raw, "source", where),
                 sink=_text(raw, "sink", where),
                 rate=as_money(_require(raw, "rate", where), f"{where} rate"),
-                multiplier=mult,
+                multiplier=as_fraction(raw.get("multiplier", 1), f"{where} multiplier"),
                 adjustable=adjustable,
             )
         )

@@ -148,25 +148,19 @@ def residual_only_updates(log) -> list:
             and ev.payload["deficit"] == 0 and not any(ev.payload["deltas"].values())]
 
 
-def sheets_from_log(state: NetworkState, opening: NetworkState | None = None) -> list[BalanceSheet]:
+def sheets_from_log(state: NetworkState) -> list[BalanceSheet]:
     """Reference sheets, one per observer cut, replayed from the event log.
 
     Every Settlement, Shock, Issue and Policy payload of `state.log` is booked
     into a separate copy of the stocks, notes, securities and rates, which
-    starts from `opening` (the state the log starts from, such as a
-    checkpoint) or else from the scenario's initial values. The sheet of a
-    cut covers the events after the previous cut through its own. The
-    recorder reads the same sheets off the state's running tallies.
+    starts from the scenario's initial values. The sheet of a cut covers the
+    events after the previous cut through its own. The recorder reads the
+    same sheets off the state's running tallies.
     """
     spec = state.spec
     agent_ids = [a.id for a in spec.agents]
-    if opening is None:
-        stocks, rates = dict(state.initial_stocks), dict(spec.rates)
-        notes = securities = 0
-    else:
-        stocks = {aid: opening.agents[aid].stock for aid in agent_ids}
-        rates = dict(opening.rates)
-        notes, securities = opening.cumulative_issuance, opening.securities_outstanding
+    stocks, rates = dict(state.initial_stocks), dict(spec.rates)
+    notes = securities = 0
     flow_figures = [(f.name, f.channel) for f in spec.figures if f.channel is not None]
     stock_figures = [(f.name, f.stock) for f in spec.figures if f.stock is not None]
     sheets = []

@@ -31,7 +31,7 @@ from moneyflow import (
     two_agent_kernel,
 )
 from moneyflow import anticipation, engine
-from moneyflow.anticipation import _resume_term, default_scales
+from moneyflow.anticipation import default_scales
 from moneyflow.recorder import BalanceSheet, Record
 from moneyflow.retrieval import apply_assignment
 from moneyflow.scenario import FigureSpec, PolicyAction, ScenarioError, ShockSpec, national_5
@@ -68,7 +68,7 @@ class TestExtractTrajectory:
 
     def test_unknown_dimension_rejected(self):
         record = record_with_aggregate("x", [1])
-        with pytest.raises(KeyError, match="unknown trajectory dimension"):
+        with pytest.raises(ScenarioError, match="unknown trajectory dimension 'nope'"):
             extract_trajectory(record, ("nope",))
 
 
@@ -241,7 +241,8 @@ class TestScoreCandidates:
 def from_scratch_divergences(candidates, spec, dims, assignments, shock_lists):
     """Each candidate's divergence under each shock list, every replay run
     over the whole horizon from a fresh build with all of its shocks, zero
-    ones included: the scoring before replays resumed from checkpoints."""
+    ones included: the scoring before replays were skipped, started from
+    checkpoints and stopped where they rejoined."""
     bases = []
     for c in candidates:
         assignment = assignments.get(c.id)
@@ -303,7 +304,7 @@ def boundary_shock_lists(draw, term_length, n_terms):
 
 
 class TestCheckpointOracle:
-    """Replays resumed from checkpoints give the from-scratch divergences, bit for bit."""
+    """Replays from the time-0 checkpoint give the from-scratch divergences, bit for bit."""
 
     @pytest.mark.parametrize("jobs", [1, 2])  # `jobs` is ignored: both give the oracle
     @pytest.mark.parametrize("term_length", [1.0, 1 / 3, 0.75])
@@ -316,7 +317,7 @@ class TestCheckpointOracle:
             [ShockSpec(length, "ab", 40)],  # on the first boundary, with the policies
             [ShockSpec(2 * length, "ca", -25), ShockSpec(0.5 * length, "bc", 0),
              ShockSpec(length, "ab", 0)],  # zero shocks before a nonzero one on a boundary
-            [ShockSpec(0.0, "ab", 60)],  # at time 0: resumes at term 0
+            [ShockSpec(0.0, "ab", 60)],  # at time 0
             [ShockSpec(2.5 * length, "bc", 25), ShockSpec(3 * length, "ab", -40)],
             [ShockSpec(3 * length, "ca", 60)],  # on the last boundary
         ]
@@ -376,9 +377,9 @@ class TestCheckpointOracle:
                                        shock_lists)
         assert got == [[0.0, 0.0, 0.0, 0.0, 1.0, 1.0], [0.0] * 6,
                        [0.0, 0.0, 0.0, 0.0, 1.0, 1.0]]
-        # Each replay resumes at the term of its first nonzero shock, with every one of them.
-        first = _resume_term(ab, 1.0, 3)
-        assert [(task[1], task[2]) for task in ran] == [(0, runs), (first, shock_lists[5])] * 2
+        # Each replay starts at time 0, with every one of its nonzero shocks.
+        assert [task[1] for task in ran] == [runs, shock_lists[5]] * 2
+        assert all(task[0].now == 0 for task in ran)
 
 
 def base_refresh_times(spec, candidates, assignments, n_terms, dims=CYCLE_DIMS):
@@ -447,8 +448,8 @@ def recording_replays(monkeypatch):
 
 def stopped_early(ran):
     """The recorded replays that stopped before the horizon, and the others."""
-    early = [task for task, terms in ran if terms < len(task[4]) - task[1]]
-    return early, [task for task, terms in ran if terms == len(task[4]) - task[1]]
+    early = [task for task, terms in ran if terms < len(task[3])]
+    return early, [task for task, terms in ran if terms == len(task[3])]
 
 
 def stale_window_divergences(monkeypatch, world, term_length, n_terms, shock_lists, seed=7):
@@ -521,7 +522,7 @@ class TestStaleWindowOracle:
         assert bits(got) == bits(expected)
         early, full = stopped_early(ran)
         assert early, "no replay rejoined its base"
-        assert any(len(task[4]) - task[1] > 1 for task in full), "every replay rejoined"
+        assert any(len(task[3]) > 1 for task in full), "every replay rejoined"
 
     def test_stock_dims_run_every_replay_with_a_nonzero_shock(self, monkeypatch):
         spec, candidates, assignments, dims = stale_window_set("cycle", 1.0, 3)

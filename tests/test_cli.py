@@ -1,12 +1,18 @@
 """Command-line interface: subcommands, exit codes, and byte-stable outputs."""
 
+import contextlib
 import io
 import json
+import tempfile
+from datetime import timedelta
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from moneyflow import cli, national_5
+from moneyflow import cli, national_5, three_agent_cycle
 from moneyflow.anticipation import score_candidates, simulate_candidate
 from moneyflow.cli import run_cli
 from moneyflow.retrieval import Assignment
@@ -95,6 +101,17 @@ class TestFit:
         doc = json.loads(out_path.read_text())
         assert doc["converged"] is True
         assert doc["error"] == 0.0
+
+    def test_target_that_violates_identities_warns_on_stderr(self, tmp_path, capsys):
+        target = tmp_path / "t.csv"
+        invoke("record", "--scenario", "three-agent-cycle", "--terms", "1", "--out", str(target))
+        target.write_text(target.read_text().replace("0,agent,A,0,", "0,agent,A,1,", 1))
+        capsys.readouterr()
+        code, _ = invoke("fit", "--scenario", "three-agent-cycle", "--target", str(target),
+                         "--budget", "5")
+        assert code == 0
+        assert capsys.readouterr().err == (f"moneyflow: warning: {target}: accounting identities "
+                                           "violated: term0:continuity:A (off by -1)\n")
 
     def test_strict_unconverged_exits_one(self, tmp_path):
         target = tmp_path / "t.csv"
@@ -197,15 +214,23 @@ class TestAnticipate:
         assert "warning: every candidate's shock replays diverged by the same amounts" in err
         assert "stock figure" not in err
 
-    def test_jobs_is_deprecated_and_ignored(self, capsys):
-        argv = ("anticipate", "--scenario", "three-agent-cycle", "--horizon", "2",
-                "--candidates", "2", "--replays", "2")
-        code, output = invoke(*argv)
+    def test_jobs_is_no_option(self, capsys):
+        code, output = invoke("anticipate", "--scenario", "three-agent-cycle", "--horizon", "2",
+                              "--candidates", "2", "--replays", "2", "--jobs", "2")
+        assert (code, output) == (2, "")
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+    def test_stock_dim_without_channels(self, tmp_path, capsys):
+        # With no channel there is nothing to shock: every replay diverges by 0.0.
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(NO_CHANNELS))
+        code, output = invoke("anticipate", "--scenario", str(path), "--dims", "a_stock",
+                              "--horizon", "2", "--candidates", "1", "--replays", "2")
         assert code == 0
-        assert "deprecated" not in capsys.readouterr().err
-        assert invoke(*argv, "--jobs", "2") == (0, output)
-        assert ("moneyflow: warning: --jobs is deprecated and has no effect; shock replays run "
-                "in this process\n") in capsys.readouterr().err
+        assert json.loads(output[output.index("{"):])["candidates"][0]["divergences"] == [0.0, 0.0]
+        err = capsys.readouterr().err
+        assert err.startswith(MOVED + "0: 0/2\n")
+        assert "every shock replay of every candidate diverged by 0.0" in err
 
     def test_informative_report_gets_no_warning(self, monkeypatch, capsys):
         # The acceptance-6 set: hidden offsets on three-agent-cycle make the
@@ -484,6 +509,24 @@ class TestParseErrors:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert invoke("simulate", "--scenario", str(path), "--terms", "1")[0] == 0
 
+    def test_dim_past_the_float_range(self, tmp_path, capsys):
+        # One term of 1e308 settles about 3e310 on ab, which no float holds.
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(overflowing_cycle()))
+        code, _ = invoke("anticipate", "--scenario", str(path), "--horizon", "1",
+                         "--candidates", "2", "--replays", "2", "--dims", "ab_flow")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "moneyflow: error: term 0: trajectory dimension 'ab_flow' exceeds the float range\n")
+
+    def test_issuance_that_retires_notes_not_outstanding(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(retiring_issuance()))
+        code, _ = invoke("simulate", "--scenario", str(path), "--terms", "2")
+        assert code == 2
+        assert capsys.readouterr().err == ("moneyflow: error: retirement of 5 would drive notes "
+                                           "outstanding below zero (currently 0)\n")
+
     def test_fit_on_a_target_past_the_float_range(self, tmp_path, capsys):
         # One term of 1e308 records outflows near 3e310, which no float holds.
         scenario, target = tmp_path / "s.json", tmp_path / "t.csv"
@@ -506,8 +549,8 @@ class TestParseErrors:
     @pytest.mark.parametrize("argv", [
         ("anticipate", "--replays", "0"),
         ("anticipate", "--replays", "-1"),
-        ("anticipate", "--jobs", "0"),
-        ("anticipate", "--jobs", "-1"),
+        ("anticipate", "--candidates", "-1"),
+        ("fit", "--budget", "-1", "--target", "t.csv"),
         ("anticipate", "--candidates", "0"),
         ("fit", "--starts", "0", "--target", "t.csv"),
         ("fit", "--starts", "-1", "--target", "t.csv"),
@@ -606,3 +649,124 @@ class TestDeterminism:
             files.append(rec.read_bytes())
         assert outputs[0] == outputs[1]
         assert files[0] == files[1]
+
+
+@st.composite
+def cli_cases(draw):
+    """A scenario document at the edges, and the options to run it with.
+
+    Term lengths, mean waits and schedule times reach the float extremes;
+    issuance may retire notes that are not outstanding; there may be no
+    channel; a reference may dangle and an id may be one a record cannot
+    hold; figures watch channels and stocks, and `--dims` names them.
+    """
+    term_length = draw(st.sampled_from([1.0, 1.0, 0.75, 5e-324, 1e308]))
+    ids = ["CB", *draw(st.lists(st.sampled_from("ABC"), min_size=1, max_size=3, unique=True))]
+    wait = draw(st.sampled_from([max(term_length / 2, 0.25)] * 4 + [0.25, 5e-324, 1e308, 0.0]))
+    agents = [{"id": aid, "role": "CentralBank" if aid == "CB" else "Custom:x",
+               "stock": draw(st.integers(0, 100)), "gain": draw(st.sampled_from(["0", "1/2", "3"])),
+               "mean_wait": wait} for aid in ids]
+    if draw(st.sampled_from([False] * 9 + [True])):
+        agents.append({"id": draw(st.sampled_from(["A,1", "CB"])), "role": "Custom:x"})
+    refs = st.sampled_from(ids * 4 + ["Z"])
+    channels = []
+    for i in range(draw(st.integers(0, 3))):
+        source, sink = draw(st.lists(refs, min_size=2, max_size=2, unique=True))
+        channels.append({"id": f"c{i}", "source": source, "sink": sink,
+                         "rate": draw(st.sampled_from([0, 5, 40, 300] * 2 + [-2])),
+                         "multiplier": draw(st.sampled_from(["1"] * 4 + ["1/2", "3/2", "0", "-1"])),
+                         "adjustable": draw(st.sampled_from([True, True, False]))})
+    channel_refs = st.sampled_from([c["id"] for c in channels] * 6 + ["c9"])
+    times = st.sampled_from([0.0, term_length / 2, term_length / 2, 1.5 * term_length,
+                             1.5 * term_length, 5e-324, 1e308, -1.0])
+    some = st.integers(0, 2) if channels else st.sampled_from([0] * 7 + [1])
+    figures = [{"name": f"flow{i}", "channel": draw(channel_refs)} for i in range(draw(some))]
+    figures += [{"name": f"stock{i}", "stock": draw(refs)} for i in range(draw(st.integers(0, 2)))]
+    doc = {
+        "name": "fuzz",
+        "seed": draw(st.integers(0, 3)),
+        "term_length": term_length,
+        "agents": agents,
+        "channels": channels,
+        "issuance_schedule": draw(st.lists(st.tuples(times, st.integers(-60, 60)), max_size=2)),
+        "shock_schedule": [{"time": draw(times), "channel": draw(channel_refs),
+                            "amount": draw(st.integers(-60, 60))} for _ in range(draw(some))],
+        "policy_schedule": [{"time": draw(times), "action": "set_multiplier",
+                             "target": draw(channel_refs),
+                             "value": draw(st.sampled_from(["2", "1/2"]))}
+                            for _ in range(draw(some) // 2)],
+        "figures": figures,
+    }
+    names = [f["name"] for f in figures] + ["notes_outstanding", "nope"]
+    return doc, {
+        "terms": draw(st.sampled_from([1, 2, 1, 2, 0])),
+        "format": draw(st.sampled_from(["csv", "json"])),
+        "corrupt": draw(st.booleans()),
+        "strict": draw(st.booleans()),
+        "horizon": draw(st.integers(1, 2)),
+        "dims": draw(st.lists(st.sampled_from(names), max_size=2, unique=True)),
+    }
+
+
+def contract_run(*argv):
+    """`invoke` with stderr captured, held to the exit-code contract."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, output = invoke(*argv)
+    if code == 1:
+        assert "=VIOLATED" in output or ("--strict" in argv and '"converged": false' in output)
+    elif code == 2:  # after any warning lines
+        lines = err.getvalue().splitlines()
+        assert [line.startswith("moneyflow: error: ") for line in lines][-1:] == [True], lines
+        assert sum(line.startswith("moneyflow: error: ") for line in lines) == 1, lines
+    else:
+        assert code == 0
+    return code
+
+
+def known_case(doc, **options):
+    """An explicit fuzz case: `doc` run with these options over the defaults."""
+    return doc, {"terms": 2, "format": "csv", "corrupt": False, "strict": False, "horizon": 2,
+                 "dims": [], **options}
+
+
+def retiring_issuance():
+    doc = three_agent_cycle().to_dict()
+    doc["issuance_schedule"] = [[0.5, -5]]
+    return doc
+
+
+NO_CHANNELS = {"agents": [{"id": "CB", "role": "CentralBank"}, {"id": "A", "role": "Custom:x"}],
+               "issuance_schedule": [[0.5, 10]], "figures": [{"name": "a_stock", "stock": "CB"}]}
+
+
+class TestContractFuzz:
+    """Every subcommand on generated scenario and record files exits 0, 2
+    with one error line, or 1 for a documented domain failure; nothing escapes."""
+
+    @given(case=cli_cases())
+    @example(case=known_case(retiring_issuance()))
+    @example(case=known_case(overflowing_cycle(), horizon=1, dims=["ab_flow"]))
+    @example(case=known_case(NO_CHANNELS, dims=["a_stock"]))
+    @settings(max_examples=60, deadline=timedelta(seconds=3),
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_every_subcommand(self, tmp_path, case):
+        doc, options = case
+        work = Path(tempfile.mkdtemp(dir=tmp_path))
+        scenario, record = work / "s.json", work / f"r.{options['format']}"
+        scenario.write_text(json.dumps(doc))
+        terms = str(options["terms"])
+        contract_run("simulate", "--scenario", str(scenario), "--terms", terms)
+        if contract_run("record", "--scenario", str(scenario), "--terms", terms,
+                        "--out", str(record), "--format", options["format"]) == 0:
+            if options["corrupt"]:  # a digit changed near the first agent entry
+                text = record.read_text()
+                at = text.find('"closing": ' if options["format"] == "json" else ",agent,")
+                if at >= 0:
+                    record.write_text(text[:at] + text[at:].replace("0", "1", 1))
+            contract_run("verify", "--record", str(record))
+            contract_run("fit", "--scenario", str(scenario), "--target", str(record),
+                         "--budget", "8", "--starts", "1", *["--strict"][:options["strict"]])
+        dims = ("--dims", ",".join(options["dims"])) if options["dims"] else ()
+        contract_run("anticipate", "--scenario", str(scenario), "--horizon",
+                     str(options["horizon"]), "--candidates", "2", "--replays", "2", *dims)

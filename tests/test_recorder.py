@@ -182,37 +182,6 @@ class TestTermBoundaries:
         assert verify_record(Record(tuple(sheets))).ok
 
 
-class TestResume:
-    """`record_terms(checkpoint, k)` continues a run from its term-k checkpoint."""
-
-    @pytest.mark.parametrize("length", [1.0, 1 / 3, 0.75, 0.1])
-    def test_resumed_terms_equal_the_whole_run(self, national5_spec, length):
-        # Issuance and securities in term 0, a tax change that sets agents
-        # adjusting, a new discount rate and two shocks: every carried figure moves.
-        spec = replace(national5_spec, term_length=length).with_extra_shocks(
-            [ShockSpec(2 * length, "wages", 90), ShockSpec(2.5 * length, "bond", -70)])
-        spec = spec.with_extra_policy([
-            PolicyAction(length, "set_multiplier", "tax_hh", Fraction(3, 10)),
-            PolicyAction(1.5 * length, "set_rate", "discount_rate", Fraction(1, 20))])
-        checkpoints = []
-        record = run_record(build_network(spec), 5, checkpoints)
-        assert [c.now for c in checkpoints] == [k * length for k in range(5)]
-        assert all(c.log == [] for c in checkpoints)
-        for k, checkpoint in enumerate(checkpoints):
-            state = checkpoint.clone()
-            terms = record_terms(state, k)
-            assert [next(terms) for _ in range(k, 5)] == list(record.sheets[k:])
-            assert sheets_from_log(state, checkpoint) == list(record.sheets[k:])
-            assert tallies_hold(state)
-        assert checkpoints[3].now == 3 * length  # the checkpoints stay as taken
-
-    def test_off_boundary_state_rejected(self, national5_spec):
-        state = build_network(national5_spec)
-        run(state, 0.5)
-        with pytest.raises(ValueError, match="cannot resume term 1"):
-            record_terms(state, 1)
-
-
 class TestVerifyIdentities:
     def test_compiled_sheets_pass(self, national5_spec):
         record = run_record(build_network(national5_spec), 3)
@@ -345,14 +314,14 @@ class TestRecordOfRun:
     def test_must_start_on_a_term_boundary(self):
         state = build_network(tiny_spec(seed=3))
         run(state, 0.4)
-        with pytest.raises(ValueError, match="term boundary"):
+        with pytest.raises(ValueError, match="a record starts at time 0, but the state is at 0.4"):
             run_record(state, 1)
 
     def test_must_start_at_time_zero(self):
-        # A record starts from a fresh state: a later boundary is a resume.
+        # A record starts from a fresh state, not from a later boundary.
         state = build_network(tiny_spec(seed=3))
         run_record(state, 2)
-        with pytest.raises(ValueError, match="cannot resume term 0: the state is at 2.0"):
+        with pytest.raises(ValueError, match="a record starts at time 0, but the state is at 2.0"):
             run_record(state, 1)
 
 
@@ -435,10 +404,10 @@ TAX_POLICY = (PolicyAction(10.0, "set_multiplier", "tax_hh", Fraction(3, 10)),
               PolicyAction(10.0, "set_multiplier", "tax_corp", Fraction(3, 10)))
 
 
-def per_term_reference(ref, first, n_terms, checkpoints=None):
-    """Terms `first` onwards of `ref`, one `run` to each term boundary and the
-    observer cut there, so that every term starts a fresh event loop."""
-    for term in range(first, first + n_terms):
+def per_term_reference(ref, n_terms, checkpoints=None):
+    """The first `n_terms` terms of `ref`, one `run` to each term boundary and
+    the observer cut there, so that every term starts a fresh event loop."""
+    for term in range(n_terms):
         if checkpoints is not None:
             checkpoints.append(ref.clone())
             checkpoints[-1].log = []
@@ -451,7 +420,7 @@ def record_both_ways(state, n_terms):
     ref = state.clone()
     checkpoints, ref_checkpoints = [], []
     record = run_record(state, n_terms, checkpoints)
-    per_term_reference(ref, 0, n_terms, ref_checkpoints)
+    per_term_reference(ref, n_terms, ref_checkpoints)
     assert list(record.sheets) == sheets_from_log(ref)
     assert_same_run(state, ref)
     assert checkpoints == ref_checkpoints
@@ -475,25 +444,28 @@ class TestOneLoopOracle:
     @given(run=disturbed_runs(lengths=RECORD_LENGTHS, max_terms=8), data=st.data())
     @settings(max_examples=80, deadline=None)
     def test_replays_stopped_early(self, run, data):
-        # As a shock replay runs: resumed from a checkpoint of term k under
-        # extra shocks at or after its boundary, and stopped after j sheets.
+        # As a shock replay runs: from the checkpoint at time 0 under extra
+        # shocks, and stopped after j sheets.
         state, n_terms = run
         length = state.spec.term_length
         checkpoints = []
         run_record(state, n_terms, checkpoints)
-        k = data.draw(st.integers(0, n_terms - 1))
-        j = data.draw(st.integers(1, n_terms - k))
-        replay = checkpoints[k].clone()
+        assert [c.now for c in checkpoints] == [k * length for k in range(n_terms)]
+        assert all(c.log == [] for c in checkpoints)
+        taken = [c.clone() for c in checkpoints]
+        j = data.draw(st.integers(1, n_terms))
+        replay = checkpoints[0].clone()
         replay.spec = replay.spec.with_extra_shocks(data.draw(st.lists(st.builds(
-            ShockSpec, st.floats(k * length, n_terms * length),
+            ShockSpec, st.floats(0, n_terms * length),
             st.sampled_from(sorted(replay.channels)), st.integers(-80, 80)), max_size=3)))
         ref = replay.clone()
-        terms = record_terms(replay, k)
+        terms = record_terms(replay)
         sheets = [next(terms) for _ in range(j)]
-        per_term_reference(ref, k, j)
-        assert sheets == sheets_from_log(ref, checkpoints[k])
+        per_term_reference(ref, j)
+        assert sheets == sheets_from_log(ref)
         assert_same_run(replay, ref)
         assert _rejoin_key(replay) == _rejoin_key(ref)
+        assert checkpoints == taken  # the checkpoints stay as taken
 
     @pytest.mark.parametrize("seed", [3, 8])
     def test_no_deficit_read_once_the_tax_change_settles(self, monkeypatch, seed):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from math import inf, sqrt
@@ -22,7 +23,7 @@ from moneyflow import (
 from moneyflow import retrieval, rng
 from moneyflow.recorder import BalanceSheet, Record
 from moneyflow.retrieval import apply_assignment
-from moneyflow.scenario import ScenarioError
+from moneyflow.scenario import ChannelSpec, ScenarioError
 
 from conftest import tiny_spec
 
@@ -133,6 +134,33 @@ class TestFit:
             assert result.converged
             assert result.trace == ((1, 0.0),)
             assert all(v == 0 for v in result.best.offsets.values())
+
+    def test_agents_without_an_adjustable_channel_stay_at_zero(self):
+        # B pays nothing, so only A's offset is searched.
+        spec = tiny_spec()
+        result = fit(retrace(Assignment(offsets={"A": 50}), spec, 3), spec, FitConfig(budget=200))
+        assert result.converged and result.error == 0.0
+        assert list(result.best.offsets) == ["A"]
+        # With no adjustable channel nothing is searched: one evaluation at zero.
+        fixed = replace(spec, channels=(ChannelSpec("ab", "A", "B", 10),))
+        exact = fit(retrace(Assignment(), fixed, 2), fixed, FitConfig(budget=50))
+        missed = fit(retrace(Assignment(offsets={"A": 50}), spec, 2), fixed, FitConfig(budget=50))
+        assert exact.best.offsets == missed.best.offsets == {}
+        assert exact.evaluations == missed.evaluations == 1
+        assert exact.converged and exact.error == 0.0
+        assert not missed.converged and missed.error > 0
+
+    def test_replays_past_the_float_range_score_inf(self):
+        # In terms of 1e308 an offset of 1 settles figures near 2e307, and one
+        # of 100 settles figures that no float holds: that replay scores inf.
+        spec = tiny_spec(rate=0)
+        spec = replace(spec, term_length=1e308,
+                       agents=tuple(replace(a, mean_wait=5e307) for a in spec.agents))
+        target = retrace(Assignment(offsets={"A": 1}), spec, 1)
+        objective = retrieval._Objective(target, spec, ("A",), 1, build_network(spec))
+        assert objective((100,)) == inf and objective((100,), 0.5) == inf
+        result = fit(target, spec, FitConfig(budget=50))
+        assert result.converged and result.best.offsets == {"A": 1}
 
     def test_budget_one_returns_first_start(self, cycle_spec):
         target = retrace(Assignment(offsets={"A": 6}), cycle_spec, 2)
