@@ -56,7 +56,7 @@ from typing import Mapping, NamedTuple, Sequence
 from . import rng
 from .network import Event, NetworkState, build_network
 from .recorder import BalanceSheet, Record, record_terms, run_record
-from .retrieval import Assignment, FitConfig, apply_assignment, fit
+from .retrieval import Assignment, apply_assignment
 from .scenario import PolicyAction, ScenarioError, ScenarioSpec, ShockSpec, as_fraction
 
 DEFAULT_DIMS = (
@@ -350,9 +350,11 @@ def score_candidates(candidates: Sequence[Candidate], spec: ScenarioSpec,
                      assignments: Mapping[int, Assignment] | None = None) -> RobustnessReport:
     """Score a candidate set against one shared disturbance ensemble.
 
-    A candidate's base is its unshocked run, re-simulated under its
-    assignment when that has offsets or gain overrides (fit-candidates
-    mode). Candidate 0's base is the reference: its imbalance pool, scaled by
+    A candidate's base is its unshocked run. It is re-simulated here, under
+    its assignment, when that has offsets or gain overrides or when a dim
+    names a stock figure: those are the bases whose replays may run, and the
+    one run yields both the base and the checkpoints its replays start
+    from. Candidate 0's base is the reference: its imbalance pool, scaled by
     `shock_scale`, feeds the shock magnitudes and its trajectory fixes the
     coordinate scales, so scores compare across candidates. Replay m's shock
     sequence depends only on that pool, `spec`, `config`, m and the horizon,
@@ -365,8 +367,7 @@ def score_candidates(candidates: Sequence[Candidate], spec: ScenarioSpec,
     or before the base's first refresh of a channel its offsets left stale
     (`Candidate.refresh_times`) runs, so a base without offsets runs none. A
     replay starts from the base's checkpoint at time 0 and is compared with
-    its later ones; each base runs unshocked once, here, for those
-    checkpoints, and the same run yields the re-simulated base.
+    its later ones.
 
     Replays run in this process; `config.jobs` is ignored. A candidate with
     no replays scores 1.
@@ -387,7 +388,8 @@ def score_candidates(candidates: Sequence[Candidate], spec: ScenarioSpec,
                              "`assignments` gives it none; pass the assignment it was "
                              "simulated with")
         states: list[NetworkState] = []
-        if assignment is not None and (assignment.offsets or assignment.gain_overrides):
+        if stock_dims or (assignment is not None
+                          and (assignment.offsets or assignment.gain_overrides)):
             candidate = simulate_candidate(spec, candidate.id, len(candidate.record.sheets), dims,
                                            candidate.schedule, assignment, states)
         bases.append(candidate)
@@ -407,16 +409,12 @@ def score_candidates(candidates: Sequence[Candidate], spec: ScenarioSpec,
                  sample_shock_sequence(reference.imbalance_pool, spec, config, m, n_terms)
                  if shock.amount]
                 for m in range(config.replays)]
-        keys = None  # the base's rejoin key at each term boundary
+        # The base's rejoin key at each term boundary after time 0.
+        keys = [None if stock_dims else _rejoin_key(cp) for cp in checkpoints[i][1:]]
         for m, shocks in enumerate(sequences[n_terms]):
             if not shocks or (not stock_dims
                               and all(s.time > refresh.get(s.channel, -inf) for s in shocks)):
                 continue
-            if keys is None:
-                if not checkpoints[i]:
-                    simulate_candidate(spec, base.id, n_terms, dims, base.schedule,
-                                       assignments.get(base.id), checkpoints[i])
-                keys = [None if stock_dims else _rejoin_key(cp) for cp in checkpoints[i][1:]]
             divergences[i][m] = _run_replay(checkpoints[i][0], shocks, dims, base.trajectory,
                                             scales, keys)
     scores = []
@@ -446,28 +444,18 @@ class AnticipateConfig(NamedTuple):
     dims: tuple[str, ...] = DEFAULT_DIMS
     sampler: SamplerConfig = SamplerConfig()
     replay: ReplayConfig = ReplayConfig()
-    fit_candidates: bool = False
-    fit: FitConfig = FitConfig(budget=400, starts=2)
 
 
 def anticipate(spec: ScenarioSpec, config: AnticipateConfig = AnticipateConfig()
                ) -> tuple[RobustnessReport, list[Candidate]]:
     """Full pipeline: generate candidate futures, score robustness, select.
 
-    With `fit_candidates` enabled, each candidate's record is first retraced
-    through the retrieval module and the fitted offsets are applied during its
-    replays, honoring the reading that every candidate trajectory is itself a
-    record whose movement must be retrieved before scoring.
+    The candidates are simulated from `spec` itself, so none carries offsets
+    and each is scored without an assignment.
     """
     candidates = generate_candidates(
         spec, config.candidates, config.sampler,
         n_terms=config.horizon_terms, dims=config.dims,
     )
-    assignments: dict[int, Assignment] = {}
-    if config.fit_candidates:
-        for candidate in candidates:
-            candidate_spec = spec.with_extra_policy(candidate.schedule)
-            result = fit(candidate.record, candidate_spec, config.fit)
-            assignments[candidate.id] = result.best
-    report = score_candidates(candidates, spec, config.replay, config.dims, assignments)
+    report = score_candidates(candidates, spec, config.replay, config.dims)
     return report, candidates

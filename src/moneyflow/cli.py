@@ -151,11 +151,9 @@ def cmd_anticipate(args, out) -> int:
         dims=dims,
         sampler=SamplerConfig(seed=seed, bound=args.bound),
         replay=ReplayConfig(replays=args.replays, seed=seed, shock_scale=args.shock_scale),
-        fit_candidates=args.fit_candidates,
     )
     _header(out, "anticipate", scenario=spec.name, seed=seed, candidates=args.candidates,
-            replays=args.replays, horizon=args.horizon, dims=",".join(dims),
-            fit_candidates=args.fit_candidates)
+            replays=args.replays, horizon=args.horizon, dims=",".join(dims))
     report, candidates = anticipate(spec, config)
     payload = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
     if args.out:
@@ -166,14 +164,17 @@ def cmd_anticipate(args, out) -> int:
           + ", ".join(f"{s.candidate_id}: {m}/{len(s.divergences)}"
                       for s, m in zip(report.scores, moved)), file=sys.stderr)
     if not any(moved):
-        # Without fitted offsets the shock magnitudes come from candidate 0's
-        # own pool, and an empty pool makes every shock 0. A nonzero shock
-        # moves a flow only by refreshing a snapshot that offsets left stale.
-        if args.fit_candidates:
-            cause = ""
-        elif not candidates[0].imbalance_pool:
+        # A shock is a value of candidate 0's pool times the shock scale,
+        # rounded, so an empty pool or a small scale makes every shock 0. The
+        # candidates carry no offsets, and a nonzero shock moves a flow only
+        # by refreshing a snapshot that offsets left stale.
+        pool = candidates[0].imbalance_pool
+        if not pool:
             cause = ("the shock pool is empty (the reference candidate's unshocked run never "
                      "observed a nonzero deficit), so every replay shock was 0 and ")
+        elif all(abs(p * args.shock_scale) <= 0.5 for p in pool):  # where round() gives 0
+            cause = (f"--shock-scale {args.shock_scale!r} rounds every value of the shock pool "
+                     "to 0, so every replay shock was 0 and ")
         else:
             cause = ("no candidate carries offsets, so no snapshot is stale, no replay shock "
                      "can move a dim that is not a stock figure, and ")
@@ -277,8 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=_finite, default=0.2,
                    help="multiplier sampling bound, in [0, 1]")
     p.add_argument("--shock-scale", type=_finite, default=1.0)
-    p.add_argument("--fit-candidates", action="store_true",
-                   help="retrace each candidate through the fitter before scoring")
     p.add_argument("--out", help="write the robustness report JSON to a file")
     p.add_argument("--trajectory-out", help="write the selected trajectory as CSV")
     p.set_defaults(func=cmd_anticipate)

@@ -28,17 +28,13 @@ def string_key(s: str) -> int:
     return int.from_bytes(hashlib.sha256(s.encode("utf-8")).digest()[:8], "big")
 
 
-def keyed_u64(*parts: int) -> int:
-    """64-bit word derived from an ordered tuple of integer key parts."""
+def stream_key(seed: int, *parts: int) -> int:
+    """Pre-mixed key for a stream, derived from the seed and the ordered key
+    parts; combine with a counter via `counter_u64`."""
     acc = _GOLDEN
-    for p in parts:
+    for p in (seed, *parts):
         acc = mix64((acc + _GOLDEN) ^ (p & _MASK))
     return acc
-
-
-def stream_key(seed: int, *parts: int) -> int:
-    """Pre-mixed key for a stream; combine with a counter via `counter_u64`."""
-    return keyed_u64(seed, *parts)
 
 
 def counter_u64(key: int, counter: int) -> int:

@@ -717,19 +717,3 @@ class TestAnticipatePipeline:
         assert opened == []
         assert report == score_set(cycle_spec, jobs=1)
         assert any(d != 0.0 for s in report.scores for d in s.divergences)
-
-    def test_fit_candidates_mode_runs(self, cycle_spec):
-        from moneyflow import FitConfig
-
-        config = AnticipateConfig(
-            candidates=2,
-            horizon_terms=2,
-            dims=("ab_flow", "bc_flow", "ca_flow"),
-            sampler=SamplerConfig(seed=31, channels=("ab",)),
-            replay=ReplayConfig(replays=2, seed=31),
-            fit_candidates=True,
-            fit=FitConfig(budget=60, starts=2, seed=31),
-        )
-        report, candidates = anticipate(cycle_spec, config)
-        assert len(report.scores) == 2
-        assert 0 <= report.selected < 2

@@ -30,6 +30,17 @@ def invoke(*argv):
 MOVED = "moneyflow: replays that moved a dim (nonzero divergence), per candidate: "
 
 
+def n5_stock(tmp_path):
+    """national-5 with a household-stock figure and the tax policy from t = 1."""
+    doc = national_5().to_dict()
+    doc["figures"].append({"name": "hh_stock", "stock": "HH"})
+    doc["policy_schedule"] = [{"time": 1.0, "action": "set_multiplier", "target": target,
+                               "value": "3/10"} for target in ("tax_hh", "tax_corp")]
+    path = tmp_path / "n5-stock.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
 class TestSimulate:
     def test_runs_builtin_scenario(self, tmp_path):
         code, output = invoke("simulate", "--scenario", "national-5", "--terms", "3")
@@ -180,18 +191,19 @@ class TestAnticipate:
         assert "diverged by 0.0" in err
         assert "shock pool" not in err
         assert "no candidate carries offsets, so no snapshot is stale" in err
+        # A scale whose shocks pass the float range draws none here: no replay runs.
+        code, _ = invoke("anticipate", "--scenario", "three-agent-skew", "--horizon", "2",
+                         "--candidates", "2", "--replays", "2", "--dims", "ab_flow,bc_flow",
+                         "--shock-scale", "1e308")
+        assert code == 0
+        assert "no candidate carries offsets, so no snapshot is stale" in capsys.readouterr().err
 
     def test_equal_divergences_warn_on_stderr(self, tmp_path, capsys):
         # national-5 with a household-stock figure and the tax policy from
         # t = 1: candidate 0 observes deficits, so the shocks are not 0, but
         # no shock moves a flow and HH's stock departs by exactly the shocks,
         # the same in every candidate. One replay of four leaves it where it was.
-        doc = national_5().to_dict()
-        doc["figures"].append({"name": "hh_stock", "stock": "HH"})
-        doc["policy_schedule"] = [{"time": 1.0, "action": "set_multiplier", "target": target,
-                                   "value": "3/10"} for target in ("tax_hh", "tax_corp")]
-        scenario, report_path = tmp_path / "n5-stock.json", tmp_path / "rep.json"
-        scenario.write_text(json.dumps(doc))
+        scenario, report_path = n5_stock(tmp_path), tmp_path / "rep.json"
         code, output = invoke("anticipate", "--scenario", str(scenario), "--horizon", "2",
                               "--candidates", "2", "--replays", "4", "--dims", "hh_stock",
                               "--out", str(report_path))
@@ -219,6 +231,26 @@ class TestAnticipate:
                               "--candidates", "2", "--replays", "2", "--jobs", "2")
         assert (code, output) == (2, "")
         assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+    def test_fit_candidates_is_no_option(self, capsys):
+        code, output = invoke("anticipate", "--scenario", "three-agent-cycle", "--horizon", "2",
+                              "--candidates", "2", "--replays", "2", "--fit-candidates")
+        assert (code, output) == (2, "")
+        assert "unrecognized arguments: --fit-candidates" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale", ["0", "0.0001"])
+    def test_shock_scale_that_zeroes_every_shock_is_named(self, tmp_path, capsys, scale):
+        # The pool is not empty and the only dim is a stock figure, but every
+        # pool value times the scale rounds to a zero shock.
+        code, output = invoke("anticipate", "--scenario", str(n5_stock(tmp_path)), "--horizon", "2",
+                              "--candidates", "2", "--replays", "4", "--dims", "hh_stock",
+                              "--shock-scale", scale)
+        assert code == 0
+        err = capsys.readouterr().err
+        assert err.startswith(MOVED + "0: 0/4, 1: 0/4\n")
+        assert (f"warning: --shock-scale {float(scale)!r} rounds every value of the shock pool "
+                "to 0, so every replay shock was 0 and every shock replay") in err
+        assert "no candidate carries offsets" not in err
 
     def test_stock_dim_without_channels(self, tmp_path, capsys):
         # With no channel there is nothing to shock: every replay diverges by 0.0.

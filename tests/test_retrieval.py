@@ -120,10 +120,12 @@ class TestReproductionError:
 
 class TestFit:
     def test_zero_target_converges_at_first_evaluation(self):
-        # The zero vector is evaluated before any start's search runs, so
-        # `anticipate --fit-candidates` gets zero offsets back from a
-        # generated candidate in one evaluation. A multiplier that moves
-        # within term 0 leaves the informed start away from zero.
+        # The zero vector is evaluated before any start's search runs, so a
+        # record the scenario itself produces fits to zero offsets in one
+        # evaluation. That is why `anticipate` does not retrace its
+        # candidates: each would fit to no offsets and keep its score. A
+        # multiplier that moves within term 0 leaves the informed start
+        # away from zero.
         midterm = three_agent_cycle().with_extra_policy(
             [PolicyAction(0.5, "set_multiplier", "ab", Fraction(2))])
         for spec, starts in product((three_agent_cycle(), national_5(), midterm), (1, 4, 8)):
