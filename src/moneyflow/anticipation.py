@@ -50,10 +50,11 @@ a harmonic score 1/(1+divergence); both are conventions, pluggable via the
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf, sqrt
+from math import inf, isfinite, sqrt
 from typing import Mapping, NamedTuple, Sequence
 
 from . import rng
+from .engine import _catch_up
 from .network import Event, NetworkState, build_network
 from .recorder import BalanceSheet, Record, record_terms, run_record
 from .retrieval import Assignment, apply_assignment
@@ -286,7 +287,10 @@ def generate_candidates(spec: ScenarioSpec, n: int, sampler: SamplerConfig = Sam
 
 def sample_shock_sequence(pool: Sequence[float], spec: ScenarioSpec, config: ReplayConfig,
                           replay_index: int, n_terms: int) -> list[ShockSpec]:
-    """Seeded disturbance sequence: times and channels uniform, magnitudes from the pool."""
+    """Seeded disturbance sequence: times and channels uniform, magnitudes from the pool.
+
+    A pool value times `shock_scale` past the float range is a ScenarioError.
+    """
     if not pool or config.shock_scale == 0:
         pool = (0.0,)
     channel_ids = tuple(sorted(c.id for c in spec.channels))
@@ -297,7 +301,11 @@ def sample_shock_sequence(pool: Sequence[float], spec: ScenarioSpec, config: Rep
     for k in range(count):
         time = rng.unit(key, 4 * k) * horizon
         channel = channel_ids[rng.below(len(channel_ids), key, 4 * k + 1)]
-        magnitude = pool[rng.below(len(pool), key, 4 * k + 2)] * config.shock_scale
+        value = pool[rng.below(len(pool), key, 4 * k + 2)]
+        magnitude = value * config.shock_scale
+        if not isfinite(magnitude):
+            raise ScenarioError(f"--shock-scale {config.shock_scale!r} times the shock pool "
+                                f"value {value!r} exceeds the float range")
         sign = 1 if rng.below(2, key, 4 * k + 3) == 0 else -1
         shocks.append(ShockSpec(time=time, channel=channel, amount=sign * round(magnitude)))
     return shocks
@@ -331,8 +339,10 @@ def _run_replay(start, shocks, dims, base_trajectory, scales, keys) -> float:
     terms = record_terms(state)
     shocked = [_phase_point(next(terms), dims)]
     for key in keys:
-        if key is not None and _rejoin_key(state) == key:
-            break
+        if key is not None:
+            _catch_up(state)
+            if _rejoin_key(state) == key:
+                break
         shocked.append(_phase_point(next(terms), dims))
     return divergence(base_trajectory[:len(shocked)], shocked, scales)
 

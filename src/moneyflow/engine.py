@@ -13,10 +13,12 @@ reverberating, and a network that starts balanced never adjusts at all.
 Most wakes therefore find nothing to correct, or only a residual that cannot
 be applied. `run` keeps such agents dormant: out of the event scan and out
 of the log, until something changes what they observe. Their wake times come
-from counter-keyed streams, so the skipped wakes are consumed later with the
-same float additions, and every later event and the state at each run
-boundary are exactly as if each wake had been processed. The recorder's
-observer cuts are taken inside this one loop (see `run`).
+from counter-keyed streams, so the skipped wakes are consumed later, in one
+go and with the same float additions: when the agent rejoins the scan, or
+when a caller needs its clock (the end of `run`, a recorder checkpoint).
+Every later event and the state at the end of each `run` are exactly as if
+each wake had been processed. The recorder's observer cuts are taken inside
+this one loop (see `run`).
 
 The engine is strictly sequential over the event order. Clones of one state
 share its growing wake tables: do not step them from different threads.
@@ -471,7 +473,8 @@ def run(state: NetworkState, horizon: float) -> tuple[NetworkState, list[Event]]
     or a nonzero shock) or a multiplier on one of its channels (a
     `set_multiplier` policy) changes. Those events wake it: it consumes the
     wakes it skipped and rejoins the scan. The central bank's wakes before
-    its next issuance entry are consumed in one go.
+    its next issuance entry are consumed in one go, and while that entry
+    lies past the end it sleeps out of the scan like a dormant agent.
 
     At the end every dormant agent's wakes are consumed up to it, so the
     state there is as if every wake had been processed. `run` is this loop
@@ -479,29 +482,49 @@ def run(state: NetworkState, horizon: float) -> tuple[NetworkState, list[Event]]
     record and takes the observer cut at each term end before the loop goes
     on. Dormancy survives those cuts: a cut moves stocks, tallies and
     accruals, which no dynamics read, and refreshes snapshots, so only the
-    sinks of the channels whose snapshot it changed rejoin the scan.
+    sinks of the channels whose snapshot it changed rejoin the scan. Between
+    those ends a dormant agent's `event_count` and `next_time` lag behind
+    `state.now`; `run(state, 0)` brings every clock up to date.
     """
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
     start = len(state.log)
     next(_advance(state, (state.now + horizon,)))
+    _catch_up(state)
     return state, state.log[start:]
+
+
+def _catch_up(state: NetworkState) -> None:
+    """Consume every wake before `state.now` that a dormant agent left pending."""
+    now = state.now
+    for agent in state.agents.values():
+        if agent.next_time < now:
+            _skip_wakes(state, agent, now)
 
 
 def _advance(state: NetworkState, ends: Iterable[float]) -> Iterator[None]:
     """The event loop of `run`, through each of `ends` in turn (see `run`).
 
-    Yields at each end, with the state as `run` leaves it there. The caller
-    may take an observer cut before asking for the next end.
+    Catches up every clock on entry. Yields at each end, with the state as
+    `run` leaves it there except that a dormant agent's clock may lag behind
+    the end; `_catch_up` consumes its wakes there. The caller may take an
+    observer cut before asking for the next end.
     """
     agents = state.agents
     channels = state.channels
+    _catch_up(state)
     awake = set(state.agent_order)
+    # The central bank, asleep, rejoins the scan in the term of its next issuance entry.
+    bank, bank_due = state.central_bank, _NO_EVENT
     # Only `_run_scheduled` moves the policy, securities and shock cursors.
     sched_t, sched_kind = _peek_scheduled(state)
     for end in ends:
+        if bank_due < end:
+            awake.add(bank)
+            _skip_wakes(state, agents[bank], bank_due)
+            bank_due = _NO_EVENT
         while True:
-            agent_id, agent_t = next_event(state, awake)
+            agent_id, agent_t = next_event(state, awake) if awake else ("", _NO_EVENT)
             if min(agent_t, sched_t) >= end:
                 break
             if sched_t <= agent_t:
@@ -519,8 +542,11 @@ def _advance(state: NetworkState, ends: Iterable[float]) -> Iterator[None]:
             agent = agents[agent_id]
             if agent.continuity_exempt:
                 due = _next_issuance_time(state)
-                if due > agent_t:
-                    _skip_wakes(state, agent, min(due, end))
+                if due >= end:
+                    awake.remove(agent_id)
+                    bank_due = due
+                elif due > agent_t:
+                    _skip_wakes(state, agent, due)
                 else:
                     update_agent(state, agent_id, agent_t)
             elif (deficit := observed_deficit(state, agent_id)) == 0 and (
@@ -535,14 +561,14 @@ def _advance(state: NetworkState, ends: Iterable[float]) -> Iterator[None]:
                         # one when its id is lower (ties go to the lower id).
                         awake.add(sink)
                         _skip_wakes(state, agents[sink], agent_t, inclusive=sink < agent_id)
-        for aid in state.agent_order:
-            if aid not in awake:
-                _skip_wakes(state, agents[aid], end)
         state.now = end
         snaps = [ch.snap_rate_sink for ch in channels.values()]
         yield
-        awake.update(ch.sink for ch, snap in zip(channels.values(), snaps)
-                     if ch.snap_rate_sink != snap)
+        for ch, snap in zip(channels.values(), snaps):
+            sink = ch.sink
+            if ch.snap_rate_sink != snap and sink not in awake:
+                awake.add(sink)
+                _skip_wakes(state, agents[sink], end)
 
 
 def _fraction_str(value) -> str:

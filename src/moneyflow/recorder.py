@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Iterator, Mapping, NamedTuple
 
 # `run` is not called here; mfbench's tracer test reads it as `moneyflow.recorder.run`.
-from .engine import _advance, run, settle_all  # noqa: F401
+from .engine import _advance, _catch_up, run, settle_all  # noqa: F401
 from .network import NetworkState
 from .scenario import ScenarioError, _as_float, _read_utf8, as_fraction, rational_str
 
@@ -116,7 +116,9 @@ def record_terms(state: NetworkState) -> Iterator[BalanceSheet]:
     The state must stand at time 0: a fresh state, or a clone of one such
     as the first checkpoint `run_record` takes. That is checked, and the
     opening tallies are read, on the call. The generator returned yields one
-    sheet per term, without end.
+    sheet per term, without end. A dormant agent's `event_count` and
+    `next_time` may lag behind the cut; `run(state, 0)` brings them up to
+    date.
     """
     spec = state.spec
     length = spec.term_length
@@ -157,8 +159,10 @@ def run_record(state: NetworkState, n_terms: int,
 
     The sheets are the first `n_terms` of `record_terms(state)`. Given a
     `checkpoints` list, a clone of the state at the opening boundary of each
-    term it records is appended to it, with an empty log: shock replays
-    start from the first and compare their state with the others.
+    term it records is appended to it, with an empty log and every clock
+    up to date: shock replays start from the first and compare their state
+    with the others. The state itself is left as `record_terms` leaves it,
+    with dormant agents' clocks lagging until `run(state, 0)`.
     """
     if n_terms < 0:
         raise ValueError("n_terms must be non-negative")
@@ -169,6 +173,7 @@ def run_record(state: NetworkState, n_terms: int,
     sheets = []
     for _ in range(n_terms):
         if checkpoints is not None:
+            _catch_up(state)
             clone = state.clone()
             clone.log = []
             checkpoints.append(clone)

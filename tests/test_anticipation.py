@@ -163,6 +163,12 @@ class TestRobustnessScore:
         assert divs == [0.0] * 4
         assert score == 1.0
 
+    def test_shock_past_the_float_range_is_a_scenario_error(self):
+        config = ReplayConfig(replays=1, shock_scale=1e308)
+        with pytest.raises(ScenarioError, match=r"^--shock-scale 1e\+308 times the shock pool "
+                                                r"value 60\.0 exceeds the float range$"):
+            anticipation.sample_shock_sequence((60.0,), three_agent_cycle(), config, 0, 2)
+
     def test_zero_gain_stock_shocks_leave_flow_dims_unchanged(self):
         # Frozen corrections: redistributive shocks move stocks only, so every
         # flow-based coordinate stays put and divergence is exactly zero even

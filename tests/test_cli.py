@@ -30,14 +30,18 @@ def invoke(*argv):
 MOVED = "moneyflow: replays that moved a dim (nonzero divergence), per candidate: "
 
 
-def n5_stock(tmp_path):
+def n5_stock_doc():
     """national-5 with a household-stock figure and the tax policy from t = 1."""
     doc = national_5().to_dict()
     doc["figures"].append({"name": "hh_stock", "stock": "HH"})
     doc["policy_schedule"] = [{"time": 1.0, "action": "set_multiplier", "target": target,
                                "value": "3/10"} for target in ("tax_hh", "tax_corp")]
+    return doc
+
+
+def n5_stock(tmp_path):
     path = tmp_path / "n5-stock.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(n5_stock_doc()))
     return path
 
 
@@ -251,6 +255,15 @@ class TestAnticipate:
         assert (f"warning: --shock-scale {float(scale)!r} rounds every value of the shock pool "
                 "to 0, so every replay shock was 0 and every shock replay") in err
         assert "no candidate carries offsets" not in err
+
+    def test_shock_scale_past_the_float_range(self, tmp_path, capsys):
+        code, _ = invoke("anticipate", "--scenario", str(n5_stock(tmp_path)), "--horizon", "2",
+                         "--candidates", "2", "--replays", "4", "--dims", "hh_stock",
+                         "--shock-scale", "1e308")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("moneyflow: error: --shock-scale 1e+308 times the shock pool value ")
+        assert err.endswith(" exceeds the float range\n") and err.count("\n") == 1
 
     def test_stock_dim_without_channels(self, tmp_path, capsys):
         # With no channel there is nothing to shock: every replay diverges by 0.0.
@@ -737,6 +750,7 @@ def cli_cases(draw):
         "strict": draw(st.booleans()),
         "horizon": draw(st.integers(1, 2)),
         "dims": draw(st.lists(st.sampled_from(names), max_size=2, unique=True)),
+        "shock_scale": draw(st.sampled_from([0.0, 1e-4, 1.0, 1e308])),
     }
 
 
@@ -759,7 +773,7 @@ def contract_run(*argv):
 def known_case(doc, **options):
     """An explicit fuzz case: `doc` run with these options over the defaults."""
     return doc, {"terms": 2, "format": "csv", "corrupt": False, "strict": False, "horizon": 2,
-                 "dims": [], **options}
+                 "dims": [], "shock_scale": 1.0, **options}
 
 
 def retiring_issuance():
@@ -780,6 +794,7 @@ class TestContractFuzz:
     @example(case=known_case(retiring_issuance()))
     @example(case=known_case(overflowing_cycle(), horizon=1, dims=["ab_flow"]))
     @example(case=known_case(NO_CHANNELS, dims=["a_stock"]))
+    @example(case=known_case(n5_stock_doc(), terms=0, dims=["hh_stock"], shock_scale=1e308))
     @settings(max_examples=60, deadline=timedelta(seconds=3),
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_every_subcommand(self, tmp_path, case):
@@ -801,4 +816,5 @@ class TestContractFuzz:
                          "--budget", "8", "--starts", "1", *["--strict"][:options["strict"]])
         dims = ("--dims", ",".join(options["dims"])) if options["dims"] else ()
         contract_run("anticipate", "--scenario", str(scenario), "--horizon",
-                     str(options["horizon"]), "--candidates", "2", "--replays", "2", *dims)
+                     str(options["horizon"]), "--candidates", "2", "--replays", "2", *dims,
+                     "--shock-scale", repr(options["shock_scale"]))

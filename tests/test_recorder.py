@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moneyflow import engine
+from moneyflow import engine, rng
 from moneyflow import (
     BUILTIN_SCENARIOS,
     Assignment,
@@ -44,7 +44,7 @@ from moneyflow.scenario import AgentSpec, ChannelSpec, FigureSpec, ScenarioError
 from moneyflow.scenario import ScheduledAmount
 from moneyflow.scenario import rational_str
 
-from conftest import json_values, sheets_from_log, tallies_hold, tiny_spec
+from conftest import json_values, reference_run, sheets_from_log, tallies_hold, tiny_spec
 from test_engine import assert_same_run, oracle_states
 from test_pins import LIVE_OFFSETS, LIVE_SPEC, PIN_TERMS, SCENARIO_PINS, boundary_shock_spec
 
@@ -422,6 +422,7 @@ def record_both_ways(state, n_terms):
     record = run_record(state, n_terms, checkpoints)
     per_term_reference(ref, n_terms, ref_checkpoints)
     assert list(record.sheets) == sheets_from_log(ref)
+    run(state, 0)  # a dormant agent's clock lags until a `run` brings it up to date
     assert_same_run(state, ref)
     assert checkpoints == ref_checkpoints
 
@@ -463,6 +464,7 @@ class TestOneLoopOracle:
         sheets = [next(terms) for _ in range(j)]
         per_term_reference(ref, j)
         assert sheets == sheets_from_log(ref)
+        engine.run(replay, 0)
         assert_same_run(replay, ref)
         assert _rejoin_key(replay) == _rejoin_key(ref)
         assert checkpoints == taken  # the checkpoints stay as taken
@@ -484,6 +486,63 @@ class TestOneLoopOracle:
         run_record(state, 200)
         assert 0 < max(woken) < 20
         assert len(woken) < 100
+
+    # The first eight national-5 seeds of the simulate-n5 benchmark workload.
+    @pytest.mark.parametrize("seed", [1, 3, 5, 8, 10, 11, 12, 16])
+    def test_dormant_agents_draw_no_wake_times(self, monkeypatch, seed):
+        # Consuming every dormant agent's wakes at each term end made about
+        # 4,000 draws here; deferred until it rejoins, about 230.
+        draws = []
+        exponential = rng.exponential
+
+        def counted(*args):
+            draws.append(args)
+            return exponential(*args)
+
+        monkeypatch.setattr(rng, "exponential", counted)
+        run_record(build_network(national_5().with_extra_policy(TAX_POLICY).with_seed(seed)), 200)
+        assert len(draws) < 400
+
+    def test_run_leaves_every_clock_caught_up(self):
+        spec = national_5().with_extra_policy(TAX_POLICY)
+        state = build_network(spec)
+        ref = state.clone()
+        run_record(state, 200)
+        assert any(a.next_time < state.now for a in state.agents.values())
+        per_term_reference(ref, 200)
+        assert all(a.next_time >= ref.now for a in ref.agents.values())
+        run(state, 0)
+        assert_same_run(state, ref)
+
+    @pytest.mark.parametrize("seed", [2, 3, 4])
+    def test_every_agent_asleep(self, seed):
+        # The balanced pair goes dormant at its first wakes, and the central
+        # bank sleeps until each issuance entry: one on the term end t = 2,
+        # one inside term 3, and two on wakes of its own in term 4, the first
+        # reached from sleep and the second from the wake before it. For most
+        # of the run no agent is in the scan.
+        spec = replace(pair_spec(5, 5), seed=seed)
+        bank = build_network(spec).agents["CB"]
+        wakes, n = [bank.next_time], 0
+        while len([w for w in wakes if w > 4.0]) < 3:
+            n += 1
+            wakes.append(wakes[-1] + rng.exponential(bank.mean_wait, bank.event_key, n))
+        first, _, third = [w for w in wakes if w > 4.0]
+        assert third < 5.0
+        spec = replace(spec, issuance=(ScheduledAmount(2.0, 30), ScheduledAmount(3.5, 20),
+                                       ScheduledAmount(first, 10), ScheduledAmount(third, 5)))
+        state = build_network(spec)
+        ref = state.clone()
+        record_both_ways(state, 6)
+        for term in range(6):  # every wake scanned
+            reference_run(ref, (term + 1) * spec.term_length - ref.now)
+            settle_all(ref, ref.now, term=term)
+        assert_same_run(state, ref)
+        updates = [(ev.time, ev.payload) for ev in state.log if ev.kind == "AgentUpdate"]
+        assert [payload for _, payload in updates] == [
+            {"agent": "CB", "exempt": True, "issued": [amount]} for amount in (30, 20, 10, 5)]
+        assert 2.0 <= updates[0][0] < 3.0 and 3.5 <= updates[1][0] < 4.0
+        assert [t for t, _ in updates[2:]] == [first, third]
 
 
 class TestFigures:
