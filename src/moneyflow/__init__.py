@@ -37,7 +37,6 @@ from .network import (
     build_network,
     conservation_holds,
     issue,
-    notes_outstanding,
 )
 from .recorder import (
     AgentLine,

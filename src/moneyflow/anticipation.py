@@ -218,17 +218,20 @@ def simulate_candidate(spec: ScenarioSpec, candidate_id: int, n_terms: int,
         apply_assignment(state, assignment)
     stale = [cid for cid, ch in state.channels.items() if ch.snap_rate_sink != ch.rate]
     record = run_record(state, n_terms, checkpoints)
-    pool = tuple(
-        abs(float(ev.payload["deficit"]))
-        for ev in state.log
-        if ev.kind == "AgentUpdate" and not ev.payload.get("exempt") and ev.payload["deficit"] != 0
-    )
+    pool = []
+    for ev in state.log:
+        if ev.kind == "AgentUpdate" and not ev.payload.get("exempt") and ev.payload["deficit"] != 0:
+            try:
+                pool.append(abs(float(ev.payload["deficit"])))
+            except OverflowError:
+                raise ScenarioError(f"agent {ev.payload['agent']!r} observes a deficit past the "
+                                    f"float range at t={ev.time!r}") from None
     return Candidate(
         id=candidate_id,
         schedule=tuple(schedule),
         record=record,
         trajectory=extract_trajectory(record, dims),
-        imbalance_pool=pool,
+        imbalance_pool=tuple(pool),
         refresh_times=_refresh_times(state.log, stale),
     )
 

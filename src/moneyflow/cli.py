@@ -28,7 +28,7 @@ from .anticipation import (
     anticipate,
 )
 from .engine import event_trace
-from .network import build_network, conservation_holds, notes_outstanding
+from .network import build_network, conservation_holds
 from .recorder import (
     RecordError,
     read_record,
@@ -84,12 +84,13 @@ def cmd_simulate(args, out) -> int:
     if args.record:
         write_record(record, args.record, args.format)
     out.write(f"events={len(state.log)}\n")
-    out.write(f"notes_outstanding={notes_outstanding(state)}\n")
+    out.write(f"notes_outstanding={state.cumulative_issuance}\n")
     out.write(f"total_stock={state.total_stock()}\n")
-    out.write(f"conservation={'ok' if conservation_holds(state) else 'VIOLATED'}\n")
+    conserved = conservation_holds(state)
+    out.write(f"conservation={'ok' if conserved else 'VIOLATED'}\n")
     report = verify_record(record)
     out.write(f"identities={'ok' if report.ok else 'VIOLATED'}\n")
-    return 0 if conservation_holds(state) and report.ok else 1
+    return 0 if conserved and report.ok else 1
 
 
 def cmd_record(args, out) -> int:

@@ -33,7 +33,7 @@ from math import lcm
 from typing import Collection, Iterable, Iterator, Sequence
 
 from . import rng
-from .network import Agent, Channel, Event, NetworkState, accrue, issue
+from .network import Agent, Channel, Event, NetworkState, _add_piece, _elapsed, accrue, issue
 from .scenario import PolicyAction, ShockSpec
 
 _NO_EVENT = float("inf")
@@ -185,18 +185,36 @@ def settle(state: NetworkState, agent_a: str, agent_b: str, time: float) -> Netw
 def _settle_channels(state: NetworkState, channel_ids: Sequence[str], time: float) -> list[tuple[str, int]]:
     """Move each channel's whole accrued units from source to sink at `time`.
 
-    ``accrued_num // accrued_den`` floors, which equals truncation toward zero
-    because accrual is never negative: rates are >= 0 (validated at build,
-    clamped in `equilibrate`, checked in assignments), multipliers are >= 0
-    (validated at build and for policies) and `accrue` adds only over
-    elapsed time > 0. The sub-unit remainder stays in the numerator. The
-    amount also goes on the channel's and both agents' running tallies.
+    Each channel is first accrued up to `time` as `accrue` does, which says
+    why that is exact, with the work that is the same for many channels done
+    once per call: `time` is converted when the first channel accrues, the
+    elapsed ratio once per run of equal ``accrued_until`` (after an observer
+    cut, nearly every channel shares the cut's time) and a multiplier's pair
+    once per run of the same object. Then ``accrued_num // accrued_den``
+    floors, which is truncation toward zero as accrual is never negative;
+    the sub-unit remainder stays in the numerator. The amount also goes on
+    the channel's and both agents' running tallies.
     """
     agents = state.agents
+    channels = state.channels
     amounts = []
+    time_num = until_seen = mult_seen = None
     for cid in channel_ids:
-        ch = state.channels[cid]
-        accrue(ch, time)
+        ch = channels[cid]
+        until = ch.accrued_until
+        if time > until:
+            if ch.rate:
+                if until != until_seen:
+                    if time_num is None:
+                        time_num, time_den = time.as_integer_ratio()
+                    elapsed, elapsed_den = _elapsed(time_num, time_den, until)
+                    until_seen = until
+                m = ch.multiplier
+                if m is not mult_seen:
+                    mult_num, mult_den = m.numerator, m.denominator
+                    mult_seen = m
+                _add_piece(ch, elapsed, elapsed_den, mult_num, mult_den)
+            ch.accrued_until = time
         amount = ch.accrued_num // ch.accrued_den
         if amount:
             source, sink = agents[ch.source], agents[ch.sink]
@@ -212,8 +230,9 @@ def _settle_channels(state: NetworkState, channel_ids: Sequence[str], time: floa
 
 
 def settle_all(state: NetworkState, time: float, *, term: int) -> NetworkState:
-    """Forced settlement of every channel at once: the recorder's global cut of `term`."""
-    amounts = _settle_channels(state, sorted(state.channels), time)
+    """Forced settlement of every channel at once, in `channel_order`: the
+    recorder's global cut of `term`."""
+    amounts = _settle_channels(state, state.channel_order, time)
     state.append_event(time, "Settlement", {"a": None, "b": None, "amounts": amounts,
                                             "observer": True, "term": term})
     return state

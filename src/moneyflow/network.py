@@ -95,6 +95,7 @@ class NetworkState:
     # Shared across clones; immutable after build, but `wake_times` grows.
     initial_stocks: Mapping[str, int] = field(default_factory=dict)
     agent_order: tuple[str, ...] = ()
+    channel_order: tuple[str, ...] = ()  # sorted ids, the order of an observer cut
     outgoing: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
     incoming: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
     adjustable_outgoing: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
@@ -134,6 +135,7 @@ class NetworkState:
             dict(self.cursors),
             self.initial_stocks,
             self.agent_order,
+            self.channel_order,
             self.outgoing,
             self.incoming,
             self.adjustable_outgoing,
@@ -246,6 +248,7 @@ def build_network(spec: ScenarioSpec) -> NetworkState:
         rates=dict(spec.rates),
         initial_stocks={aid: agents[aid].stock for aid in order},
         agent_order=order,
+        channel_order=tuple(sorted(channels)),
         outgoing=outgoing,
         incoming=incoming,
         adjustable_outgoing=adjustable_outgoing,
@@ -257,23 +260,37 @@ def build_network(spec: ScenarioSpec) -> NetworkState:
     return state
 
 
-def _add_ratios(n0: int, d0: int, n1: int, d1: int) -> tuple[int, int]:
-    """n0/d0 + n1/d1 as an unreduced integer ratio over positive denominators.
+def _elapsed(now_num: int, now_den: int, until: float) -> tuple[int, int]:
+    """Time from `until` to ``now_num / now_den``, over the larger power of two (see `accrue`)."""
+    n0, d0 = until.as_integer_ratio()
+    if d0 <= now_den:
+        return now_num - n0 * (now_den // d0), now_den
+    return now_num * (d0 // now_den) - n0, d0
 
-    When one denominator divides the other, as the power-of-two denominators
-    of two float times always do, the sum is taken over the larger one by
-    multiplying through by their quotient; an lcm is needed only otherwise
-    (after a ``set_multiplier`` policy with a new denominator).
+
+def _add_piece(channel: Channel, elapsed: int, elapsed_den: int,
+               mult_num: int, mult_den: int) -> None:
+    """Add ``rate * multiplier * elapsed`` to the channel's pot (see `accrue`).
+
+    In place, over the larger denominator when one of the pot's and the
+    piece's divides the other, as two float times' powers of two always do;
+    an lcm is taken only otherwise (after a ``set_multiplier`` policy with a
+    new denominator).
     """
-    if d0 == d1:
-        return n0 + n1, d0
-    if d0 > d1:
-        if not d0 % d1:
-            return n0 + n1 * (d0 // d1), d0
-    elif not d1 % d0:
-        return n0 * (d1 // d0) + n1, d1
-    den = lcm(d0, d1)
-    return n0 * (den // d0) + n1 * (den // d1), den
+    piece = channel.rate * mult_num * elapsed
+    piece_den = elapsed_den * mult_den
+    den = channel.accrued_den
+    if den == piece_den:
+        channel.accrued_num += piece
+    elif den > piece_den and not den % piece_den:
+        channel.accrued_num += piece * (den // piece_den)
+    elif den < piece_den and not piece_den % den:
+        channel.accrued_num = channel.accrued_num * (piece_den // den) + piece
+        channel.accrued_den = piece_den
+    else:
+        common = lcm(den, piece_den)
+        channel.accrued_num = channel.accrued_num * (common // den) + piece * (common // piece_den)
+        channel.accrued_den = common
 
 
 def accrue(channel: Channel, now: float) -> None:
@@ -284,21 +301,21 @@ def accrue(channel: Channel, now: float) -> None:
 
     Exact in integers: a float time is a dyadic rational, so
     ``as_integer_ratio()`` gives ``(n, 2**k)`` and the elapsed time is an
-    integer over the larger of the two powers of two. The piece added is
-    ``rate * multiplier.numerator * elapsed`` over ``multiplier.denominator``
-    times that power, which is ``rate * multiplier * elapsed`` exactly. It is
-    never negative, because rates and multipliers are non-negative and
-    ``now`` is past ``accrued_until``.
+    integer over the larger of the two powers of two (`_elapsed`). The piece
+    added is ``rate * multiplier.numerator * elapsed`` over
+    ``multiplier.denominator`` times that power, which is
+    ``rate * multiplier * elapsed`` exactly (`_add_piece`). It is never
+    negative: rates are >= 0 (validated at build, clamped in `equilibrate`,
+    checked in assignments), multipliers are >= 0 (validated at build and
+    for policies) and ``now`` is past ``accrued_until``.
     """
-    if now > channel.accrued_until:
+    until = channel.accrued_until
+    if now > until:
         if channel.rate:
-            n1, d1 = now.as_integer_ratio()
-            n0, d0 = channel.accrued_until.as_integer_ratio()
-            elapsed, den = _add_ratios(n1, d1, -n0, d0)
+            now_num, now_den = now.as_integer_ratio()
+            elapsed, elapsed_den = _elapsed(now_num, now_den, until)
             m = channel.multiplier
-            channel.accrued_num, channel.accrued_den = _add_ratios(
-                channel.accrued_num, channel.accrued_den,
-                channel.rate * m.numerator * elapsed, den * m.denominator)
+            _add_piece(channel, elapsed, elapsed_den, m.numerator, m.denominator)
         channel.accrued_until = now
 
 
@@ -318,10 +335,6 @@ def issue(state: NetworkState, amount: int, time: float) -> NetworkState:
     state.append_event(time, "Issue", {"agent": target, "amount": amount, "instrument": "notes",
                                        "outstanding": state.cumulative_issuance})
     return state
-
-
-def notes_outstanding(state: NetworkState) -> int:
-    return state.cumulative_issuance
 
 
 def conservation_holds(state: NetworkState) -> bool:

@@ -19,7 +19,6 @@ from moneyflow import (
     build_network,
     equilibrate,
     fit,
-    notes_outstanding,
     observed_deficit,
     retrace,
     run,
@@ -60,7 +59,7 @@ def test_1_conservation_at_scale():
         _, events = run(state, 50.0)
         other_events += sum(1 for ev in events if ev.kind != "AgentUpdate")
     elapsed = time.perf_counter() - started
-    exact = state.total_stock() - notes_outstanding(state) == initial_total
+    exact = state.total_stock() - state.cumulative_issuance == initial_total
     ok = exact and elapsed < 5.0
     report(1, "conservation", ok,
            f"{processed()} events to t={state.now:g} in {elapsed:.2f}s, exact={exact}")

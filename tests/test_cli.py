@@ -39,6 +39,13 @@ def n5_stock_doc():
     return doc
 
 
+def huge_rate_cycle():
+    """three-agent-cycle with channel ab at 10**320 a term, past the float range."""
+    doc = three_agent_cycle().to_dict()
+    next(c for c in doc["channels"] if c["id"] == "ab")["rate"] = 10**320
+    return doc
+
+
 def n5_stock(tmp_path):
     path = tmp_path / "n5-stock.json"
     path.write_text(json.dumps(n5_stock_doc()))
@@ -264,6 +271,18 @@ class TestAnticipate:
         err = capsys.readouterr().err
         assert err.startswith("moneyflow: error: --shock-scale 1e+308 times the shock pool value ")
         assert err.endswith(" exceeds the float range\n") and err.count("\n") == 1
+
+    def test_deficit_past_the_float_range(self, tmp_path, capsys):
+        # The shock pool holds |observed deficit| as floats; B observes 10**320.
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(huge_rate_cycle()))
+        code, _ = invoke("anticipate", "--scenario", str(path), "--horizon", "2",
+                         "--candidates", "2", "--replays", "2")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("moneyflow: error: agent 'B' observes a deficit past the float range at t=")
+        assert err.count("\n") == 1
+        assert invoke("simulate", "--scenario", str(path), "--terms", "2")[0] == 0
 
     def test_stock_dim_without_channels(self, tmp_path, capsys):
         # With no channel there is nothing to shock: every replay diverges by 0.0.
@@ -795,6 +814,7 @@ class TestContractFuzz:
     @example(case=known_case(overflowing_cycle(), horizon=1, dims=["ab_flow"]))
     @example(case=known_case(NO_CHANNELS, dims=["a_stock"]))
     @example(case=known_case(n5_stock_doc(), terms=0, dims=["hh_stock"], shock_scale=1e308))
+    @example(case=known_case(huge_rate_cycle()))
     @settings(max_examples=60, deadline=timedelta(seconds=3),
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_every_subcommand(self, tmp_path, case):

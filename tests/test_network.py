@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from moneyflow import (
@@ -12,10 +12,10 @@ from moneyflow import (
     conservation_holds,
     inject_shock,
     issue,
-    notes_outstanding,
     run,
     run_record,
     settle,
+    settle_all,
     two_agent_kernel,
 )
 from moneyflow.network import accrue
@@ -40,7 +40,7 @@ class TestBuildNetwork:
         )
         state = build_network(spec)
         assert conservation_holds(state)
-        assert notes_outstanding(state) == 0
+        assert state.cumulative_issuance == 0
         ch = state.channels["ab"]
         assert ch.snap_rate_sink == 10
 
@@ -138,7 +138,7 @@ class TestClone:
 class TestIssue:
     def test_zero_amount_no_change(self, tiny_state):
         issue(tiny_state, 0, 0.0)
-        assert notes_outstanding(tiny_state) == 0
+        assert tiny_state.cumulative_issuance == 0
         assert tiny_state.agents["CB"].stock == 0
 
     def test_retirement_below_zero_rejected(self, tiny_state):
@@ -148,7 +148,7 @@ class TestIssue:
     def test_issue_then_retire_restores(self, tiny_state):
         issue(tiny_state, 1000, 0.0)
         issue(tiny_state, -1000, 0.0)
-        assert notes_outstanding(tiny_state) == 0
+        assert tiny_state.cumulative_issuance == 0
         assert tiny_state.agents["CB"].stock == 0
         assert conservation_holds(tiny_state)
 
@@ -157,7 +157,7 @@ class TestIssue:
         settle(tiny_state, "A", "B", 12.0)
         settle(tiny_state, "A", "B", 20.0)
         assert tiny_state.agents["B"].stock == 200
-        assert notes_outstanding(tiny_state) == 500
+        assert tiny_state.cumulative_issuance == 500
         assert conservation_holds(tiny_state)
 
 
@@ -238,7 +238,7 @@ def test_conservation_under_random_operations(moves, issues):
         t += 0.25
         inject_shock(state, agent_id, amount, t, channel_id="ab")
         settle(state, "A", "B", t)
-    assert state.total_stock() - notes_outstanding(state) == 210
+    assert state.total_stock() - state.cumulative_issuance == 210
     assert conservation_holds(state)
 
 
@@ -250,11 +250,11 @@ TIME_STEPS = st.one_of(
     st.floats(min_value=1e3, max_value=1e6),
     st.sampled_from([0.1, 1 / 3, 0.7, 2 / 3, 1e-9]),
 )
+MULTIPLIERS = st.builds(Fraction, st.integers(0, 12), st.sampled_from([1, 2, 3, 7, 10]))
 CHANNEL_OPS = st.one_of(
     st.tuples(st.just("settle"), TIME_STEPS),
     st.tuples(st.just("rate"), TIME_STEPS, st.integers(0, 10_000)),
-    st.tuples(st.just("mult"), TIME_STEPS,
-              st.builds(Fraction, st.integers(0, 12), st.sampled_from([1, 2, 3, 7, 10]))),
+    st.tuples(st.just("mult"), TIME_STEPS, MULTIPLIERS),
 )
 
 
@@ -291,3 +291,97 @@ class TestIntegerAccrual:
             assert Fraction(ch.accrued_num, ch.accrued_den) == pot
         assert state.agents["B"].stock == -state.agents["A"].stock
         assert state.agents["B"].stock + pot == total
+
+
+# Channel ids with their endpoints; the pairs each settle a different subset.
+CUT_CHANNELS = (("ab", "A", "B"), ("ac", "A", "C"), ("ba", "B", "A"), ("bc", "B", "C"),
+                ("ca", "C", "A"))
+CUT_OPS = st.one_of(
+    st.tuples(st.just("settle"), TIME_STEPS, st.sampled_from([("A", "B"), ("B", "C"), ("A", "C")])),
+    st.tuples(st.just("mult"), TIME_STEPS, st.sampled_from([c[0] for c in CUT_CHANNELS]),
+              MULTIPLIERS),
+)
+# Organic settles leave ab, ba and bc accrued to other times than ca and ac,
+# and over other powers of two; ba's multiplier moves from 1/3 to 1/7.
+EVERY_BRANCH = dict(
+    rates=[70] * 5,
+    multipliers=[Fraction(1), Fraction(1), Fraction(1, 3), Fraction(1), Fraction(1)],
+    ops=[("settle", 0.125, ("B", "C")), ("settle", 0.375, ("A", "B")),
+         ("mult", 0.0, "ba", Fraction(1, 7)), ("mult", 0.0, "bc", Fraction(1))],
+    final=1.0,
+)
+
+
+def add_branch(ch, time):
+    """How `_add_piece` adds the channel's piece at `time`; None when it adds none."""
+    if not (time > ch.accrued_until and ch.rate):
+        return None
+    elapsed_den = max(time.as_integer_ratio()[1], ch.accrued_until.as_integer_ratio()[1])
+    piece_den, den = elapsed_den * ch.multiplier.denominator, ch.accrued_den
+    if den == piece_den:
+        return "equal"
+    if den % piece_den == 0:
+        return "pot over piece"
+    if piece_den % den == 0:
+        return "piece over pot"
+    return "lcm"
+
+
+def check_settle_all(rates, multipliers, ops, final):
+    """Organic settles and multiplier changes, then one observer cut, against
+    `Fraction` sums; returns the add branches the cut took."""
+    spec = spec_with([CB] + [AgentSpec(a, "Custom:x") for a in "ABC"],
+                     [ChannelSpec(cid, src, dst, rate, multiplier=mult)
+                      for (cid, src, dst), rate, mult in zip(CUT_CHANNELS, rates, multipliers)])
+    state = build_network(spec)
+    ref = {cid: [Fraction(0), 0.0] for cid, _, _ in CUT_CHANNELS}  # pot, accrued until
+    stocks = dict.fromkeys("ABC", 0)
+
+    def ref_settle(cid, time):
+        ch, (pot, last) = state.channels[cid], ref[cid]
+        pot += ch.rate * ch.multiplier * (Fraction(time) - Fraction(last))
+        amount = int(pot)
+        ref[cid] = [pot - amount, time]
+        stocks[ch.source] -= amount
+        stocks[ch.sink] += amount
+        return cid, amount
+
+    now = 0.0
+    for op in ops:
+        now += op[1]
+        if op[0] == "settle":
+            expected = [ref_settle(cid, now) for cid in state.pair_channels[op[2]]]
+            settle(state, *op[2], now)
+            assert state.log[-1].payload["amounts"] == expected
+        else:
+            ch, (pot, last) = state.channels[op[2]], ref[op[2]]
+            ref[op[2]] = [pot + ch.rate * ch.multiplier * (Fraction(now) - Fraction(last)), now]
+            accrue(ch, now)  # as a set_multiplier policy does first
+            ch.multiplier = op[3]
+    cut = now + final
+    branches = {add_branch(ch, cut) for ch in state.channels.values()} - {None}
+    expected = [ref_settle(cid, cut) for cid in sorted(ref)]
+    settle_all(state, cut, term=0)
+    assert state.log[-1].payload["amounts"] == expected
+    for cid, ch in state.channels.items():
+        assert Fraction(ch.accrued_num, ch.accrued_den) == ref[cid][0]
+        assert ch.accrued_until == cut
+    assert {a: state.agents[a].stock for a in "ABC"} == stocks
+    return branches
+
+
+class TestObserverCutOracle:
+    """`settle_all` over channels accrued to different times and multipliers
+    with different denominators, against `Fraction` sums."""
+
+    @given(rates=st.lists(st.integers(0, 10_000), min_size=5, max_size=5),
+           multipliers=st.lists(MULTIPLIERS, min_size=5, max_size=5),
+           ops=st.lists(CUT_OPS, max_size=12), final=TIME_STEPS)
+    @example(**EVERY_BRANCH)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_fraction_reference(self, rates, multipliers, ops, final):
+        check_settle_all(rates, multipliers, ops, final)
+
+    def test_example_takes_every_add_branch(self):
+        assert check_settle_all(**EVERY_BRANCH) == {"equal", "pot over piece", "piece over pot",
+                                                    "lcm"}
