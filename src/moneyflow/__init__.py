@@ -15,7 +15,6 @@ from .anticipation import (
     generate_candidates,
     robustness_score,
     score_candidates,
-    select_most_robust,
     simulate_candidate,
 )
 from .engine import (

@@ -325,7 +325,7 @@ def _rejoin_key(state: NetworkState) -> tuple:
     return (state.now, state.cumulative_issuance, state.securities_outstanding,
             dict(state.rates), cursors["policy"], cursors["securities"], cursors["issuance"],
             [(a.pending_correction, a.event_count, a.next_time) for a in state.agents.values()],
-            [(c.rate, c.multiplier, c.snap_rate_sink, c.accrued_num, c.accrued_den,
+            [(c.rate, c.mult_num, c.mult_den, c.snap_rate_sink, c.accrued_num, c.accrued_den,
               c.accrued_until) for c in state.channels.values()])
 
 
@@ -348,14 +348,6 @@ def _run_replay(start, shocks, dims, base_trajectory, scales, keys) -> float:
                 break
         shocked.append(_phase_point(next(terms), dims))
     return divergence(base_trajectory[:len(shocked)], shocked, scales)
-
-
-def select_most_robust(report: RobustnessReport) -> int:
-    """Argmax of score; ties break toward the lowest candidate index."""
-    if not report.scores:
-        raise ValueError("empty robustness report")
-    best = max(report.scores, key=lambda s: (s.score, -s.candidate_id))
-    return best.candidate_id
 
 
 def score_candidates(candidates: Sequence[Candidate], spec: ScenarioSpec,
@@ -383,7 +375,8 @@ def score_candidates(candidates: Sequence[Candidate], spec: ScenarioSpec,
     its later ones.
 
     Replays run in this process; `config.jobs` is ignored. A candidate with
-    no replays scores 1.
+    no replays scores 1. The report selects the highest score, ties going
+    to the lowest candidate id.
 
     A candidate simulated with offsets must be passed the assignment it was
     simulated with: its replays start from its base, which carries the
@@ -434,8 +427,8 @@ def score_candidates(candidates: Sequence[Candidate], spec: ScenarioSpec,
     for base, own in zip(bases, map(tuple, divergences)):
         mean = sum(own) / len(own) if own else 0.0
         scores.append(CandidateScore(base.id, mean, 1.0 / (1.0 + mean), own))
-    report = RobustnessReport(tuple(scores), selected=-1, dims=dims)
-    return report._replace(selected=select_most_robust(report))
+    best = max(scores, key=lambda s: (s.score, -s.candidate_id))
+    return RobustnessReport(tuple(scores), best.candidate_id, dims)
 
 
 def robustness_score(candidate: Candidate, spec: ScenarioSpec, config: ReplayConfig,

@@ -225,7 +225,16 @@ def _positive(text: str) -> int:
     return int(text)
 
 
-def build_parser() -> argparse.ArgumentParser:
+_SUBCOMMANDS = ("simulate", "record", "verify", "fit", "anticipate")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser, with every subcommand's arguments or only `command`'s.
+
+    Every subcommand is registered with its help line either way, so the
+    top-level help and usage and an invalid-choice error read the same; a
+    subcommand's own help and usage errors need only its own arguments.
+    """
     parser = argparse.ArgumentParser(
         prog="moneyflow",
         description="Deterministic monetary flow network simulator, record fitter, and trajectory anticipator.",
@@ -238,56 +247,61 @@ def build_parser() -> argparse.ArgumentParser:
     common_scenario.add_argument("--seed", type=int, default=None,
                                  help="override the scenario seed")
 
-    p = sub.add_parser("simulate", parents=[common_scenario],
-                       help="run a scenario and write its event trace")
-    p.add_argument("--terms", type=_count, default=10)
-    p.add_argument("--trace", help="write the event log as JSON lines")
-    p.add_argument("--record", help="also write the compiled record")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=cmd_simulate)
+    def subcommand(name: str, help_text: str, scenario: bool = True):
+        """The subcommand's parser, or None once registered bare for another
+        `command`: a bare parser never parses, so it needs no -h either."""
+        if command is not None and name != command:
+            sub.add_parser(name, help=help_text, add_help=False)
+            return None
+        return sub.add_parser(name, parents=[common_scenario] if scenario else [], help=help_text)
 
-    p = sub.add_parser("record", parents=[common_scenario],
-                       help="run a scenario and write its compiled record")
-    p.add_argument("--terms", type=_count, default=10)
-    p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=cmd_record)
+    if p := subcommand("simulate", "run a scenario and write its event trace"):
+        p.add_argument("--terms", type=_count, default=10)
+        p.add_argument("--trace", help="write the event log as JSON lines")
+        p.add_argument("--record", help="also write the compiled record")
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("verify", help="check the accounting identities of a record file")
-    p.add_argument("--record", required=True)
-    p.set_defaults(func=cmd_verify)
+    if p := subcommand("record", "run a scenario and write its compiled record"):
+        p.add_argument("--terms", type=_count, default=10)
+        p.add_argument("--out", required=True)
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.set_defaults(func=cmd_record)
 
-    p = sub.add_parser("fit", parents=[common_scenario],
-                       help="retrace a target record from hidden initial offsets")
-    p.add_argument("--target", required=True)
-    p.add_argument("--budget", type=_positive, default=10_000)
-    p.add_argument("--tol", type=_finite, default=1e-3)
-    p.add_argument("--prefix", type=_positive, default=None,
-                   help="fit only the first K terms of the target")
-    p.add_argument("--starts", type=_positive, default=4)
-    p.add_argument("--out", help="write the fit result JSON to a file")
-    p.add_argument("--strict", action="store_true",
-                   help="exit 1 when the fit does not converge")
-    p.set_defaults(func=cmd_fit)
+    if p := subcommand("verify", "check the accounting identities of a record file", False):
+        p.add_argument("--record", required=True)
+        p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("anticipate", parents=[common_scenario],
-                       help="score candidate futures by shock-replay robustness")
-    p.add_argument("--candidates", type=_positive, default=5)
-    p.add_argument("--replays", type=_positive, default=32)
-    p.add_argument("--horizon", type=_positive, default=8, help="horizon in terms")
-    p.add_argument("--dims", help="comma-separated aggregate names for the phase vector")
-    p.add_argument("--bound", type=_finite, default=0.2,
-                   help="multiplier sampling bound, in [0, 1]")
-    p.add_argument("--shock-scale", type=_finite, default=1.0)
-    p.add_argument("--out", help="write the robustness report JSON to a file")
-    p.add_argument("--trajectory-out", help="write the selected trajectory as CSV")
-    p.set_defaults(func=cmd_anticipate)
+    if p := subcommand("fit", "retrace a target record from hidden initial offsets"):
+        p.add_argument("--target", required=True)
+        p.add_argument("--budget", type=_positive, default=10_000)
+        p.add_argument("--tol", type=_finite, default=1e-3)
+        p.add_argument("--prefix", type=_positive, default=None,
+                       help="fit only the first K terms of the target")
+        p.add_argument("--starts", type=_positive, default=4)
+        p.add_argument("--out", help="write the fit result JSON to a file")
+        p.add_argument("--strict", action="store_true",
+                       help="exit 1 when the fit does not converge")
+        p.set_defaults(func=cmd_fit)
+
+    if p := subcommand("anticipate", "score candidate futures by shock-replay robustness"):
+        p.add_argument("--candidates", type=_positive, default=5)
+        p.add_argument("--replays", type=_positive, default=32)
+        p.add_argument("--horizon", type=_positive, default=8, help="horizon in terms")
+        p.add_argument("--dims", help="comma-separated aggregate names for the phase vector")
+        p.add_argument("--bound", type=_finite, default=0.2,
+                       help="multiplier sampling bound, in [0, 1]")
+        p.add_argument("--shock-scale", type=_finite, default=1.0)
+        p.add_argument("--out", help="write the robustness report JSON to a file")
+        p.add_argument("--trajectory-out", help="write the selected trajectory as CSV")
+        p.set_defaults(func=cmd_anticipate)
     return parser
 
 
 def run_cli(argv: list[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

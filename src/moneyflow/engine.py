@@ -33,7 +33,7 @@ from math import lcm
 from typing import Collection, Iterable, Iterator, Sequence
 
 from . import rng
-from .network import Agent, Channel, Event, NetworkState, _add_piece, _elapsed, accrue, issue
+from .network import _ZERO, Agent, Channel, Event, NetworkState, _add_piece, _elapsed, accrue, issue
 from .scenario import PolicyAction, ShockSpec
 
 _NO_EVENT = float("inf")
@@ -88,8 +88,11 @@ def observed_deficit(state: NetworkState, agent_id: str) -> Fraction | int:
     Its own outgoing rates are current; each incoming rate is the one its
     partner had at their last settlement. Both are weighted by the channel
     multipliers, which are public policy and always current. Exact rational
-    arithmetic in plain integers, returning an int whenever the multipliers
-    cancel; this is the innermost loop of the simulation.
+    arithmetic in plain integers over the channels' multiplier pairs: whole
+    multipliers add to an integer part, the others to one unreduced ratio.
+    It returns an int whenever the multipliers cancel, and otherwise builds
+    the one ``Fraction`` of its result; this is the innermost loop of the
+    simulation.
     """
     channels = state.channels
     whole = 0
@@ -97,25 +100,25 @@ def observed_deficit(state: NetworkState, agent_id: str) -> Fraction | int:
     den = 1
     for cid in state.outgoing[agent_id]:
         ch = channels[cid]
-        m = ch.multiplier
-        if m.denominator == 1:
-            whole += ch.rate * m.numerator
+        d = ch.mult_den
+        if d == 1:
+            whole += ch.rate * ch.mult_num
         else:
-            num = num * m.denominator + ch.rate * m.numerator * den
-            den *= m.denominator
+            num = num * d + ch.rate * ch.mult_num * den
+            den *= d
     for cid in state.incoming[agent_id]:
         ch = channels[cid]
-        m = ch.multiplier
-        if m.denominator == 1:
-            whole -= ch.snap_rate_sink * m.numerator
+        d = ch.mult_den
+        if d == 1:
+            whole -= ch.snap_rate_sink * ch.mult_num
         else:
-            num = num * m.denominator - ch.snap_rate_sink * m.numerator * den
-            den *= m.denominator
+            num = num * d - ch.snap_rate_sink * ch.mult_num * den
+            den *= d
     if num == 0:
         return whole
     if num % den == 0:
         return whole + num // den
-    return whole + Fraction(num, den)
+    return Fraction(whole * den + num, den)
 
 
 def equilibrate(channels: Sequence[Channel], deficit: Fraction | int, gain: Fraction,
@@ -133,17 +136,19 @@ def equilibrate(channels: Sequence[Channel], deficit: Fraction | int, gain: Frac
 
     The demand is held as an unreduced integer ratio num / den and truncated
     toward zero explicitly (it may be negative, where floor division would
-    round away from zero); the residual is the only ``Fraction`` built. A
-    lone channel takes the whole demand, as the apportionment would give it,
-    so it gets the units directly, clamped at its rate: no weights are built.
+    round away from zero). The weights come from the channels' multiplier
+    pairs. A nonzero residual is the only ``Fraction`` built; a zero one is
+    the shared `network._ZERO`. A lone channel takes the whole demand, as
+    the apportionment would give it, so it gets the units directly, clamped
+    at its rate: no weights are built.
     """
-    if gain.numerator < 0:
+    gn, gd = gain.numerator, gain.denominator
+    if gn < 0:
         raise ValueError("gain must be non-negative")
-    gd = gain.denominator
     dd = deficit.denominator
     cd = carry.denominator
     den = gd * dd * cd
-    num = carry.numerator * gd * dd - gain.numerator * deficit.numerator * cd
+    num = carry.numerator * gd * dd - gn * deficit.numerator * cd
     deltas = {ch.id: 0 for ch in channels}
     applied = 0
     units = num // den if num >= 0 else -(-num // den)
@@ -151,15 +156,15 @@ def equilibrate(channels: Sequence[Channel], deficit: Fraction | int, gain: Frac
         ch = channels[0]
         applied = deltas[ch.id] = max(units, -ch.rate)
     elif units and channels:
-        scale = lcm(*(ch.multiplier.denominator for ch in channels))
-        weights = [ch.rate * ch.multiplier.numerator * (scale // ch.multiplier.denominator)
-                   for ch in channels]
+        scale = lcm(*(ch.mult_den for ch in channels))
+        weights = [ch.rate * ch.mult_num * (scale // ch.mult_den) for ch in channels]
         for ch, part in zip(channels, _split(units, weights)):
             if ch.rate + part < 0:
                 part = -ch.rate
             deltas[ch.id] = part
             applied += part
-    return deltas, Fraction(num - applied * den, den)
+    rest = num - applied * den
+    return deltas, Fraction(rest, den) if rest else _ZERO
 
 
 def settle(state: NetworkState, agent_a: str, agent_b: str, time: float) -> NetworkState:
@@ -173,13 +178,17 @@ def settle(state: NetworkState, agent_a: str, agent_b: str, time: float) -> Netw
         if aid not in state.agents:
             raise KeyError(f"unknown agent {aid!r}")
     key = (agent_a, agent_b) if agent_a < agent_b else (agent_b, agent_a)
-    channel_ids = state.pair_channels.get(key)
-    if not channel_ids:
+    if not state.pair_channels.get(key):
         raise ValueError(f"no channel connects {agent_a!r} and {agent_b!r}")
-    amounts = _settle_channels(state, channel_ids, time)
+    _settle_pair(state, key, time)
+    return state
+
+
+def _settle_pair(state: NetworkState, key: tuple[str, str], time: float) -> None:
+    """`settle` of the sorted agent pair `key`, which a channel connects, past its checks."""
+    amounts = _settle_channels(state, state.pair_channels[key], time)
     state.append_event(time, "Settlement", {"a": key[0], "b": key[1], "amounts": amounts,
                                             "observer": False})
-    return state
 
 
 def _settle_channels(state: NetworkState, channel_ids: Sequence[str], time: float) -> list[tuple[str, int]]:
@@ -187,10 +196,10 @@ def _settle_channels(state: NetworkState, channel_ids: Sequence[str], time: floa
 
     Each channel is first accrued up to `time` as `accrue` does, which says
     why that is exact, with the work that is the same for many channels done
-    once per call: `time` is converted when the first channel accrues, the
-    elapsed ratio once per run of equal ``accrued_until`` (after an observer
-    cut, nearly every channel shares the cut's time) and a multiplier's pair
-    once per run of the same object. Then ``accrued_num // accrued_den``
+    once per call: `time` is converted when the first channel accrues and
+    the elapsed ratio once per run of equal ``accrued_until`` (after an
+    observer cut, nearly every channel shares the cut's time). Then
+    ``accrued_num // accrued_den``
     floors, which is truncation toward zero as accrual is never negative;
     the sub-unit remainder stays in the numerator. The amount also goes on
     the channel's and both agents' running tallies.
@@ -198,7 +207,7 @@ def _settle_channels(state: NetworkState, channel_ids: Sequence[str], time: floa
     agents = state.agents
     channels = state.channels
     amounts = []
-    time_num = until_seen = mult_seen = None
+    time_num = until_seen = None
     for cid in channel_ids:
         ch = channels[cid]
         until = ch.accrued_until
@@ -209,11 +218,7 @@ def _settle_channels(state: NetworkState, channel_ids: Sequence[str], time: floa
                         time_num, time_den = time.as_integer_ratio()
                     elapsed, elapsed_den = _elapsed(time_num, time_den, until)
                     until_seen = until
-                m = ch.multiplier
-                if m is not mult_seen:
-                    mult_num, mult_den = m.numerator, m.denominator
-                    mult_seen = m
-                _add_piece(ch, elapsed, elapsed_den, mult_num, mult_den)
+                _add_piece(ch, elapsed, elapsed_den)
             ch.accrued_until = time
         amount = ch.accrued_num // ch.accrued_den
         if amount:
@@ -329,7 +334,8 @@ def update_agent(state: NetworkState, agent_id: str, now: float,
             "residual": residual,
         })
         for partner in sorted(partners):
-            settle(state, agent_id, partner, now)
+            _settle_pair(state, (agent_id, partner) if agent_id < partner else (partner, agent_id),
+                         now)
     n = agent.event_count
     agent.event_count = n + 1
     table = state.wake_times[agent_id] if state.wake_times is not None else ()
@@ -386,12 +392,14 @@ def _residual_moves_a_rate(state: NetworkState, agent: Agent) -> bool:
     rates, which the clamp keeps at 0, so it moves nothing when every
     adjustable channel is already at rate 0.
     """
-    if -1 < agent.pending_correction < 1:
+    residual = agent.pending_correction
+    num = residual.numerator
+    if abs(num) < residual.denominator:
         return False
     channels = [state.channels[cid] for cid in state.adjustable_outgoing[agent.id]]
-    if agent.pending_correction < 0 and not any(ch.rate for ch in channels):
+    if num < 0 and not any(ch.rate for ch in channels):
         return False
-    deltas, _ = equilibrate(channels, 0, agent.gain, agent.pending_correction)
+    deltas, _ = equilibrate(channels, 0, agent.gain, residual)
     return any(deltas.values())
 
 
@@ -569,7 +577,8 @@ def _advance(state: NetworkState, ends: Iterable[float]) -> Iterator[None]:
                 else:
                     update_agent(state, agent_id, agent_t)
             elif (deficit := observed_deficit(state, agent_id)) == 0 and (
-                    agent.pending_correction == 0 or not _residual_moves_a_rate(state, agent)):
+                    not agent.pending_correction.numerator
+                    or not _residual_moves_a_rate(state, agent)):
                 awake.remove(agent_id)
             else:
                 event = update_agent(state, agent_id, agent_t, deficit)

@@ -24,6 +24,10 @@ from .scenario import CENTRAL_BANK, ScenarioError, ScenarioSpec
 # it would not finish a term; the built-in scenarios expect at most 20.
 _MAX_WAKES_PER_TERM = 1e6
 
+# The one zero ``Fraction``: every carried residual of zero (`Agent`,
+# `engine.equilibrate`) and every rate a balance sheet does not hold.
+_ZERO = Fraction(0)
+
 
 @dataclass(slots=True)
 class Agent:
@@ -34,7 +38,7 @@ class Agent:
     gain: Fraction
     continuity_exempt: bool
     mean_wait: float
-    pending_correction: Fraction = Fraction(0)
+    pending_correction: Fraction = _ZERO
     event_count: int = 0
     next_time: float = 0.0
     event_key: int = 0  # pre-mixed rng stream key
@@ -47,7 +51,10 @@ class Channel:
     """Directed flow with the sink's stale snapshot of its true rate.
 
     ``rate`` is the current true flow intention in minor units per term; the
-    effective flow is rate * multiplier. ``snap_rate_sink`` holds the rate as
+    effective flow is rate * multiplier. The multiplier is held as the
+    reduced integer pair ``mult_num / mult_den``, which the engine reads
+    directly; the `multiplier` property gives it as a ``Fraction``, and
+    assigning one to it sets the pair. ``snap_rate_sink`` holds the rate as
     of the last settlement on this channel: between settlements the sink's
     knowledge is deliberately stale (the source always knows its own rate).
 
@@ -62,13 +69,22 @@ class Channel:
     source: str
     sink: str
     rate: int
-    multiplier: Fraction
+    mult_num: int
+    mult_den: int
     adjustable: bool
     snap_rate_sink: int = 0
     accrued_num: int = 0
     accrued_den: int = 1
     accrued_until: float = 0.0
     settled: int = 0  # money moved by settlements since build
+
+    @property
+    def multiplier(self) -> Fraction:
+        return Fraction(self.mult_num, self.mult_den)
+
+    @multiplier.setter
+    def multiplier(self, value: Fraction) -> None:
+        self.mult_num, self.mult_den = value.numerator, value.denominator
 
 
 class Event(NamedTuple):
@@ -122,7 +138,7 @@ class NetworkState:
                       a.pending_correction, a.event_count, a.next_time, a.event_key,
                       a.received, a.paid)
              for k, a in self.agents.items()},
-            {k: Channel(c.id, c.source, c.sink, c.rate, c.multiplier, c.adjustable,
+            {k: Channel(c.id, c.source, c.sink, c.rate, c.mult_num, c.mult_den, c.adjustable,
                         c.snap_rate_sink, c.accrued_num, c.accrued_den, c.accrued_until,
                         c.settled)
              for k, c in self.channels.items()},
@@ -206,7 +222,8 @@ def build_network(spec: ScenarioSpec) -> NetworkState:
             source=c.source,
             sink=c.sink,
             rate=c.rate,
-            multiplier=c.multiplier,
+            mult_num=c.multiplier.numerator,
+            mult_den=c.multiplier.denominator,
             adjustable=c.adjustable,
             snap_rate_sink=c.rate,
         )
@@ -268,8 +285,7 @@ def _elapsed(now_num: int, now_den: int, until: float) -> tuple[int, int]:
     return now_num * (d0 // now_den) - n0, d0
 
 
-def _add_piece(channel: Channel, elapsed: int, elapsed_den: int,
-               mult_num: int, mult_den: int) -> None:
+def _add_piece(channel: Channel, elapsed: int, elapsed_den: int) -> None:
     """Add ``rate * multiplier * elapsed`` to the channel's pot (see `accrue`).
 
     In place, over the larger denominator when one of the pot's and the
@@ -277,8 +293,8 @@ def _add_piece(channel: Channel, elapsed: int, elapsed_den: int,
     an lcm is taken only otherwise (after a ``set_multiplier`` policy with a
     new denominator).
     """
-    piece = channel.rate * mult_num * elapsed
-    piece_den = elapsed_den * mult_den
+    piece = channel.rate * channel.mult_num * elapsed
+    piece_den = elapsed_den * channel.mult_den
     den = channel.accrued_den
     if den == piece_den:
         channel.accrued_num += piece
@@ -302,9 +318,10 @@ def accrue(channel: Channel, now: float) -> None:
     Exact in integers: a float time is a dyadic rational, so
     ``as_integer_ratio()`` gives ``(n, 2**k)`` and the elapsed time is an
     integer over the larger of the two powers of two (`_elapsed`). The piece
-    added is ``rate * multiplier.numerator * elapsed`` over
-    ``multiplier.denominator`` times that power, which is
-    ``rate * multiplier * elapsed`` exactly (`_add_piece`). It is never
+    added is ``rate * mult_num * elapsed`` over ``mult_den`` times that
+    power, read off the channel's multiplier pair with no ``Fraction`` in
+    between, which is ``rate * multiplier * elapsed`` exactly
+    (`_add_piece`). It is never
     negative: rates are >= 0 (validated at build, clamped in `equilibrate`,
     checked in assignments), multipliers are >= 0 (validated at build and
     for policies) and ``now`` is past ``accrued_until``.
@@ -314,8 +331,7 @@ def accrue(channel: Channel, now: float) -> None:
         if channel.rate:
             now_num, now_den = now.as_integer_ratio()
             elapsed, elapsed_den = _elapsed(now_num, now_den, until)
-            m = channel.multiplier
-            _add_piece(channel, elapsed, elapsed_den, m.numerator, m.denominator)
+            _add_piece(channel, elapsed, elapsed_den)
         channel.accrued_until = now
 
 

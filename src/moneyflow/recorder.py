@@ -30,7 +30,7 @@ from typing import Iterator, Mapping, NamedTuple
 
 # `run` is not called here; mfbench's tracer test reads it as `moneyflow.recorder.run`.
 from .engine import _advance, _catch_up, run, settle_all  # noqa: F401
-from .network import NetworkState
+from .network import _ZERO, NetworkState
 from .scenario import ScenarioError, _as_float, _read_utf8, as_fraction, rational_str
 
 
@@ -57,8 +57,8 @@ class BalanceSheet(NamedTuple):
         out: dict[str, int | Fraction] = {
             "notes_outstanding": self.notes_outstanding,
             "government_securities_outstanding": self.securities_outstanding,
-            "discount_rate": self.rates.get("discount_rate", Fraction(0)),
-            "securities_interest_rate": self.rates.get("securities_interest_rate", Fraction(0)),
+            "discount_rate": self.rates.get("discount_rate", _ZERO),
+            "securities_interest_rate": self.rates.get("securities_interest_rate", _ZERO),
         }
         for name, value in self.rates.items():
             if name not in out:
@@ -217,7 +217,7 @@ def _aggregate_items(sheet: BalanceSheet) -> list[tuple[str, str]]:
     rate_names = ["discount_rate", "securities_interest_rate"]
     rate_names += sorted(k for k in sheet.rates if k not in rate_names)
     for name in rate_names:
-        text = rational_str(sheet.rates.get(name, Fraction(0)))
+        text = rational_str(sheet.rates.get(name, _ZERO))
         if "." not in text and "/" not in text:
             text += ".0"  # rates always carry a fractional marker in CSV
         items.append((name, text))

@@ -94,62 +94,133 @@ def retrace(assignment: Assignment, spec: ScenarioSpec, n_terms: int) -> Record:
     return run_record(state, n_terms)
 
 
-def _sheet_figures(sheet: BalanceSheet) -> list[tuple[str, int | Fraction]]:
-    """One sheet's (figure key, value) rows: agent stock/flow totals, then aggregates."""
-    rows: list[tuple[str, int | Fraction]] = []
-    for aid, line in sheet.agents.items():
-        rows.append((f"closing:{aid}", line.closing))
-        rows.append((f"inflow:{aid}", line.inflow))
-        rows.append((f"outflow:{aid}", line.outflow))
-    rows.extend(sheet.aggregates().items())
-    return rows
+def _sheet_row(sheet: BalanceSheet) -> tuple[tuple, list[int | Fraction]]:
+    """One sheet's figure layout and values: agent stock/flow totals, then aggregates.
+
+    The layout, (agent ids, aggregate names), names the values' keys in
+    order (`_layout_keys`); sheets of one run share it.
+    """
+    aggregates = sheet.aggregates()
+    values: list[int | Fraction] = []
+    for line in sheet.agents.values():
+        values += (line.closing, line.inflow, line.outflow)
+    values += aggregates.values()
+    return (tuple(sheet.agents), tuple(aggregates)), values
 
 
-def _figure_values(record: Record) -> dict[str, list[int | Fraction]]:
-    """Time series per figure key: agent stock/flow totals plus all aggregates."""
+def _layout_keys(layout: tuple) -> list[str]:
+    """Figure keys in value order: "closing:ID", "inflow:ID" and "outflow:ID" per agent, then the aggregate names."""
+    agent_ids, aggregate_names = layout
+    return ([f"{kind}:{aid}" for aid in agent_ids for kind in ("closing", "inflow", "outflow")]
+            + list(aggregate_names))
+
+
+def _figure_values(rows: list[tuple[tuple, list[int | Fraction]]]) -> dict[str, list[int | Fraction]]:
+    """Time series per figure key over sheet rows (`_sheet_row`)."""
     series: dict[str, list[int | Fraction]] = {}
-    for sheet in record.sheets:
-        for name, value in _sheet_figures(sheet):
+    for layout, values in rows:
+        for name, value in zip(_layout_keys(layout), values):
             series.setdefault(name, []).append(value)
     return series
 
 
 class _Yardstick:
-    """The target's side of `reproduction_error`: its figure series and scales, built once."""
+    """The target's side of `reproduction_error`: its figure series and scales, built once.
+
+    When every target sheet holds the same figure keys, once each, `keys` is
+    the first sheet's order of them and `rows` holds each term's target
+    values as floats in that order; otherwise both are empty. A simulated
+    sheet whose keys are the target's then pairs positionally: where each
+    key sits in a sheet layout is worked out once per layout (`_order`), so
+    one float row per sheet (`row`) serves a partial sum and the complete
+    error alike. A record with any other sheet takes the keyed path.
+    """
 
     def __init__(self, target: Record):
         self.target = target
-        self.series = _figure_values(target)
+        sheet_rows = [_sheet_row(sheet) for sheet in target.sheets]
+        self.series = _figure_values(sheet_rows)
         self.scales: dict[str, float] = {}  # max(1, max |target value|) per figure
         for name, values in self.series.items():
             try:
                 self.scales[name] = max(1.0, max(abs(float(v)) for v in values))
             except OverflowError:
                 raise RecordError(f"target figure {name!r} exceeds the float range") from None
+        self.orders: dict[tuple, tuple[int, ...] | None] = {}
+        self.keys = _layout_keys(sheet_rows[0][0]) if sheet_rows else []
+        orders = [self._order(layout) for layout, _ in sheet_rows]
+        if orders and None not in orders:
+            self.rows = [_floats(values, order) for (_, values), order in zip(sheet_rows, orders)]
+        else:
+            self.keys, self.rows, self.orders = [], [], {}
+        self.scale_row = [self.scales[name] for name in self.keys]
+        self.columns = list(zip(*self.rows))
+
+    def _order(self, layout: tuple) -> tuple[int, ...] | None:
+        """Each target key's position in `layout`'s values; None unless the
+        layout holds exactly the target's keys, once each."""
+        try:
+            return self.orders[layout]
+        except KeyError:
+            keys = _layout_keys(layout)
+            positions = {name: j for j, name in enumerate(keys)}
+            order = None
+            if len(positions) == len(keys) == len(self.keys) and positions.keys() == set(self.keys):
+                order = tuple(positions[name] for name in self.keys)
+            self.orders[layout] = order
+            return order
+
+    def row(self, sheet: BalanceSheet) -> list[float] | None:
+        """The sheet's figures as floats in the target's key order; None if its keys differ."""
+        layout, values = _sheet_row(sheet)
+        order = self._order(layout)
+        return None if order is None else _floats(values, order)
 
     def error(self, simulated: Record) -> float:
         """`reproduction_error` of `simulated` against the target."""
-        target, tgt_series = self.target, self.series
-        if len(simulated.sheets) != len(target.sheets):
+        if len(simulated.sheets) != len(self.target.sheets):
             raise RecordError(
-                f"term count mismatch: simulated has {len(simulated.sheets)}, target has {len(target.sheets)}"
+                f"term count mismatch: simulated has {len(simulated.sheets)}, "
+                f"target has {len(self.target.sheets)}"
             )
-        sim_series = _figure_values(simulated)
-        if set(sim_series) != set(tgt_series):
-            missing = set(tgt_series) ^ set(sim_series)
+        return self.complete(simulated.sheets, [])
+
+    def complete(self, sheets: Sequence[BalanceSheet], rows: list[list[float]]) -> float:
+        """The error of as many sheets as the target has, of which the first
+        ``len(rows)`` are already read as `row`s.
+
+        Positionally when every sheet pairs so, and otherwise by key: the
+        same figure-major sum in the target's key order either way.
+        """
+        if self.rows:
+            rest = [_sheet_row(sheet) for sheet in sheets[len(rows):]]
+            orders = [self._order(layout) for layout, _ in rest]
+            if None not in orders:
+                rows += [_floats(values, order) for (_, values), order in zip(rest, orders)]
+                return _rms(zip(self.scale_row, zip(*rows), self.columns))
+        sim_series = _figure_values([_sheet_row(sheet) for sheet in sheets])
+        if set(sim_series) != set(self.series):
+            missing = set(self.series) ^ set(sim_series)
             raise RecordError(f"figure sets differ: {sorted(missing)}")
-        if not tgt_series:
+        if not self.series:
             return 0.0
-        total = 0.0
-        count = 0
-        for name, tgt in tgt_series.items():
-            sim = sim_series[name]
-            scale = self.scales[name]
-            for s, t in zip(sim, tgt):
-                diff = (float(s) - float(t)) / scale
-                total += diff ** 2
-                count += 1
-        return sqrt(total / count)
+        return _rms((self.scales[name], sim_series[name], tgt) for name, tgt in self.series.items())
+
+
+def _floats(values: list[int | Fraction], order: tuple[int, ...]) -> list[float]:
+    return list(map(float, map(values.__getitem__, order)))
+
+
+def _rms(columns) -> float:
+    """Root mean square of the scaled differences over (scale, simulated, target) columns."""
+    total = 0.0
+    count = 0
+    for scale, sims, tgts in columns:
+        for s, t in zip(sims, tgts):
+            diff = (float(s) - float(t)) / scale
+            total += diff ** 2
+            count += 1
+    return sqrt(total / count)
 
 
 def reproduction_error(simulated: Record, target: Record) -> float:
@@ -219,7 +290,8 @@ class _Objective:
     the two is returned and cached as a floor. The pattern and polish phases
     only ask whether a candidate beats the incumbent, which such a vector
     cannot, so they take the same path. A vector that runs all its terms gets
-    the reference value through the same `_Yardstick.error`, bit for bit.
+    the reference value from the same rows (`_Yardstick.complete`), bit for
+    bit.
 
     A replay whose figures, or their squared differences from the target,
     pass the float range scores inf, which no vector can be worse than.
@@ -244,28 +316,11 @@ class _Objective:
         self.floors: dict[tuple[int, ...], float] = {}
         self.evaluations = 0
         self.early_exits = 0
-        layouts = [_sheet_figures(sheet) for sheet in target.sheets]
-        self.keys = dict(layouts[0]).keys()
-        self.rows = self._term_rows(layouts, spec)
-        self.count = len(self.rows[0]) * n_terms if self.rows else 0
-
-    def _term_rows(self, layouts: list[list[tuple[str, int | Fraction]]],
-                   spec: ScenarioSpec) -> list[list[tuple[str, float, float]]]:
-        """Per target term, (key, scale, value) of each figure.
-
-        Empty when the figure layout rules out the early exit.
-        """
-        tables = [dict(figures) for figures in layouts]
-        if not all(self._regular(figures, values) for figures, values in zip(layouts, tables)):
-            return []
-        if any(a.kind == "set_rate" and a.target not in spec.rates for a in spec.policy):
-            return []
-        scales = self.yardstick.scales
-        return [[(name, scales[name], float(values[name])) for name in self.keys] for values in tables]
-
-    def _regular(self, figures: list, values: dict) -> bool:
-        """A sheet holds each figure key once, and exactly the target's keys."""
-        return len(values) == len(figures) and values.keys() == self.keys
+        # The early exit needs a target whose figures pair positionally, and
+        # no set_rate on a rate the scenario does not declare (it adds a key mid-run).
+        undeclared = any(a.kind == "set_rate" and a.target not in spec.rates for a in spec.policy)
+        self.rows = [] if undeclared else self.yardstick.rows
+        self.count = len(self.yardstick.keys) * n_terms
 
     def valid(self, vector: tuple[int, ...]) -> bool:
         return all(offset >= -capacity for offset, capacity in zip(vector, self.capacities))
@@ -304,26 +359,28 @@ class _Objective:
                 for cid, part in moves:
                     state.channels[cid].rate += part
         terms = record_terms(state)
+        yardstick = self.yardstick
         limit = bound * bound * self.count * (1 + _MARGIN) if self.rows else inf
         partial = 0.0
-        sheets = []
-        for rows in self.rows if limit < inf else ():
+        sheets: list[BalanceSheet] = []
+        rows: list[list[float]] = []
+        for target_row in self.rows if limit < inf else ():
             if len(sheets) == self.n_terms - 1:
                 break  # the last term completes the record: compute it exactly
             sheet = next(terms)
             sheets.append(sheet)
-            figures = _sheet_figures(sheet)
-            values = dict(figures)
-            if not self._regular(figures, values):
-                break  # the reference pairs this replay otherwise, or rejects it
-            for name, scale, t in rows:
-                diff = (float(values[name]) - t) / scale
+            row = yardstick.row(sheet)
+            if row is None:
+                break  # the reference pairs this replay by key, or rejects it
+            rows.append(row)
+            for s, t, scale in zip(row, target_row, yardstick.scale_row):
+                diff = (s - t) / scale
                 partial += diff ** 2
             if partial > limit:
                 return max(bound, sqrt(partial / self.count) * (1 - _MARGIN)), False
         while len(sheets) < self.n_terms:
             sheets.append(next(terms))
-        return self.yardstick.error(Record(tuple(sheets))), True
+        return yardstick.complete(sheets, rows), True
 
 
 def _search_directions(dims: int) -> list[tuple[int, ...]]:

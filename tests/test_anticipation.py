@@ -13,9 +13,7 @@ from hypothesis import strategies as st
 from moneyflow import (
     AnticipateConfig,
     Assignment,
-    CandidateScore,
     ReplayConfig,
-    RobustnessReport,
     SamplerConfig,
     anticipate,
     build_network,
@@ -25,7 +23,6 @@ from moneyflow import (
     robustness_score,
     run_record,
     score_candidates,
-    select_most_robust,
     simulate_candidate,
     three_agent_cycle,
     two_agent_kernel,
@@ -662,27 +659,36 @@ class TestRejoinKey:
 
 
 class TestSelect:
-    def report(self, *scores):
-        entries = tuple(
-            CandidateScore(i, 1.0 / s - 1.0 if s else 0.0, s, ()) for i, s in enumerate(scores)
-        )
-        return RobustnessReport(entries, selected=-1, dims=("x",))
+    """The report selects the highest score, ties going to the lowest id."""
 
-    def test_tie_breaks_to_lowest_index(self):
-        assert select_most_robust(self.report(0.2, 0.9, 0.9)) == 1
+    def report(self, monkeypatch, *scores):
+        """`score_candidates` of candidates whose one replay each scores as given."""
+        dims = ("a_stock",)  # a stock dim runs every replay with a nonzero shock
+        spec = replace(three_agent_cycle(), figures=(FigureSpec("a_stock", stock="A"),))
+        candidates = [simulate_candidate(spec, i, 2, dims) for i in range(len(scores))]
+        divergences = iter(1.0 / s - 1.0 for s in scores)
+        monkeypatch.setattr(anticipation, "sample_shock_sequence",
+                            lambda pool, spec, config, m, n_terms: [ShockSpec(0.5, "ab", 40)])
+        monkeypatch.setattr(anticipation, "_run_replay", lambda *args: next(divergences))
+        report = score_candidates(candidates, spec, ReplayConfig(replays=1), dims)
+        assert [s.score for s in report.scores] == pytest.approx(scores)
+        return report
 
-    def test_single_candidate(self):
-        assert select_most_robust(self.report(0.4)) == 0
+    def test_tie_breaks_to_lowest_index(self, monkeypatch):
+        assert self.report(monkeypatch, 0.2, 0.9, 0.9).selected == 1
 
-    def test_argmax_invariant_under_monotone_transform(self):
+    def test_single_candidate(self, monkeypatch):
+        assert self.report(monkeypatch, 0.4).selected == 0
+
+    def test_argmax_invariant_under_monotone_transform(self, monkeypatch):
         scores = (0.3, 0.8, 0.5)
         squared = tuple(s * s for s in scores)
-        assert select_most_robust(self.report(*scores)) == \
-               select_most_robust(self.report(*squared))
+        assert self.report(monkeypatch, *scores).selected == \
+               self.report(monkeypatch, *squared).selected
 
     def test_empty_report_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            select_most_robust(RobustnessReport((), selected=-1, dims=()))
+            score_candidates([], three_agent_cycle(), ReplayConfig())
 
 
 class TestAnticipatePipeline:

@@ -321,7 +321,47 @@ class TestAnticipate:
         assert capsys.readouterr().err == MOVED + "0: 2/4, 1: 2/4\n"
 
 
+def parse_outcome(parser, argv):
+    """Exit code, stdout and stderr of one `parse_args` that exits."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exited:
+            parser.parse_args(argv)
+    return exited.value.code, out.getvalue(), err.getvalue()
+
+
+# Per subcommand: its --help, then a missing required option, an unknown
+# option and a bad value, each against otherwise valid arguments.
+PARSER_CASES = {
+    "simulate": [["--help"], [], ["--scenario", "x", "--bogus"],
+                 ["--scenario", "x", "--terms", "-1"]],
+    "record": [["--help"], ["--scenario", "x"], ["--scenario", "x", "--out", "o", "--bogus"],
+               ["--scenario", "x", "--out", "o", "--format", "xml"]],
+    "verify": [["--help"], [], ["--record", "r", "--bogus"], ["--record"]],
+    "fit": [["--help"], ["--scenario", "x"], ["--scenario", "x", "--target", "t", "--bogus"],
+            ["--scenario", "x", "--target", "t", "--budget", "0"]],
+    "anticipate": [["--help"], ["--horizon", "2"], ["--scenario", "x", "--bogus"],
+                   ["--scenario", "x", "--shock-scale", "nan"]],
+}
+
+
 class TestUsageErrors:
+    @pytest.mark.parametrize("command", list(PARSER_CASES))
+    def test_one_subcommand_parser_reads_as_the_full_one(self, command, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        for argv in ([command, *rest] for rest in PARSER_CASES[command]):
+            full = parse_outcome(cli.build_parser(), argv)
+            assert parse_outcome(cli.build_parser(command), argv) == full
+            assert full[0] == (0 if "--help" in argv else 2) and (full[1] or full[2])
+
+    @pytest.mark.parametrize("argv", [[], ["-h"], ["bogus"], ["--scenario", "x", "simulate"]])
+    def test_top_level_help_and_errors_list_every_subcommand(self, argv, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        full = parse_outcome(cli.build_parser(), argv)
+        assert all(parse_outcome(cli.build_parser(command), argv) == full
+                   for command in PARSER_CASES)
+        assert all(command in full[1] + full[2] for command in PARSER_CASES)
+
     def test_unknown_flag_exits_two(self, capsys):
         code, _ = invoke("simulate", "--scenario", "national-5", "--frobnicate")
         assert code == 2
@@ -719,10 +759,13 @@ class TestDeterminism:
 def cli_cases(draw):
     """A scenario document at the edges, and the options to run it with.
 
-    Term lengths, mean waits and schedule times reach the float extremes;
-    issuance may retire notes that are not outstanding; there may be no
-    channel; a reference may dangle and an id may be one a record cannot
-    hold; figures watch channels and stocks, and `--dims` names them.
+    Term lengths, mean waits, schedule times and channel rates reach the
+    float extremes; issuance may retire notes that are not outstanding;
+    securities are issued and retired; policies set multipliers and rates,
+    declared or new, and a rate may take a name the record already uses;
+    there may be no channel; a reference may dangle and an id may be one a
+    record cannot hold; figures watch channels and stocks, and `--dims`
+    names them, stocks most often.
     """
     term_length = draw(st.sampled_from([1.0, 1.0, 0.75, 5e-324, 1e308]))
     ids = ["CB", *draw(st.lists(st.sampled_from("ABC"), min_size=1, max_size=3, unique=True))]
@@ -737,7 +780,7 @@ def cli_cases(draw):
     for i in range(draw(st.integers(0, 3))):
         source, sink = draw(st.lists(refs, min_size=2, max_size=2, unique=True))
         channels.append({"id": f"c{i}", "source": source, "sink": sink,
-                         "rate": draw(st.sampled_from([0, 5, 40, 300] * 2 + [-2])),
+                         "rate": draw(st.sampled_from([0, 5, 40, 300] * 2 + [-2, 10**320])),
                          "multiplier": draw(st.sampled_from(["1"] * 4 + ["1/2", "3/2", "0", "-1"])),
                          "adjustable": draw(st.sampled_from([True, True, False]))})
     channel_refs = st.sampled_from([c["id"] for c in channels] * 6 + ["c9"])
@@ -755,13 +798,21 @@ def cli_cases(draw):
         "issuance_schedule": draw(st.lists(st.tuples(times, st.integers(-60, 60)), max_size=2)),
         "shock_schedule": [{"time": draw(times), "channel": draw(channel_refs),
                             "amount": draw(st.integers(-60, 60))} for _ in range(draw(some))],
+        "securities_schedule": draw(st.lists(st.tuples(times, st.integers(-60, 60)), max_size=2)),
         "policy_schedule": [{"time": draw(times), "action": "set_multiplier",
                              "target": draw(channel_refs),
                              "value": draw(st.sampled_from(["2", "1/2"]))}
                             for _ in range(draw(some) // 2)],
         "figures": figures,
     }
-    names = [f["name"] for f in figures] + ["notes_outstanding", "nope"]
+    for _ in range(draw(st.integers(0, 2))):
+        doc["policy_schedule"].append({
+            "time": draw(times), "action": "set_rate",
+            "target": draw(st.sampled_from(["discount_rate", "discount_rate", "new_rate",
+                                            "new_rate", "notes_outstanding", "flow0"])),
+            "value": draw(st.sampled_from(["1/10", "3/100", "0", "-1/2"]))})
+    stocks = [f["name"] for f in figures if "stock" in f]
+    names = [f["name"] for f in figures] + stocks * 2 + ["notes_outstanding", "nope"]
     return doc, {
         "terms": draw(st.sampled_from([1, 2, 1, 2, 0])),
         "format": draw(st.sampled_from(["csv", "json"])),

@@ -61,7 +61,7 @@ ONE = Fraction(1)
 
 def entry(cid, rate, mult=ONE, adjustable=True):
     """A channel from X to Y; as an incoming channel its `rate` stands for the snapshot."""
-    return Channel(cid, "X", "Y", rate, mult, adjustable)
+    return Channel(cid, "X", "Y", rate, mult.numerator, mult.denominator, adjustable)
 
 
 def naive_deficit(outgoing, incoming):
@@ -442,15 +442,21 @@ class TestResidualPreCheck:
             assert not _residual_moves_a_rate(state, state.agents["A"])
 
 
-def fraction_calls(fn, *args, **kwargs):
-    """Names of the `fractions` functions `fn` enters, numerator and denominator reads excepted."""
+def fraction_calls(fn, *args, counted=(), **kwargs):
+    """Names of the `fractions` functions `fn` enters, numerator and denominator
+    reads excepted unless they read a value in `counted`."""
     calls = []
+    pairs = [(v.numerator, v.denominator) for v in counted]
 
     def hook(frame, event, arg):
         code = frame.f_code
-        if (event == "call" and code.co_filename == fractions.__file__
-                and code.co_name not in ("numerator", "denominator")):
-            calls.append(code.co_name)
+        if event != "call" or code.co_filename != fractions.__file__:
+            return
+        if code.co_name in ("numerator", "denominator"):
+            read = frame.f_locals["a"]  # the property's instance, read without entering it
+            if (read._numerator, read._denominator) not in pairs:
+                return
+        calls.append(code.co_name)
 
     sys.setprofile(hook)
     try:
@@ -478,11 +484,37 @@ class TestFractionFreeHotPath:
     def test_apportion(self):
         assert fraction_calls(apportion, 17, [Fraction(1, 3), 2, Fraction(5, 7)]) == []
 
+    def test_active_update_builds_only_the_residual(self):
+        # A observes 70 * 3/10 - 14 * 2/7 = 17 and corrects by 5/2 of it; the
+        # 2/7 comes from a policy mid-run. Its settlement with B then accrues
+        # both channels at their multipliers.
+        spec = ScenarioSpec(
+            name="m",
+            agents=(AgentSpec("CB", "CentralBank"),
+                    AgentSpec("A", "Custom:x", gain=Fraction(5, 2), mean_wait=1e6),
+                    AgentSpec("B", "Custom:x", mean_wait=1e6)),
+            channels=(ChannelSpec("ab", "A", "B", 70, multiplier=Fraction(3, 10), adjustable=True),
+                      ChannelSpec("ba", "B", "A", 14)),
+            policy=(PolicyAction(0.125, "set_multiplier", "ba", Fraction(2, 7)),),
+        )
+        state, _ = run(build_network(spec), 0.25)
+        assert [ev.kind for ev in state.log] == ["Policy"]
+        multipliers = (Fraction(3, 10), Fraction(2, 7))
+        assert fraction_calls(update_agent, state, "A", 0.5, counted=multipliers) == ["__new__"]
+        update, settlement = state.log[-2:]
+        assert update.payload["deficit"] == 17 and update.payload["deltas"] == {"ab": -42}
+        assert update.payload["residual"] == Fraction(-1, 2)
+        assert settlement.payload["amounts"] == [("ab", 10), ("ba", 3)]  # 10.5 and 1.75 + 1.5
+
     def test_equilibrate_builds_only_the_residual(self):
         outgoing = [entry("x", 10, Fraction(3, 10)), entry("y", 4)]
         deficit = naive_deficit(outgoing, [entry("in", 3, Fraction(1, 3))])
         calls = fraction_calls(equilibrate, outgoing, deficit, Fraction(5, 2), Fraction(-1, 3))
         assert [c for c in calls if c != "__eq__"] == ["__new__"]
+        # A whole demand fully applied leaves the shared zero: nothing is built.
+        deltas, residual = equilibrate(outgoing, 1, Fraction(2))
+        assert sum(deltas.values()) == -2 and residual == 0
+        assert fraction_calls(equilibrate, outgoing, 1, Fraction(2)) == []
 
 
 class TestSettle:

@@ -21,7 +21,7 @@ from moneyflow import (
     three_agent_cycle,
 )
 from moneyflow import retrieval, rng
-from moneyflow.recorder import BalanceSheet, Record
+from moneyflow.recorder import BalanceSheet, Record, record_from_csv, record_to_csv
 from moneyflow.retrieval import apply_assignment
 from moneyflow.scenario import ChannelSpec, ScenarioError
 
@@ -250,6 +250,69 @@ def reference(spec, target, vector):
     offsets = dict(zip(("A", "B", "C"), vector))
     return reproduction_error(retrace(Assignment(offsets=offsets), spec, len(target.sheets)),
                               target)
+
+
+def keyed_error(simulated, target):
+    """`reproduction_error` written out: each figure paired by key, summed figure-major."""
+    def series(record):
+        out = {}
+        for sheet in record.sheets:
+            figures = [(f"{kind}:{aid}", getattr(line, kind)) for aid, line in sheet.agents.items()
+                       for kind in ("closing", "inflow", "outflow")]
+            for name, value in figures + list(sheet.aggregates().items()):
+                out.setdefault(name, []).append(value)
+        return out
+
+    sim, tgt = series(simulated), series(target)
+    assert set(sim) == set(tgt)
+    total, count = 0.0, 0
+    for name, values in tgt.items():
+        scale = max(1.0, max(abs(float(v)) for v in values))
+        for s, t in zip(sim[name], values):
+            total += ((float(s) - float(t)) / scale) ** 2
+            count += 1
+    return sqrt(total / count)
+
+
+def agents_reversed(record):
+    """The record read back from a CSV that lists each term's agents in reverse order."""
+    lines = record_to_csv(record).splitlines(keepends=True)
+    agent_rows = [i for i, line in enumerate(lines) if ",agent," in line]
+    for term in range(len(record.sheets)):
+        rows = [i for i in agent_rows if lines[i].startswith(f"{term},")]
+        for i, line in zip(rows, [lines[i] for i in reversed(rows)]):
+            lines[i] = line
+    return record_from_csv("".join(lines))
+
+
+class TestObjectiveMatchesTheReference:
+    """Every complete evaluation equals `reproduction_error` of the vector's
+    retrace, and the keyed formula, bit for bit."""
+
+    GRID = [(7 + a, -4 + b, 2 + c) for a, b, c in product((-9, -1, 0, 2), (-1, 0, 3), (0, 5))]
+
+    @pytest.mark.parametrize("reorder", [False, True], ids=["regular", "agents-reordered"])
+    def test_over_a_grid(self, reorder):
+        spec = three_agent_cycle().with_seed(104)
+        target = retrace(HIDDEN, spec, 3)
+        if reorder:
+            target = agents_reversed(target)
+            assert list(target.sheets[0].agents) == ["C", "B", "A", "CB"]
+        objective, bounded = bounded_objective(spec, target), bounded_objective(spec, target)
+        assert objective.rows
+        for vector in self.GRID:
+            simulated = retrace(Assignment(offsets=dict(zip("ABC", vector))), spec, 3)
+            expected = reproduction_error(simulated, target)
+            assert expected == keyed_error(simulated, target)
+            assert objective(vector) == expected
+            assert expected / 3 <= bounded(vector, expected / 3) <= expected
+        assert 0 < bounded.early_exits < len(self.GRID)
+        # Every replay has one layout, paired with the target's through one
+        # position map: the identity unless the target lists agents otherwise.
+        orders = objective.yardstick.orders
+        order = orders[retrieval._sheet_row(simulated.sheets[0])[0]]
+        assert (order == tuple(range(len(order)))) != reorder
+        assert len(orders) == 1 + reorder
 
 
 class TestBoundedObjective:
