@@ -115,73 +115,63 @@ def _layout_keys(layout: tuple) -> list[str]:
             + list(aggregate_names))
 
 
-def _figure_values(rows: list[tuple[tuple, list[int | Fraction]]]) -> dict[str, list[int | Fraction]]:
-    """Time series per figure key over sheet rows (`_sheet_row`)."""
-    series: dict[str, list[int | Fraction]] = {}
-    for layout, values in rows:
-        for name, value in zip(_layout_keys(layout), values):
-            series.setdefault(name, []).append(value)
-    return series
-
-
 class _Yardstick:
-    """The target's side of `reproduction_error`: its figure series and scales, built once.
+    """The target's side of `reproduction_error`: its figure rows and scales, built once.
 
-    When every target sheet holds the same figure keys, once each, `keys` is
-    the first sheet's order of them and `rows` holds each term's target
-    values as floats in that order; otherwise both are empty. A simulated
-    sheet whose keys are the target's then pairs positionally: where each
-    key sits in a sheet layout is worked out once per layout (`_order`), so
-    one float row per sheet (`row`) serves a partial sum and the complete
-    error alike. A record with any other sheet takes the keyed path.
+    Term t's target sheet holds the keys `wanted[t]`, listed in the order in
+    which the target's keys first appear; `rows[t]` and `scale_rows[t]` are
+    their values as floats and their scales. `cells` lists every (term,
+    position) pair with its target value and scale, figure-major: the order
+    of the sum in `complete`. A simulated sheet pairs with term t through the
+    position map of its layout in `orders[t]` (`row`). Terms of equal
+    `wanted` share one such dict, so each map is worked out once per
+    (layout, wanted), and one float row per sheet serves a partial sum and
+    the complete error alike.
     """
 
     def __init__(self, target: Record):
-        self.target = target
-        sheet_rows = [_sheet_row(sheet) for sheet in target.sheets]
-        self.series = _figure_values(sheet_rows)
-        self.scales: dict[str, float] = {}  # max(1, max |target value|) per figure
-        for name, values in self.series.items():
+        figures = [dict(zip(_layout_keys(layout), values))
+                   for layout, values in map(_sheet_row, target.sheets)]
+        keys = list(dict.fromkeys(key for sheet in figures for key in sheet))
+        scales: dict[str, float] = {}  # max(1, max |target value|) per figure
+        for key in keys:
             try:
-                self.scales[name] = max(1.0, max(abs(float(v)) for v in values))
+                scales[key] = max(1.0, max(abs(float(sheet[key]))
+                                           for sheet in figures if key in sheet))
             except OverflowError:
-                raise RecordError(f"target figure {name!r} exceeds the float range") from None
-        self.orders: dict[tuple, tuple[int, ...] | None] = {}
-        self.keys = _layout_keys(sheet_rows[0][0]) if sheet_rows else []
-        orders = [self._order(layout) for layout, _ in sheet_rows]
-        if orders and None not in orders:
-            self.rows = [_floats(values, order) for (_, values), order in zip(sheet_rows, orders)]
-        else:
-            self.keys, self.rows, self.orders = [], [], {}
-        self.scale_row = [self.scales[name] for name in self.keys]
-        self.columns = list(zip(*self.rows))
+                raise RecordError(f"target figure {key!r} exceeds the float range") from None
+        self.wanted = [tuple(key for key in keys if key in sheet) for sheet in figures]
+        maps: dict[tuple, dict[tuple, tuple[int, ...]]] = {}
+        self.orders = [maps.setdefault(wanted, {}) for wanted in self.wanted]
+        self.rows = [self.row(sheet, t) for t, sheet in enumerate(target.sheets)]
+        self.scale_rows = [[scales[key] for key in wanted] for wanted in self.wanted]
+        positions = [{key: j for j, key in enumerate(wanted)} for wanted in self.wanted]
+        self.cells = [(t, at[key], self.rows[t][at[key]], scales[key])
+                      for key in keys for t, at in enumerate(positions) if key in at]
 
-    def _order(self, layout: tuple) -> tuple[int, ...] | None:
-        """Each target key's position in `layout`'s values; None unless the
-        layout holds exactly the target's keys, once each."""
-        try:
-            return self.orders[layout]
-        except KeyError:
-            keys = _layout_keys(layout)
-            positions = {name: j for j, name in enumerate(keys)}
-            order = None
-            if len(positions) == len(keys) == len(self.keys) and positions.keys() == set(self.keys):
-                order = tuple(positions[name] for name in self.keys)
-            self.orders[layout] = order
-            return order
+    def row(self, sheet: BalanceSheet, term: int) -> list[float]:
+        """The sheet's figures as floats in `wanted[term]` order.
 
-    def row(self, sheet: BalanceSheet) -> list[float] | None:
-        """The sheet's figures as floats in the target's key order; None if its keys differ."""
+        Raises RecordError unless the sheet holds exactly those keys, once each.
+        """
         layout, values = _sheet_row(sheet)
-        order = self._order(layout)
-        return None if order is None else _floats(values, order)
+        orders = self.orders[term]
+        order = orders.get(layout)
+        if order is None:
+            keys, wanted = _layout_keys(layout), self.wanted[term]
+            if sorted(keys) != sorted(wanted):
+                differ = sorted(k for k in {*keys, *wanted} if keys.count(k) != wanted.count(k))
+                raise RecordError(f"term {term}: figure sets differ: {differ}")
+            positions = {name: j for j, name in enumerate(keys)}
+            order = orders[layout] = tuple(positions[name] for name in wanted)
+        return list(map(float, map(values.__getitem__, order)))
 
     def error(self, simulated: Record) -> float:
         """`reproduction_error` of `simulated` against the target."""
-        if len(simulated.sheets) != len(self.target.sheets):
+        if len(simulated.sheets) != len(self.rows):
             raise RecordError(
                 f"term count mismatch: simulated has {len(simulated.sheets)}, "
-                f"target has {len(self.target.sheets)}"
+                f"target has {len(self.rows)}"
             )
         return self.complete(simulated.sheets, [])
 
@@ -189,38 +179,14 @@ class _Yardstick:
         """The error of as many sheets as the target has, of which the first
         ``len(rows)`` are already read as `row`s.
 
-        Positionally when every sheet pairs so, and otherwise by key: the
-        same figure-major sum in the target's key order either way.
+        The root mean square of the scaled differences over `cells`.
         """
-        if self.rows:
-            rest = [_sheet_row(sheet) for sheet in sheets[len(rows):]]
-            orders = [self._order(layout) for layout, _ in rest]
-            if None not in orders:
-                rows += [_floats(values, order) for (_, values), order in zip(rest, orders)]
-                return _rms(zip(self.scale_row, zip(*rows), self.columns))
-        sim_series = _figure_values([_sheet_row(sheet) for sheet in sheets])
-        if set(sim_series) != set(self.series):
-            missing = set(self.series) ^ set(sim_series)
-            raise RecordError(f"figure sets differ: {sorted(missing)}")
-        if not self.series:
-            return 0.0
-        return _rms((self.scales[name], sim_series[name], tgt) for name, tgt in self.series.items())
-
-
-def _floats(values: list[int | Fraction], order: tuple[int, ...]) -> list[float]:
-    return list(map(float, map(values.__getitem__, order)))
-
-
-def _rms(columns) -> float:
-    """Root mean square of the scaled differences over (scale, simulated, target) columns."""
-    total = 0.0
-    count = 0
-    for scale, sims, tgts in columns:
-        for s, t in zip(sims, tgts):
-            diff = (float(s) - float(t)) / scale
+        rows += [self.row(sheet, t) for t, sheet in enumerate(sheets[len(rows):], len(rows))]
+        total = 0.0
+        for t, j, target, scale in self.cells:
+            diff = (rows[t][j] - target) / scale
             total += diff ** 2
-            count += 1
-    return sqrt(total / count)
+        return sqrt(total / len(self.cells)) if self.cells else 0.0
 
 
 def reproduction_error(simulated: Record, target: Record) -> float:
@@ -229,9 +195,10 @@ def reproduction_error(simulated: Record, target: Record) -> float:
     Each figure is scaled by max(1, max |target value|) so heterogeneous
     magnitudes compare fairly; the error is the root mean square of the
     scaled differences over all (term, figure) pairs, every figure counting
-    alike. Figure keys are the aggregate names plus per-agent series named
-    "closing:ID", "inflow:ID", and "outflow:ID"; records whose keys differ
-    are rejected.
+    alike. Figure keys are the aggregate names plus per-agent keys named
+    "closing:ID", "inflow:ID", and "outflow:ID". Keys are compared term by
+    term: each simulated sheet must hold exactly the keys of the target's
+    sheet of the same term, once each, or the records are rejected.
     """
     return _Yardstick(target).error(simulated)
 
@@ -281,32 +248,30 @@ class _Objective:
     sheet exists; once the partial sum exceeds bound**2 * count * (1 + margin)
     it stops and returns a value at or above `bound`.
 
-    Exactness: the reference error is sqrt(S / count), where S adds the same
-    per-(term, figure) squares in figure-major order. Every square is
-    non-negative, so the partial sum over the terms replayed so far is at most
-    the exact S; the two float sums differ from their exact values by far less
-    than the margin. Hence a stopped vector's reference error is at least
-    `bound` and at least sqrt(partial / count) * (1 - margin), and the larger of
-    the two is returned and cached as a floor. The pattern and polish phases
-    only ask whether a candidate beats the incumbent, which such a vector
-    cannot, so they take the same path. A vector that runs all its terms gets
-    the reference value from the same rows (`_Yardstick.complete`), bit for
-    bit.
+    Exactness: the reference error is sqrt(S / count), where count is the
+    number of the target's (term, figure) cells and S adds their squares in
+    figure-major order. Each term's squares are cells of S, since keys are
+    compared term by term, and every square is non-negative, so the partial
+    sum over the terms replayed so far is at most the exact S; the two float
+    sums differ from their exact values by far less than the margin. Hence a
+    stopped vector's reference error is at least `bound` and at least
+    sqrt(partial / count) * (1 - margin), and the larger of the two is
+    returned and cached as a floor. The pattern and polish phases only ask
+    whether a candidate beats the incumbent, which such a vector cannot, so
+    they take the same path. A vector that runs all its terms gets the
+    reference value from the same rows (`_Yardstick.complete`), bit for bit.
 
     A replay whose figures, or their squared differences from the target,
-    pass the float range scores inf, which no vector can be worse than.
+    pass the float range scores inf, which no vector can be worse than. One
+    whose sheet holds other keys than the target's of the same term raises
+    RecordError (`_Yardstick.row`).
 
     Each new vector counts as one evaluation, stopped or not. A floor queried
-    with a higher bound is replayed in full and not counted again. The early
-    exit needs every sheet to hold the same figure keys, once each, in target
-    and replay alike (a `set_rate` on a rate the scenario does not declare adds
-    a key mid-run); otherwise every call replays in full.
+    with a higher bound is replayed in full and not counted again.
     """
 
-    def __init__(self, target: Record, spec: ScenarioSpec, agent_ids: Sequence[str],
-                 n_terms: int, base_state: NetworkState):
+    def __init__(self, target: Record, agent_ids: Sequence[str], base_state: NetworkState):
         self.agent_ids = agent_ids
-        self.n_terms = n_terms
         self.base_state = base_state
         self.capacities = [sum(base_state.channels[cid].rate for cid in base_state.adjustable_outgoing[aid])
                            for aid in agent_ids]
@@ -316,11 +281,6 @@ class _Objective:
         self.floors: dict[tuple[int, ...], float] = {}
         self.evaluations = 0
         self.early_exits = 0
-        # The early exit needs a target whose figures pair positionally, and
-        # no set_rate on a rate the scenario does not declare (it adds a key mid-run).
-        undeclared = any(a.kind == "set_rate" and a.target not in spec.rates for a in spec.policy)
-        self.rows = [] if undeclared else self.yardstick.rows
-        self.count = len(self.yardstick.keys) * n_terms
 
     def valid(self, vector: tuple[int, ...]) -> bool:
         return all(offset >= -capacity for offset, capacity in zip(vector, self.capacities))
@@ -360,25 +320,22 @@ class _Objective:
                     state.channels[cid].rate += part
         terms = record_terms(state)
         yardstick = self.yardstick
-        limit = bound * bound * self.count * (1 + _MARGIN) if self.rows else inf
+        count = len(yardstick.cells)
+        limit = bound * bound * count * (1 + _MARGIN)
         partial = 0.0
         sheets: list[BalanceSheet] = []
         rows: list[list[float]] = []
-        for target_row in self.rows if limit < inf else ():
-            if len(sheets) == self.n_terms - 1:
-                break  # the last term completes the record: compute it exactly
-            sheet = next(terms)
-            sheets.append(sheet)
-            row = yardstick.row(sheet)
-            if row is None:
-                break  # the reference pairs this replay by key, or rejects it
+        # The last term completes the record: it is computed exactly.
+        for t in range(len(yardstick.rows) - 1) if limit < inf else ():
+            sheets.append(next(terms))
+            row = yardstick.row(sheets[-1], t)
             rows.append(row)
-            for s, t, scale in zip(row, target_row, yardstick.scale_row):
-                diff = (s - t) / scale
+            for s, g, scale in zip(row, yardstick.rows[t], yardstick.scale_rows[t]):
+                diff = (s - g) / scale
                 partial += diff ** 2
             if partial > limit:
-                return max(bound, sqrt(partial / self.count) * (1 - _MARGIN)), False
-        while len(sheets) < self.n_terms:
+                return max(bound, sqrt(partial / count) * (1 - _MARGIN)), False
+        while len(sheets) < len(yardstick.rows):
             sheets.append(next(terms))
         return yardstick.complete(sheets, rows), True
 
@@ -489,7 +446,7 @@ def fit(target: Record, spec: ScenarioSpec, config: FitConfig = FitConfig()) -> 
     base = build_network(spec)
     agent_ids = tuple(aid for aid in base.agent_order
                       if base.adjustable_outgoing[aid] and not base.agents[aid].continuity_exempt)
-    objective = _Objective(trimmed, spec, agent_ids, n_terms, base)
+    objective = _Objective(trimmed, agent_ids, base)
     dims = len(agent_ids)
     directions = _search_directions(dims)
     start_key = rng.stream_key(config.seed, rng.string_key("fit-starts"))

@@ -180,21 +180,26 @@ class ScenarioSpec:
                 if not name or _UNRECORDABLE.search(name):
                     raise ScenarioError(f"{what} {name!r}: a record cannot hold an empty name "
                                         f"or one with a comma, whitespace or '='")
-        # A record keeps rates and figures in one namespace with the totals.
-        totals = ("notes_outstanding", "government_securities_outstanding")
-        rate_names = {*merged, *(p.target for p in self.policy if p.kind == "set_rate")}
-        for name in totals:
-            if name in rate_names:
-                raise ScenarioError(f"rate name {name!r} is the name of a record aggregate "
-                                    "(notes or securities outstanding)")
-        aggregates = {*totals, *rate_names}
+        # A record keeps rates and figures in one namespace with the totals
+        # and each agent's "closing:ID", "inflow:ID" and "outflow:ID".
+        reserved = {"notes_outstanding", "government_securities_outstanding",
+                    *(f"{kind}:{a.id}" for a in self.agents
+                      for kind in ("closing", "inflow", "outflow"))}
+        rate_names = [*merged, *(p.target for p in self.policy if p.kind == "set_rate")]
+        for name in rate_names:
+            if name in reserved:
+                raise ScenarioError(f"rate name {name!r} is the name of another record figure "
+                                    "(notes or securities outstanding, or an agent's closing, "
+                                    "inflow or outflow)")
+        reserved.update(rate_names)
         names = [f.name for f in self.figures]
         for name in names:
             if names.count(name) > 1:
                 raise ScenarioError(f"figure name {name!r} is used more than once")
-            if name in aggregates:
-                raise ScenarioError(f"figure name {name!r} is the name of a record aggregate "
-                                    "(notes or securities outstanding, or a rate)")
+            if name in reserved:
+                raise ScenarioError(f"figure name {name!r} is the name of another record figure "
+                                    "(notes or securities outstanding, a rate, or an agent's "
+                                    "closing, inflow or outflow)")
 
     @property
     def wakes_per_term(self) -> float:

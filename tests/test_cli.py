@@ -382,6 +382,24 @@ class TestUsageErrors:
         assert code == 2
         assert "figure sets differ" in capsys.readouterr().err
 
+    def test_fit_target_that_adds_a_rate_in_another_term_exits_two(self, tmp_path, capsys):
+        # Both scenarios add the rate new_rate, one in term 1 and one in term 2.
+        paths = []
+        for time in (1.5, 2.5):
+            doc = three_agent_cycle().to_dict()
+            doc["policy_schedule"].append({"time": time, "action": "set_rate",
+                                           "target": "new_rate", "value": "1/10"})
+            paths.append(tmp_path / f"rate-at-{time}.json")
+            paths[-1].write_text(json.dumps(doc))
+        target = tmp_path / "t.csv"
+        invoke("record", "--scenario", str(paths[1]), "--terms", "3", "--out", str(target))
+        capsys.readouterr()
+        code, _ = invoke("fit", "--scenario", str(paths[0]), "--target", str(target),
+                         "--budget", "30")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "moneyflow: error: term 1: figure sets differ: ['new_rate']\n")
+
     def test_fit_target_of_another_term_length_exits_two(self, tmp_path, capsys):
         from moneyflow import three_agent_cycle
 
@@ -478,7 +496,7 @@ class TestParseErrors:
         code, _ = invoke("record", "--scenario", str(path), "--terms", "1",
                          "--out", str(tmp_path / "r.csv"))
         assert code == 2
-        assert "figure name 'notes_outstanding' is the name of a record aggregate" \
+        assert "figure name 'notes_outstanding' is the name of another record figure" \
             in capsys.readouterr().err
 
     def test_rate_named_like_an_aggregate(self, tmp_path, capsys):
@@ -491,7 +509,7 @@ class TestParseErrors:
         code, _ = invoke("record", "--scenario", str(path), "--terms", "1",
                          "--out", str(tmp_path / "r.csv"))
         assert code == 2
-        assert "rate name 'notes_outstanding' is the name of a record aggregate" \
+        assert "rate name 'notes_outstanding' is the name of another record figure" \
             in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,edit,message", [

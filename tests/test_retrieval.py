@@ -21,7 +21,7 @@ from moneyflow import (
     three_agent_cycle,
 )
 from moneyflow import retrieval, rng
-from moneyflow.recorder import BalanceSheet, Record, record_from_csv, record_to_csv
+from moneyflow.recorder import BalanceSheet, Record, RecordError, record_from_csv, record_to_csv
 from moneyflow.retrieval import apply_assignment
 from moneyflow.scenario import ChannelSpec, ScenarioError
 
@@ -117,6 +117,17 @@ class TestReproductionError:
         with pytest.raises(ValueError, match="figure sets differ"):
             reproduction_error(one_figure_record(1, name="x"), one_figure_record(1, name="y"))
 
+    def test_keys_compared_term_by_term(self):
+        # Both records hold the rate new_rate, set to one value, but from
+        # term 1 in one and from term 2 in the other.
+        early, late = (
+            retrace(Assignment(), three_agent_cycle().with_extra_policy(
+                [PolicyAction(time, "set_rate", "new_rate", Fraction(1, 10))]), 3)
+            for time in (1.5, 2.5))
+        for simulated, target in ((early, late), (late, early)):
+            with pytest.raises(RecordError, match=r"^term 1: figure sets differ: \['new_rate'\]$"):
+                reproduction_error(simulated, target)
+
 
 class TestFit:
     def test_zero_target_converges_at_first_evaluation(self):
@@ -159,7 +170,7 @@ class TestFit:
         spec = replace(spec, term_length=1e308,
                        agents=tuple(replace(a, mean_wait=5e307) for a in spec.agents))
         target = retrace(Assignment(offsets={"A": 1}), spec, 1)
-        objective = retrieval._Objective(target, spec, ("A",), 1, build_network(spec))
+        objective = retrieval._Objective(target, ("A",), build_network(spec))
         assert objective((100,)) == inf and objective((100,), 0.5) == inf
         result = fit(target, spec, FitConfig(budget=50))
         assert result.converged and result.best.offsets == {"A": 1}
@@ -242,8 +253,7 @@ PROBES = [(7, -4, 2), (0, 0, 0), (6, -4, 2), (7, -4, 3), (8, -3, 2), (20, 5, -10
 
 
 def bounded_objective(spec, target):
-    return retrieval._Objective(target, spec, ("A", "B", "C"), len(target.sheets),
-                                build_network(spec))
+    return retrieval._Objective(target, ("A", "B", "C"), build_network(spec))
 
 
 def reference(spec, target, vector):
@@ -253,23 +263,24 @@ def reference(spec, target, vector):
 
 
 def keyed_error(simulated, target):
-    """`reproduction_error` written out: each figure paired by key, summed figure-major."""
+    """`reproduction_error` written out: each value paired by (term, key), summed figure-major."""
     def series(record):
         out = {}
-        for sheet in record.sheets:
+        for term, sheet in enumerate(record.sheets):
             figures = [(f"{kind}:{aid}", getattr(line, kind)) for aid, line in sheet.agents.items()
                        for kind in ("closing", "inflow", "outflow")]
             for name, value in figures + list(sheet.aggregates().items()):
-                out.setdefault(name, []).append(value)
+                out.setdefault(name, {})[term] = value
         return out
 
     sim, tgt = series(simulated), series(target)
-    assert set(sim) == set(tgt)
+    assert {name: set(values) for name, values in sim.items()} == \
+        {name: set(values) for name, values in tgt.items()}
     total, count = 0.0, 0
     for name, values in tgt.items():
-        scale = max(1.0, max(abs(float(v)) for v in values))
-        for s, t in zip(sim[name], values):
-            total += ((float(s) - float(t)) / scale) ** 2
+        scale = max(1.0, max(abs(float(v)) for v in values.values()))
+        for term, t in values.items():
+            total += ((float(sim[name][term]) - float(t)) / scale) ** 2
             count += 1
     return sqrt(total / count)
 
@@ -291,15 +302,18 @@ class TestObjectiveMatchesTheReference:
 
     GRID = [(7 + a, -4 + b, 2 + c) for a, b, c in product((-9, -1, 0, 2), (-1, 0, 3), (0, 5))]
 
-    @pytest.mark.parametrize("reorder", [False, True], ids=["regular", "agents-reordered"])
-    def test_over_a_grid(self, reorder):
+    @pytest.mark.parametrize("case", ["regular", "agents-reordered", "undeclared-rate"])
+    def test_over_a_grid(self, case):
         spec = three_agent_cycle().with_seed(104)
+        if case == "undeclared-rate":
+            # A set_rate on a rate the scenario does not declare adds a key from term 1.
+            spec = spec.with_extra_policy(
+                [PolicyAction(1.5, "set_rate", "new_rate", Fraction(1, 10))])
         target = retrace(HIDDEN, spec, 3)
-        if reorder:
+        if case == "agents-reordered":
             target = agents_reversed(target)
             assert list(target.sheets[0].agents) == ["C", "B", "A", "CB"]
         objective, bounded = bounded_objective(spec, target), bounded_objective(spec, target)
-        assert objective.rows
         for vector in self.GRID:
             simulated = retrace(Assignment(offsets=dict(zip("ABC", vector))), spec, 3)
             expected = reproduction_error(simulated, target)
@@ -307,12 +321,18 @@ class TestObjectiveMatchesTheReference:
             assert objective(vector) == expected
             assert expected / 3 <= bounded(vector, expected / 3) <= expected
         assert 0 < bounded.early_exits < len(self.GRID)
-        # Every replay has one layout, paired with the target's through one
-        # position map: the identity unless the target lists agents otherwise.
-        orders = objective.yardstick.orders
-        order = orders[retrieval._sheet_row(simulated.sheets[0])[0]]
-        assert (order == tuple(range(len(order)))) != reorder
-        assert len(orders) == 1 + reorder
+        # Each replayed sheet pairs with its term through one position map per
+        # (layout, wanted keys). It is the identity unless the target lists
+        # agents otherwise, or lists the new rate after the figures it already
+        # held in term 0.
+        yardstick = objective.yardstick
+        orders = [maps[retrieval._sheet_row(sheet)[0]]
+                  for sheet, maps in zip(simulated.sheets, yardstick.orders)]
+        identity = [order == tuple(range(len(order))) for order in orders]
+        assert identity == {"regular": [True] * 3, "agents-reordered": [False] * 3,
+                            "undeclared-rate": [True, False, False]}[case]
+        distinct = {id(maps): maps for maps in yardstick.orders}.values()
+        assert sum(map(len, distinct)) == 1 + (case != "regular")
 
 
 class TestBoundedObjective:
@@ -344,17 +364,19 @@ class TestBoundedObjective:
         assert objective.early_exits == 1
         assert objective.floors == {}
 
-    def test_undeclared_rate_disables_the_early_exit(self):
+    def test_undeclared_rate_exits_early(self):
         # A set_rate on a rate the scenario does not declare adds a figure
-        # mid-record; every evaluation then replays in full.
+        # mid-record; keys compared term by term still let a replay stop.
         spec = three_agent_cycle().with_seed(104).with_extra_policy(
             [PolicyAction(1.5, "set_rate", "new_rate", Fraction(1, 10))])
         target = retrace(HIDDEN, spec, 4)
         objective = bounded_objective(spec, target)
-        assert objective.rows == []
         for vector in PROBES:
-            assert objective(vector, 0.0) == reference(spec, target, vector)
-        assert objective.early_exits == 0
+            simulated = retrace(Assignment(offsets=dict(zip("ABC", vector))), spec, 4)
+            expected = keyed_error(simulated, target)
+            assert expected / 2 <= objective(vector, expected / 2) <= expected
+            assert objective(vector) == expected
+        assert objective.early_exits > 0
 
     def test_second_replay_of_a_vector_draws_nothing(self, monkeypatch):
         # Each replay starts from a fresh clone of the base; the wake tables
@@ -403,7 +425,7 @@ class TestBoundedObjective:
     ], ids=["below-zero", "no-channel"])
     def test_rejected_offsets_raise_as_apply_assignment_does(self, spec, vector, message):
         agent_ids = ("A", "B", "C")[:len(vector)]
-        objective = retrieval._Objective(retrace(Assignment(), spec, 2), spec, agent_ids, 2,
+        objective = retrieval._Objective(retrace(Assignment(), spec, 2), agent_ids,
                                          build_network(spec))
         with pytest.raises(ScenarioError) as direct:
             apply_assignment(build_network(spec), Assignment(offsets=dict(zip(agent_ids, vector))))

@@ -142,27 +142,30 @@ class TestRecordableNames:
 
     @pytest.mark.parametrize("name", ["notes_outstanding", "government_securities_outstanding",
                                       "discount_rate", "securities_interest_rate", "tax_rate",
-                                      "target_rate"])
+                                      "target_rate", "closing:A", "inflow:B", "outflow:C"])
     def test_aggregate_names_rejected_for_figures(self, name):
         # A figure of one of these names shares the aggregates cell of a CSV
-        # record with the aggregate, so the record would not read back equal.
+        # record with the aggregate, so the record would not read back equal;
+        # one named like an agent's line would give its sheets one key twice.
         spec = replace(three_agent_cycle(), rates={"tax_rate": Fraction(1, 8)}).with_extra_policy(
             [PolicyAction(1.0, "set_rate", "target_rate", Fraction(1, 4))])
-        with pytest.raises(ScenarioError, match=f"figure name {name!r} is the name of a record "
-                                                "aggregate"):
+        with pytest.raises(ScenarioError, match=f"figure name {name!r} is the name of another "
+                                                "record figure"):
             replace(spec, figures=spec.figures + (FigureSpec(name, stock="A"),))
         doc = spec.to_dict()
         doc["figures"].append({"name": name, "stock": "A"})
         with pytest.raises(ScenarioError, match=f"figure name {name!r}"):
             scenario_from_dict(doc)
 
-    @pytest.mark.parametrize("name", ["notes_outstanding", "government_securities_outstanding"])
+    @pytest.mark.parametrize("name", ["notes_outstanding", "government_securities_outstanding",
+                                      "closing:A", "inflow:B", "outflow:C"])
     def test_total_names_rejected_for_rates(self, name):
         # A rate of one of these names shares the aggregates cell of a CSV
-        # record with the total, so the record would not read back.
+        # record with the total, so the record would not read back; one named
+        # like an agent's line would give its sheets one key twice.
         spec = three_agent_cycle()
-        with pytest.raises(ScenarioError, match=f"rate name {name!r} is the name of a record "
-                                                "aggregate"):
+        with pytest.raises(ScenarioError, match=f"rate name {name!r} is the name of another "
+                                                "record figure"):
             replace(spec, rates={name: Fraction(1, 8)})
         with pytest.raises(ScenarioError, match=f"rate name {name!r}"):
             spec.with_extra_policy([PolicyAction(1.0, "set_rate", name, Fraction(1, 4))])
