@@ -20,6 +20,11 @@ Every later event and the state at the end of each `run` are exactly as if
 each wake had been processed. The recorder's observer cuts are taken inside
 this one loop (see `run`).
 
+Dormancy and the replay of a quiet observer cut (`settle_all`) rest on one
+rule: once it runs, a state changes only through the engine's operations,
+each of which logs an event when it moves a rate, multiplier, pot, stock or
+snapshot. While ``state.seq`` stands still, nothing has changed.
+
 The engine is strictly sequential over the event order. Clones of one state
 share its growing wake tables: do not step them from different threads.
 """
@@ -236,11 +241,52 @@ def _settle_channels(state: NetworkState, channel_ids: Sequence[str], time: floa
 
 def settle_all(state: NetworkState, time: float, *, term: int) -> NetworkState:
     """Forced settlement of every channel at once, in `channel_order`: the
-    recorder's global cut of `term`."""
-    amounts = _settle_channels(state, state.channel_order, time)
+    recorder's global cut of `term`.
+
+    A cut replays the one before it, bit for bit, when nothing has been
+    logged since (see the module docstring), the time since it is positive
+    and the same integer ratio as that cut's own, and that cut came after
+    nothing logged too and left every pot as it found it: each piece was then
+    whole units, so the same piece gives the same amounts and pots again.
+    """
+    last = state._last_cut
+    replay = pots = None
+    if last is not None and last[0] == state.seq and time > last[1]:
+        chans = state.channels.values()
+        elapsed = _elapsed(*time.as_integer_ratio(), last[1])
+        if last[2] is not None and last[2][0] == elapsed:
+            replay = last[2]
+        else:
+            pots = [(ch.accrued_num, ch.accrued_den, ch.accrued_until) for ch in chans]
+    if replay is None:
+        amounts = _settle_channels(state, state.channel_order, time)
+        if pots is not None and pots == [(ch.accrued_num, ch.accrued_den, last[1]) for ch in chans]:
+            replay = (elapsed, tuple(amounts), *_cut_moves(state, amounts))
+    else:
+        _, amounts, agent_moves, channel_moves = replay
+        for agent, inflow, outflow in agent_moves:
+            agent.stock += inflow - outflow
+            agent.received += inflow
+            agent.paid += outflow
+        for ch, amount in channel_moves:
+            ch.settled += amount
+        for ch in chans:
+            ch.accrued_until = time
+        amounts = list(amounts)
     state.append_event(time, "Settlement", {"a": None, "b": None, "amounts": amounts,
                                             "observer": True, "term": term})
+    state._last_cut = (state.seq, time, replay)
     return state
+
+
+def _cut_moves(state: NetworkState, amounts: list[tuple[str, int]]) -> tuple[list, list]:
+    """A cut's `amounts` as each agent's (agent, inflow, outflow) and each (channel, amount), nonzero."""
+    moved = [(state.channels[cid], amount) for cid, amount in amounts if amount]
+    flows = {aid: [agent, 0, 0] for aid, agent in state.agents.items()}
+    for ch, amount in moved:
+        flows[ch.sink][1] += amount
+        flows[ch.source][2] += amount
+    return [flow for flow in flows.values() if flow[1] or flow[2]], moved
 
 
 def inject_shock(state: NetworkState, agent_id: str, amount: int, time: float,

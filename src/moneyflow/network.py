@@ -120,6 +120,9 @@ class NetworkState:
     # Per agent, its wake times W[n] = W[n-1] + exponential(mean_wait,
     # event_key, n), extended on demand; built by the first clone.
     wake_times: dict[str, list[float]] | None = field(default=None, compare=False, repr=False)
+    # The last observer cut, (seq after it, time, replay or None), which
+    # `engine.settle_all` may replay; `clone` leaves it out.
+    _last_cut: tuple | None = field(default=None, compare=False, repr=False)
 
     def clone(self) -> "NetworkState":
         """Independent copy sharing the index structures and the wake tables.

@@ -26,12 +26,12 @@ from fractions import Fraction
 from itertools import count
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 # `run` is not called here; mfbench's tracer test reads it as `moneyflow.recorder.run`.
 from .engine import _advance, _catch_up, run, settle_all  # noqa: F401
 from .network import _ZERO, NetworkState
-from .scenario import ScenarioError, _as_float, _read_utf8, as_fraction, rational_str
+from .scenario import AGENT_FIGURES, ScenarioError, _as_float, _read_utf8, as_fraction, rational_str
 
 
 class RecordError(ValueError):
@@ -313,6 +313,19 @@ def _parse_int(text: str, where: str) -> int:
         raise RecordError(f"{where}: expected integer, got {text!r}") from exc
 
 
+def _check_aggregate_names(names: Iterable[str], agents: Mapping[str, AgentLine],
+                            where: str) -> None:
+    """Reject an aggregate named as a per-agent figure of the sheet, "KIND:ID"
+    with ID one of its `agents`, as `ScenarioSpec` rejects such a figure or
+    rate name: it would stand twice among the sheet's figure keys."""
+    for name in names:
+        if ":" in name:
+            kind, _, aid = name.partition(":")
+            if kind in AGENT_FIGURES and aid in agents:
+                raise RecordError(f"{where}: aggregate {name!r} has the name of the {kind} "
+                                  f"figure of agent {aid!r}")
+
+
 def _sheet_from_parts(term: int, agents: dict[str, AgentLine], aggregates: list[tuple[str, str]],
                       where: str, parsed_rates: dict[str, Fraction]) -> BalanceSheet:
     notes = securities = 0
@@ -397,6 +410,8 @@ def record_from_csv(text: str) -> Record:
                     if not eq:
                         raise RecordError(f"line {lineno + 1} column 8: malformed aggregate {chunk!r}")
                     pairs.append((name, value))
+                _check_aggregate_names((name for name, _ in pairs), agents,
+                                       f"line {lineno + 1} column 8")
             sheets.append(_sheet_from_parts(term, agents, pairs, f"line {lineno + 1}", parsed_rates))
             agents = {}
             current_term = None
@@ -459,6 +474,7 @@ def record_from_json(text: str) -> Record:
             figures={k: _expect(v, int, f"{where} figure {k}")
                      for k, v in _expect(raw.get("figures", {}), dict, f"{where} figures").items()},
         ))
+        _check_aggregate_names([*sheets[-1].rates, *sheets[-1].figures], agents, where)
     return Record(
         sheets=tuple(sheets),
         fingerprint=_expect(doc.get("fingerprint", ""), str, "fingerprint"),

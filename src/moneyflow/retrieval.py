@@ -24,7 +24,7 @@ from . import rng
 from .engine import apportion
 from .network import NetworkState, build_network
 from .recorder import BalanceSheet, Record, RecordError, record_terms, run_record
-from .scenario import ScenarioError, ScenarioSpec
+from .scenario import AGENT_FIGURES, ScenarioError, ScenarioSpec
 
 
 class Assignment(NamedTuple):
@@ -111,7 +111,7 @@ def _sheet_row(sheet: BalanceSheet) -> tuple[tuple, list[int | Fraction]]:
 def _layout_keys(layout: tuple) -> list[str]:
     """Figure keys in value order: "closing:ID", "inflow:ID" and "outflow:ID" per agent, then the aggregate names."""
     agent_ids, aggregate_names = layout
-    return ([f"{kind}:{aid}" for aid in agent_ids for kind in ("closing", "inflow", "outflow")]
+    return ([f"{kind}:{aid}" for aid in agent_ids for kind in AGENT_FIGURES]
             + list(aggregate_names))
 
 

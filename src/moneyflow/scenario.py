@@ -23,6 +23,8 @@ CENTRAL_BANK = "CentralBank"
 DEFAULT_RATE_NAMES = ("discount_rate", "securities_interest_rate")
 # Characters a CSV record cell cannot carry in an agent id, figure or rate name.
 _UNRECORDABLE = re.compile(r"[\s,=]")
+# A record's per-agent figures, each keyed "KIND:ID" beside the aggregate names.
+AGENT_FIGURES = ("closing", "inflow", "outflow")
 
 
 class ScenarioError(ValueError):
@@ -183,8 +185,7 @@ class ScenarioSpec:
         # A record keeps rates and figures in one namespace with the totals
         # and each agent's "closing:ID", "inflow:ID" and "outflow:ID".
         reserved = {"notes_outstanding", "government_securities_outstanding",
-                    *(f"{kind}:{a.id}" for a in self.agents
-                      for kind in ("closing", "inflow", "outflow"))}
+                    *(f"{kind}:{a.id}" for a in self.agents for kind in AGENT_FIGURES)}
         rate_names = [*merged, *(p.target for p in self.policy if p.kind == "set_rate")]
         for name in rate_names:
             if name in reserved:
@@ -263,8 +264,13 @@ class ScenarioSpec:
         return json.dumps(self.to_dict(), indent=2, sort_keys=False) + "\n"
 
     def fingerprint(self) -> str:
-        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+        """The canonical JSON's SHA-256, shortened; worked out once per spec, as specs are frozen."""
+        cached = self.__dict__.get("_fingerprint")
+        if cached is None:
+            canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+            cached = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+            object.__setattr__(self, "_fingerprint", cached)
+        return cached
 
 
 def _require(mapping: Mapping, key: str, where: str) -> Any:

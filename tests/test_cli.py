@@ -486,6 +486,20 @@ class TestParseErrors:
         assert code == 2
         assert "sheet 0 agents: key 'A' repeated" in capsys.readouterr().err
 
+    def test_verify_csv_aggregate_named_like_an_agent_figure(self, tmp_path, capsys):
+        # Read as an aggregate, it would stand twice among term 0's figure keys.
+        path = tmp_path / "r.csv"
+        invoke("record", "--scenario", "three-agent-cycle", "--terms", "2", "--out", str(path))
+        lines = path.read_text().splitlines(keepends=True)
+        row = next(i for i, line in enumerate(lines) if line.startswith("0,aggregates,"))
+        lines[row] = lines[row].rstrip("\n") + " closing:A=5\n"
+        path.write_text("".join(lines))
+        capsys.readouterr()
+        code, _ = invoke("verify", "--record", str(path))
+        assert code == 2
+        assert capsys.readouterr().err == (f"moneyflow: error: line {row + 1} column 8: aggregate "
+                                           "'closing:A' has the name of the closing figure of agent 'A'\n")
+
     def test_figure_named_like_an_aggregate(self, tmp_path, capsys):
         from moneyflow import three_agent_cycle
 

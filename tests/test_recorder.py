@@ -545,6 +545,180 @@ class TestOneLoopOracle:
         assert [t for t, _ in updates[2:]] == [first, third]
 
 
+def full_cut_reference(ref, terms, checkpoints=None):
+    """`per_term_reference` through the given `terms`, with every observer cut
+    a full one: the state forgets its last cut before each, so none replays."""
+    for term in terms:
+        if checkpoints is not None:
+            checkpoints.append(ref.clone())
+            checkpoints[-1].log = []
+        run(ref, (term + 1) * ref.spec.term_length - ref.now)
+        ref._last_cut = None
+        settle_all(ref, ref.now, term=term)
+
+
+def count_full_cuts(monkeypatch, state):
+    """The times of `state`'s observer cuts made channel by channel, listed as they happen."""
+    full = []
+    settle_channels = engine._settle_channels
+
+    def counted(cut_state, channel_ids, time):
+        if cut_state is state and channel_ids is state.channel_order:
+            full.append(time)
+        return settle_channels(cut_state, channel_ids, time)
+
+    monkeypatch.setattr(engine, "_settle_channels", counted)
+    return full
+
+
+def taxed(value=Fraction(3, 10), at=2.0):
+    return national_5().with_extra_policy(
+        [PolicyAction(at, "set_multiplier", cid, value) for cid in ("tax_hh", "tax_corp")])
+
+
+def fractional_pair():
+    """A balanced pair, so no agent acts and nothing is logged between cuts,
+    on two channels whose piece per term is never whole at any length of
+    `RECORD_LENGTHS`, so their pots cycle, and two whose piece is whole at
+    lengths 1, 0.75 and 2.5."""
+    return ScenarioSpec(
+        name="fractional",
+        agents=(AgentSpec("CB", "CentralBank"),
+                AgentSpec("A", "Custom:t", mean_wait=0.5),
+                AgentSpec("B", "Custom:t", mean_wait=0.5)),
+        channels=(ChannelSpec("ab", "A", "B", 10, multiplier=Fraction(1, 3)),
+                  ChannelSpec("ba", "B", "A", 10, multiplier=Fraction(1, 3)),
+                  ChannelSpec("ab_whole", "A", "B", 12),
+                  ChannelSpec("ba_whole", "B", "A", 12)),
+    )
+
+
+def dyadic_pair():
+    """Agents that never adjust on channels so fast that every piece is whole
+    over any interval between two float times below 64 with a denominator up
+    to 2**60: every cut leaves its pots as it found them, and only a change of
+    interval (the float times of terms of length 0.1 or 1/3) or an event
+    stops the next from replaying it. The pair stays balanced, so no agent
+    acts; late items of every kind touch it: multiplier changes, shocks of
+    which one moves nothing, a rate set, and notes issued and retired."""
+    return ScenarioSpec(
+        name="dyadic",
+        agents=(AgentSpec("CB", "CentralBank"),
+                AgentSpec("A", "Custom:t", gain=Fraction(0), mean_wait=0.5),
+                AgentSpec("B", "Custom:t", gain=Fraction(0), mean_wait=0.5)),
+        channels=(ChannelSpec("ab", "A", "B", 2 ** 64),
+                  ChannelSpec("ba", "B", "A", 2 ** 66, multiplier=Fraction(1, 4))),
+        issuance=(ScheduledAmount(24.5, 500), ScheduledAmount(31.5, -300)),
+        securities=(ScheduledAmount(33.5, 700),),
+        policy=(PolicyAction(14.5, "set_multiplier", "ab", Fraction(1, 2)),
+                PolicyAction(14.5, "set_multiplier", "ba", Fraction(1, 8)),
+                PolicyAction(26.5, "set_rate", "discount_rate", Fraction(1, 20))),
+        shocks=(ShockSpec(18.5, "ba", 40), ShockSpec(21.0, "ab", 0)),
+    )
+
+
+# Each a scenario with quiet stretches, by name; times are in terms, so that
+# every term length has them.
+QUIET_CASES = {
+    "tax-3/10": lambda: taxed(),
+    "tax-2/7": lambda: taxed(Fraction(2, 7)),
+    "fractional": fractional_pair,
+    "dyadic": dyadic_pair,
+    "late-policies": lambda: taxed().with_extra_policy([
+        PolicyAction(20.5, "set_multiplier", "bond", Fraction(3, 2)),
+        PolicyAction(28.5, "set_rate", "discount_rate", Fraction(1, 20)),
+        PolicyAction(34.5, "set_multiplier", "investment", Fraction(2, 7))]),
+    "late-shocks": lambda: taxed().with_extra_shocks([
+        ShockSpec(20.5, "wages", 40), ShockSpec(28.5, "savings", 0), ShockSpec(34.0, "bond", -25)]),
+    "late-money": lambda: replace(taxed(), issuance=(
+        ScheduledAmount(0.0, 2000), ScheduledAmount(20.5, 500), ScheduledAmount(28.5, -300)),
+        securities=(ScheduledAmount(0.0, 3000), ScheduledAmount(34.5, 700))),
+}
+
+
+def quiet_spec(name, length):
+    """`QUIET_CASES[name]` at term length `length`, its scheduled times scaled to it."""
+    spec = QUIET_CASES[name]()
+
+    def scale(items):
+        return tuple(item._replace(time=item.time * length) for item in items)
+
+    return replace(spec, term_length=length, issuance=scale(spec.issuance),
+                   securities=scale(spec.securities), policy=scale(spec.policy),
+                   shocks=scale(spec.shocks))
+
+
+QUIET_TERMS = 45  # the last scheduled item comes in term 34
+
+
+class TestQuietCutReplay:
+    """An observer cut after a quiet one replays it: the sheets, log, state
+    and checkpoints are those of cuts that each go channel by channel."""
+
+    @pytest.mark.parametrize("length", RECORD_LENGTHS)
+    @pytest.mark.parametrize("name", sorted(QUIET_CASES))
+    def test_matches_full_cuts(self, monkeypatch, name, length):
+        state = build_network(quiet_spec(name, length))
+        ref = state.clone()
+        full = count_full_cuts(monkeypatch, state)
+        checkpoints, ref_checkpoints = [], []
+        record = run_record(state, QUIET_TERMS, checkpoints)
+        full_cut_reference(ref, range(QUIET_TERMS), ref_checkpoints)
+        assert list(record.sheets) == sheets_from_log(ref)
+        run(state, 0)
+        assert_same_run(state, ref)
+        assert checkpoints == ref_checkpoints
+        replays = QUIET_TERMS - len(full)
+        if name in ("fractional", "tax-2/7"):
+            assert replays == 0  # a piece is never whole, so its pot cycles
+        elif name == "dyadic" or length == 1.0:
+            assert replays > 0
+
+    @pytest.mark.parametrize("length", RECORD_LENGTHS)
+    def test_clone_in_a_quiet_stretch(self, monkeypatch, length):
+        # Cloned after term 29, amid replays at length 1: the clone's first
+        # cut is a full one, and the state and the clone go on alike.
+        state = build_network(quiet_spec("dyadic", length))
+        terms = record_terms(state)
+        for _ in range(30):
+            next(terms)
+        clone, ref = state.clone(), state.clone()
+        full = count_full_cuts(monkeypatch, clone)
+        sheets = [next(terms) for _ in range(30, QUIET_TERMS)]
+        for term in range(30, QUIET_TERMS):
+            run(clone, (term + 1) * length - clone.now)
+            settle_all(clone, clone.now, term=term)
+        full_cut_reference(ref, range(30, QUIET_TERMS))
+        assert sheets == sheets_from_log(ref)[-len(sheets):]
+        run(state, 0)
+        assert_same_run(state, ref)
+        assert_same_run(clone, ref)
+        assert full[0] == 31 * length
+
+    def test_cuts_at_times_not_past_the_last_go_in_full(self):
+        # By hand, cuts may come at any times; ones at or before the last cut
+        # accrue nothing and leave `accrued_until` where it is.
+        state, _ = hand_driven(rate_ab=4, rate_ba=8)
+        ref = state.clone()
+        for term, time in enumerate([3.0, 2.0, 1.0, 1.0, 4.0, 5.0, 6.0]):
+            settle_all(state, time, term=term)
+            ref._last_cut = None
+            settle_all(ref, time, term=term)
+            assert_same_run(state, ref)
+
+    # The first eight national-5 seeds of the simulate-n5 benchmark workload.
+    @pytest.mark.parametrize("seed", [1, 3, 5, 8, 10, 11, 12, 16])
+    def test_few_full_cuts_once_the_tax_change_settles(self, monkeypatch, seed):
+        # Every cut went channel by channel here; with the replay, 7 or 8 of 200 do.
+        state = build_network(national_5().with_extra_policy(TAX_POLICY).with_seed(seed))
+        full = count_full_cuts(monkeypatch, state)
+        run_record(state, 200)
+        assert len(full) <= 20
+        cuts = [ev.payload["amounts"] for ev in state.log if ev.payload.get("observer")]
+        assert len(cuts) == 200
+        assert len({id(amounts) for amounts in cuts}) == 200  # each cut logs its own list
+
+
 class TestFigures:
     def test_two_figures_on_one_channel_both_recorded(self):
         spec = three_agent_cycle()
@@ -730,11 +904,20 @@ class TestCsvRowMessages:
         ("0,aggregates,,,,,,flow=2 bad", "line 2 column 8: malformed aggregate 'bad'"),
         ("0,agent,A,1,2,3,4,", "term 0: agent rows without a closing aggregates row"),
         ("0,agent,A,1,2,3,4,\n0,agent,A,1,2,3,4,", "line 3 column 3: agent 'A' repeated in term 0"),
+        ("0,agent,A,1,2,3,0,\n0,aggregates,,,,,,flow=2 closing:A=5",
+         "line 3 column 8: aggregate 'closing:A' has the name of the closing figure of agent 'A'"),
+        ("0,agent,A,1,2,3,0,\n0,aggregates,,,,,,outflow:A=1/2",
+         "line 3 column 8: aggregate 'outflow:A' has the name of the outflow figure of agent 'A'"),
     ])
     def test_exact_messages(self, rows, message):
         with pytest.raises(RecordError) as info:
             record_from_csv(self.HEADER + rows + "\n")
         assert str(info.value) == message
+
+    def test_agent_key_of_no_agent_of_the_sheet_is_an_aggregate(self):
+        record = record_from_csv(self.HEADER + "0,agent,A,1,2,3,0,\n"
+                                 "0,aggregates,,,,,,closing:B=5 total:A=1 closing=2\n")
+        assert record.sheets[0].figures == {"closing:B": 5, "total:A": 1, "closing": 2}
 
     def test_bad_term_length_header(self):
         with pytest.raises(RecordError, match="line 2: term_length: expected a finite number"):
@@ -762,6 +945,15 @@ class TestJsonFieldErrors:
         text = json.dumps(self.document(rates={"discount_rate": [1]}))
         with pytest.raises(RecordError, match="cannot parse rational from list"):
             record_from_json(text)
+
+    @pytest.mark.parametrize("field,value", [("figures", 3), ("rates", "1/2")])
+    def test_aggregate_named_like_an_agent_figure(self, field, value):
+        line = {"opening": 0, "inflow": 0, "outflow": 0, "closing": 0}
+        text = json.dumps(self.document(agents={"A": line, "B": line}, **{field: {"inflow:B": value}}))
+        with pytest.raises(RecordError) as info:
+            record_from_json(text)
+        assert str(info.value) == ("sheet 0: aggregate 'inflow:B' has the name of the inflow "
+                                   "figure of agent 'B'")
 
     def test_bad_term_length(self):
         text = json.dumps({**self.document(), "term_length": "abc"})

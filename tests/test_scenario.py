@@ -1,5 +1,7 @@
 """Scenario parsing, exact rational handling, and shipped scenario files."""
 
+import hashlib
+import json
 import re
 from dataclasses import replace
 from fractions import Fraction
@@ -24,6 +26,7 @@ from moneyflow.scenario import (
     FigureSpec,
     PolicyAction,
     ScenarioError,
+    ShockSpec,
     as_fraction,
     as_money,
     rational_str,
@@ -192,6 +195,22 @@ class TestShippedScenarios:
         spec = BUILTIN_SCENARIOS["national-5"]()
         again = scenario_from_dict(spec.to_dict())
         assert spec.fingerprint() == again.fingerprint()
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+    def test_fingerprint_worked_out_once_is_the_canonical_hash(self, name):
+        def canonical(spec):
+            text = json.dumps(spec.to_dict(), sort_keys=True, separators=(",", ":"))
+            return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+        spec = BUILTIN_SCENARIOS[name]()
+        first = spec.channels[0].id
+        variants = [spec, spec.with_seed(spec.seed + 1),
+                    spec.with_extra_policy([PolicyAction(1.5, "set_rate", "policy_rate", Fraction(1, 50))]),
+                    spec.with_extra_shocks([ShockSpec(2.0, first, 5)])]
+        assert len({canonical(v) for v in variants}) == 4
+        for variant in variants:
+            assert variant.fingerprint() == canonical(variant)
+            assert variant.fingerprint() is variant.fingerprint()  # the second call reads it back
 
     def test_national5_is_balanced(self):
         from moneyflow import build_network
