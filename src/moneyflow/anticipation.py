@@ -1,16 +1,22 @@
 """Trajectory anticipation by robustness under internally generated shocks.
 
 Candidate futures are alternative policy schedules simulated forward from a
-common starting point. Each candidate is scored by replaying it under seeded
-shock sequences whose magnitudes resample the per-event imbalances of an
-unshocked reference run (the disturbances come from within the system, not
-from an outside noise law) and measuring how far the shocked trajectories
-stray from the candidate's own unshocked one. Candidate 0 of a set serves as
-the shared reference for both the shock pool and the coordinate scales, so
-every candidate faces the same disturbances (common random numbers): each
-replay index's shock sequence is drawn once per horizon and shared by every
-candidate. A candidate scored on its own is its own reference. The candidate
-with the smallest mean divergence wins.
+common starting point. A candidate is defined by its id, its schedule, its
+number of terms and its assignment (offsets and gain overrides, if any), and
+its base, the unshocked run, is simulated once from those. Each candidate is
+scored by replaying it under seeded shock sequences whose magnitudes
+resample the per-event imbalances of an unshocked reference run (the
+disturbances come from within the system, not from an outside noise law)
+and measuring how far the shocked trajectories stray from its own base.
+Candidate 0 of a set serves as the shared reference: its imbalance pool,
+scaled by `shock_scale`, feeds the shock magnitudes and its trajectory fixes
+the coordinate scales, so scores compare across candidates. Replay m's shock
+sequence depends only on that pool, the spec, the replay config, m and the
+horizon, so it is drawn once per replay index and horizon and every
+candidate faces the same one (common random numbers). A candidate scored on
+its own is its own reference. Each candidate is replayed under its
+assignment, in this process. A candidate with no replays scores 1, and the
+highest score wins, ties going to the lowest candidate id.
 
 A replay that runs starts from its base's state at time 0: by the rules
 below, one that can move a flow has a nonzero shock by the first observer
@@ -28,8 +34,8 @@ strictly after its channel's first refresh in the unshocked run therefore
 leaves every flow, rate and issuance figure exactly where the unshocked run
 has them, and diverges by 0.0 without running. A tie still runs, since a
 scheduled shock precedes an agent's wake at the same time. Stock figures
-move by the shock amounts themselves, so a set whose dims name one runs its
-replays as before.
+move by the shock amounts themselves, so a set whose dims name one runs
+every replay that has a nonzero shock.
 
 A replay that runs stops once it has rejoined its base. An observer cut
 refreshes every snapshot and they stay current from then on, so the
@@ -55,7 +61,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from . import rng
 from .engine import _catch_up
-from .network import Event, NetworkState, build_network
+from .network import NetworkState, build_network
 from .recorder import BalanceSheet, Record, record_terms, run_record
 from .retrieval import Assignment, apply_assignment
 from .scenario import PolicyAction, ScenarioError, ScenarioSpec, ShockSpec, as_fraction
@@ -209,6 +215,8 @@ def simulate_candidate(spec: ScenarioSpec, candidate_id: int, n_terms: int,
     """Run one candidate future and collect its trajectory, imbalance pool
     and the refresh times of the snapshots its assignment leaves stale.
 
+    A refresh time is that of the first settlement listing the channel or of
+    the first nonzero shock on it, whichever comes first; inf if none does.
     A `checkpoints` list receives the run's state at the opening boundary of
     each term (see `run_record`), for shock replays to start from and rejoin.
     """
@@ -216,49 +224,33 @@ def simulate_candidate(spec: ScenarioSpec, candidate_id: int, n_terms: int,
     state = build_network(candidate_spec)
     if assignment is not None:
         apply_assignment(state, assignment)
-    stale = [cid for cid, ch in state.channels.items() if ch.snap_rate_sink != ch.rate]
+    refresh = {cid: inf for cid, ch in state.channels.items() if ch.snap_rate_sink != ch.rate}
     record = run_record(state, n_terms, checkpoints)
-    pool = []
+    pool, pending = [], set(refresh)
     for ev in state.log:
-        if ev.kind == "AgentUpdate" and not ev.payload.get("exempt") and ev.payload["deficit"] != 0:
-            try:
-                pool.append(abs(float(ev.payload["deficit"])))
-            except OverflowError:
-                raise ScenarioError(f"agent {ev.payload['agent']!r} observes a deficit past the "
-                                    f"float range at t={ev.time!r}") from None
-    return Candidate(
-        id=candidate_id,
-        schedule=tuple(schedule),
-        record=record,
-        trajectory=extract_trajectory(record, dims),
-        imbalance_pool=tuple(pool),
-        refresh_times=_refresh_times(state.log, stale),
-    )
+        payload = ev.payload
+        if ev.kind == "AgentUpdate":
+            if not payload.get("exempt") and payload["deficit"] != 0:
+                try:
+                    pool.append(abs(float(payload["deficit"])))
+                except OverflowError:
+                    raise ScenarioError(f"agent {payload['agent']!r} observes a deficit past the "
+                                        f"float range at t={ev.time!r}") from None
+        elif pending and ev.kind == "Settlement":
+            touched = pending.intersection(cid for cid, _ in payload["amounts"])
+            for cid in touched:
+                refresh[cid] = ev.time
+            pending -= touched
+        elif pending and ev.kind == "Shock" and payload["amount"] and payload["channel"] in pending:
+            refresh[payload["channel"]] = ev.time
+            pending.remove(payload["channel"])
+    return Candidate(candidate_id, tuple(schedule), record, extract_trajectory(record, dims),
+                     tuple(pool), refresh)
 
 
-def _refresh_times(log: Sequence[Event], stale: Sequence[str]) -> dict[str, float]:
-    """Time of the first settlement listing each `stale` channel, or of the
-    first nonzero shock on it, whichever comes first in `log`; inf if none."""
-    refresh = dict.fromkeys(stale, inf)
-    pending = set(stale)
-    for ev in log:
-        if not pending:
-            break
-        if ev.kind == "Settlement":
-            touched = pending.intersection(cid for cid, _ in ev.payload["amounts"])
-        elif ev.kind == "Shock" and ev.payload["amount"] and ev.payload["channel"] in pending:
-            touched = {ev.payload["channel"]}
-        else:
-            continue
-        for cid in touched:
-            refresh[cid] = ev.time
-        pending -= touched
-    return refresh
-
-
-def generate_candidates(spec: ScenarioSpec, n: int, sampler: SamplerConfig = SamplerConfig(),
-                        *, n_terms: int, dims: Sequence[str] = DEFAULT_DIMS) -> list[Candidate]:
-    """Candidate 0 is the unmodified continuation; 1..n-1 carry sampled schedules."""
+def _sample_schedules(spec: ScenarioSpec, n: int,
+                      sampler: SamplerConfig) -> list[tuple[PolicyAction, ...]]:
+    """Candidate 0's empty schedule, then the n-1 sampled ones (see SamplerConfig)."""
     if n < 1:
         raise ValueError("need at least one candidate")
     channels = sampler.channels
@@ -273,10 +265,9 @@ def generate_candidates(spec: ScenarioSpec, n: int, sampler: SamplerConfig = Sam
     key = rng.stream_key(sampler.seed, rng.string_key("candidate-multipliers"))
     bound = as_fraction(sampler.bound, "sampler bound")
     start = spec.term_length  # first boundary; keeps term 0 common to all candidates
-
-    candidates = [simulate_candidate(spec, 0, n_terms, dims)]
+    schedules = [()]
     counter = 0
-    for cid in range(1, n):
+    for _ in range(1, n):
         schedule = []
         for channel_id in channels:
             k = rng.below(2 * GRID + 1, key, counter) - GRID
@@ -284,8 +275,15 @@ def generate_candidates(spec: ScenarioSpec, n: int, sampler: SamplerConfig = Sam
             factor = 1 + Fraction(k, GRID) * bound
             schedule.append(PolicyAction(start, "set_multiplier", channel_id,
                                          multipliers[channel_id] * factor))
-        candidates.append(simulate_candidate(spec, cid, n_terms, dims, schedule=schedule))
-    return candidates
+        schedules.append(tuple(schedule))
+    return schedules
+
+
+def generate_candidates(spec: ScenarioSpec, n: int, sampler: SamplerConfig = SamplerConfig(),
+                        *, n_terms: int, dims: Sequence[str] = DEFAULT_DIMS) -> list[Candidate]:
+    """Candidate 0 is the unmodified continuation; 1..n-1 carry sampled schedules."""
+    return [simulate_candidate(spec, cid, n_terms, dims, schedule)
+            for cid, schedule in enumerate(_sample_schedules(spec, n, sampler))]
 
 
 def sample_shock_sequence(pool: Sequence[float], spec: ScenarioSpec, config: ReplayConfig,
@@ -353,52 +351,35 @@ def _run_replay(start, shocks, dims, base_trajectory, scales, keys) -> float:
 def score_candidates(candidates: Sequence[Candidate], spec: ScenarioSpec,
                      config: ReplayConfig, dims: Sequence[str] = DEFAULT_DIMS,
                      assignments: Mapping[int, Assignment] | None = None) -> RobustnessReport:
-    """Score a candidate set against one shared disturbance ensemble.
+    """Score a candidate set against one shared disturbance ensemble, by the
+    rules of the module docstring.
 
-    A candidate's base is its unshocked run. It is re-simulated here, under
-    its assignment, when that has offsets or gain overrides or when a dim
-    names a stock figure: those are the bases whose replays may run, and the
-    one run yields both the base and the checkpoints its replays start
-    from. Candidate 0's base is the reference: its imbalance pool, scaled by
-    `shock_scale`, feeds the shock magnitudes and its trajectory fixes the
-    coordinate scales, so scores compare across candidates. Replay m's shock
-    sequence depends only on that pool, `spec`, `config`, m and the horizon,
-    so it is drawn once per replay index and horizon and every candidate
-    faces the same one. Each candidate is replayed under its assignment and
-    measured against its own base.
-
-    Which replays run and where they stop follows the module docstring:
-    unless a dim names a stock figure, only a replay with a nonzero shock at
-    or before the base's first refresh of a channel its offsets left stale
-    (`Candidate.refresh_times`) runs, so a base without offsets runs none. A
-    replay starts from the base's checkpoint at time 0 and is compared with
-    its later ones.
-
-    Replays run in this process; `config.jobs` is ignored. A candidate with
-    no replays scores 1. The report selects the highest score, ties going
-    to the lowest candidate id.
-
-    A candidate simulated with offsets must be passed the assignment it was
-    simulated with: its replays start from its base, which carries the
-    offsets only if the assignment does. Without one, ValueError.
+    Of each candidate only the id, the schedule and the number of terms are
+    read: its base is run afresh under `assignments.get(id)`, and the run it
+    carries is not used. `config.jobs` is ignored.
     """
-    if not candidates:
+    defined = [(c.id, c.schedule, len(c.record.sheets)) for c in candidates]
+    return _score(defined, spec, config, dims, assignments or {})[0]
+
+
+def _score(defined: Sequence[tuple[int, Sequence[PolicyAction], int]], spec: ScenarioSpec,
+           config: ReplayConfig, dims: Sequence[str], assignments: Mapping[int, Assignment]
+           ) -> tuple[RobustnessReport, list[Candidate]]:
+    """The report on the candidates `defined` as (id, schedule, n_terms), and
+    the base run of each (see the module docstring for the rules).
+
+    Checkpoints are taken only where a replay may run: with a stock dim, or
+    under nonzero offsets, the only source of a stale snapshot.
+    """
+    if not defined:
         raise ValueError("empty candidate set")
-    dims, assignments = tuple(dims), assignments or {}
+    dims = tuple(dims)
     stock_dims = any(f.stock is not None and f.name in dims for f in spec.figures)
     bases, checkpoints = [], []
-    for candidate in candidates:
-        assignment = assignments.get(candidate.id)
-        if candidate.refresh_times and not (assignment and any(assignment.offsets.values())):
-            raise ValueError(f"candidate {candidate.id} was simulated with offsets, but "
-                             "`assignments` gives it none; pass the assignment it was "
-                             "simulated with")
-        states: list[NetworkState] = []
-        if stock_dims or (assignment is not None
-                          and (assignment.offsets or assignment.gain_overrides)):
-            candidate = simulate_candidate(spec, candidate.id, len(candidate.record.sheets), dims,
-                                           candidate.schedule, assignment, states)
-        bases.append(candidate)
+    for cid, schedule, n_terms in defined:
+        assignment = assignments.get(cid)
+        states = [] if stock_dims or (assignment and any(assignment.offsets.values())) else None
+        bases.append(simulate_candidate(spec, cid, n_terms, dims, schedule, assignment, states))
         checkpoints.append(states)
     reference = bases[0]
     scales = default_scales(reference.trajectory)
@@ -428,7 +409,7 @@ def score_candidates(candidates: Sequence[Candidate], spec: ScenarioSpec,
         mean = sum(own) / len(own) if own else 0.0
         scores.append(CandidateScore(base.id, mean, 1.0 / (1.0 + mean), own))
     best = max(scores, key=lambda s: (s.score, -s.candidate_id))
-    return RobustnessReport(tuple(scores), best.candidate_id, dims)
+    return RobustnessReport(tuple(scores), best.candidate_id, dims), bases
 
 
 def robustness_score(candidate: Candidate, spec: ScenarioSpec, config: ReplayConfig,
@@ -454,14 +435,11 @@ class AnticipateConfig(NamedTuple):
 
 def anticipate(spec: ScenarioSpec, config: AnticipateConfig = AnticipateConfig()
                ) -> tuple[RobustnessReport, list[Candidate]]:
-    """Full pipeline: generate candidate futures, score robustness, select.
+    """Full pipeline: sample candidate schedules, score robustness, select.
 
-    The candidates are simulated from `spec` itself, so none carries offsets
-    and each is scored without an assignment.
+    The candidates are run from `spec` itself, once each, with no
+    assignment; the runs come back with the report.
     """
-    candidates = generate_candidates(
-        spec, config.candidates, config.sampler,
-        n_terms=config.horizon_terms, dims=config.dims,
-    )
-    report = score_candidates(candidates, spec, config.replay, config.dims)
-    return report, candidates
+    schedules = _sample_schedules(spec, config.candidates, config.sampler)
+    return _score([(cid, schedule, config.horizon_terms) for cid, schedule in enumerate(schedules)],
+                  spec, config.replay, config.dims, {})

@@ -400,6 +400,9 @@ def record_from_csv(text: str) -> Record:
                                    for c in range(3, 7)))
             if aid in agents:
                 raise RecordError(f"line {lineno + 1} column 3: agent {aid!r} repeated in term {term}")
+            if parts[7]:
+                raise RecordError(f"line {lineno + 1} column 8: agent row holds {parts[7]!r}, "
+                                  "where it must be empty")
             agents[aid] = line
         elif kind == "aggregates":
             pairs = []
@@ -438,11 +441,16 @@ def _json_object(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
-def _expect(value, kind: type, where: str):
+def _expect(value, kind: type, where: str, keys: Iterable[str] | None = None):
+    """`value` if it is a `kind`; an object must also name no key outside `keys`."""
     if isinstance(value, bool) or not isinstance(value, kind):
         raise RecordError(f"{where}: expected {kind.__name__}, got {value!r}")
     if isinstance(value, _RepeatedKeys):
         raise RecordError(f"{where}: key {value.key!r} repeated")
+    if keys is not None:
+        for key in value:
+            if key not in keys:
+                raise RecordError(f"{where}: unknown key {key!r}")
     return value
 
 
@@ -453,16 +461,18 @@ def record_from_json(text: str) -> Record:
         raise RecordError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     if not isinstance(doc, dict) or doc.get("format") != "moneyflow-record":
         raise RecordError("not a moneyflow record document")
-    _expect(doc, dict, "record")
+    _expect(doc, dict, "record", ("format", "version", "fingerprint", "term_length",
+                                  "initial_total_stock", "sheets"))
     sheets = []
     for i, raw in enumerate(_expect(doc.get("sheets", []), list, "sheets")):
         where = f"sheet {i}"
-        raw = _expect(raw, dict, where)
+        raw = _expect(raw, dict, where, ("term_index", "agents", "notes_outstanding",
+                                         "government_securities_outstanding", "rates", "figures"))
         agents = {}
         for aid, entry in _expect(raw.get("agents", {}), dict, f"{where} agents").items():
-            entry = _expect(entry, dict, f"{where} agent {aid!r}")
+            entry = _expect(entry, dict, f"{where} agent {aid!r}", AgentLine._fields)
             agents[aid] = AgentLine(*(_expect(entry.get(key), int, f"{where} agent {aid!r} {key}")
-                                      for key in ("opening", "inflow", "outflow", "closing")))
+                                      for key in AgentLine._fields))
         sheets.append(BalanceSheet(
             term_index=_expect(raw.get("term_index"), int, f"{where} term_index"),
             agents=agents,

@@ -29,6 +29,7 @@ from moneyflow import (
 )
 from moneyflow import anticipation, engine
 from moneyflow.anticipation import default_scales
+from moneyflow.network import NetworkState
 from moneyflow.recorder import BalanceSheet, Record
 from moneyflow.retrieval import apply_assignment
 from moneyflow.scenario import FigureSpec, PolicyAction, ScenarioError, ShockSpec, national_5
@@ -179,18 +180,21 @@ class TestRobustnessScore:
         assert divs == [0.0] * 6
         assert score == 1.0
 
-    def test_offsets_without_their_assignment_rejected(self, cycle_spec):
-        # The replays would resume from a base without the offsets, so the
-        # divergences would measure the missing offsets rather than the shocks.
+    def test_the_assignment_defines_the_base(self, cycle_spec):
+        # The run a candidate carries is not read: one simulated with offsets
+        # and passed another assignment scores as a fresh run under that one.
         dims = ("ab_flow", "bc_flow", "ca_flow")
         assignment = Assignment(offsets={"A": 30, "C": -15})
         candidate = simulate_candidate(cycle_spec, 0, 6, dims, assignment=assignment)
-        config = ReplayConfig(replays=6, seed=5)
+        config = ReplayConfig(replays=6, seed=4)
         for passed in (None, Assignment(gain_overrides={"A": Fraction(2)}),
-                       Assignment(offsets={"A": 0})):
-            with pytest.raises(ValueError, match="candidate 0 was simulated with offsets"):
-                robustness_score(candidate, cycle_spec, config, dims, passed)
-        assert len(robustness_score(candidate, cycle_spec, config, dims, assignment)[1]) == 6
+                       Assignment(offsets={"A": 0}), assignment):
+            fresh = simulate_candidate(cycle_spec, 0, 6, dims, assignment=passed)
+            assignments = {0: passed} if passed is not None else None
+            report = score_candidates([candidate], cycle_spec, config, dims, assignments)
+            assert report == score_candidates([fresh], cycle_spec, config, dims, assignments)
+            # Only the offsets leave a snapshot stale for a shock to reach.
+            assert any(report.scores[0].divergences) == (passed is assignment)
 
     def test_score_in_unit_interval(self, cycle_spec):
         dims = ("ab_flow", "bc_flow", "ca_flow")
@@ -240,19 +244,25 @@ class TestScoreCandidates:
         # One draw per replay index, shared by all three candidates.
         assert calls == [(bases[0].imbalance_pool, m) for m in range(4)]
 
+    def test_a_run_under_other_dims_scores_like_a_fresh_one(self):
+        # The reference, candidate 0, has no assignment: the scales it sets
+        # count the dims scored, not the one it was simulated under.
+        spec, candidates, assignments, dims = stale_window_set("cycle", 1.0, 3)
+        assignments = {1: assignments[0], 2: assignments[2]}
+        config = ReplayConfig(replays=8, seed=6)
+        report = score_candidates(candidates, spec, config, dims, assignments)
+        other = [simulate_candidate(spec, c.id, 3, ("ab_flow",), c.schedule) for c in candidates]
+        assert score_candidates(other, spec, config, dims, assignments) == report
+        assert any(d != 0.0 for s in report.scores for d in s.divergences)
+
 
 def from_scratch_divergences(candidates, spec, dims, assignments, shock_lists):
     """Each candidate's divergence under each shock list, every replay run
     over the whole horizon from a fresh build with all of its shocks, zero
     ones included: the scoring before replays were skipped, started from
     checkpoints and stopped where they rejoined."""
-    bases = []
-    for c in candidates:
-        assignment = assignments.get(c.id)
-        if assignment is not None and (assignment.offsets or assignment.gain_overrides):
-            c = simulate_candidate(spec, c.id, len(c.record.sheets), dims,
-                                   schedule=c.schedule, assignment=assignment)
-        bases.append(c)
+    bases = [simulate_candidate(spec, c.id, len(c.record.sheets), dims, schedule=c.schedule,
+                                assignment=assignments.get(c.id)) for c in candidates]
     scales = default_scales(bases[0].trajectory)
     rows = []
     for base in bases:
@@ -548,6 +558,27 @@ class TestStaleWindowOracle:
         assert all(row[0] == 0.0 and 0.0 not in row[1:] for row in expected)
 
 
+class TestRefreshTimes:
+    """`Candidate.refresh_times` is the time of each stale channel's first
+    event that `refreshes` it, inf if none does."""
+
+    @pytest.mark.parametrize("seed", [3, 7, 11, 19])
+    @pytest.mark.parametrize("world", sorted(STALE_WORLDS))
+    @pytest.mark.parametrize("term_length", [1.0, 1 / 3, 0.75])
+    def test_first_refreshing_event(self, world, term_length, seed):
+        n_terms = 3
+        spec, candidates, assignments, dims = stale_window_set(world, term_length, n_terms, seed)
+        for c, refresh in zip(candidates, base_refresh_times(spec, candidates, assignments,
+                                                             n_terms, dims)):
+            state = build_network(spec.with_extra_policy(c.schedule) if c.schedule else spec)
+            apply_assignment(state, assignments[c.id])
+            stale = [cid for cid, ch in state.channels.items() if ch.snap_rate_sink != ch.rate]
+            run_record(state, n_terms)
+            assert refresh == {cid: next((ev.time for ev in state.log if refreshes(ev, cid)),
+                                         math.inf) for cid in stale}
+            assert bool(refresh) == any(assignments[c.id].offsets.values())
+
+
 def refreshes(event, channel):
     """Whether a logged event refreshes the channel's snapshot."""
     if event.kind == "Settlement":
@@ -714,6 +745,30 @@ class TestAnticipatePipeline:
         report, candidates = anticipate(spec, self.config())
         assert 0 <= report.selected < len(candidates)
         assert len(report.scores) == 3
+
+    @pytest.mark.parametrize("stock_dim", [False, True])
+    def test_each_candidate_is_simulated_once(self, monkeypatch, stock_dim):
+        spec, dims = tax_policy_spec(), ("consumption_flow", "bond_flow")
+        if stock_dim:
+            spec = replace(spec, figures=spec.figures + (FigureSpec("hh_stock", stock="HH"),))
+            dims += ("hh_stock",)
+        config = self.config(candidates=4, dims=dims, replay=ReplayConfig(replays=4, seed=21))
+        calls = []
+        simulate = anticipation.simulate_candidate
+        monkeypatch.setattr(anticipation, "simulate_candidate",
+                            lambda *args, **kwargs: calls.append(args) or simulate(*args, **kwargs))
+        report, candidates = anticipate(spec, config)
+        assert len(calls) == config.candidates
+        assert candidates == generate_candidates(spec, 4, config.sampler, n_terms=2, dims=dims)
+        assert any(s.divergences != (0.0,) * 4 for s in report.scores) == stock_dim
+
+    def test_flow_dims_without_offsets_take_no_checkpoint(self, monkeypatch):
+        clones = []
+        clone = NetworkState.clone
+        monkeypatch.setattr(NetworkState, "clone", lambda state: clones.append(1) or clone(state))
+        report, _ = anticipate(tax_policy_spec(), self.config(candidates=5))
+        assert clones == []
+        assert len(report.scores) == 5
 
     def test_jobs_do_not_change_results(self, cycle_spec, monkeypatch):
         # `jobs` is deprecated: replays run in this process at any value.

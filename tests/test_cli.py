@@ -477,6 +477,29 @@ class TestParseErrors:
         assert code == 2
         assert f"line {row + 2} column 3: agent 'A' repeated in term 0" in capsys.readouterr().err
 
+    def test_verify_csv_agent_row_with_aggregates(self, tmp_path, capsys):
+        path = tmp_path / "r.csv"
+        invoke("record", "--scenario", "three-agent-cycle", "--terms", "2", "--out", str(path))
+        lines = path.read_text().splitlines(keepends=True)
+        row = next(i for i, line in enumerate(lines) if line.startswith("0,agent,C,"))
+        lines[row] = lines[row].rstrip("\n") + " closing:A=5\n"
+        path.write_text("".join(lines))
+        capsys.readouterr()
+        code, _ = invoke("verify", "--record", str(path))
+        assert code == 2
+        assert capsys.readouterr().err == (f"moneyflow: error: line {row + 1} column 8: agent row "
+                                           "holds ' closing:A=5', where it must be empty\n")
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda sheet: sheet["agents"]["A"].update(closng=5), "sheet 0 agent 'A': unknown key 'closng'"),
+        (lambda sheet: sheet.update(figurs={"ab_flow": 5}), "sheet 0: unknown key 'figurs'"),
+    ], ids=["agent", "sheet"])
+    def test_verify_json_unknown_key(self, tmp_path, capsys, edit, message):
+        path = self.json_record(tmp_path, edit)
+        code, _ = invoke("verify", "--record", str(path))
+        assert code == 2
+        assert f"moneyflow: error: {message}\n" in capsys.readouterr().err
+
     def test_verify_json_agent_repeated(self, tmp_path, capsys):
         line = '{"opening": 0, "inflow": 0, "outflow": 0, "closing": 0}'
         path = tmp_path / "r.json"

@@ -904,6 +904,8 @@ class TestCsvRowMessages:
         ("0,aggregates,,,,,,flow=2 bad", "line 2 column 8: malformed aggregate 'bad'"),
         ("0,agent,A,1,2,3,4,", "term 0: agent rows without a closing aggregates row"),
         ("0,agent,A,1,2,3,4,\n0,agent,A,1,2,3,4,", "line 3 column 3: agent 'A' repeated in term 0"),
+        ("0,agent,A,1,2,3,0, closing:A=5",
+         "line 2 column 8: agent row holds ' closing:A=5', where it must be empty"),
         ("0,agent,A,1,2,3,0,\n0,aggregates,,,,,,flow=2 closing:A=5",
          "line 3 column 8: aggregate 'closing:A' has the name of the closing figure of agent 'A'"),
         ("0,agent,A,1,2,3,0,\n0,aggregates,,,,,,outflow:A=1/2",
@@ -954,6 +956,20 @@ class TestJsonFieldErrors:
             record_from_json(text)
         assert str(info.value) == ("sheet 0: aggregate 'inflow:B' has the name of the inflow "
                                    "figure of agent 'B'")
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: doc.update(sheet=[]), "record: unknown key 'sheet'"),
+        (lambda doc: doc["sheets"][0].update(figurs={"flow": 5}), "sheet 0: unknown key 'figurs'"),
+        (lambda doc: doc["sheets"][0]["agents"]["A"].update(closng=5),
+         "sheet 0 agent 'A': unknown key 'closng'"),
+    ], ids=["document", "sheet", "agent"])
+    def test_unknown_key_rejected(self, edit, message):
+        # A misspelt key would otherwise be dropped and its value never read.
+        doc = self.document(agents={"A": {"opening": 0, "inflow": 0, "outflow": 0, "closing": 0}})
+        edit(doc)
+        with pytest.raises(RecordError) as info:
+            record_from_json(json.dumps(doc))
+        assert str(info.value) == message
 
     def test_bad_term_length(self):
         text = json.dumps({**self.document(), "term_length": "abc"})
