@@ -12,7 +12,6 @@ from .anticipation import (
     anticipate,
     divergence,
     extract_trajectory,
-    generate_candidates,
     robustness_score,
     score_candidates,
     simulate_candidate,

@@ -279,13 +279,6 @@ def _sample_schedules(spec: ScenarioSpec, n: int,
     return schedules
 
 
-def generate_candidates(spec: ScenarioSpec, n: int, sampler: SamplerConfig = SamplerConfig(),
-                        *, n_terms: int, dims: Sequence[str] = DEFAULT_DIMS) -> list[Candidate]:
-    """Candidate 0 is the unmodified continuation; 1..n-1 carry sampled schedules."""
-    return [simulate_candidate(spec, cid, n_terms, dims, schedule)
-            for cid, schedule in enumerate(_sample_schedules(spec, n, sampler))]
-
-
 def sample_shock_sequence(pool: Sequence[float], spec: ScenarioSpec, config: ReplayConfig,
                           replay_index: int, n_terms: int) -> list[ShockSpec]:
     """Seeded disturbance sequence: times and channels uniform, magnitudes from the pool.

@@ -23,7 +23,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
+from itertools import count, takewhile
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple
@@ -31,7 +31,8 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 # `run` is not called here; mfbench's tracer test reads it as `moneyflow.recorder.run`.
 from .engine import _advance, _catch_up, run, settle_all  # noqa: F401
 from .network import _ZERO, NetworkState
-from .scenario import AGENT_FIGURES, ScenarioError, _as_float, _read_utf8, as_fraction, rational_str
+from .scenario import (AGENT_FIGURES, _UNRECORDABLE, ScenarioError, _as_float, _read_utf8, as_fraction,
+                       rational_str)
 
 
 class RecordError(ValueError):
@@ -313,68 +314,71 @@ def _parse_int(text: str, where: str) -> int:
         raise RecordError(f"{where}: expected integer, got {text!r}") from exc
 
 
-def _check_aggregate_names(names: Iterable[str], agents: Mapping[str, AgentLine],
-                            where: str) -> None:
-    """Reject an aggregate named as a per-agent figure of the sheet, "KIND:ID"
-    with ID one of its `agents`, as `ScenarioSpec` rejects such a figure or
-    rate name: it would stand twice among the sheet's figure keys."""
-    for name in names:
-        if ":" in name:
-            kind, _, aid = name.partition(":")
-            if kind in AGENT_FIGURES and aid in agents:
-                raise RecordError(f"{where}: aggregate {name!r} has the name of the {kind} "
-                                  f"figure of agent {aid!r}")
+# The metadata keys a record may carry, each with the parser of its value, and the
+# JSON type of the values that have one (`term_length` may be a number or a string).
+_METADATA = {"version": lambda value, where: value, "fingerprint": lambda value, where: value,
+             "term_length": _term_length, "initial_total_stock": _parse_int}
+_JSON_TYPES = {"version": int, "fingerprint": str, "initial_total_stock": int}
+_OUTSTANDING = ("notes_outstanding", "government_securities_outstanding")
 
 
-def _sheet_from_parts(term: int, agents: dict[str, AgentLine], aggregates: list[tuple[str, str]],
-                      where: str, parsed_rates: dict[str, Fraction]) -> BalanceSheet:
-    notes = securities = 0
-    rates: dict[str, Fraction] = {}
-    figures: dict[str, int] = {}
-    for name, text in aggregates:
-        if name == "notes_outstanding":
-            notes = _parse_int(text, f"{where} {name}")
-        elif name == "government_securities_outstanding":
-            securities = _parse_int(text, f"{where} {name}")
-        elif "." in text or "/" in text:
-            rate = parsed_rates.get(text)
-            if rate is None:
-                rate = parsed_rates[text] = _parse_value(as_fraction, text, f"{where} {name}")
-            rates[name] = rate
-        else:
-            figures[name] = _parse_int(text, f"{where} {name}")
-    return BalanceSheet(term, agents, notes, securities, rates, figures)
+def _record(metadata: Iterable[tuple[str, object, str, str]], sheets: Iterable[tuple]) -> Record:
+    """The record of the parts either syntax reads, under every rule on what they mean
+    (docs/record-format.md, "Reading"). Metadata entries are (key, value, where the key
+    stands, where its value stands); sheets are (term index, agents, rate pairs, figure
+    pairs with the two outstanding totals, where names stand, where values stand)."""
+    fields: dict[str, object] = {}
+    for key, value, where, value_where in metadata:
+        if key not in _METADATA:
+            raise RecordError(f"{where}: unknown key {key!r}")
+        if key in fields:
+            raise RecordError(f"{where}: key {key!r} repeated")
+        if key == "version" and str(value) != "1":
+            raise RecordError(f"{value_where}: expected 1, got {value!r}")
+        fields[key] = _METADATA[key](value, value_where)
+    fields.pop("version", None)
+    layouts: set[tuple] = set()  # names are checked once per layout
+    parsed_rates: dict = {}
+    out = []
+    for term, agents, rates, figures, where, value_where in sheets:
+        names = tuple([name for name, _ in rates + figures])
+        layout = (tuple(agents), names, len(rates))
+        if layout not in layouts:
+            for name in (*agents, *names):
+                if not name or _UNRECORDABLE.search(name):
+                    raise RecordError(f"term {term}: name {name!r}: a record cannot hold an empty "
+                                      "name or one with a comma, whitespace or '='")
+            for i, name in enumerate(names):
+                if i < len(rates) and name in _OUTSTANDING:
+                    raise RecordError(f"{value_where} {name}: expected integer, got {rates[i][1]!r}")
+                if name in names[:i]:
+                    raise RecordError(f"{where}: aggregate {name!r} repeated")
+                kind, _, aid = name.partition(":")
+                if kind in AGENT_FIGURES and aid in agents:
+                    raise RecordError(f"{where}: aggregate {name!r} has the name of the {kind} "
+                                      f"figure of agent {aid!r}")
+            layouts.add(layout)
+        for name, value in rates:  # each rate text is parsed once; a JSON number each time
+            if type(value) is not str or value not in parsed_rates:
+                parsed_rates[value] = _parse_value(as_fraction, value, f"{value_where} {name}")
+        rate_values = {name: parsed_rates[value] for name, value in rates}
+        try:
+            ints = {name: int(value) for name, value in figures}
+        except ValueError:
+            ints = {name: _parse_int(value, f"{value_where} {name}") for name, value in figures}
+        out.append(BalanceSheet(term, agents, ints.pop(_OUTSTANDING[0], 0), ints.pop(_OUTSTANDING[1], 0),
+                                rate_values, ints))
+    return Record(tuple(out), **fields)
 
 
-def record_from_csv(text: str) -> Record:
-    fingerprint = ""
-    term_length = 1.0
-    initial_total = 0
-    lines = text.splitlines()
-    idx = 0
-    while idx < len(lines) and lines[idx].startswith("#"):
-        comment = lines[idx][1:].strip()
-        if "=" in comment:
-            key, _, value = comment.partition("=")
-            if key == "fingerprint":
-                fingerprint = value
-            elif key == "term_length":
-                term_length = _term_length(value, f"line {idx + 1}: term_length")
-            elif key == "initial_total_stock":
-                initial_total = _parse_int(value, f"line {idx + 1}: initial_total_stock")
-        idx += 1
+def _csv_sheets(lines: list[str], idx: int) -> Iterator[tuple]:
+    """The parts of each term block of a CSV record, whose header is line `idx`."""
     if idx >= len(lines) or lines[idx] != _CSV_HEADER:
         raise RecordError(f"line {idx + 1}: expected header {_CSV_HEADER!r}")
-    idx += 1
-
-    sheets: list[BalanceSheet] = []
-    current_term: int | None = None
+    current_term = 0  # the term of the open block, which `agents` holds the rows of
     agents: dict[str, AgentLine] = {}
-    parsed_rates: dict[str, Fraction] = {}
-    # parsed_rates: each rate string of the file is parsed once. A cell that
-    # int() rejects is parsed again by _parse_int, to name its line and column.
-    for lineno in range(idx, len(lines)):
-        row = lines[lineno]
+    # A cell that int() rejects is parsed again by _parse_int, to name its line and column.
+    for lineno, row in enumerate(lines[idx + 1:], idx + 1):
         if not row:
             continue
         parts = row.split(",")
@@ -384,12 +388,10 @@ def record_from_csv(text: str) -> Record:
             term = int(parts[0])
         except ValueError:
             term = _parse_int(parts[0], f"line {lineno + 1} column 1")
-        kind = parts[1]
-        if current_term is None:
-            current_term = term
-        if term != current_term:
+        if agents and term != current_term:
             raise RecordError(f"line {lineno + 1}: unexpected term {term} inside term {current_term} block")
-        if kind == "agent":
+        current_term = term
+        if parts[1] == "agent":
             aid = parts[2]
             if not aid:
                 raise RecordError(f"line {lineno + 1} column 3: agent row needs an id")
@@ -404,40 +406,43 @@ def record_from_csv(text: str) -> Record:
                 raise RecordError(f"line {lineno + 1} column 8: agent row holds {parts[7]!r}, "
                                   "where it must be empty")
             agents[aid] = line
-        elif kind == "aggregates":
-            pairs = []
-            cell = parts[7]
-            if cell:
-                for chunk in cell.split(" "):
+        elif parts[1] == "aggregates":
+            rates, figures = [], []
+            if parts[7]:
+                for chunk in parts[7].split(" "):
                     name, eq, value = chunk.partition("=")
                     if not eq:
                         raise RecordError(f"line {lineno + 1} column 8: malformed aggregate {chunk!r}")
-                    pairs.append((name, value))
-                _check_aggregate_names((name for name, _ in pairs), agents,
-                                       f"line {lineno + 1} column 8")
-            sheets.append(_sheet_from_parts(term, agents, pairs, f"line {lineno + 1}", parsed_rates))
+                    (rates if "." in value or "/" in value else figures).append((name, value))
+            yield term, agents, rates, figures, f"line {lineno + 1} column 8", f"line {lineno + 1}"
             agents = {}
-            current_term = None
         else:
-            raise RecordError(f"line {lineno + 1} column 2: unknown row kind {kind!r}")
-    if current_term is not None:
+            raise RecordError(f"line {lineno + 1} column 2: unknown row kind {parts[1]!r}")
+    if agents:
         raise RecordError(f"term {current_term}: agent rows without a closing aggregates row")
-    return Record(tuple(sheets), fingerprint, term_length, initial_total)
+
+
+def record_from_csv(text: str) -> Record:
+    lines = text.splitlines()
+    metadata = []
+    for n, comment in enumerate(takewhile(lambda line: line.startswith("#"), lines), 1):
+        key, eq, value = comment[1:].strip().partition("=")
+        if not eq and key.startswith("moneyflow-record v"):
+            key, value = "version", key[len("moneyflow-record v"):]
+        metadata.append((key, value, f"line {n}", f"line {n}: {key}"))
+    return _record(metadata, _csv_sheets(lines, len(metadata)))
 
 
 class _RepeatedKeys(dict):
     """A JSON object naming `key` more than once, which `_expect` rejects."""
-
-    key = ""
 
 
 def _json_object(pairs: list[tuple[str, object]]) -> dict:
     """`json.loads` object hook that marks, rather than drops, repeated keys."""
     obj = dict(pairs)
     if len(obj) < len(pairs):
-        keys = [key for key, _ in pairs]
         obj = _RepeatedKeys(obj)
-        obj.key = next(key for key in keys if keys.count(key) > 1)
+        obj.key = next(key for i, (key, _) in enumerate(pairs) if key in dict(pairs[:i]))
     return obj
 
 
@@ -454,6 +459,26 @@ def _expect(value, kind: type, where: str, keys: Iterable[str] | None = None):
     return value
 
 
+def _json_sheets(sheets) -> Iterator[tuple]:
+    """The parts of each sheet of a JSON record."""
+    for i, raw in enumerate(_expect(sheets, list, "sheets")):
+        where = f"sheet {i}"
+        raw = _expect(raw, dict, where, ("term_index", "agents", *_OUTSTANDING, "rates", "figures"))
+        agents = {}
+        for aid, entry in _expect(raw.get("agents", {}), dict, f"{where} agents").items():
+            entry = _expect(entry, dict, f"{where} agent {aid!r}", AgentLine._fields)
+            agents[aid] = AgentLine(*(_expect(entry.get(key), int, f"{where} agent {aid!r} {key}")
+                                      for key in AgentLine._fields))
+        term = _expect(raw.get("term_index"), int, f"{where} term_index")
+        figures = [(key, _expect(raw.get(key, 0), int, f"{where} {label}")) for key, label in
+                   (("notes_outstanding", "notes"), ("government_securities_outstanding", "securities"))]
+        rates = list(_expect(raw.get("rates", {}), dict, f"{where} rates").items())
+        figures += ((k, _expect(v, int, f"{where} figure {k}"))
+                    for k, v in _expect(raw.get("figures", {}), dict, f"{where} figures").items())
+        yield term, agents, rates, figures, where, f"{where} rate"
+
+
+
 def record_from_json(text: str) -> Record:
     try:
         doc = json.loads(text, object_pairs_hook=_json_object)
@@ -461,36 +486,10 @@ def record_from_json(text: str) -> Record:
         raise RecordError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     if not isinstance(doc, dict) or doc.get("format") != "moneyflow-record":
         raise RecordError("not a moneyflow record document")
-    _expect(doc, dict, "record", ("format", "version", "fingerprint", "term_length",
-                                  "initial_total_stock", "sheets"))
-    sheets = []
-    for i, raw in enumerate(_expect(doc.get("sheets", []), list, "sheets")):
-        where = f"sheet {i}"
-        raw = _expect(raw, dict, where, ("term_index", "agents", "notes_outstanding",
-                                         "government_securities_outstanding", "rates", "figures"))
-        agents = {}
-        for aid, entry in _expect(raw.get("agents", {}), dict, f"{where} agents").items():
-            entry = _expect(entry, dict, f"{where} agent {aid!r}", AgentLine._fields)
-            agents[aid] = AgentLine(*(_expect(entry.get(key), int, f"{where} agent {aid!r} {key}")
-                                      for key in AgentLine._fields))
-        sheets.append(BalanceSheet(
-            term_index=_expect(raw.get("term_index"), int, f"{where} term_index"),
-            agents=agents,
-            notes_outstanding=_expect(raw.get("notes_outstanding", 0), int, f"{where} notes"),
-            securities_outstanding=_expect(raw.get("government_securities_outstanding", 0), int,
-                                           f"{where} securities"),
-            rates={k: _parse_value(as_fraction, v, f"{where} rate {k}")
-                   for k, v in _expect(raw.get("rates", {}), dict, f"{where} rates").items()},
-            figures={k: _expect(v, int, f"{where} figure {k}")
-                     for k, v in _expect(raw.get("figures", {}), dict, f"{where} figures").items()},
-        ))
-        _check_aggregate_names([*sheets[-1].rates, *sheets[-1].figures], agents, where)
-    return Record(
-        sheets=tuple(sheets),
-        fingerprint=_expect(doc.get("fingerprint", ""), str, "fingerprint"),
-        term_length=_term_length(doc.get("term_length", 1.0), "term_length"),
-        initial_total_stock=_expect(doc.get("initial_total_stock", 0), int, "initial_total_stock"),
-    )
+    metadata = [(key, _expect(value, _JSON_TYPES[key], key) if key in _JSON_TYPES else value,
+                 "record", key) for key, value in _expect(doc, dict, "record").items()
+                if key not in ("format", "sheets")]
+    return _record(metadata, _json_sheets(doc.get("sheets", [])))
 
 
 def read_record(path: str | Path, *, on_identity_violation: str = "reject") -> Record:

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moneyflow import (
+    DEFAULT_DIMS,
     AnticipateConfig,
     Assignment,
     ReplayConfig,
@@ -19,7 +20,6 @@ from moneyflow import (
     build_network,
     divergence,
     extract_trajectory,
-    generate_candidates,
     robustness_score,
     run_record,
     score_candidates,
@@ -28,7 +28,7 @@ from moneyflow import (
     two_agent_kernel,
 )
 from moneyflow import anticipation, engine
-from moneyflow.anticipation import default_scales
+from moneyflow.anticipation import _sample_schedules, default_scales
 from moneyflow.network import NetworkState
 from moneyflow.recorder import BalanceSheet, Record
 from moneyflow.retrieval import apply_assignment
@@ -97,37 +97,44 @@ class TestDivergence:
             divergence([(1.0,)], [(1.0, 2.0)])
 
 
+def sampled_candidates(spec, n, sampler=SamplerConfig(), *, n_terms, dims=DEFAULT_DIMS):
+    """The candidates `anticipate` runs: candidate 0 is the unmodified continuation,
+    1..n-1 carry the sampled schedules."""
+    return [simulate_candidate(spec, cid, n_terms, dims, schedule)
+            for cid, schedule in enumerate(_sample_schedules(spec, n, sampler))]
+
+
 class TestGenerateCandidates:
     def test_single_candidate_is_baseline(self, national5_spec):
-        cands = generate_candidates(national5_spec, 1, n_terms=2)
+        cands = sampled_candidates(national5_spec, 1, n_terms=2)
         assert len(cands) == 1
         assert cands[0].schedule == ()
 
     def test_zero_bound_collapses_to_baseline(self, national5_spec):
-        cands = generate_candidates(national5_spec, 3, SamplerConfig(bound=0.0, seed=5), n_terms=2)
+        cands = sampled_candidates(national5_spec, 3, SamplerConfig(bound=0.0, seed=5), n_terms=2)
         # Same sheets and trajectories; fingerprints legitimately differ since
         # the sampled (no-op) schedules are part of each candidate's scenario.
         assert all(c.record.sheets == cands[0].record.sheets for c in cands)
         assert all(c.trajectory == cands[0].trajectory for c in cands)
 
     def test_fixed_seed_reproducible(self, national5_spec):
-        a = generate_candidates(national5_spec, 4, SamplerConfig(seed=9), n_terms=2)
-        b = generate_candidates(national5_spec, 4, SamplerConfig(seed=9), n_terms=2)
+        a = sampled_candidates(national5_spec, 4, SamplerConfig(seed=9), n_terms=2)
+        b = sampled_candidates(national5_spec, 4, SamplerConfig(seed=9), n_terms=2)
         assert [c.record for c in a] == [c.record for c in b]
 
     def test_common_initial_phase_point(self, national5_spec):
         dims = ("notes_outstanding", "consumption_flow", "bond_flow")
-        cands = generate_candidates(national5_spec, 5, SamplerConfig(seed=2), n_terms=3, dims=dims)
+        cands = sampled_candidates(national5_spec, 5, SamplerConfig(seed=2), n_terms=3, dims=dims)
         first_points = {c.trajectory[0] for c in cands}
         assert len(first_points) == 1
 
     def test_at_least_one_candidate_required(self, national5_spec):
         with pytest.raises(ValueError):
-            generate_candidates(national5_spec, 0, n_terms=1)
+            _sample_schedules(national5_spec, 0, SamplerConfig())
 
     def test_unknown_sampler_channel_rejected(self, national5_spec):
         with pytest.raises(ScenarioError, match="unknown channel 'nope'"):
-            generate_candidates(national5_spec, 2, SamplerConfig(channels=("nope",)), n_terms=1)
+            _sample_schedules(national5_spec, 2, SamplerConfig(channels=("nope",)))
 
     @pytest.mark.parametrize("bound", [3.0, -3.0, 1.0 + 2 ** -52, float("nan")])
     def test_bound_outside_unit_interval_rejected_before_any_run(self, national5_spec, bound,
@@ -139,7 +146,8 @@ class TestGenerateCandidates:
 
         monkeypatch.setattr(anticipation, "simulate_candidate", must_not_run)
         with pytest.raises(ScenarioError, match=r"sampler bound must lie in \[0, 1\]"):
-            generate_candidates(national5_spec, 5, SamplerConfig(bound=bound), n_terms=2)
+            anticipate(national5_spec, AnticipateConfig(candidates=5, horizon_terms=2,
+                                                        sampler=SamplerConfig(bound=bound)))
 
 
 class TestRobustnessScore:
@@ -212,7 +220,7 @@ CYCLE_DIMS = ("ab_flow", "bc_flow", "ca_flow")
 
 def cycle_set(spec):
     """Three candidates; offsets on 0 and 2, and a gain override on 2."""
-    candidates = generate_candidates(spec, 3, SamplerConfig(seed=6, channels=("ab",)),
+    candidates = sampled_candidates(spec, 3, SamplerConfig(seed=6, channels=("ab",)),
                                      n_terms=3, dims=CYCLE_DIMS)
     offsets = {"A": 30, "C": -15}
     assignments = {0: Assignment(offsets=offsets),
@@ -284,7 +292,7 @@ def checkpoint_set(term_length, n_terms):
     there too; candidate 0 carries offsets and candidate 2 a gain override."""
     spec = replace(three_agent_cycle(), term_length=term_length)
     spec = spec.with_extra_shocks([ShockSpec(term_length, "bc", 30)])
-    candidates = generate_candidates(spec, 3, SamplerConfig(seed=6, channels=("ab",)),
+    candidates = sampled_candidates(spec, 3, SamplerConfig(seed=6, channels=("ab",)),
                                      n_terms=n_terms, dims=CYCLE_DIMS)
     offsets = {"A": 30, "C": -15}
     assignments = {0: Assignment(offsets=offsets),
@@ -421,7 +429,7 @@ def stale_window_set(world, term_length, n_terms, seed=7):
     if world == "cycle":
         spec = spec.with_extra_shocks([ShockSpec(0.0625 * term_length, "ca", 0),
                                        ShockSpec(0.125 * term_length, "ab", 20)])
-    candidates = generate_candidates(spec, 3, SamplerConfig(seed=6, channels=("ab",)),
+    candidates = sampled_candidates(spec, 3, SamplerConfig(seed=6, channels=("ab",)),
                                      n_terms=n_terms, dims=dims)
     gains = {agent: Fraction(3) for agent in offsets}
     assignments = {0: Assignment(offsets=offsets), 1: Assignment(gain_overrides=gains),
@@ -759,7 +767,7 @@ class TestAnticipatePipeline:
                             lambda *args, **kwargs: calls.append(args) or simulate(*args, **kwargs))
         report, candidates = anticipate(spec, config)
         assert len(calls) == config.candidates
-        assert candidates == generate_candidates(spec, 4, config.sampler, n_terms=2, dims=dims)
+        assert candidates == sampled_candidates(spec, 4, config.sampler, n_terms=2, dims=dims)
         assert any(s.divergences != (0.0,) * 4 for s in report.scores) == stock_dim
 
     def test_flow_dims_without_offsets_take_no_checkpoint(self, monkeypatch):

@@ -987,3 +987,148 @@ class TestJsonFieldErrors:
         path.write_text('{"format": "moneyflow-record", "sheets": ' + "[" * 100_000 + "]" * 100_000 + "}")
         with pytest.raises(RecordError, match=f"^{re.escape(str(path))}: JSON nested too deeply"):
             read_record(path)
+
+
+class TestReadingRules:
+    """One checker reads the parts of both syntaxes: metadata, names and values mean the same."""
+
+    HEADER = "term,kind,id,opening,inflow,outflow,closing,aggregates\n"
+    UNRECORDABLE = "a record cannot hold an empty name or one with a comma, whitespace or '='"
+
+    @pytest.mark.parametrize("text,message", [
+        ("# moneyflow-record v9\n", "line 1: version: expected 1, got '9'"),
+        ("# moneyflow-record v1\n# fingerprnt=abc\n", "line 2: unknown key 'fingerprnt'"),
+        ("# hello world\n", "line 1: unknown key 'hello world'"),
+        ("# term_length=2.0\n# term_length=3.0\n", "line 2: key 'term_length' repeated"),
+        (HEADER + "0,aggregates,,,,,,f=1 f=2\n", "line 2 column 8: aggregate 'f' repeated"),
+        (HEADER + "0,aggregates,,,,,,notes_outstanding=1 notes_outstanding=2\n",
+         "line 2 column 8: aggregate 'notes_outstanding' repeated"),
+        (HEADER + "0,aggregates,,,,,,=5\n", f"term 0: name '': {UNRECORDABLE}"),
+        (HEADER + "0,agent,a=b,0,0,0,0,\n0,aggregates,,,,,,\n", f"term 0: name 'a=b': {UNRECORDABLE}"),
+    ], ids=["version", "unknown-key", "comment", "repeated-key", "repeated-figure",
+            "repeated-notes", "empty-name", "agent-id"])
+    def test_csv_messages(self, text, message):
+        if not text.startswith(self.HEADER):
+            text += self.HEADER
+        with pytest.raises(RecordError) as info:
+            record_from_csv(text)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: doc.update(version=99), "version: expected 1, got 99"),
+        (lambda doc: doc["sheets"][0]["rates"].update(notes_outstanding="1/2"),
+         "sheet 0 rate notes_outstanding: expected integer, got '1/2'"),
+        (lambda doc: doc["sheets"][0]["figures"].update(notes_outstanding=5),
+         "sheet 0: aggregate 'notes_outstanding' repeated"),
+        (lambda doc: doc["sheets"][0]["figures"].update(discount_rate=5),
+         "sheet 0: aggregate 'discount_rate' repeated"),
+        (lambda doc: doc["sheets"][0]["agents"].update({"": doc["sheets"][0]["agents"]["A"]}), f"term 0: name '': {UNRECORDABLE}"),
+        (lambda doc: doc["sheets"][0]["agents"].update({"a,b": doc["sheets"][0]["agents"]["A"]}),
+         f"term 0: name 'a,b': {UNRECORDABLE}"),
+        (lambda doc: doc["sheets"][0]["figures"].update({"a b": 1}), f"term 0: name 'a b': {UNRECORDABLE}"),
+    ], ids=["version", "notes-as-rate", "notes-as-figure", "rate-and-figure", "empty-agent-id",
+            "agent-id-with-comma", "figure-with-space"])
+    def test_json_messages(self, edit, message):
+        doc = {"format": "moneyflow-record", "version": 1, "sheets": [
+            {"term_index": 0, "agents": {"A": dict.fromkeys(AGENT_COLUMNS, 0)},
+             "rates": {"discount_rate": "0.025"}, "figures": {"flow": 1}}]}
+        edit(doc)
+        with pytest.raises(RecordError) as info:
+            record_from_json(json.dumps(doc))
+        assert str(info.value) == message
+
+
+RULE_NAMES = st.text(alphabet="abxyz_:é", min_size=1, max_size=4)
+
+
+@st.composite
+def readable_records(draw):
+    """A record whose names follow the scenario's rule and whose every sheet holds both default rates."""
+    sheets = []
+    for term in range(draw(st.integers(1, 3))):
+        agents = draw(st.lists(st.text(alphabet="ABC", min_size=1, max_size=2), unique=True, max_size=3))
+        extra = draw(st.lists(RULE_NAMES.filter(lambda name: name.partition(":")[2] not in agents),
+                              unique=True, max_size=4))
+        split = draw(st.integers(0, len(extra)))
+        rates = {name: draw(RATIONALS) for name in ("discount_rate", "securities_interest_rate",
+                                                    *extra[:split])}
+        sheets.append(BalanceSheet(term, {aid: draw(AGENT_LINES) for aid in agents},
+                                   draw(st.integers()), draw(st.integers()), rates,
+                                   {name: draw(st.integers()) for name in extra[split:]}))
+    return Record(tuple(sheets), draw(st.text(alphabet="0123456789abcdef", max_size=16)),
+                  draw(st.floats(min_value=1e-9, max_value=1e9)), draw(st.integers()))
+
+
+def _first_aggregates_row(lines):
+    return next(i for i, line in enumerate(lines) if ",aggregates," in line)
+
+
+def _csv_version(lines):
+    if lines[0].startswith("# moneyflow-record v1"):
+        lines[0] = "# moneyflow-record v2"
+    else:
+        lines.insert(0, "# moneyflow-record v2")
+
+
+def _csv_append(lines, pair):
+    row = _first_aggregates_row(lines)
+    lines[row] += f" {pair}"
+
+
+def _csv_notes_as_rate(lines):
+    row = _first_aggregates_row(lines)
+    lines[row] = re.sub(r"notes_outstanding=-?\d+", "notes_outstanding=1/2", lines[row])
+
+
+def _csv_empty_agent(lines):
+    lines.insert(_first_aggregates_row(lines), "0,agent,,0,0,0,0,")
+
+
+def _csv_skip_term(lines):
+    last = lines[-1].split(",", 1)[0]
+    lines[:] = [f"{int(last) + 1},{line.split(',', 1)[1]}" if line.startswith(f"{last},") else line
+                for line in lines]
+
+
+# One perturbation of the same field, in the CSV lines and in the JSON document.
+PERTURBATIONS = {
+    "version": (_csv_version, lambda doc: doc.update(version=2)),
+    "metadata-key": (lambda lines: lines.insert(0, "# extra=1"), lambda doc: doc.update(extra=1)),
+    "repeated-name": (lambda lines: _csv_append(lines, "discount_rate=5"),
+                      lambda doc: doc["sheets"][0]["figures"].update(discount_rate=5)),
+    "reserved-rate": (_csv_notes_as_rate,
+                      lambda doc: doc["sheets"][0]["rates"].update(notes_outstanding="1/2")),
+    "name-with-space": (lambda lines: _csv_append(lines, "a b=1"),
+                        lambda doc: doc["sheets"][0]["figures"].update({"a b": 1})),
+    "name-with-comma": (lambda lines: _csv_append(lines, "a,b=1"),
+                        lambda doc: doc["sheets"][0]["figures"].update({"a,b": 1})),
+    "empty-agent-id": (_csv_empty_agent,
+                       lambda doc: doc["sheets"][0]["agents"].update({"": dict.fromkeys(AGENT_COLUMNS, 0)})),
+    "non-contiguous-term": (_csv_skip_term, lambda doc: doc["sheets"][-1].update(
+        term_index=doc["sheets"][-1]["term_index"] + 1)),
+}
+
+
+def reads(parse, text):
+    try:
+        parse(text)
+    except RecordError:
+        return False
+    return True
+
+
+class TestSyntaxesAgree:
+    @given(record=readable_records(), perturbation=st.sampled_from(sorted(PERTURBATIONS)))
+    @settings(max_examples=200, deadline=None)
+    def test_both_readers_accept_or_reject_alike(self, record, perturbation):
+        csv_text, json_text = record_to_csv(record), record_to_json(record)
+        assert record_from_csv(csv_text) == record
+        assert record_from_json(json_text) == record
+        edit_csv, edit_json = PERTURBATIONS[perturbation]
+        lines = csv_text.splitlines()
+        edit_csv(lines)
+        doc = json.loads(json_text)
+        edit_json(doc)
+        csv_reads = reads(record_from_csv, "\n".join(lines) + "\n")
+        assert csv_reads == reads(record_from_json, json.dumps(doc))
+        assert not csv_reads
