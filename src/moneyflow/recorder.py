@@ -210,6 +210,12 @@ def verify_record(record: Record) -> IdentityReport:
 _CSV_HEADER = "term,kind,id,opening,inflow,outflow,closing,aggregates"
 
 
+def _body(sheet: BalanceSheet) -> tuple:
+    """All a sheet renders but its term index, in order; equal int and Fraction bodies render alike."""
+    return (list(sheet.agents.items()), sheet.notes_outstanding, sheet.securities_outstanding,
+            list(sheet.rates.items()), list(sheet.figures.items()))
+
+
 def _aggregate_items(sheet: BalanceSheet) -> list[tuple[str, str]]:
     items = [
         ("notes_outstanding", str(sheet.notes_outstanding)),
@@ -236,12 +242,15 @@ def record_to_csv(record: Record) -> str:
         lines.append(f"# term_length={record.term_length!r}")
         lines.append(f"# initial_total_stock={record.initial_total_stock}")
     lines.append(_CSV_HEADER)
+    body = None
     for sheet in record.sheets:
-        for aid, line in sheet.agents.items():
-            lines.append(f"{sheet.term_index},agent,{aid},{line.opening},{line.inflow},"
-                         f"{line.outflow},{line.closing},")
-        pairs = " ".join(f"{k}={v}" for k, v in _aggregate_items(sheet))
-        lines.append(f"{sheet.term_index},aggregates,,,,,,{pairs}")
+        if (new := _body(sheet)) != body:  # a quiet term repeats the last one's rows
+            body = new
+            rows = [f",agent,{aid},{line.opening},{line.inflow},{line.outflow},{line.closing},"
+                    for aid, line in sheet.agents.items()]
+            rows.append(",aggregates,,,,,," + " ".join(f"{k}={v}" for k, v in _aggregate_items(sheet)))
+        term = str(sheet.term_index)
+        lines += [term + row for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -254,31 +263,36 @@ def _json_block(entries: list[str], indent: str, brackets: str = "{}") -> str:
 
 
 def _sheet_json(sheet: BalanceSheet) -> str:
+    """A sheet's JSON block from the entry after its term index, which the caller puts first."""
     pad = ",\n          "
     agents = [f'{_quote(aid)}: {{\n          "opening": {line.opening}{pad}"inflow": {line.inflow}'
               f'{pad}"outflow": {line.outflow}{pad}"closing": {line.closing}\n        }}'
               for aid, line in sheet.agents.items()]
     rates = [f"{_quote(k)}: {_quote(rational_str(v))}" for k, v in sheet.rates.items()]
     figures = [f"{_quote(k)}: {v}" for k, v in sheet.figures.items()]
-    return _json_block([
-        f'"term_index": {sheet.term_index}',
+    return ",\n      ".join([
         f'"agents": {_json_block(agents, "      ")}',
         f'"notes_outstanding": {sheet.notes_outstanding}',
         f'"government_securities_outstanding": {sheet.securities_outstanding}',
         f'"rates": {_json_block(rates, "      ")}',
         f'"figures": {_json_block(figures, "      ")}',
-    ], "    ")
+    ]) + "\n    }"
 
 
 def record_to_json(record: Record) -> str:
     """The record as `json.dumps(doc, indent=2) + "\\n"` renders it, written directly."""
+    sheets, body = [], None
+    for sheet in record.sheets:
+        if (new := _body(sheet)) != body:  # a quiet term repeats the last one's block
+            body, rest = new, _sheet_json(sheet)
+        sheets.append(f'{{\n      "term_index": {sheet.term_index},\n      {rest}')
     return _json_block([
         '"format": "moneyflow-record"',
         '"version": 1',
         f'"fingerprint": {_quote(record.fingerprint)}',
         f'"term_length": {json.dumps(record.term_length)}',
         f'"initial_total_stock": {record.initial_total_stock}',
-        f'"sheets": {_json_block([_sheet_json(sheet) for sheet in record.sheets], "  ", "[]")}',
+        f'"sheets": {_json_block(sheets, "  ", "[]")}',
     ], "") + "\n"
 
 
@@ -339,9 +353,12 @@ def _record(metadata: Iterable[tuple[str, object, str, str]], sheets: Iterable[t
     fields.pop("version", None)
     layouts: set[tuple] = set()  # names are checked once per layout
     parsed_rates: dict = {}
+    parts = None, None  # the last sheet's rate and figure pairs
     out = []
     for term, agents, rates, figures, where, value_where in sheets:
-        names = tuple([name for name, _ in rates + figures])
+        fresh = rates is not parts[0] or figures is not parts[1]  # else the last sheet's very parts
+        if fresh:
+            parts, names = (rates, figures), tuple([name for name, _ in rates + figures])
         layout = (tuple(agents), names, len(rates))
         if layout not in layouts:
             for name in (*agents, *names):
@@ -358,66 +375,79 @@ def _record(metadata: Iterable[tuple[str, object, str, str]], sheets: Iterable[t
                     raise RecordError(f"{where}: aggregate {name!r} has the name of the {kind} "
                                       f"figure of agent {aid!r}")
             layouts.add(layout)
-        for name, value in rates:  # each rate text is parsed once; a JSON number each time
-            if type(value) is not str or value not in parsed_rates:
-                parsed_rates[value] = _parse_value(as_fraction, value, f"{value_where} {name}")
-        rate_values = {name: parsed_rates[value] for name, value in rates}
-        try:
-            ints = {name: int(value) for name, value in figures}
-        except ValueError:
-            ints = {name: _parse_int(value, f"{value_where} {name}") for name, value in figures}
-        out.append(BalanceSheet(term, agents, ints.pop(_OUTSTANDING[0], 0), ints.pop(_OUTSTANDING[1], 0),
-                                rate_values, ints))
+        if fresh:
+            for name, value in rates:  # each rate text is parsed once; a JSON number each time
+                if type(value) is not str or value not in parsed_rates:
+                    parsed_rates[value] = _parse_value(as_fraction, value, f"{value_where} {name}")
+            rate_values = {name: parsed_rates[value] for name, value in rates}
+            try:
+                ints = {name: int(value) for name, value in figures}
+            except ValueError:
+                ints = {name: _parse_int(value, f"{value_where} {name}") for name, value in figures}
+            totals = ints.pop(_OUTSTANDING[0], 0), ints.pop(_OUTSTANDING[1], 0)
+        out.append(BalanceSheet(term, agents, *totals, dict(rate_values), dict(ints)))
     return Record(tuple(out), **fields)
 
 
 def _csv_sheets(lines: list[str], idx: int) -> Iterator[tuple]:
-    """The parts of each term block of a CSV record, whose header is line `idx`."""
+    """The parts of each term block of a CSV record, whose header is line `idx`. A row that repeats
+    an earlier one after the term cell reuses its parts; only its term, block and agent id are checked."""
     if idx >= len(lines) or lines[idx] != _CSV_HEADER:
         raise RecordError(f"line {idx + 1}: expected header {_CSV_HEADER!r}")
     current_term = 0  # the term of the open block, which `agents` holds the rows of
     agents: dict[str, AgentLine] = {}
+    seen: dict[str, tuple] = {}  # each distinct row text after the term cell: its kind and parts
     # A cell that int() rejects is parsed again by _parse_int, to name its line and column.
     for lineno, row in enumerate(lines[idx + 1:], idx + 1):
         if not row:
             continue
-        parts = row.split(",")
-        if len(parts) != 8:
-            raise RecordError(f"line {lineno + 1}: expected 8 columns, found {len(parts)}")
+        cell, _, rest = row.partition(",")
+        parsed = seen.get(rest)
+        if parsed is None:
+            parts = row.split(",")
+            if len(parts) != 8:
+                raise RecordError(f"line {lineno + 1}: expected 8 columns, found {len(parts)}")
         try:
-            term = int(parts[0])
+            term = int(cell)
         except ValueError:
-            term = _parse_int(parts[0], f"line {lineno + 1} column 1")
+            term = _parse_int(cell, f"line {lineno + 1} column 1")
         if agents and term != current_term:
             raise RecordError(f"line {lineno + 1}: unexpected term {term} inside term {current_term} block")
         current_term = term
-        if parts[1] == "agent":
-            aid = parts[2]
-            if not aid:
+        if parsed is None and parts[1] == "agent":
+            if not parts[2]:
                 raise RecordError(f"line {lineno + 1} column 3: agent row needs an id")
             try:
                 line = AgentLine(int(parts[3]), int(parts[4]), int(parts[5]), int(parts[6]))
             except ValueError:
                 line = AgentLine(*(_parse_int(parts[c], f"line {lineno + 1} column {c + 1}")
                                    for c in range(3, 7)))
-            if aid in agents:
-                raise RecordError(f"line {lineno + 1} column 3: agent {aid!r} repeated in term {term}")
-            if parts[7]:
-                raise RecordError(f"line {lineno + 1} column 8: agent row holds {parts[7]!r}, "
-                                  "where it must be empty")
-            agents[aid] = line
-        elif parts[1] == "aggregates":
+            parsed = seen[rest] = "agent", parts[2], line, parts[7]  # column 8 is checked below
+        elif parsed is None and parts[1] == "aggregates":
+            for c in range(2, 7):
+                if parts[c]:
+                    raise RecordError(f"line {lineno + 1} column {c + 1}: aggregates row holds "
+                                      f"{parts[c]!r}, where it must be empty")
             rates, figures = [], []
-            if parts[7]:
-                for chunk in parts[7].split(" "):
-                    name, eq, value = chunk.partition("=")
-                    if not eq:
-                        raise RecordError(f"line {lineno + 1} column 8: malformed aggregate {chunk!r}")
-                    (rates if "." in value or "/" in value else figures).append((name, value))
-            yield term, agents, rates, figures, f"line {lineno + 1} column 8", f"line {lineno + 1}"
-            agents = {}
-        else:
+            for chunk in parts[7].split(" ") if parts[7] else ():
+                name, eq, value = chunk.partition("=")
+                if not eq:
+                    raise RecordError(f"line {lineno + 1} column 8: malformed aggregate {chunk!r}")
+                (rates if "." in value or "/" in value else figures).append((name, value))
+            parsed = seen[rest] = "aggregates", rates, figures, ""
+        elif parsed is None:
             raise RecordError(f"line {lineno + 1} column 2: unknown row kind {parts[1]!r}")
+        kind, first, second, cell8 = parsed
+        if kind == "agent":
+            if first in agents:
+                raise RecordError(f"line {lineno + 1} column 3: agent {first!r} repeated in term {term}")
+            if cell8:
+                raise RecordError(f"line {lineno + 1} column 8: agent row holds {cell8!r}, "
+                                  "where it must be empty")
+            agents[first] = second
+        else:
+            yield term, agents, first, second, f"line {lineno + 1} column 8", f"line {lineno + 1}"
+            agents = {}
     if agents:
         raise RecordError(f"term {current_term}: agent rows without a closing aggregates row")
 

@@ -26,19 +26,21 @@ import pytest
 from moneyflow import (
     Assignment,
     BUILTIN_SCENARIOS,
+    PolicyAction,
     ReplayConfig,
     ShockSpec,
     build_network,
     event_trace,
     run_record,
     score_candidates,
+    national_5,
     simulate_candidate,
     three_agent_cycle,
     three_agent_skew,
 )
 from moneyflow.cli import run_cli
 from moneyflow.network import Event
-from moneyflow.recorder import record_to_csv, record_to_json
+from moneyflow.recorder import record_from_csv, record_from_json, record_to_csv, record_to_json
 from moneyflow.retrieval import apply_assignment
 
 from conftest import residual_only_updates, wider_rule_run
@@ -124,6 +126,37 @@ def test_non_unit_term_length_pinned():
         "be62f2e292ce682fa999f903d5f733c3b5b71f35973a85e39cbc8448477f2c3d",
         "7f0300ad1802b035708a23f78f8b43d24cd7a3ad410718f2f0556028c40d9298",
     )
+
+
+# Long records in which most sheets equal the one before but for the term index:
+# national-5 with the acceptance-3 tax policy, quiet in 195 of its 199 steps, and
+# three-agent-cycle with the rate new_rate added at t = 2.5, a body change between
+# quiet stretches. Name: (spec, terms, CSV pin, JSON pin).
+LONG_RECORD_PINS = {
+    "national-5-tax-200": (
+        national_5().with_extra_policy(
+            [PolicyAction(10.0, "set_multiplier", cid, Fraction(3, 10)) for cid in ("tax_hh", "tax_corp")]),
+        200,
+        "09770c39ea2a36018b86d95f95d3cf0aa9a2915597f30a85eb588d4140ee5417",
+        "dcf5ec667f1970c2cef272e7eba146791c1364e958376342e89bac3d81b5fe0f",
+    ),
+    "three-agent-cycle-new-rate-20": (
+        three_agent_cycle().with_extra_policy([PolicyAction(2.5, "set_rate", "new_rate", Fraction(1, 10))]),
+        20,
+        "154023a2a95ea170c314e7d2615e755d9fa437fa2a05dd0e8a7162f9c07455a8",
+        "eda5261df3fc2e99739bea205414162f99d3df69e15d8947e8cd936f2df35367",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LONG_RECORD_PINS))
+def test_long_records_pinned_and_read_back(name):
+    spec, n_terms, csv_pin, json_pin = LONG_RECORD_PINS[name]
+    record = run_record(build_network(spec), n_terms)
+    csv_text, json_text = record_to_csv(record), record_to_json(record)
+    assert (sha256(csv_text), sha256(json_text)) == (csv_pin, json_pin)
+    assert record_from_csv(csv_text) == record
+    assert record_from_json(json_text) == record
 
 
 # The acceptance-6 hidden offsets at gain 3: agents adjust in terms 0-3.
