@@ -17,12 +17,7 @@ from math import lcm
 from typing import Mapping, NamedTuple
 
 from . import rng
-from .scenario import CENTRAL_BANK, ScenarioError, ScenarioSpec
-
-# Ceiling on the expected agent wakes per term (`ScenarioSpec.wakes_per_term`).
-# Every wake costs at least one draw, even a skipped one, so a scenario above
-# it would not finish a term; the built-in scenarios expect at most 20.
-_MAX_WAKES_PER_TERM = 1e6
+from .scenario import ScenarioError, ScenarioSpec
 
 # The one zero ``Fraction``: every carried residual of zero (`Agent`,
 # `engine.equilibrate`) and every rate a balance sheet does not hold.
@@ -174,80 +169,22 @@ class NetworkState:
 
 
 def build_network(spec: ScenarioSpec) -> NetworkState:
-    """Validate a scenario and construct its initial state at time 0.
+    """Construct a scenario's initial state at time 0.
 
-    All settlement snapshots start equal to the true rates, accruals start
-    empty, and cumulative issuance starts at zero.
+    A `ScenarioSpec` checks every scenario rule when it is made, so this only
+    builds. All settlement snapshots start equal to the true rates, accruals
+    start empty, and cumulative issuance starts at zero.
     """
-    agents: dict[str, Agent] = {}
-    for a in spec.agents:
-        if a.id in agents:
-            raise ScenarioError(f"duplicate agent id {a.id!r}")
-        if not a.mean_wait > 0:
-            raise ScenarioError(f"agent {a.id!r}: mean_wait must be positive, got {a.mean_wait}")
-        agents[a.id] = Agent(
-            id=a.id,
-            stock=a.stock,
-            gain=a.gain,
-            continuity_exempt=a.continuity_exempt,
-            mean_wait=a.mean_wait,
-            event_key=rng.stream_key(spec.seed, rng.string_key("agent-events"), rng.string_key(a.id)),
-        )
-
-    wakes = spec.wakes_per_term
-    if wakes > _MAX_WAKES_PER_TERM:
-        raise ScenarioError(
-            f"agents would wake about {wakes:.3g} times per term (term_length x sum of "
-            f"1/mean_wait), above the limit of {_MAX_WAKES_PER_TERM:.0e}; raise mean_wait"
-        )
-
-    cbs = [a.id for a in spec.agents if a.continuity_exempt]
-    if len(cbs) != 1:
-        raise ScenarioError(
-            f"network must contain exactly one {CENTRAL_BANK} agent, found {len(cbs)}: {cbs!r}"
-        )
-
-    channels: dict[str, Channel] = {}
-    for c in spec.channels:
-        if c.id in channels:
-            raise ScenarioError(f"duplicate channel id {c.id!r}")
-        if c.source == c.sink:
-            raise ScenarioError(f"channel {c.id!r}: self-loop on agent {c.source!r}")
-        for endpoint in (c.source, c.sink):
-            if endpoint not in agents:
-                raise ScenarioError(f"channel {c.id!r}: unknown agent {endpoint!r}")
-        if c.rate < 0:
-            raise ScenarioError(f"channel {c.id!r}: negative rate {c.rate}")
-        if c.multiplier < 0:
-            raise ScenarioError(f"channel {c.id!r}: negative multiplier {c.multiplier}")
-        channels[c.id] = Channel(
-            id=c.id,
-            source=c.source,
-            sink=c.sink,
-            rate=c.rate,
-            mult_num=c.multiplier.numerator,
-            mult_den=c.multiplier.denominator,
-            adjustable=c.adjustable,
-            snap_rate_sink=c.rate,
-        )
-
-    for sched_name, sched in (("issuance", spec.issuance), ("securities", spec.securities)):
-        for entry in sched:
-            if entry.time < 0:
-                raise ScenarioError(f"{sched_name} schedule: negative time {entry.time}")
-    for action in spec.policy:
-        if action.kind == "set_multiplier" and action.target not in channels:
-            raise ScenarioError(f"policy entry: unknown channel {action.target!r}")
-        if action.value < 0:
-            raise ScenarioError(f"policy entry for {action.target!r}: negative value")
-    for shock in spec.shocks:
-        if shock.channel not in channels:
-            raise ScenarioError(f"shock entry: unknown channel {shock.channel!r}")
-    for fig in spec.figures:
-        if fig.channel is not None and fig.channel not in channels:
-            raise ScenarioError(f"figure {fig.name!r}: unknown channel {fig.channel!r}")
-        if fig.stock is not None and fig.stock not in agents:
-            raise ScenarioError(f"figure {fig.name!r}: unknown agent {fig.stock!r}")
+    agents = {
+        a.id: Agent(a.id, a.stock, a.gain, a.continuity_exempt, a.mean_wait, event_key=rng.stream_key(
+            spec.seed, rng.string_key("agent-events"), rng.string_key(a.id)))
+        for a in spec.agents
+    }
+    channels = {
+        c.id: Channel(c.id, c.source, c.sink, c.rate, c.multiplier.numerator, c.multiplier.denominator,
+                      c.adjustable, snap_rate_sink=c.rate)
+        for c in spec.channels
+    }
 
     order = tuple(sorted(agents))
     outgoing = {aid: tuple(c.id for c in spec.channels if c.source == aid) for aid in order}
@@ -273,7 +210,7 @@ def build_network(spec: ScenarioSpec) -> NetworkState:
         incoming=incoming,
         adjustable_outgoing=adjustable_outgoing,
         pair_channels=pair_channels,
-        central_bank=cbs[0],
+        central_bank=next(a.id for a in spec.agents if a.continuity_exempt),
     )
     for agent in agents.values():
         agent.next_time = rng.exponential(agent.mean_wait, agent.event_key, 0)
@@ -325,9 +262,9 @@ def accrue(channel: Channel, now: float) -> None:
     power, read off the channel's multiplier pair with no ``Fraction`` in
     between, which is ``rate * multiplier * elapsed`` exactly
     (`_add_piece`). It is never
-    negative: rates are >= 0 (validated at build, clamped in `equilibrate`,
-    checked in assignments), multipliers are >= 0 (validated at build and
-    for policies) and ``now`` is past ``accrued_until``.
+    negative: rates are >= 0 (checked by `ScenarioSpec`, clamped in
+    `equilibrate`, checked in assignments), multipliers are >= 0 (checked by
+    `ScenarioSpec`, for policies too) and ``now`` is past ``accrued_until``.
     """
     until = channel.accrued_until
     if now > until:

@@ -31,8 +31,8 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 # `run` is not called here; mfbench's tracer test reads it as `moneyflow.recorder.run`.
 from .engine import _advance, _catch_up, run, settle_all  # noqa: F401
 from .network import _ZERO, NetworkState
-from .scenario import (AGENT_FIGURES, _UNRECORDABLE, ScenarioError, _as_float, _read_utf8, as_fraction,
-                       rational_str)
+from .scenario import (AGENT_FIGURES, _UNRECORDABLE, DEFAULT_RATE_NAMES, ScenarioError, _as_float,
+                       _read_utf8, as_fraction, rational_str)
 
 
 class RecordError(ValueError):
@@ -58,8 +58,7 @@ class BalanceSheet(NamedTuple):
         out: dict[str, int | Fraction] = {
             "notes_outstanding": self.notes_outstanding,
             "government_securities_outstanding": self.securities_outstanding,
-            "discount_rate": self.rates.get("discount_rate", _ZERO),
-            "securities_interest_rate": self.rates.get("securities_interest_rate", _ZERO),
+            **{name: self.rates.get(name, _ZERO) for name in DEFAULT_RATE_NAMES},
         }
         for name, value in self.rates.items():
             if name not in out:
@@ -221,8 +220,7 @@ def _aggregate_items(sheet: BalanceSheet) -> list[tuple[str, str]]:
         ("notes_outstanding", str(sheet.notes_outstanding)),
         ("government_securities_outstanding", str(sheet.securities_outstanding)),
     ]
-    rate_names = ["discount_rate", "securities_interest_rate"]
-    rate_names += sorted(k for k in sheet.rates if k not in rate_names)
+    rate_names = [*DEFAULT_RATE_NAMES, *sorted(k for k in sheet.rates if k not in DEFAULT_RATE_NAMES)]
     for name in rate_names:
         text = rational_str(sheet.rates.get(name, _ZERO))
         if "." not in text and "/" not in text:

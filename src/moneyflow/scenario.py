@@ -25,6 +25,10 @@ DEFAULT_RATE_NAMES = ("discount_rate", "securities_interest_rate")
 _UNRECORDABLE = re.compile(r"[\s,=]")
 # A record's per-agent figures, each keyed "KIND:ID" beside the aggregate names.
 AGENT_FIGURES = ("closing", "inflow", "outflow")
+# Ceiling on the expected agent wakes per term, term_length x sum(1 / mean_wait).
+# Every wake costs at least one draw, even a skipped one, so a scenario above
+# it would not finish a term; the built-in scenarios expect at most 20.
+_MAX_WAKES_PER_TERM = 1e6
 
 
 class ScenarioError(ValueError):
@@ -201,11 +205,72 @@ class ScenarioSpec:
                 raise ScenarioError(f"figure name {name!r} is the name of another record figure "
                                     "(notes or securities outstanding, a rate, or an agent's "
                                     "closing, inflow or outflow)")
-
-    @property
-    def wakes_per_term(self) -> float:
-        """Expected agent wakes per term: term_length * sum(1 / mean_wait)."""
-        return self.term_length * sum(1 / a.mean_wait for a in self.agents)
+        # The rules on what the scenario means, after the record-name rules,
+        # so that every way of making a spec checks them all.
+        if "".join(self.name.splitlines()) != self.name:  # the CLI prints it in a one-line header
+            raise ScenarioError(f"scenario: name must not contain a line break, got {self.name!r}")
+        term_length = _as_float(self.term_length, "term_length")
+        if not term_length > 0:
+            raise ScenarioError(f"term_length must be positive, got {term_length}")
+        for a in self.agents:
+            if a.gain < 0:
+                raise ScenarioError(f"agent {a.id!r}: gain must be non-negative")
+        for p in self.policy:
+            if p.kind not in ("set_multiplier", "set_rate"):
+                raise ScenarioError(f"policy entry: unknown action {p.kind!r}")
+        for f in self.figures:
+            if (f.channel is None) == (f.stock is None):
+                raise ScenarioError(f"figure {f.name!r}: exactly one of channel/stock required")
+        # The network: unique ids, a finite wake rate, one central bank and known references.
+        agent_ids: set[str] = set()
+        for a in self.agents:
+            if a.id in agent_ids:
+                raise ScenarioError(f"duplicate agent id {a.id!r}")
+            agent_ids.add(a.id)
+            if not a.mean_wait > 0:
+                raise ScenarioError(f"agent {a.id!r}: mean_wait must be positive, got {a.mean_wait}")
+        wakes = term_length * sum(1 / a.mean_wait for a in self.agents)
+        if wakes > _MAX_WAKES_PER_TERM:
+            raise ScenarioError(
+                f"agents would wake about {wakes:.3g} times per term (term_length x sum of "
+                f"1/mean_wait), above the limit of {_MAX_WAKES_PER_TERM:.0e}; raise mean_wait"
+            )
+        cbs = [a.id for a in self.agents if a.continuity_exempt]
+        if len(cbs) != 1:
+            raise ScenarioError(
+                f"network must contain exactly one {CENTRAL_BANK} agent, found {len(cbs)}: {cbs!r}"
+            )
+        channel_ids: set[str] = set()
+        for c in self.channels:
+            if c.id in channel_ids:
+                raise ScenarioError(f"duplicate channel id {c.id!r}")
+            channel_ids.add(c.id)
+            if c.source == c.sink:
+                raise ScenarioError(f"channel {c.id!r}: self-loop on agent {c.source!r}")
+            for endpoint in (c.source, c.sink):
+                if endpoint not in agent_ids:
+                    raise ScenarioError(f"channel {c.id!r}: unknown agent {endpoint!r}")
+            if c.rate < 0:
+                raise ScenarioError(f"channel {c.id!r}: negative rate {c.rate}")
+            if c.multiplier < 0:
+                raise ScenarioError(f"channel {c.id!r}: negative multiplier {c.multiplier}")
+        for sched_name, sched in (("issuance", self.issuance), ("securities", self.securities)):
+            for entry in sched:
+                if entry.time < 0:
+                    raise ScenarioError(f"{sched_name} schedule: negative time {entry.time}")
+        for p in self.policy:
+            if p.kind == "set_multiplier" and p.target not in channel_ids:
+                raise ScenarioError(f"policy entry: unknown channel {p.target!r}")
+            if p.value < 0:
+                raise ScenarioError(f"policy entry for {p.target!r}: negative value")
+        for s in self.shocks:
+            if s.channel not in channel_ids:
+                raise ScenarioError(f"shock entry: unknown channel {s.channel!r}")
+        for f in self.figures:
+            if f.channel is not None and f.channel not in channel_ids:
+                raise ScenarioError(f"figure {f.name!r}: unknown channel {f.channel!r}")
+            if f.stock is not None and f.stock not in agent_ids:
+                raise ScenarioError(f"figure {f.name!r}: unknown agent {f.stock!r}")
 
     def with_seed(self, seed: int) -> "ScenarioSpec":
         return replace(self, seed=seed)
@@ -299,12 +364,8 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioSpec:
     if not isinstance(data, Mapping):
         raise ScenarioError("scenario document must be a JSON object")
     name = _text(data, "name", "scenario") if "name" in data else "unnamed"
-    if "".join(name.splitlines()) != name:  # the CLI prints it in a one-line header
-        raise ScenarioError(f"scenario: name must not contain a line break, got {name!r}")
     seed = data.get("seed", 0)
     term_length = _as_float(data.get("term_length", 1.0), "term_length")
-    if not term_length > 0:
-        raise ScenarioError(f"term_length must be positive, got {term_length}")
 
     agents = []
     for raw in _entries(data, "agents", required=True):
@@ -318,8 +379,6 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioSpec:
                 mean_wait=_as_float(raw.get("mean_wait", 0.25), f"{where} mean_wait"),
             )
         )
-        if agents[-1].gain < 0:
-            raise ScenarioError(f"{where}: gain must be non-negative")
 
     channels = []
     for raw in _entries(data, "channels"):
@@ -350,8 +409,6 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioSpec:
     policy = []
     for raw in _entries(data, "policy_schedule"):
         kind = str(_require(raw, "action", "policy entry"))
-        if kind not in ("set_multiplier", "set_rate"):
-            raise ScenarioError(f"policy entry: unknown action {kind!r}")
         policy.append(
             PolicyAction(
                 time=_as_float(_require(raw, "time", "policy entry"), "policy time"),
@@ -371,18 +428,16 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioSpec:
             )
         )
 
-    figures = []
-    for raw in _entries(data, "figures"):
-        fig = FigureSpec(
+    figures = [
+        FigureSpec(
             name=_text(raw, "name", "figure entry"),
             channel=_text(raw, "channel", "figure entry", False),
             stock=_text(raw, "stock", "figure entry", False),
         )
-        if (fig.channel is None) == (fig.stock is None):
-            raise ScenarioError(f"figure {fig.name!r}: exactly one of channel/stock required")
-        figures.append(fig)
+        for raw in _entries(data, "figures")
+    ]
 
-    rates = {name: Fraction(0) for name in DEFAULT_RATE_NAMES}
+    rates = {}
     raw_rates = data.get("rates", {})
     if not isinstance(raw_rates, Mapping):
         raise ScenarioError("rates must be an object")

@@ -655,6 +655,21 @@ class TestParseErrors:
         assert code == 2
         assert "per term" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [("simulate", "--terms", "1"), ("record", "--out", "r.csv"),
+                                      ("fit", "--target", "target.csv", "--budget", "2"),
+                                      ("anticipate", "--horizon", "1", "--replays", "1")])
+    def test_invalid_scenario_prints_no_header(self, tmp_path, monkeypatch, argv, capsys):
+        # The scenario is rejected as it is loaded, before the `#` header.
+        monkeypatch.chdir(tmp_path)
+        assert invoke("record", "--scenario", "three-agent-cycle", "--out", "target.csv")[0] == 0
+        doc = three_agent_cycle().to_dict()
+        doc["channels"].append({"id": "aa", "source": "A", "sink": "A", "rate": 5})
+        Path("s.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        code, output = invoke(argv[0], "--scenario", "s.json", *argv[1:])
+        assert (code, output) == (2, "")
+        assert capsys.readouterr().err == "moneyflow: error: channel 'aa': self-loop on agent 'A'\n"
+
     @pytest.mark.parametrize("argv", [("simulate", "--terms", "2"),
                                       ("anticipate", "--horizon", "2", "--candidates", "2",
                                        "--replays", "2")])

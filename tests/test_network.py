@@ -45,41 +45,34 @@ class TestBuildNetwork:
         assert ch.snap_rate_sink == 10
 
     def test_self_loop_rejected(self):
-        spec = spec_with([CB, AgentSpec("A", "Custom:x")], [ChannelSpec("aa", "A", "A", 5)])
         with pytest.raises(ScenarioError, match="aa.*self-loop"):
-            build_network(spec)
+            build_network(spec_with([CB, AgentSpec("A", "Custom:x")], [ChannelSpec("aa", "A", "A", 5)]))
 
     def test_missing_central_bank_rejected(self):
-        spec = spec_with([AgentSpec("A", "Custom:x"), AgentSpec("B", "Custom:x")], [])
         with pytest.raises(ScenarioError, match="exactly one CentralBank"):
-            build_network(spec)
+            build_network(spec_with([AgentSpec("A", "Custom:x"), AgentSpec("B", "Custom:x")], []))
 
     def test_two_central_banks_rejected(self):
-        spec = spec_with([CB, AgentSpec("CB2", "CentralBank")], [])
         with pytest.raises(ScenarioError, match="exactly one CentralBank"):
-            build_network(spec)
+            build_network(spec_with([CB, AgentSpec("CB2", "CentralBank")], []))
 
     def test_duplicate_agent_id_rejected(self):
-        spec = spec_with([CB, AgentSpec("A", "Custom:x"), AgentSpec("A", "Custom:y")], [])
         with pytest.raises(ScenarioError, match="duplicate agent id 'A'"):
-            build_network(spec)
+            build_network(spec_with([CB, AgentSpec("A", "Custom:x"), AgentSpec("A", "Custom:y")], []))
 
     def test_negative_rate_rejected(self):
-        spec = spec_with([CB, AgentSpec("A", "Custom:x"), AgentSpec("B", "Custom:x")],
-                         [ChannelSpec("ab", "A", "B", -1)])
         with pytest.raises(ScenarioError, match="ab.*negative rate"):
-            build_network(spec)
+            build_network(spec_with([CB, AgentSpec("A", "Custom:x"), AgentSpec("B", "Custom:x")],
+                                    [ChannelSpec("ab", "A", "B", -1)]))
 
     def test_unknown_endpoint_rejected(self):
-        spec = spec_with([CB, AgentSpec("A", "Custom:x")], [ChannelSpec("ab", "A", "B", 1)])
         with pytest.raises(ScenarioError, match="unknown agent 'B'"):
-            build_network(spec)
+            build_network(spec_with([CB, AgentSpec("A", "Custom:x")], [ChannelSpec("ab", "A", "B", 1)]))
 
     def test_negative_multiplier_rejected(self):
-        spec = spec_with([CB, AgentSpec("A", "Custom:x"), AgentSpec("B", "Custom:x")],
-                         [ChannelSpec("ab", "A", "B", 1, multiplier=Fraction(-1, 2))])
         with pytest.raises(ScenarioError, match="ab.*negative multiplier"):
-            build_network(spec)
+            build_network(spec_with([CB, AgentSpec("A", "Custom:x"), AgentSpec("B", "Custom:x")],
+                                    [ChannelSpec("ab", "A", "B", 1, multiplier=Fraction(-1, 2))]))
 
     def test_exemption_matches_role(self, national5_spec):
         state = build_network(national5_spec)
@@ -88,9 +81,8 @@ class TestBuildNetwork:
 
 
     def test_non_positive_mean_wait_rejected(self):
-        spec = spec_with([CB, AgentSpec("A", "Custom:x", mean_wait=0.0)], [])
         with pytest.raises(ScenarioError, match="mean_wait must be positive"):
-            build_network(spec)
+            build_network(spec_with([CB, AgentSpec("A", "Custom:x", mean_wait=0.0)], []))
 
     def test_wake_rate_above_ceiling_rejected(self):
         # Built and rejected before any wake is drawn: a run would not finish.

@@ -2,10 +2,12 @@
 
 import hashlib
 import json
+import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -23,9 +25,12 @@ from moneyflow import (
 from moneyflow.recorder import record_from_csv, record_to_csv
 from moneyflow.scenario import (
     AgentSpec,
+    ChannelSpec,
     FigureSpec,
     PolicyAction,
     ScenarioError,
+    ScenarioSpec,
+    ScheduledAmount,
     ShockSpec,
     as_fraction,
     as_money,
@@ -182,6 +187,115 @@ class TestRecordableNames:
                        figures=(FigureSpec("ab:flow-é", channel="ab"),))
         record = run_record(build_network(spec), 2)
         assert record_from_csv(record_to_csv(record)) == record
+
+
+BASE = three_agent_cycle()  # agents CB, A, B and C; channels ab, bc and ca; no schedules
+BASE_FIELDS = {f.name: getattr(BASE, f.name) for f in fields(BASE)}
+
+
+def agent_a(**changes):
+    """BASE's agents with agent A changed."""
+    return tuple(replace(a, **changes) if a.id == "A" else a for a in BASE.agents)
+
+
+def document(edits):
+    """The scenario document of BASE with `edits`, valid or not; `to_dict` reads only attributes."""
+    doc = ScenarioSpec.to_dict(SimpleNamespace(**{**BASE_FIELDS, **edits}))
+    doc["figures"] = [{k: v for k, v in f._asdict().items() if v is not None}
+                      for f in edits.get("figures", BASE.figures)]
+    return doc
+
+
+RESERVED = "is the name of another record figure"
+# Every scenario rule: its edits of BASE and the message that reports them.
+# The seed and record-name rules are checked before the others.
+EARLIER_RULES = [
+    ("seed", {"seed": -1}, "seed must be an unsigned 64-bit integer, got -1"),
+    ("unrecordable-id", {"agents": agent_a(id="A,1")},
+     "agent id 'A,1': a record cannot hold an empty name or one with a comma, whitespace or '='"),
+    ("reserved-rate", {"policy": (PolicyAction(1.0, "set_rate", "notes_outstanding", Fraction(1)),)},
+     f"rate name 'notes_outstanding' {RESERVED} (notes or securities outstanding, or an agent's "
+     "closing, inflow or outflow)"),
+    ("reserved-figure", {"figures": (FigureSpec("closing:A", stock="A"),)},
+     f"figure name 'closing:A' {RESERVED} (notes or securities outstanding, a rate, or an agent's "
+     "closing, inflow or outflow)"),
+    ("repeated-figure", {"figures": BASE.figures + BASE.figures[:1]},
+     "figure name 'ab_flow' is used more than once"),
+]
+RULES = EARLIER_RULES + [
+    ("name-line-break", {"name": "a\nb"}, "scenario: name must not contain a line break, got 'a\\nb'"),
+    ("term-length-0", {"term_length": 0}, "term_length must be positive, got 0.0"),
+    ("term-length-negative", {"term_length": -1}, "term_length must be positive, got -1.0"),
+    ("term-length-nan", {"term_length": math.nan}, "term_length: expected a finite number, got nan"),
+    ("term-length-inf", {"term_length": math.inf}, "term_length: expected a finite number, got inf"),
+    ("negative-gain", {"agents": agent_a(gain=Fraction(-1))}, "agent 'A': gain must be non-negative"),
+    ("misspelt-action", {"policy": (PolicyAction(0.5, "set_multplier", "closing:A", Fraction(2)),)},
+     "policy entry: unknown action 'set_multplier'"),
+    ("figure-no-source", {"figures": (FigureSpec("f"),)},
+     "figure 'f': exactly one of channel/stock required"),
+    ("figure-both-sources", {"figures": (FigureSpec("f", channel="ab", stock="A"),)},
+     "figure 'f': exactly one of channel/stock required"),
+    ("duplicate-agent", {"agents": BASE.agents + (AgentSpec("A", "Custom:x"),)},
+     "duplicate agent id 'A'"),
+    ("mean-wait", {"agents": agent_a(mean_wait=0.0)}, "agent 'A': mean_wait must be positive, got 0.0"),
+    ("wake-ceiling", {"agents": agent_a(mean_wait=1e-300)},
+     "agents would wake about 1e+300 times per term (term_length x sum of 1/mean_wait), above the "
+     "limit of 1e+06; raise mean_wait"),
+    ("no-central-bank", {"agents": BASE.agents[1:]},
+     "network must contain exactly one CentralBank agent, found 0: []"),
+    ("two-central-banks", {"agents": BASE.agents + (AgentSpec("CB2", "CentralBank"),)},
+     "network must contain exactly one CentralBank agent, found 2: ['CB', 'CB2']"),
+    ("duplicate-channel", {"channels": BASE.channels + (ChannelSpec("ab", "B", "A", 1),)},
+     "duplicate channel id 'ab'"),
+    ("self-loop", {"channels": BASE.channels + (ChannelSpec("aa", "A", "A", 5),)},
+     "channel 'aa': self-loop on agent 'A'"),
+    ("unknown-endpoint", {"channels": BASE.channels + (ChannelSpec("ad", "A", "D", 5),)},
+     "channel 'ad': unknown agent 'D'"),
+    ("negative-rate", {"channels": BASE.channels + (ChannelSpec("ac", "A", "C", -1),)},
+     "channel 'ac': negative rate -1"),
+    ("negative-multiplier", {"channels": BASE.channels + (ChannelSpec("ac", "A", "C", 1, Fraction(-1, 2)),)},
+     "channel 'ac': negative multiplier -1/2"),
+    ("issuance-time", {"issuance": (ScheduledAmount(-1.0, 5),)}, "issuance schedule: negative time -1.0"),
+    ("securities-time", {"securities": (ScheduledAmount(-0.5, 5),)},
+     "securities schedule: negative time -0.5"),
+    ("policy-channel", {"policy": (PolicyAction(1.0, "set_multiplier", "nope", Fraction(2)),)},
+     "policy entry: unknown channel 'nope'"),
+    ("policy-value", {"policy": (PolicyAction(1.0, "set_rate", "discount_rate", Fraction(-1)),)},
+     "policy entry for 'discount_rate': negative value"),
+    ("shock-channel", {"shocks": (ShockSpec(1.0, "nope", 5),)}, "shock entry: unknown channel 'nope'"),
+    ("figure-channel", {"figures": (FigureSpec("f", channel="nope"),)}, "figure 'f': unknown channel 'nope'"),
+    ("figure-agent", {"figures": (FigureSpec("f", stock="D"),)}, "figure 'f': unknown agent 'D'"),
+]
+WAYS = {
+    "constructor": lambda edits: ScenarioSpec(**{**BASE_FIELDS, **edits}),
+    "replace": lambda edits: replace(BASE, **edits),
+    "with_seed": lambda edits: BASE.with_seed(edits["seed"]),
+    "with_extra_policy": lambda edits: BASE.with_extra_policy(edits["policy"]),
+    "with_extra_shocks": lambda edits: BASE.with_extra_shocks(edits["shocks"]),
+    "scenario_from_dict": lambda edits: scenario_from_dict(document(edits)),
+}
+ONLY = {"with_seed": "seed", "with_extra_policy": "policy", "with_extra_shocks": "shocks"}
+
+
+class TestEveryRule:
+    """A `ScenarioSpec` checks every scenario rule however it is made, before anything is built."""
+
+    @pytest.mark.parametrize("edits, way, message", [
+        pytest.param(edits, way, message, id=f"{rule}-{way}")
+        for rule, edits, message in RULES for way in WAYS if way not in ONLY or set(edits) == {ONLY[way]}])
+    def test_rejected(self, edits, way, message):
+        with pytest.raises(ScenarioError) as caught:
+            WAYS[way](edits)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("edits", [pytest.param(edits, id=rule)
+                                       for rule, edits, _ in RULES[len(EARLIER_RULES):]])
+    def test_seed_reported_before_later_rules(self, edits):
+        with pytest.raises(ScenarioError, match="^seed must be"):
+            replace(BASE, seed=-1, **edits)
+
+    def test_base_is_valid(self):
+        assert scenario_from_dict(document({})) == BASE
 
 
 class TestShippedScenarios:
