@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-import warnings
 from pathlib import Path
 
 from .anticipation import (
@@ -127,11 +126,9 @@ def cmd_fit(args, out) -> int:
     )
     _header(out, "fit", scenario=spec.name, seed=seed, budget=args.budget,
             tol=args.tol, prefix=args.prefix, starts=args.starts)
-    with warnings.catch_warnings(record=True) as caught:  # one stderr line each, not a traceback
-        warnings.simplefilter("always")
-        target = read_record(args.target, on_identity_violation="warn")
-    for warning in caught:
-        print(f"moneyflow: warning: {warning.message}", file=sys.stderr)
+    target = read_record(args.target, on_identity_violation="skip")
+    if not (report := verify_record(target)).ok:
+        print(f"moneyflow: warning: {args.target}: {report.summary()}", file=sys.stderr)
     result = fit(target, spec, config)
     payload = json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n"
     if args.out:

@@ -9,16 +9,8 @@ stale information miss, so one agent's fix disturbs its partners and the
 adjustment spreads. In the built-in scenarios it dies out within a few
 terms of a disturbance (hidden offsets, a shock, a policy change) instead of
 reverberating, and a network that starts balanced never adjusts at all.
-
-Most wakes therefore find nothing to correct, or only a residual that cannot
-be applied. `run` keeps such agents dormant: out of the event scan and out
-of the log, until something changes what they observe. Their wake times come
-from counter-keyed streams, so the skipped wakes are consumed later, in one
-go and with the same float additions: when the agent rejoins the scan, or
-when a caller needs its clock (the end of `run`, a recorder checkpoint).
-Every later event and the state at the end of each `run` are exactly as if
-each wake had been processed. The recorder's observer cuts are taken inside
-this one loop (see `run`).
+Most wakes therefore find nothing to correct; `run` says how it keeps such
+agents dormant, exactly, and how the recorder's observer cuts fit its loop.
 
 Dormancy and the replay of a quiet observer cut (`settle_all`) rest on one
 rule: once it runs, a state changes only through the engine's operations,
@@ -44,26 +36,17 @@ from .scenario import PolicyAction, ShockSpec
 _NO_EVENT = float("inf")
 
 
-def apportion(total: int, weights: Sequence[Fraction | int]) -> list[int]:
-    """Split an integer total proportionally to non-negative weights.
+def apportion(total: int, weights: Sequence[int]) -> list[int]:
+    """Split an integer total proportionally to non-negative integer weights.
 
     Largest-remainder rounding, so the parts sum to the total exactly. Ties go
-    to the lowest index. A zero weight vector splits equally. The weights are
-    brought to one common denominator first, so the split runs in integers.
-    """
-    if not weights:
-        raise ValueError("apportion() needs at least one weight")
-    scale = lcm(*(w.denominator for w in weights))
-    return _split(total, [w.numerator * (scale // w.denominator) for w in weights])
-
-
-def _split(total: int, weights: list[int]) -> list[int]:
-    """`apportion` over integer weights.
-
-    Each magnitude * w_i / W splits by ``divmod`` into a base and a remainder
+    to the lowest index. A zero weight vector splits equally. Each
+    magnitude * w_i / W splits by ``divmod`` into a base and a remainder
     r_i / W; base - share is -r_i / W, so ordering the leftover units by
     (-r_i, i) is the largest-remainder order with ties to the lowest index.
     """
+    if not weights:
+        raise ValueError("apportion() needs at least one weight")
     if any(w < 0 for w in weights):
         raise ValueError("apportion() weights must be non-negative")
     n = len(weights)
@@ -163,7 +146,7 @@ def equilibrate(channels: Sequence[Channel], deficit: Fraction | int, gain: Frac
     elif units and channels:
         scale = lcm(*(ch.mult_den for ch in channels))
         weights = [ch.rate * ch.mult_num * (scale // ch.mult_den) for ch in channels]
-        for ch, part in zip(channels, _split(units, weights)):
+        for ch, part in zip(channels, apportion(units, weights)):
             if ch.rate + part < 0:
                 part = -ch.rate
             deltas[ch.id] = part
@@ -470,21 +453,10 @@ def _run_issuance(state: NetworkState, now: float) -> list[int]:
 def _peek_scheduled(state: NetworkState) -> tuple[float, str]:
     """Earliest pending exact-time item: policy change, securities entry, shock."""
     best_t, best_kind = _NO_EVENT, ""
-    policy = state.spec.policy
-    if state.cursors["policy"] < len(policy):
-        t = policy[state.cursors["policy"]].time
-        if t < best_t:
-            best_t, best_kind = t, "policy"
-    securities = state.spec.securities
-    if state.cursors["securities"] < len(securities):
-        t = securities[state.cursors["securities"]].time
-        if t < best_t:
-            best_t, best_kind = t, "securities"
-    shocks = state.spec.shocks
-    if state.cursors["shock"] < len(shocks):
-        t = shocks[state.cursors["shock"]].time
-        if t < best_t:
-            best_t, best_kind = t, "shock"
+    spec, cursors = state.spec, state.cursors
+    for kind, schedule in (("policy", spec.policy), ("securities", spec.securities), ("shock", spec.shocks)):
+        if cursors[kind] < len(schedule) and schedule[cursors[kind]].time < best_t:
+            best_t, best_kind = schedule[cursors[kind]].time, kind
     return best_t, best_kind
 
 
@@ -515,15 +487,13 @@ def _run_scheduled(state: NetworkState, kind: str, now: float) -> str | None:
         state.append_event(now, "Issue", {"agent": None, "amount": entry.amount,
                                           "instrument": "securities",
                                           "outstanding": state.securities_outstanding})
-    elif kind == "shock":
+    else:
         spec: ShockSpec = state.spec.shocks[state.cursors["shock"]]
         state.cursors["shock"] += 1
         ch = state.channels[spec.channel]
         inject_shock(state, ch.sink, spec.amount, now, channel_id=spec.channel)
         if spec.amount:
             return spec.channel
-    else:  # pragma: no cover - internal misuse
-        raise ValueError(f"unknown scheduled kind {kind!r}")
     return None
 
 
@@ -545,7 +515,8 @@ def run(state: NetworkState, horizon: float) -> tuple[NetworkState, list[Event]]
     incoming snapshot (a settlement with a partner that adjusted towards it,
     or a nonzero shock) or a multiplier on one of its channels (a
     `set_multiplier` policy) changes. Those events wake it: it consumes the
-    wakes it skipped and rejoins the scan. The central bank's wakes before
+    wakes it skipped, with the draws and float additions each would have made
+    (`_skip_wakes`), and rejoins the scan. The central bank's wakes before
     its next issuance entry are consumed in one go, and while that entry
     lies past the end it sleeps out of the scan like a dormant agent.
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, takewhile
@@ -99,6 +98,10 @@ class IdentityReport(NamedTuple):
 
     def failures(self) -> list[IdentityCheck]:
         return [c for c in self.checks if not c.passed]
+
+    def summary(self) -> str:
+        failures = ", ".join(f"{c.name} (off by {c.discrepancy})" for c in self.failures())
+        return f"accounting identities violated: {failures}"
 
 
 def record_terms(state: NetworkState) -> Iterator[BalanceSheet]:
@@ -523,8 +526,7 @@ def record_from_json(text: str) -> Record:
 def read_record(path: str | Path, *, on_identity_violation: str = "reject") -> Record:
     """Parse a CSV or JSON record file, validating invariants.
 
-    `on_identity_violation`: "reject" raises, "warn" emits a warning, "skip"
-    loads without checking.
+    `on_identity_violation`: "reject" raises, "skip" loads without checking.
     """
     text = _read_utf8(path, RecordError)
     if text.lstrip().startswith("{"):
@@ -534,12 +536,6 @@ def read_record(path: str | Path, *, on_identity_violation: str = "reject") -> R
             raise RecordError(f"{path}: JSON nested too deeply to read") from None
     else:
         record = record_from_csv(text)
-    if on_identity_violation != "skip":
-        report = verify_record(record)
-        if not report.ok:
-            failures = ", ".join(f"{c.name} (off by {c.discrepancy})" for c in report.failures())
-            message = f"{path}: accounting identities violated: {failures}"
-            if on_identity_violation == "reject":
-                raise RecordError(message)
-            warnings.warn(message)
+    if on_identity_violation != "skip" and not (report := verify_record(record)).ok:
+        raise RecordError(f"{path}: {report.summary()}")
     return record

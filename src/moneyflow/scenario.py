@@ -17,6 +17,7 @@ import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
+from types import MappingProxyType
 from typing import Any, Iterable, Mapping, NamedTuple
 
 CENTRAL_BANK = "CentralBank"
@@ -176,12 +177,19 @@ class ScenarioSpec:
         seed = self.seed
         if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2 ** 64:
             raise ScenarioError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
-        merged = {name: Fraction(0) for name in DEFAULT_RATE_NAMES}
+        # Each schedule runs in time order, ties in the order given; a time must be finite to sort.
+        for attr, what in (("issuance", "issuance_schedule time"), ("securities", "securities_schedule time"),
+                           ("policy", "policy time"), ("shocks", "shock time")):
+            if entries := getattr(self, attr):
+                entries = sorted(entries, key=lambda entry: _as_float(entry.time, what))
+                object.__setattr__(self, attr, tuple(entries))
+        merged = dict.fromkeys(DEFAULT_RATE_NAMES, Fraction(0))
         merged.update(self.rates)
-        object.__setattr__(self, "rates", merged)
+        object.__setattr__(self, "rates", MappingProxyType(merged))
+        rate_names = [*merged, *(p.target for p in self.policy if p.kind == "set_rate")]
         for what, names in (("agent id", [a.id for a in self.agents]),
                             ("figure name", [f.name for f in self.figures]),
-                            ("rate name", merged)):
+                            ("rate name", rate_names)):
             for name in names:
                 if not name or _UNRECORDABLE.search(name):
                     raise ScenarioError(f"{what} {name!r}: a record cannot hold an empty name "
@@ -190,7 +198,6 @@ class ScenarioSpec:
         # and each agent's "closing:ID", "inflow:ID" and "outflow:ID".
         reserved = {"notes_outstanding", "government_securities_outstanding",
                     *(f"{kind}:{a.id}" for a in self.agents for kind in AGENT_FIGURES)}
-        rate_names = [*merged, *(p.target for p in self.policy if p.kind == "set_rate")]
         for name in rate_names:
             if name in reserved:
                 raise ScenarioError(f"rate name {name!r} is the name of another record figure "
@@ -276,12 +283,10 @@ class ScenarioSpec:
         return replace(self, seed=seed)
 
     def with_extra_policy(self, actions: Iterable[PolicyAction]) -> "ScenarioSpec":
-        merged = tuple(sorted((*self.policy, *actions), key=lambda p: p.time))
-        return replace(self, policy=merged)
+        return replace(self, policy=(*self.policy, *actions))
 
     def with_extra_shocks(self, shocks: Iterable[ShockSpec]) -> "ScenarioSpec":
-        merged = tuple(sorted((*self.shocks, *shocks), key=lambda s: s.time))
-        return replace(self, shocks=merged)
+        return replace(self, shocks=(*self.shocks, *shocks))
 
     def to_dict(self) -> dict:
         return {
@@ -404,7 +409,7 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioSpec:
                 raise ScenarioError(f"{key}: expected a [time, amount] pair, got {entry!r}")
             out.append(ScheduledAmount(_as_float(entry[0], f"{key} time"),
                                        as_money(entry[1], f"{key} amount")))
-        return tuple(sorted(out, key=lambda s: s.time))
+        return tuple(out)
 
     policy = []
     for raw in _entries(data, "policy_schedule"):
@@ -452,8 +457,8 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioSpec:
         channels=tuple(channels),
         issuance=amounts("issuance_schedule"),
         securities=amounts("securities_schedule"),
-        policy=tuple(sorted(policy, key=lambda p: p.time)),
-        shocks=tuple(sorted(shocks, key=lambda s: s.time)),
+        policy=tuple(policy),
+        shocks=tuple(shocks),
         figures=tuple(figures),
         rates=rates,
     )

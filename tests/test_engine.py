@@ -31,7 +31,7 @@ from moneyflow import (
     update_agent,
 )
 from moneyflow import engine, rng
-from moneyflow.engine import _residual_moves_a_rate, _split, apportion
+from moneyflow.engine import _residual_moves_a_rate, apportion
 from moneyflow.network import Event
 from moneyflow.retrieval import Assignment, apply_assignment
 from moneyflow.scenario import (
@@ -342,7 +342,7 @@ def general_equilibrate(channels, deficit, gain, carry=0):
         scale = lcm(*(ch.multiplier.denominator for ch in channels))
         weights = [ch.rate * ch.multiplier.numerator * (scale // ch.multiplier.denominator)
                    for ch in channels]
-        for ch, part in zip(channels, _split(units, weights)):
+        for ch, part in zip(channels, apportion(units, weights)):
             if ch.rate + part < 0:
                 part = -ch.rate
             deltas[ch.id] = part
@@ -482,7 +482,7 @@ class TestFractionFreeHotPath:
         assert fraction_calls(settle_all, state, 1.1, term=0) == []
 
     def test_apportion(self):
-        assert fraction_calls(apportion, 17, [Fraction(1, 3), 2, Fraction(5, 7)]) == []
+        assert fraction_calls(apportion, 17, [7, 42, 15]) == []
 
     def test_active_update_builds_only_the_residual(self):
         # A observes 70 * 3/10 - 14 * 2/7 = 17 and corrects by 5/2 of it; the

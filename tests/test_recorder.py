@@ -281,7 +281,7 @@ class TestSerialization:
         record = read_record(path)
         assert record.sheets[0].agents["X"].closing == 5
 
-    def test_identity_violation_rejected_or_warns(self, tmp_path):
+    def test_identity_violation_rejected_or_skipped(self, tmp_path):
         text = ("term,kind,id,opening,inflow,outflow,closing,aggregates\n"
                 "0,agent,X,0,7,2,6,\n"
                 "0,aggregates,,,,,,notes_outstanding=6 government_securities_outstanding=0\n")
@@ -289,8 +289,6 @@ class TestSerialization:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(RecordError, match="identities violated"):
             read_record(path)
-        with pytest.warns(UserWarning, match="identities violated"):
-            read_record(path, on_identity_violation="warn")
         read_record(path, on_identity_violation="skip")
 
     def test_unknown_format_rejected(self, tmp_path):

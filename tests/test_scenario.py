@@ -182,6 +182,11 @@ class TestRecordableNames:
         with pytest.raises(ScenarioError, match=f"rate name {name!r}"):
             scenario_from_dict(doc)
 
+    def test_rates_are_read_only(self):
+        # Else a name the spec would reject could reach a record after construction.
+        with pytest.raises(TypeError):
+            three_agent_cycle().rates["closing:A"] = Fraction(1, 8)
+
     def test_other_characters_round_trip(self):
         spec = replace(three_agent_cycle(), rates={"rate.1/2;#": Fraction(1, 8)},
                        figures=(FigureSpec("ab:flow-é", channel="ab"),))
@@ -207,12 +212,15 @@ def document(edits):
 
 
 RESERVED = "is the name of another record figure"
+UNRECORDABLE = "a record cannot hold an empty name or one with a comma, whitespace or '='"
 # Every scenario rule: its edits of BASE and the message that reports them.
-# The seed and record-name rules are checked before the others.
+# The seed rule is checked first, then the schedule times, then the
+# record-name rules, then the others.
 EARLIER_RULES = [
     ("seed", {"seed": -1}, "seed must be an unsigned 64-bit integer, got -1"),
-    ("unrecordable-id", {"agents": agent_a(id="A,1")},
-     "agent id 'A,1': a record cannot hold an empty name or one with a comma, whitespace or '='"),
+    ("unrecordable-id", {"agents": agent_a(id="A,1")}, f"agent id 'A,1': {UNRECORDABLE}"),
+    ("unrecordable-rate-target", {"policy": (PolicyAction(1.0, "set_rate", "a b", Fraction(1)),)},
+     f"rate name 'a b': {UNRECORDABLE}"),
     ("reserved-rate", {"policy": (PolicyAction(1.0, "set_rate", "notes_outstanding", Fraction(1)),)},
      f"rate name 'notes_outstanding' {RESERVED} (notes or securities outstanding, or an agent's "
      "closing, inflow or outflow)"),
@@ -223,6 +231,14 @@ EARLIER_RULES = [
      "figure name 'ab_flow' is used more than once"),
 ]
 RULES = EARLIER_RULES + [
+    ("issuance-time-nan", {"issuance": (ScheduledAmount(math.nan, 5),)},
+     "issuance_schedule time: expected a finite number, got nan"),
+    ("securities-time-nan", {"securities": (ScheduledAmount(math.nan, 5),)},
+     "securities_schedule time: expected a finite number, got nan"),
+    ("policy-time-nan", {"policy": (PolicyAction(math.nan, "set_rate", "discount_rate", Fraction(1)),)},
+     "policy time: expected a finite number, got nan"),
+    ("shock-time-inf", {"shocks": (ShockSpec(math.inf, "ab", 5),)},
+     "shock time: expected a finite number, got inf"),
     ("name-line-break", {"name": "a\nb"}, "scenario: name must not contain a line break, got 'a\\nb'"),
     ("term-length-0", {"term_length": 0}, "term_length must be positive, got 0.0"),
     ("term-length-negative", {"term_length": -1}, "term_length must be positive, got -1.0"),
@@ -296,6 +312,21 @@ class TestEveryRule:
 
     def test_base_is_valid(self):
         assert scenario_from_dict(document({})) == BASE
+
+
+class TestScheduleOrder:
+    def test_entries_run_in_time_order_ties_as_given(self):
+        late = PolicyAction(2.5, "set_rate", "r", Fraction(1, 8))
+        early = PolicyAction(0.5, "set_rate", "r", Fraction(0))
+        tie = PolicyAction(0.5, "set_multiplier", "ab", Fraction(1, 2))
+        shocks = ShockSpec(2.0, "ab", 40), ShockSpec(1.0, "bc", -30)
+        spec = replace(BASE, policy=(late, early, tie), shocks=shocks)
+        in_order = replace(BASE, policy=(early, tie, late), shocks=shocks[::-1])
+        state = build_network(spec)
+        assert run_record(state, 3) == run_record(build_network(in_order), 3)
+        times = [ev.time for ev in state.log]
+        assert times == sorted(times)
+        assert spec == in_order
 
 
 class TestShippedScenarios:
