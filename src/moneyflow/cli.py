@@ -116,15 +116,14 @@ def cmd_verify(args, out) -> int:
 
 def cmd_fit(args, out) -> int:
     spec = _effective_spec(args)
-    seed = args.seed if args.seed is not None else spec.seed
     config = FitConfig(
         budget=args.budget,
         tolerance=args.tol,
-        seed=seed,
+        seed=spec.seed,
         starts=args.starts,
         prefix_terms=args.prefix,
     )
-    _header(out, "fit", scenario=spec.name, seed=seed, budget=args.budget,
+    _header(out, "fit", scenario=spec.name, seed=spec.seed, budget=args.budget,
             tol=args.tol, prefix=args.prefix, starts=args.starts)
     target = read_record(args.target, on_identity_violation="skip")
     if not (report := verify_record(target)).ok:
@@ -141,16 +140,15 @@ def cmd_fit(args, out) -> int:
 
 def cmd_anticipate(args, out) -> int:
     spec = _effective_spec(args)
-    seed = args.seed if args.seed is not None else spec.seed
     dims = tuple(args.dims.split(",")) if args.dims else DEFAULT_DIMS
     config = AnticipateConfig(
         candidates=args.candidates,
         horizon_terms=args.horizon,
         dims=dims,
-        sampler=SamplerConfig(seed=seed, bound=args.bound),
-        replay=ReplayConfig(replays=args.replays, seed=seed, shock_scale=args.shock_scale),
+        sampler=SamplerConfig(seed=spec.seed, bound=args.bound),
+        replay=ReplayConfig(replays=args.replays, seed=spec.seed, shock_scale=args.shock_scale),
     )
-    _header(out, "anticipate", scenario=spec.name, seed=seed, candidates=args.candidates,
+    _header(out, "anticipate", scenario=spec.name, seed=spec.seed, candidates=args.candidates,
             replays=args.replays, horizon=args.horizon, dims=",".join(dims))
     report, candidates = anticipate(spec, config)
     payload = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"

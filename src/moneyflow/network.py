@@ -104,7 +104,6 @@ class NetworkState:
     seq: int = 0
     cursors: dict[str, int] = field(default_factory=lambda: {"issuance": 0, "securities": 0, "policy": 0, "shock": 0})
     # Shared across clones; immutable after build, but `wake_times` grows.
-    initial_stocks: Mapping[str, int] = field(default_factory=dict)
     agent_order: tuple[str, ...] = ()
     channel_order: tuple[str, ...] = ()  # sorted ids, the order of an observer cut
     outgoing: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
@@ -147,7 +146,6 @@ class NetworkState:
             list(self.log),
             self.seq,
             dict(self.cursors),
-            self.initial_stocks,
             self.agent_order,
             self.channel_order,
             self.outgoing,
@@ -203,7 +201,6 @@ def build_network(spec: ScenarioSpec) -> NetworkState:
         agents=agents,
         channels=channels,
         rates=dict(spec.rates),
-        initial_stocks={aid: agents[aid].stock for aid in order},
         agent_order=order,
         channel_order=tuple(sorted(channels)),
         outgoing=outgoing,
@@ -294,5 +291,4 @@ def issue(state: NetworkState, amount: int, time: float) -> NetworkState:
 
 
 def conservation_holds(state: NetworkState) -> bool:
-    initial = sum(state.initial_stocks.values())
-    return state.total_stock() - state.cumulative_issuance == initial
+    return state.total_stock() - state.cumulative_issuance == sum(a.stock for a in state.spec.agents)

@@ -45,6 +45,10 @@ class AgentLine(NamedTuple):
     closing: int
 
 
+# A sheet's aggregates hold the two default rates, 0 where the sheet lacks one.
+_DEFAULT_RATES = dict.fromkeys(DEFAULT_RATE_NAMES, _ZERO)
+
+
 class BalanceSheet(NamedTuple):
     term_index: int
     agents: Mapping[str, AgentLine]
@@ -54,16 +58,10 @@ class BalanceSheet(NamedTuple):
     figures: Mapping[str, int]
 
     def aggregates(self) -> dict[str, int | Fraction]:
-        out: dict[str, int | Fraction] = {
-            "notes_outstanding": self.notes_outstanding,
-            "government_securities_outstanding": self.securities_outstanding,
-            **{name: self.rates.get(name, _ZERO) for name in DEFAULT_RATE_NAMES},
-        }
-        for name, value in self.rates.items():
-            if name not in out:
-                out[name] = value
-        out.update(self.figures)
-        return out
+        """The two totals, the two default rates, the sheet's other rates, then its figures."""
+        return {"notes_outstanding": self.notes_outstanding,
+                "government_securities_outstanding": self.securities_outstanding,
+                **_DEFAULT_RATES, **self.rates, **self.figures}
 
 
 @dataclass(frozen=True)
@@ -182,7 +180,7 @@ def run_record(state: NetworkState, n_terms: int,
             checkpoints.append(clone)
         sheets.append(next(terms))
     return Record(tuple(sheets), state.spec.fingerprint(), state.spec.term_length,
-                  sum(state.initial_stocks.values()))
+                  sum(a.stock for a in state.spec.agents))
 
 
 def verify_record(record: Record) -> IdentityReport:
@@ -218,19 +216,9 @@ def _body(sheet: BalanceSheet) -> tuple:
             list(sheet.rates.items()), list(sheet.figures.items()))
 
 
-def _aggregate_items(sheet: BalanceSheet) -> list[tuple[str, str]]:
-    items = [
-        ("notes_outstanding", str(sheet.notes_outstanding)),
-        ("government_securities_outstanding", str(sheet.securities_outstanding)),
-    ]
-    rate_names = [*DEFAULT_RATE_NAMES, *sorted(k for k in sheet.rates if k not in DEFAULT_RATE_NAMES)]
-    for name in rate_names:
-        text = rational_str(sheet.rates.get(name, _ZERO))
-        if "." not in text and "/" not in text:
-            text += ".0"  # rates always carry a fractional marker in CSV
-        items.append((name, text))
-    items.extend((name, str(value)) for name, value in sheet.figures.items())
-    return items
+def _csv_rate(value: Fraction) -> str:
+    text = rational_str(value)
+    return text if "." in text or "/" in text else text + ".0"  # the marker a CSV reader needs
 
 
 def record_to_csv(record: Record) -> str:
@@ -249,7 +237,12 @@ def record_to_csv(record: Record) -> str:
             body = new
             rows = [f",agent,{aid},{line.opening},{line.inflow},{line.outflow},{line.closing},"
                     for aid, line in sheet.agents.items()]
-            rows.append(",aggregates,,,,,," + " ".join(f"{k}={v}" for k, v in _aggregate_items(sheet)))
+            # The order of `aggregates()`, with a name that is both a rate and a figure written twice.
+            cells = [f"notes_outstanding={sheet.notes_outstanding}",
+                     f"government_securities_outstanding={sheet.securities_outstanding}",
+                     *(f"{k}={_csv_rate(v)}" for k, v in {**_DEFAULT_RATES, **sheet.rates}.items()),
+                     *(f"{k}={v}" for k, v in sheet.figures.items())]
+            rows.append(",aggregates,,,,,," + " ".join(cells))
         term = str(sheet.term_index)
         lines += [term + row for row in rows]
     return "\n".join(lines) + "\n"

@@ -16,6 +16,7 @@ import math
 import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
 from typing import Any, Iterable, Mapping, NamedTuple
@@ -177,76 +178,52 @@ class ScenarioSpec:
         seed = self.seed
         if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2 ** 64:
             raise ScenarioError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
-        # Each schedule runs in time order, ties in the order given; a time must be finite to sort.
+        # Each schedule runs in time order, ties in the order given. A time, like term_length
+        # and mean_wait, is kept as the finite float a scenario file gives.
         for attr, what in (("issuance", "issuance_schedule time"), ("securities", "securities_schedule time"),
                            ("policy", "policy time"), ("shocks", "shock time")):
             if entries := getattr(self, attr):
-                entries = sorted(entries, key=lambda entry: _as_float(entry.time, what))
+                entries = sorted((e if type(e.time) is float and math.isfinite(e.time)
+                                  else e._replace(time=_as_float(e.time, what)) for e in entries),
+                                 key=itemgetter(0))
+                if entries[0].time < 0 and attr in ("issuance", "securities"):
+                    raise ScenarioError(f"{attr} schedule: negative time {entries[0].time}")
                 object.__setattr__(self, attr, tuple(entries))
-        merged = dict.fromkeys(DEFAULT_RATE_NAMES, Fraction(0))
-        merged.update(self.rates)
-        object.__setattr__(self, "rates", MappingProxyType(merged))
-        rate_names = [*merged, *(p.target for p in self.policy if p.kind == "set_rate")]
-        for what, names in (("agent id", [a.id for a in self.agents]),
-                            ("figure name", [f.name for f in self.figures]),
-                            ("rate name", rate_names)):
-            for name in names:
-                if not name or _UNRECORDABLE.search(name):
-                    raise ScenarioError(f"{what} {name!r}: a record cannot hold an empty name "
-                                        f"or one with a comma, whitespace or '='")
-        # A record keeps rates and figures in one namespace with the totals
-        # and each agent's "closing:ID", "inflow:ID" and "outflow:ID".
-        reserved = {"notes_outstanding", "government_securities_outstanding",
-                    *(f"{kind}:{a.id}" for a in self.agents for kind in AGENT_FIGURES)}
-        for name in rate_names:
-            if name in reserved:
-                raise ScenarioError(f"rate name {name!r} is the name of another record figure "
-                                    "(notes or securities outstanding, or an agent's closing, "
-                                    "inflow or outflow)")
-        reserved.update(rate_names)
-        names = [f.name for f in self.figures]
-        for name in names:
-            if names.count(name) > 1:
-                raise ScenarioError(f"figure name {name!r} is used more than once")
-            if name in reserved:
-                raise ScenarioError(f"figure name {name!r} is the name of another record figure "
-                                    "(notes or securities outstanding, a rate, or an agent's "
-                                    "closing, inflow or outflow)")
-        # The rules on what the scenario means, after the record-name rules,
-        # so that every way of making a spec checks them all.
         if "".join(self.name.splitlines()) != self.name:  # the CLI prints it in a one-line header
             raise ScenarioError(f"scenario: name must not contain a line break, got {self.name!r}")
         term_length = _as_float(self.term_length, "term_length")
         if not term_length > 0:
             raise ScenarioError(f"term_length must be positive, got {term_length}")
-        for a in self.agents:
-            if a.gain < 0:
-                raise ScenarioError(f"agent {a.id!r}: gain must be non-negative")
-        for p in self.policy:
-            if p.kind not in ("set_multiplier", "set_rate"):
-                raise ScenarioError(f"policy entry: unknown action {p.kind!r}")
-        for f in self.figures:
-            if (f.channel is None) == (f.stock is None):
-                raise ScenarioError(f"figure {f.name!r}: exactly one of channel/stock required")
-        # The network: unique ids, a finite wake rate, one central bank and known references.
-        agent_ids: set[str] = set()
-        for a in self.agents:
+        object.__setattr__(self, "term_length", term_length)
+
+        def recordable(what: str, name: str) -> None:
+            if not name or _UNRECORDABLE.search(name):
+                raise ScenarioError(f"{what} {name!r}: a record cannot hold an empty name "
+                                    "or one with a comma, whitespace or '='")
+        agents, agent_ids, cbs, waking = self.agents, set(), [], 0.0
+        for i, a in enumerate(self.agents):
+            recordable("agent id", a.id)
             if a.id in agent_ids:
                 raise ScenarioError(f"duplicate agent id {a.id!r}")
             agent_ids.add(a.id)
-            if not a.mean_wait > 0:
-                raise ScenarioError(f"agent {a.id!r}: mean_wait must be positive, got {a.mean_wait}")
-        wakes = term_length * sum(1 / a.mean_wait for a in self.agents)
-        if wakes > _MAX_WAKES_PER_TERM:
-            raise ScenarioError(
-                f"agents would wake about {wakes:.3g} times per term (term_length x sum of "
-                f"1/mean_wait), above the limit of {_MAX_WAKES_PER_TERM:.0e}; raise mean_wait"
-            )
-        cbs = [a.id for a in self.agents if a.continuity_exempt]
+            if a.gain < 0:
+                raise ScenarioError(f"agent {a.id!r}: gain must be non-negative")
+            if type(a.mean_wait) is not float or not 0 < a.mean_wait < math.inf:
+                a = replace(a, mean_wait=_as_float(a.mean_wait, f"agent {a.id!r} mean_wait"))
+                if not a.mean_wait > 0:
+                    raise ScenarioError(f"agent {a.id!r}: mean_wait must be positive, got {a.mean_wait}")
+                agents = (*agents[:i], a, *agents[i + 1:])
+            waking += 1 / a.mean_wait
+            if a.continuity_exempt:
+                cbs.append(a.id)
+        object.__setattr__(self, "agents", agents)
+        if (wakes := term_length * waking) > _MAX_WAKES_PER_TERM:
+            raise ScenarioError(f"agents would wake about {wakes:.3g} times per term (term_length x sum of "
+                                f"1/mean_wait), above the limit of {_MAX_WAKES_PER_TERM:.0e}; "
+                                "raise mean_wait")
         if len(cbs) != 1:
-            raise ScenarioError(
-                f"network must contain exactly one {CENTRAL_BANK} agent, found {len(cbs)}: {cbs!r}"
-            )
+            raise ScenarioError(f"network must contain exactly one {CENTRAL_BANK} agent, "
+                                f"found {len(cbs)}: {cbs!r}")
         channel_ids: set[str] = set()
         for c in self.channels:
             if c.id in channel_ids:
@@ -261,19 +238,44 @@ class ScenarioSpec:
                 raise ScenarioError(f"channel {c.id!r}: negative rate {c.rate}")
             if c.multiplier < 0:
                 raise ScenarioError(f"channel {c.id!r}: negative multiplier {c.multiplier}")
-        for sched_name, sched in (("issuance", self.issuance), ("securities", self.securities)):
-            for entry in sched:
-                if entry.time < 0:
-                    raise ScenarioError(f"{sched_name} schedule: negative time {entry.time}")
+        rates = {**dict.fromkeys(DEFAULT_RATE_NAMES, Fraction(0)), **self.rates}
+        object.__setattr__(self, "rates", MappingProxyType(rates))
+        rate_names = [*rates]
         for p in self.policy:
-            if p.kind == "set_multiplier" and p.target not in channel_ids:
+            if p.kind == "set_rate":
+                rate_names.append(p.target)
+            elif p.kind != "set_multiplier":
+                raise ScenarioError(f"policy entry: unknown action {p.kind!r}")
+            elif p.target not in channel_ids:
                 raise ScenarioError(f"policy entry: unknown channel {p.target!r}")
             if p.value < 0:
                 raise ScenarioError(f"policy entry for {p.target!r}: negative value")
+        # A record keeps rates and figures in one namespace with the totals
+        # and each agent's "closing:ID", "inflow:ID" and "outflow:ID".
+        reserved = {"notes_outstanding", "government_securities_outstanding",
+                    *(f"{kind}:{aid}" for aid in agent_ids for kind in AGENT_FIGURES)}
+        for name in rate_names:
+            recordable("rate name", name)
+            if name in reserved:
+                raise ScenarioError(f"rate name {name!r} is the name of another record figure "
+                                    "(notes or securities outstanding, or an agent's closing, "
+                                    "inflow or outflow)")
+        reserved.update(rate_names)
         for s in self.shocks:
             if s.channel not in channel_ids:
                 raise ScenarioError(f"shock entry: unknown channel {s.channel!r}")
+        figure_names: set[str] = set()
         for f in self.figures:
+            recordable("figure name", f.name)
+            if f.name in figure_names:
+                raise ScenarioError(f"figure name {f.name!r} is used more than once")
+            if f.name in reserved:
+                raise ScenarioError(f"figure name {f.name!r} is the name of another record figure "
+                                    "(notes or securities outstanding, a rate, or an agent's "
+                                    "closing, inflow or outflow)")
+            figure_names.add(f.name)
+            if (f.channel is None) == (f.stock is None):
+                raise ScenarioError(f"figure {f.name!r}: exactly one of channel/stock required")
             if f.channel is not None and f.channel not in channel_ids:
                 raise ScenarioError(f"figure {f.name!r}: unknown channel {f.channel!r}")
             if f.stock is not None and f.stock not in agent_ids:
@@ -370,7 +372,6 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioSpec:
         raise ScenarioError("scenario document must be a JSON object")
     name = _text(data, "name", "scenario") if "name" in data else "unnamed"
     seed = data.get("seed", 0)
-    term_length = _as_float(data.get("term_length", 1.0), "term_length")
 
     agents = []
     for raw in _entries(data, "agents", required=True):
@@ -381,7 +382,7 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioSpec:
                 role=_text(raw, "role", where),
                 stock=as_money(raw.get("stock", 0), f"{where} stock"),
                 gain=as_fraction(raw.get("gain", 0), f"{where} gain"),
-                mean_wait=_as_float(raw.get("mean_wait", 0.25), f"{where} mean_wait"),
+                mean_wait=raw.get("mean_wait", 0.25),
             )
         )
 
@@ -407,17 +408,15 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioSpec:
         for entry in _entries(data, key, (list, tuple)):
             if len(entry) != 2:
                 raise ScenarioError(f"{key}: expected a [time, amount] pair, got {entry!r}")
-            out.append(ScheduledAmount(_as_float(entry[0], f"{key} time"),
-                                       as_money(entry[1], f"{key} amount")))
+            out.append(ScheduledAmount(entry[0], as_money(entry[1], f"{key} amount")))
         return tuple(out)
 
     policy = []
     for raw in _entries(data, "policy_schedule"):
-        kind = str(_require(raw, "action", "policy entry"))
         policy.append(
             PolicyAction(
-                time=_as_float(_require(raw, "time", "policy entry"), "policy time"),
-                kind=kind,
+                time=_require(raw, "time", "policy entry"),
+                kind=str(_require(raw, "action", "policy entry")),
                 target=_text(raw, "target", "policy entry"),
                 value=as_fraction(_require(raw, "value", "policy entry"), "policy value"),
             )
@@ -427,7 +426,7 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioSpec:
     for raw in _entries(data, "shock_schedule"):
         shocks.append(
             ShockSpec(
-                time=_as_float(_require(raw, "time", "shock entry"), "shock time"),
+                time=_require(raw, "time", "shock entry"),
                 channel=_text(raw, "channel", "shock entry"),
                 amount=as_money(_require(raw, "amount", "shock entry"), "shock amount"),
             )
@@ -452,7 +451,7 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioSpec:
     return ScenarioSpec(
         name=name,
         seed=seed,
-        term_length=term_length,
+        term_length=data.get("term_length", 1.0),
         agents=tuple(agents),
         channels=tuple(channels),
         issuance=amounts("issuance_schedule"),

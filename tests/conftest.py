@@ -159,7 +159,7 @@ def sheets_from_log(state: NetworkState) -> list[BalanceSheet]:
     """
     spec = state.spec
     agent_ids = [a.id for a in spec.agents]
-    stocks, rates = dict(state.initial_stocks), dict(spec.rates)
+    stocks, rates = {a.id: a.stock for a in spec.agents}, dict(spec.rates)
     notes = securities = 0
     flow_figures = [(f.name, f.channel) for f in spec.figures if f.channel is not None]
     stock_figures = [(f.name, f.stock) for f in spec.figures if f.stock is not None]
@@ -221,7 +221,8 @@ def sheets_from_log(state: NetworkState) -> list[BalanceSheet]:
 
 def tallies_hold(state: NetworkState) -> bool:
     """Every agent's stock is its initial stock plus what it received less what it paid."""
-    return all(agent.stock == state.initial_stocks[aid] + agent.received - agent.paid
+    initial = {a.id: a.stock for a in state.spec.agents}
+    return all(agent.stock == initial[aid] + agent.received - agent.paid
                for aid, agent in state.agents.items())
 
 

@@ -46,7 +46,7 @@ def report(index: int, name: str, passed: bool, detail: str) -> None:
 def test_1_conservation_at_scale():
     spec = national_5().with_seed(42)
     state = build_network(spec)
-    initial_total = sum(state.initial_stocks.values())
+    initial_total = sum(a.stock for a in state.spec.agents)
     # Processed events: every logged event that is not an agent wake, plus
     # every wake, logged or not (wakes that change nothing are not logged).
     other_events = 0

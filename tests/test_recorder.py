@@ -225,6 +225,14 @@ class TestSerialization:
         write_record(record, path, "json")
         assert read_record(path) == record
 
+    def test_csv_keeps_the_record_order_of_rates(self):
+        policy = (PolicyAction(0.5, "set_rate", "zeta", Fraction(1, 8)),
+                  PolicyAction(0.75, "set_rate", "alpha", Fraction(1, 4)))
+        record = run_record(build_network(replace(three_agent_cycle(), policy=policy)), 2)
+        text = record_to_csv(record)
+        assert " zeta=0.125 alpha=0.25 " in text
+        assert record_to_json(record_from_csv(text)) == record_to_json(record)
+
     def test_empty_default_record_is_header_only(self):
         assert record_to_csv(Record(())) == "term,kind,id,opening,inflow,outflow,closing,aggregates\n"
 
@@ -865,7 +873,7 @@ def dumped_csv(record: Record) -> str:
         pairs = [f"notes_outstanding={sheet.notes_outstanding}",
                  f"government_securities_outstanding={sheet.securities_outstanding}"]
         rate_names = ["discount_rate", "securities_interest_rate"]
-        rate_names += sorted(k for k in sheet.rates if k not in rate_names)
+        rate_names += [k for k in sheet.rates if k not in rate_names]
         for name in rate_names:
             text = loop_rational_str(sheet.rates.get(name, Fraction(0)))
             pairs.append(f"{name}={text}" if "." in text or "/" in text else f"{name}={text}.0")

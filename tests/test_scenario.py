@@ -214,8 +214,9 @@ def document(edits):
 RESERVED = "is the name of another record figure"
 UNRECORDABLE = "a record cannot hold an empty name or one with a comma, whitespace or '='"
 # Every scenario rule: its edits of BASE and the message that reports them.
-# The seed rule is checked first, then the schedule times, then the
-# record-name rules, then the others.
+# The seed rule is checked first, then the schedule times, the name and
+# term_length, then each entity once: agents (with the wake ceiling and the
+# central bank), channels, policy, rate names, shocks and figures.
 EARLIER_RULES = [
     ("seed", {"seed": -1}, "seed must be an unsigned 64-bit integer, got -1"),
     ("unrecordable-id", {"agents": agent_a(id="A,1")}, f"agent id 'A,1': {UNRECORDABLE}"),
@@ -312,6 +313,36 @@ class TestEveryRule:
 
     def test_base_is_valid(self):
         assert scenario_from_dict(document({})) == BASE
+
+
+class TestLibraryNumbers:
+    """A library spec holds the floats a scenario file gives, however its numbers were written."""
+
+    @pytest.mark.parametrize("edits", [
+        {"term_length": "1"},
+        {"term_length": 2},
+        {"policy": (PolicyAction("1", "set_rate", "r", Fraction(1)),)},
+        {"issuance": (ScheduledAmount("0.5", 5),)},
+        {"shocks": (ShockSpec(1, "ab", 5),)},
+        {"agents": agent_a(mean_wait="0.5")},
+        {"agents": agent_a(mean_wait=1)},
+    ], ids=["term-length-str", "term-length-int", "policy-time-str", "issuance-time-str",
+            "shock-time-int", "mean-wait-str", "mean-wait-int"])
+    def test_held_as_the_file_floats(self, edits):
+        spec = replace(BASE, **edits)
+        numbers = [spec.term_length, *(a.mean_wait for a in spec.agents),
+                   *(e.time for e in (*spec.issuance, *spec.securities, *spec.policy, *spec.shocks))]
+        assert all(type(number) is float for number in numbers)
+        again = scenario_from_dict(json.loads(spec.to_json()))
+        assert again == spec
+        assert again.fingerprint() == spec.fingerprint()
+        assert run_record(build_network(spec), 2) == run_record(build_network(again), 2)
+
+    @pytest.mark.parametrize("wait", [math.inf, math.nan])
+    def test_mean_wait_must_be_finite(self, wait):
+        with pytest.raises(ScenarioError) as caught:
+            replace(BASE, agents=agent_a(mean_wait=wait))
+        assert str(caught.value) == f"agent 'A' mean_wait: expected a finite number, got {wait}"
 
 
 class TestScheduleOrder:
