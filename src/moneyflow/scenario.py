@@ -3,9 +3,9 @@
 A scenario is the full, serializable description of a monetary network plus
 the timed policy inputs (multiplier changes, rate settings, issuance and
 shock schedules). Scenarios load from JSON; see docs/scenario-schema.md for
-the wire format. Exact quantities are integers (minor currency units) and
-exact rationals; floats are accepted in JSON but converted through their
-decimal literal so "0.2" means exactly 1/5.
+the wire format. A spec holds money as integers (minor currency units) and
+rationals as `Fraction`s however it is made, reading a float rational through
+its shortest decimal literal: 0.2 means exactly 1/5, not the nearest float.
 """
 
 from __future__ import annotations
@@ -38,11 +38,7 @@ class ScenarioError(ValueError):
 
 
 def as_fraction(value: Any, what: str = "value") -> Fraction:
-    """Exact rational from an int, Fraction, or string like '1/2' or '0.25'.
-
-    Floats are converted via their shortest decimal repr, so a JSON 0.2
-    becomes exactly 1/5 rather than the binary float it parsed to.
-    """
+    """Exact rational from an int, Fraction, string like '1/2' or '0.25', or float (module docstring)."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -160,7 +156,7 @@ class ShockSpec(NamedTuple):
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """A whole scenario; a dataclass as `__post_init__` validates it and `replace` varies it."""
+    """A whole scenario; a dataclass as `__post_init__` checks and converts it and `replace` varies it."""
 
     name: str
     agents: tuple[AgentSpec, ...]
@@ -179,16 +175,21 @@ class ScenarioSpec:
         if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2 ** 64:
             raise ScenarioError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
         # Each schedule runs in time order, ties in the order given. A time, like term_length
-        # and mean_wait, is kept as the finite float a scenario file gives.
-        for attr, what in (("issuance", "issuance_schedule time"), ("securities", "securities_schedule time"),
-                           ("policy", "policy time"), ("shocks", "shock time")):
+        # and mean_wait, is kept as the finite float a scenario file gives; the last field,
+        # an amount or a policy value, as money or a rational.
+        for attr, what in (("issuance", "issuance_schedule"), ("securities", "securities_schedule"),
+                           ("policy", "policy"), ("shocks", "shock")):
             if entries := getattr(self, attr):
-                entries = sorted((e if type(e.time) is float and math.isfinite(e.time)
-                                  else e._replace(time=_as_float(e.time, what)) for e in entries),
+                exact, kind = (as_fraction, Fraction) if attr == "policy" else (as_money, int)
+                entries = sorted((e if type(e.time) is float and math.isfinite(e.time) and type(e[-1]) is kind
+                                  else type(e)(_as_float(e.time, f"{what} time"), *e[1:-1],
+                                               exact(e[-1], f"{what} {e._fields[-1]}")) for e in entries),
                                  key=itemgetter(0))
                 if entries[0].time < 0 and attr in ("issuance", "securities"):
                     raise ScenarioError(f"{attr} schedule: negative time {entries[0].time}")
                 object.__setattr__(self, attr, tuple(entries))
+        if not isinstance(self.name, str):
+            raise ScenarioError(f"scenario: name must be a string, got {self.name!r}")
         if "".join(self.name.splitlines()) != self.name:  # the CLI prints it in a one-line header
             raise ScenarioError(f"scenario: name must not contain a line break, got {self.name!r}")
         term_length = _as_float(self.term_length, "term_length")
@@ -197,6 +198,8 @@ class ScenarioSpec:
         object.__setattr__(self, "term_length", term_length)
 
         def recordable(what: str, name: str) -> None:
+            if not isinstance(name, str):
+                raise ScenarioError(f"{what} must be a string, got {name!r}")
             if not name or _UNRECORDABLE.search(name):
                 raise ScenarioError(f"{what} {name!r}: a record cannot hold an empty name "
                                     "or one with a comma, whitespace or '='")
@@ -206,13 +209,16 @@ class ScenarioSpec:
             if a.id in agent_ids:
                 raise ScenarioError(f"duplicate agent id {a.id!r}")
             agent_ids.add(a.id)
-            if a.gain < 0:
-                raise ScenarioError(f"agent {a.id!r}: gain must be non-negative")
-            if type(a.mean_wait) is not float or not 0 < a.mean_wait < math.inf:
-                a = replace(a, mean_wait=_as_float(a.mean_wait, f"agent {a.id!r} mean_wait"))
+            if (type(a.stock) is not int or type(a.gain) is not Fraction
+                    or type(a.mean_wait) is not float or not 0 < a.mean_wait < math.inf):
+                where = f"agent {a.id!r}"
+                a = replace(a, stock=as_money(a.stock, f"{where} stock"), gain=as_fraction(a.gain, f"{where} gain"),
+                            mean_wait=_as_float(a.mean_wait, f"{where} mean_wait"))
                 if not a.mean_wait > 0:
-                    raise ScenarioError(f"agent {a.id!r}: mean_wait must be positive, got {a.mean_wait}")
+                    raise ScenarioError(f"{where}: mean_wait must be positive, got {a.mean_wait}")
                 agents = (*agents[:i], a, *agents[i + 1:])
+            if a.gain.numerator < 0:  # a Fraction by now; comparing it with 0 costs six times more
+                raise ScenarioError(f"agent {a.id!r}: gain must be non-negative")
             waking += 1 / a.mean_wait
             if a.continuity_exempt:
                 cbs.append(a.id)
@@ -224,8 +230,8 @@ class ScenarioSpec:
         if len(cbs) != 1:
             raise ScenarioError(f"network must contain exactly one {CENTRAL_BANK} agent, "
                                 f"found {len(cbs)}: {cbs!r}")
-        channel_ids: set[str] = set()
-        for c in self.channels:
+        channels, channel_ids = self.channels, set()
+        for i, c in enumerate(self.channels):
             if c.id in channel_ids:
                 raise ScenarioError(f"duplicate channel id {c.id!r}")
             channel_ids.add(c.id)
@@ -234,11 +240,21 @@ class ScenarioSpec:
             for endpoint in (c.source, c.sink):
                 if endpoint not in agent_ids:
                     raise ScenarioError(f"channel {c.id!r}: unknown agent {endpoint!r}")
+            if type(c.adjustable) is not bool:
+                raise ScenarioError(f"channel {c.id!r}: adjustable must be a JSON boolean, got {c.adjustable!r}")
+            if type(c.rate) is not int or type(c.multiplier) is not Fraction:
+                c = c._replace(rate=as_money(c.rate, f"channel {c.id!r} rate"),
+                               multiplier=as_fraction(c.multiplier, f"channel {c.id!r} multiplier"))
+                channels = (*channels[:i], c, *channels[i + 1:])
             if c.rate < 0:
                 raise ScenarioError(f"channel {c.id!r}: negative rate {c.rate}")
-            if c.multiplier < 0:
+            if c.multiplier.numerator < 0:
                 raise ScenarioError(f"channel {c.id!r}: negative multiplier {c.multiplier}")
+        object.__setattr__(self, "channels", channels)
         rates = {**dict.fromkeys(DEFAULT_RATE_NAMES, Fraction(0)), **self.rates}
+        for name, value in rates.items():
+            if type(value) is not Fraction:
+                rates[name] = as_fraction(value, f"rate {name!r}")
         object.__setattr__(self, "rates", MappingProxyType(rates))
         rate_names = [*rates]
         for p in self.policy:
@@ -248,7 +264,7 @@ class ScenarioSpec:
                 raise ScenarioError(f"policy entry: unknown action {p.kind!r}")
             elif p.target not in channel_ids:
                 raise ScenarioError(f"policy entry: unknown channel {p.target!r}")
-            if p.value < 0:
+            if p.value.numerator < 0:
                 raise ScenarioError(f"policy entry for {p.target!r}: negative value")
         # A record keeps rates and figures in one namespace with the totals
         # and each agent's "closing:ID", "inflow:ID" and "outflow:ID".
@@ -368,10 +384,12 @@ def _entries(data: Mapping, key: str, kind: type | tuple = Mapping, required: bo
 
 
 def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioSpec:
+    """The spec of a JSON document, whose numbers `ScenarioSpec` converts; absent fields take its defaults."""
     if not isinstance(data, Mapping):
         raise ScenarioError("scenario document must be a JSON object")
     name = _text(data, "name", "scenario") if "name" in data else "unnamed"
-    seed = data.get("seed", 0)
+    if not isinstance(data.get("rates", {}), Mapping):
+        raise ScenarioError("rates must be an object")
 
     agents = []
     for raw in _entries(data, "agents", required=True):
@@ -380,57 +398,47 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioSpec:
             AgentSpec(
                 id=_text(raw, "id", "agent"),
                 role=_text(raw, "role", where),
-                stock=as_money(raw.get("stock", 0), f"{where} stock"),
-                gain=as_fraction(raw.get("gain", 0), f"{where} gain"),
-                mean_wait=raw.get("mean_wait", 0.25),
+                **{key: raw[key] for key in ("stock", "gain", "mean_wait") if key in raw},
             )
         )
 
     channels = []
     for raw in _entries(data, "channels"):
         where = f"channel {raw.get('id', '?')!r}"
-        adjustable = raw.get("adjustable", False)
-        if not isinstance(adjustable, bool):
-            raise ScenarioError(f"{where}: adjustable must be a JSON boolean, got {adjustable!r}")
         channels.append(
             ChannelSpec(
                 id=_text(raw, "id", "channel"),
                 source=_text(raw, "source", where),
                 sink=_text(raw, "sink", where),
-                rate=as_money(_require(raw, "rate", where), f"{where} rate"),
-                multiplier=as_fraction(raw.get("multiplier", 1), f"{where} multiplier"),
-                adjustable=adjustable,
+                rate=_require(raw, "rate", where),
+                **{key: raw[key] for key in ("multiplier", "adjustable") if key in raw},
             )
         )
 
     def amounts(key: str) -> tuple[ScheduledAmount, ...]:
-        out = []
-        for entry in _entries(data, key, (list, tuple)):
+        for entry in (pairs := _entries(data, key, (list, tuple))):
             if len(entry) != 2:
                 raise ScenarioError(f"{key}: expected a [time, amount] pair, got {entry!r}")
-            out.append(ScheduledAmount(entry[0], as_money(entry[1], f"{key} amount")))
-        return tuple(out)
+        return tuple(ScheduledAmount(*entry) for entry in pairs)
 
-    policy = []
-    for raw in _entries(data, "policy_schedule"):
-        policy.append(
-            PolicyAction(
-                time=_require(raw, "time", "policy entry"),
-                kind=str(_require(raw, "action", "policy entry")),
-                target=_text(raw, "target", "policy entry"),
-                value=as_fraction(_require(raw, "value", "policy entry"), "policy value"),
-            )
+    policy = [
+        PolicyAction(
+            time=_require(raw, "time", "policy entry"),
+            kind=str(_require(raw, "action", "policy entry")),
+            target=_text(raw, "target", "policy entry"),
+            value=_require(raw, "value", "policy entry"),
         )
+        for raw in _entries(data, "policy_schedule")
+    ]
 
-    shocks = []
-    for raw in _entries(data, "shock_schedule"):
-        shocks.append(
-            ShockSpec(
-                time=_require(raw, "time", "shock entry"),
-                channel=_text(raw, "channel", "shock entry"),
-                amount=as_money(_require(raw, "amount", "shock entry"), "shock amount"),
-            )
+    shocks = [
+        ShockSpec(
+            time=_require(raw, "time", "shock entry"),
+            channel=_text(raw, "channel", "shock entry"),
+            amount=_require(raw, "amount", "shock entry"),
         )
+        for raw in _entries(data, "shock_schedule")
+    ]
 
     figures = [
         FigureSpec(
@@ -441,17 +449,8 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioSpec:
         for raw in _entries(data, "figures")
     ]
 
-    rates = {}
-    raw_rates = data.get("rates", {})
-    if not isinstance(raw_rates, Mapping):
-        raise ScenarioError("rates must be an object")
-    for key, value in raw_rates.items():
-        rates[str(key)] = as_fraction(value, f"rate {key!r}")
-
     return ScenarioSpec(
         name=name,
-        seed=seed,
-        term_length=data.get("term_length", 1.0),
         agents=tuple(agents),
         channels=tuple(channels),
         issuance=amounts("issuance_schedule"),
@@ -459,7 +458,7 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioSpec:
         policy=tuple(policy),
         shocks=tuple(shocks),
         figures=tuple(figures),
-        rates=rates,
+        **{key: data[key] for key in ("seed", "term_length", "rates") if key in data},
     )
 
 

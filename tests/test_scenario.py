@@ -182,6 +182,18 @@ class TestRecordableNames:
         with pytest.raises(ScenarioError, match=f"rate name {name!r}"):
             scenario_from_dict(doc)
 
+    @pytest.mark.parametrize("edits, what", [
+        ({"name": 5}, "scenario: name"),
+        ({"agents": (*three_agent_cycle().agents, AgentSpec(5, "Custom:x"))}, "agent id"),
+        ({"rates": {5: Fraction(1, 8)}}, "rate name"),
+        ({"policy": (PolicyAction(1.0, "set_rate", 5, Fraction(1)),)}, "rate name"),
+        ({"figures": (FigureSpec(5, channel="ab"),)}, "figure name"),
+    ], ids=["scenario-name", "agent-id", "rates-key", "set-rate-target", "figure-name"])
+    def test_non_strings_rejected_on_construction(self, edits, what):
+        with pytest.raises(ScenarioError) as caught:
+            replace(three_agent_cycle(), **edits)
+        assert str(caught.value) == f"{what} must be a string, got 5"
+
     def test_rates_are_read_only(self):
         # Else a name the spec would reject could reach a record after construction.
         with pytest.raises(TypeError):
@@ -204,19 +216,35 @@ def agent_a(**changes):
 
 
 def document(edits):
-    """The scenario document of BASE with `edits`, valid or not; `to_dict` reads only attributes."""
-    doc = ScenarioSpec.to_dict(SimpleNamespace(**{**BASE_FIELDS, **edits}))
-    doc["figures"] = [{k: v for k, v in f._asdict().items() if v is not None}
-                      for f in edits.get("figures", BASE.figures)]
-    return doc
+    """The scenario document of BASE with `edits`, valid or not: a `Fraction` as `to_dict` writes
+    it, and any other value as given, so that the spec reports a value it cannot convert."""
+    spec = SimpleNamespace(**{**BASE_FIELDS, **edits})
+
+    def rational(value):
+        return rational_str(value) if isinstance(value, Fraction) else value
+    return {
+        "name": spec.name,
+        "seed": spec.seed,
+        "term_length": spec.term_length,
+        "agents": [{**vars(a), "gain": rational(a.gain)} for a in spec.agents],
+        "channels": [{**c._asdict(), "multiplier": rational(c.multiplier)} for c in spec.channels],
+        "issuance_schedule": [list(s) for s in spec.issuance],
+        "securities_schedule": [list(s) for s in spec.securities],
+        "policy_schedule": [{"time": p.time, "action": p.kind, "target": p.target, "value": rational(p.value)}
+                            for p in spec.policy],
+        "shock_schedule": [s._asdict() for s in spec.shocks],
+        "figures": [{k: v for k, v in f._asdict().items() if v is not None} for f in spec.figures],
+        "rates": {k: rational(v) for k, v in spec.rates.items()},
+    }
 
 
 RESERVED = "is the name of another record figure"
 UNRECORDABLE = "a record cannot hold an empty name or one with a comma, whitespace or '='"
 # Every scenario rule: its edits of BASE and the message that reports them.
-# The seed rule is checked first, then the schedule times, the name and
-# term_length, then each entity once: agents (with the wake ceiling and the
-# central bank), channels, policy, rate names, shocks and figures.
+# The seed rule is checked first, then the schedule times and amounts, the
+# name and term_length, then each entity once, its numbers converted in the
+# same pass: agents (with the wake ceiling and the central bank), channels,
+# rates, policy, rate names, shocks and figures.
 EARLIER_RULES = [
     ("seed", {"seed": -1}, "seed must be an unsigned 64-bit integer, got -1"),
     ("unrecordable-id", {"agents": agent_a(id="A,1")}, f"agent id 'A,1': {UNRECORDABLE}"),
@@ -282,6 +310,27 @@ RULES = EARLIER_RULES + [
     ("shock-channel", {"shocks": (ShockSpec(1.0, "nope", 5),)}, "shock entry: unknown channel 'nope'"),
     ("figure-channel", {"figures": (FigureSpec("f", channel="nope"),)}, "figure 'f': unknown channel 'nope'"),
     ("figure-agent", {"figures": (FigureSpec("f", stock="D"),)}, "figure 'f': unknown agent 'D'"),
+    # Money is an int and a rational a Fraction, however the spec was made.
+    ("fractional-stock", {"agents": agent_a(stock=5.5)},
+     "agent 'A' stock: money must be an integer count of minor units, got 5.5"),
+    ("boolean-stock", {"agents": agent_a(stock=True)},
+     "agent 'A' stock: money must be an integer count of minor units, got True"),
+    ("string-stock", {"agents": agent_a(stock="5")},
+     "agent 'A' stock: money must be an integer count of minor units, got '5'"),
+    ("float-rate", {"channels": BASE.channels + (ChannelSpec("ac", "A", "C", 1.5),)},
+     "channel 'ac' rate: money must be an integer count of minor units, got 1.5"),
+    ("fractional-issuance", {"issuance": (ScheduledAmount(0.5, 2.5),)},
+     "issuance_schedule amount: money must be an integer count of minor units, got 2.5"),
+    ("fractional-shock", {"shocks": (ShockSpec(1.0, "ab", 2.5),)},
+     "shock amount: money must be an integer count of minor units, got 2.5"),
+    ("integer-adjustable", {"channels": BASE.channels + (ChannelSpec("ac", "A", "C", 1, adjustable=1),)},
+     "channel 'ac': adjustable must be a JSON boolean, got 1"),
+    ("unparsable-gain", {"agents": agent_a(gain="half")}, "agent 'A' gain: cannot parse rational 'half'"),
+    ("unparsable-multiplier", {"channels": BASE.channels + (ChannelSpec("ac", "A", "C", 1, "half"),)},
+     "channel 'ac' multiplier: cannot parse rational 'half'"),
+    ("unparsable-policy-value", {"policy": (PolicyAction(1.0, "set_rate", "discount_rate", "half"),)},
+     "policy value: cannot parse rational 'half'"),
+    ("unparsable-rate", {"rates": {"r": "half"}}, "rate 'r': cannot parse rational 'half'"),
 ]
 WAYS = {
     "constructor": lambda edits: ScenarioSpec(**{**BASE_FIELDS, **edits}),
@@ -312,11 +361,29 @@ class TestEveryRule:
             replace(BASE, seed=-1, **edits)
 
     def test_base_is_valid(self):
+        assert document({}) == BASE.to_dict()
         assert scenario_from_dict(document({})) == BASE
 
 
+# BASE with an entry in every schedule and a declared rate, so that every kind of number is held.
+SCHEDULED = replace(BASE, issuance=(ScheduledAmount(0.5, 5),), securities=(ScheduledAmount(0.5, 7),),
+                    policy=(PolicyAction(1.0, "set_rate", "r", Fraction(1, 8)),
+                            PolicyAction(1.5, "set_multiplier", "ab", Fraction(1, 2))),
+                    shocks=(ShockSpec(1.5, "ab", 3),), rates={"r": Fraction(1, 10)})
+NUMBER_FIELDS = {"agents": ("stock", "gain", "mean_wait"), "channels": ("rate", "multiplier", "adjustable"),
+                 "issuance": ("time", "amount"), "securities": ("time", "amount"), "policy": ("time", "value"),
+                 "shocks": ("time", "amount")}
+# Where each number of SCHEDULED sits: (attribute, entry index, field), or (attribute, None, rate name).
+NUMBER_PLACES = [("seed", None, None), ("term_length", None, None), ("rates", None, "r"),
+                 *((attr, i, name) for attr, names in NUMBER_FIELDS.items()
+                   for i in range(len(getattr(SCHEDULED, attr))) for name in names)]
+NUMBERS = (st.integers() | st.booleans() | st.floats() | st.fractions()
+           | (st.integers() | st.floats() | st.fractions()).map(str))
+
+
 class TestLibraryNumbers:
-    """A library spec holds the floats a scenario file gives, however its numbers were written."""
+    """A library spec holds the model's types, however its numbers were written: the floats a
+    scenario file gives, money as an int and every rational as a `Fraction`."""
 
     @pytest.mark.parametrize("edits", [
         {"term_length": "1"},
@@ -337,6 +404,46 @@ class TestLibraryNumbers:
         assert again == spec
         assert again.fingerprint() == spec.fingerprint()
         assert run_record(build_network(spec), 2) == run_record(build_network(again), 2)
+
+    @pytest.mark.parametrize("written, exact", [
+        (0.5, Fraction(1, 2)),
+        (0.1, Fraction(1, 10)),  # through the decimal literal, not the binary float
+        ("1/2", Fraction(1, 2)),
+        ("0.5", Fraction(1, 2)),
+        (1, Fraction(1)),
+    ], ids=["float", "float-decimal-literal", "fraction-str", "decimal-str", "int"])
+    def test_rationals_held_as_fractions(self, written, exact):
+        def with_rationals(value):
+            return replace(BASE, agents=agent_a(gain=value),
+                           channels=(BASE.channels[0]._replace(multiplier=value), *BASE.channels[1:]),
+                           policy=(PolicyAction(1.0, "set_rate", "r", value),), rates={"s": value})
+        spec, expected = with_rationals(written), with_rationals(exact)
+        rationals = [spec.agents[1].gain, spec.channels[0].multiplier, spec.policy[0].value, spec.rates["s"]]
+        assert all(type(r) is Fraction and r == exact for r in rationals)
+        assert spec == expected
+        assert spec.fingerprint() == expected.fingerprint()
+        assert run_record(build_network(spec), 2) == run_record(build_network(expected), 2)
+
+    @given(numbers=st.dictionaries(st.sampled_from(NUMBER_PLACES), NUMBERS, max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_spec_equals_its_json_round_trip(self, numbers):
+        values = {f.name: getattr(SCHEDULED, f.name) for f in fields(SCHEDULED)}
+        for (attr, i, name), number in numbers.items():
+            if attr == "rates":
+                values[attr] = {**values[attr], name: number}
+            elif i is None:
+                values[attr] = number
+            else:
+                entry = values[attr][i]
+                entry = replace(entry, **{name: number}) if attr == "agents" else entry._replace(**{name: number})
+                values[attr] = (*values[attr][:i], entry, *values[attr][i + 1:])
+        try:
+            spec = ScenarioSpec(**values)
+        except ScenarioError:
+            return
+        again = scenario_from_dict(json.loads(spec.to_json()))
+        assert again == spec
+        assert again.fingerprint() == spec.fingerprint()
 
     @pytest.mark.parametrize("wait", [math.inf, math.nan])
     def test_mean_wait_must_be_finite(self, wait):
