@@ -19,22 +19,10 @@ import os
 import sys
 from pathlib import Path
 
-from .anticipation import (
-    DEFAULT_DIMS,
-    AnticipateConfig,
-    ReplayConfig,
-    SamplerConfig,
-    anticipate,
-)
+from .anticipation import DEFAULT_DIMS, AnticipateConfig, ReplayConfig, SamplerConfig, anticipate
 from .engine import event_trace
 from .network import build_network, conservation_holds
-from .recorder import (
-    RecordError,
-    read_record,
-    run_record,
-    verify_record,
-    write_record,
-)
+from .recorder import RecordError, _identities_hold, read_record, run_record, verify_record, write_record
 from .retrieval import FitConfig, fit
 from .scenario import BUILTIN_SCENARIOS, ScenarioError, ScenarioSpec, load_scenario
 
@@ -87,9 +75,9 @@ def cmd_simulate(args, out) -> int:
     out.write(f"total_stock={state.total_stock()}\n")
     conserved = conservation_holds(state)
     out.write(f"conservation={'ok' if conserved else 'VIOLATED'}\n")
-    report = verify_record(record)
-    out.write(f"identities={'ok' if report.ok else 'VIOLATED'}\n")
-    return 0 if conserved and report.ok else 1
+    identities = _identities_hold(record)
+    out.write(f"identities={'ok' if identities else 'VIOLATED'}\n")
+    return 0 if conserved and identities else 1
 
 
 def cmd_record(args, out) -> int:
@@ -126,8 +114,8 @@ def cmd_fit(args, out) -> int:
     _header(out, "fit", scenario=spec.name, seed=spec.seed, budget=args.budget,
             tol=args.tol, prefix=args.prefix, starts=args.starts)
     target = read_record(args.target, on_identity_violation="skip")
-    if not (report := verify_record(target)).ok:
-        print(f"moneyflow: warning: {args.target}: {report.summary()}", file=sys.stderr)
+    if not _identities_hold(target):
+        print(f"moneyflow: warning: {args.target}: {verify_record(target).summary()}", file=sys.stderr)
     result = fit(target, spec, config)
     payload = json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n"
     if args.out:

@@ -526,9 +526,7 @@ def run(state: NetworkState, horizon: float) -> tuple[NetworkState, list[Event]]
     record and takes the observer cut at each term end before the loop goes
     on. Dormancy survives those cuts: a cut moves stocks, tallies and
     accruals, which no dynamics read, and refreshes snapshots, so only the
-    sinks of the channels whose snapshot it changed rejoin the scan. Between
-    those ends a dormant agent's `event_count` and `next_time` lag behind
-    `state.now`; `run(state, 0)` brings every clock up to date.
+    sinks of the channels whose snapshot it changed rejoin the scan.
     """
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
@@ -623,13 +621,26 @@ def _fraction_str(value) -> str:
 
 
 _TRACE_ENCODER = json.JSONEncoder(sort_keys=True, default=_fraction_str)
+_OBSERVER_KEYS = {"a", "b", "amounts", "observer", "term"}
 
 
 def event_trace(log: Sequence[Event]) -> str:
     """Line-delimited JSON rendering of an event log; byte-stable per seed.
 
     A line holds `t`, `seq`, `kind` and the payload, keys sorted, `Fraction`s as
-    their `str`; any other value that JSON cannot hold raises TypeError."""
+    their `str`; any other value that JSON cannot hold raises TypeError. A
+    replayed observer cut holds the very `a`, `b` and amount pairs of the cut it
+    repeats (`settle_all`), so its line up to `seq` is rendered once."""
     encode = _TRACE_ENCODER.encode
-    return "".join([encode({"t": ev.time, "seq": ev.seq, "kind": ev.kind, **ev.payload}) + "\n"
-                    for ev in log])
+    lines, heads = [], {}
+    for ev in log:
+        p = ev.payload
+        if p.keys() == _OBSERVER_KEYS and p["observer"] is True and type(p["amounts"]) is list:
+            key = (ev.kind, id(p["a"]), id(p["b"]), *map(id, p["amounts"]))
+            if (head := heads.get(key)) is None:  # it keeps `p`, and so every id in `key`, alive
+                head = heads[key] = encode({"a": p["a"], "amounts": p["amounts"], "b": p["b"],
+                                            "kind": ev.kind, "observer": True})[:-1] + ", ", p
+            lines.append(head[0] + encode({"seq": ev.seq, "t": ev.time, "term": p["term"]})[1:] + "\n")
+        else:
+            lines.append(encode({"t": ev.time, "seq": ev.seq, "kind": ev.kind, **p}) + "\n")
+    return "".join(lines)

@@ -2,13 +2,11 @@
 
 The recorder plays the part of the monetary authority. At every term boundary
 it forces a settlement of all channels at once (a global cut the dynamics
-themselves never perform). A term's balance sheet is the money moved between
-two consecutive cuts, read from the running tallies the network state keeps
-of what each agent received and paid and each channel settled, with the
-closing stocks and aggregates read off the state at the cut. The forced cut
-is flagged `observer` in the event log: it flushes accruals and refreshes
-snapshots, so the recorder is not a perfectly passive observer, and
-downstream consumers can tell its settlements apart from organic ones.
+themselves never perform); a term's balance sheet is the money moved between
+two consecutive cuts (`record_terms`). The forced cut is flagged `observer`
+in the event log: it flushes accruals and refreshes snapshots, so the
+recorder is not a perfectly passive observer, and downstream consumers can
+tell its settlements apart from organic ones.
 
 Sheets satisfy the accounting identities exactly, by construction;
 `verify_record` re-checks them and reports any discrepancy rather than
@@ -106,13 +104,13 @@ def record_terms(state: NetworkState) -> Iterator[BalanceSheet]:
     """Term-by-term sheets of one state, read off its running tallies.
 
     Each sheet runs the state on to the next term boundary, in one pass of
-    the event loop (see `engine.run`), and takes the observer cut there,
-    flagged `observer` in the log so that organic settlements remain
-    distinguishable from recorder-induced ones. Its sheet is the money moved
-    since the previous cut: the change in every agent's `received` and
-    `paid` tallies and in the `settled` tally of each flow figure's channel.
-    The closing stocks, notes, securities and rates are the state's own at
-    the cut.
+    the event loop (see `engine.run`), and takes the observer cut there (see
+    the module docstring). Its sheet is the money moved since the previous
+    cut: the change in every agent's `received` and `paid` tallies and in
+    the `settled` tally of each flow figure's channel. The closing stocks,
+    notes, securities and rates are the state's own at the cut. A cut that
+    replays the one before it was, like that one, the only move of its term
+    (`settle_all` says why), so its sheet repeats the last sheet's flows.
 
     The state must stand at time 0: a fresh state, or a clone of one such
     as the first checkpoint `run_record` takes. That is checked, and the
@@ -140,16 +138,30 @@ def record_terms(state: NetworkState) -> Iterator[BalanceSheet]:
         # k = 0 now is 0, and for k >= 1 the two products lie within a factor
         # of two of each other, so by Sterbenz's lemma their difference is exact.
         ends = ((k + 1) * length for k in count())
+        sheet, repeats = None, 0  # the last sheet, and the replayed cuts since `opened` was read
         for k, _ in enumerate(_advance(state, ends)):
+            last = state._last_cut
             settle_all(state, state.now, term=k)
-            (opening, settled), opened = opened, tallies()
-            lines = {aid: AgentLine(stock, agents[aid].received - received,
-                                    agents[aid].paid - paid, agents[aid].stock)
-                     for aid, (stock, received, paid) in opening.items()}
-            figures = {name: channels[cid].settled - settled[name] for name, cid in flow_figures}
+            if sheet is not None and state._last_cut[2] is last[2] is not None:
+                lines = {aid: AgentLine(line.closing, line.inflow, line.outflow, agents[aid].stock)
+                         for aid, line in sheet.agents.items()}
+                figures, repeats = dict(sheet.figures), repeats + 1
+            else:
+                (opening, settled), opened = opened, tallies()
+                if repeats:  # each replayed cut moved the last sheet's flows
+                    opening = {aid: (line.closing, opening[aid][1] + repeats * line.inflow,
+                                     opening[aid][2] + repeats * line.outflow)
+                               for aid, line in sheet.agents.items()}
+                    settled = {name: total + repeats * sheet.figures[name] for name, total in settled.items()}
+                repeats = 0
+                lines = {aid: AgentLine(stock, agents[aid].received - received,
+                                        agents[aid].paid - paid, agents[aid].stock)
+                         for aid, (stock, received, paid) in opening.items()}
+                figures = {name: channels[cid].settled - settled[name] for name, cid in flow_figures}
             figures.update((name, agents[aid].stock) for name, aid in stock_figures)
-            yield BalanceSheet(k, lines, state.cumulative_issuance,
-                               state.securities_outstanding, dict(state.rates), figures)
+            sheet = BalanceSheet(k, lines, state.cumulative_issuance,
+                                 state.securities_outstanding, dict(state.rates), figures)
+            yield sheet
 
     return sheets(tallies())
 
@@ -162,8 +174,7 @@ def run_record(state: NetworkState, n_terms: int,
     `checkpoints` list, a clone of the state at the opening boundary of each
     term it records is appended to it, with an empty log and every clock
     up to date: shock replays start from the first and compare their state
-    with the others. The state itself is left as `record_terms` leaves it,
-    with dormant agents' clocks lagging until `run(state, 0)`.
+    with the others. The state itself is left as `record_terms` leaves it.
     """
     if n_terms < 0:
         raise ValueError("n_terms must be non-negative")
@@ -183,6 +194,19 @@ def run_record(state: NetworkState, n_terms: int,
                   sum(a.stock for a in state.spec.agents))
 
 
+def _identity_gaps(record: Record) -> Iterator[tuple[BalanceSheet, list[int], int]]:
+    """Each sheet with its agents' continuity gaps, in agent order, and its total-stock gap."""
+    for sheet in record.sheets:
+        lines = sheet.agents.values()
+        yield (sheet, [line.closing - (line.opening + line.inflow - line.outflow) for line in lines],
+               sum(line.closing for line in lines) - (record.initial_total_stock + sheet.notes_outstanding))
+
+
+def _identities_hold(record: Record) -> bool:
+    """Whether every identity `verify_record` checks holds, without naming the checks."""
+    return not any(total or any(gaps) for _, gaps, total in _identity_gaps(record))
+
+
 def verify_record(record: Record) -> IdentityReport:
     """Exact check of every sheet's accounting identities.
 
@@ -192,14 +216,11 @@ def verify_record(record: Record) -> IdentityReport:
     initial stocks, the plain sum-equals-outstanding form).
     """
     checks = []
-    for sheet in record.sheets:
+    for sheet, gaps, total in _identity_gaps(record):
         prefix = f"term{sheet.term_index}:"
-        for aid, line in sheet.agents.items():
-            gap = line.closing - (line.opening + line.inflow - line.outflow)
-            checks.append(IdentityCheck(f"{prefix}continuity:{aid}", gap == 0, gap))
-        total_closing = sum(line.closing for line in sheet.agents.values())
-        gap = total_closing - (record.initial_total_stock + sheet.notes_outstanding)
-        checks.append(IdentityCheck(f"{prefix}total_stock_vs_notes_outstanding", gap == 0, gap))
+        checks += [IdentityCheck(f"{prefix}continuity:{aid}", gap == 0, gap)
+                   for aid, gap in zip(sheet.agents, gaps)]
+        checks.append(IdentityCheck(f"{prefix}total_stock_vs_notes_outstanding", total == 0, total))
     return IdentityReport(tuple(checks))
 
 
@@ -502,7 +523,6 @@ def _json_sheets(sheets) -> Iterator[tuple]:
         yield term, agents, rates, figures, where, f"{where} rate"
 
 
-
 def record_from_json(text: str) -> Record:
     try:
         doc = json.loads(text, object_pairs_hook=_json_object)
@@ -529,6 +549,6 @@ def read_record(path: str | Path, *, on_identity_violation: str = "reject") -> R
             raise RecordError(f"{path}: JSON nested too deeply to read") from None
     else:
         record = record_from_csv(text)
-    if on_identity_violation != "skip" and not (report := verify_record(record)).ok:
-        raise RecordError(f"{path}: {report.summary()}")
+    if on_identity_violation != "skip" and not _identities_hold(record):
+        raise RecordError(f"{path}: {verify_record(record).summary()}")
     return record

@@ -31,6 +31,10 @@ AGENT_FIGURES = ("closing", "inflow", "outflow")
 # Every wake costs at least one draw, even a skipped one, so a scenario above
 # it would not finish a term; the built-in scenarios expect at most 20.
 _MAX_WAKES_PER_TERM = 1e6
+# A rational's text may hold at most this many significant digits and an exponent of at most
+# this (below 10**4: five exponent digits are read), as `Fraction`'s time grows with both. A text
+# with an exponent, or over a third as long, is held to it in the form `rational_str` writes too.
+_MAX_DIGITS = 1000
 
 
 class ScenarioError(ValueError):
@@ -46,11 +50,24 @@ def as_fraction(value: Any, what: str = "value") -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, (float, str)):
+        text = repr(value) if isinstance(value, float) else value
+        mantissa, e, exponent = text.lower().partition("e")
+        too_big = (len(text) > _MAX_DIGITS and _significant(mantissa) > _MAX_DIGITS or e and
+                   int("".join(filter(str.isdecimal, exponent)).lstrip("0")[:5] or 0) > _MAX_DIGITS)
         try:
-            return Fraction(repr(value) if isinstance(value, float) else value)
+            exact = None if too_big else Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ScenarioError(f"{what}: cannot parse rational {value!r}") from exc
+        if too_big or (e or len(text) > _MAX_DIGITS // 3) and _significant(rational_str(exact)) > _MAX_DIGITS:
+            raise ScenarioError(f"{what}: {value!r} has more than {_MAX_DIGITS} significant digits "
+                                f"or an exponent past {_MAX_DIGITS}")
+        return exact
     raise ScenarioError(f"{what}: cannot parse rational from {type(value).__name__}")
+
+
+def _significant(text: str) -> int:
+    """The number of digits in `text` but leading and trailing zeros."""
+    return len("".join(filter(str.isdecimal, text)).strip("0"))
 
 
 def as_money(value: Any, what: str = "amount") -> int:
@@ -212,8 +229,8 @@ class ScenarioSpec:
             if (type(a.stock) is not int or type(a.gain) is not Fraction
                     or type(a.mean_wait) is not float or not 0 < a.mean_wait < math.inf):
                 where = f"agent {a.id!r}"
-                a = replace(a, stock=as_money(a.stock, f"{where} stock"), gain=as_fraction(a.gain, f"{where} gain"),
-                            mean_wait=_as_float(a.mean_wait, f"{where} mean_wait"))
+                a = AgentSpec(a.id, a.role, as_money(a.stock, f"{where} stock"),
+                              as_fraction(a.gain, f"{where} gain"), _as_float(a.mean_wait, f"{where} mean_wait"))
                 if not a.mean_wait > 0:
                     raise ScenarioError(f"{where}: mean_wait must be positive, got {a.mean_wait}")
                 agents = (*agents[:i], a, *agents[i + 1:])
@@ -243,8 +260,8 @@ class ScenarioSpec:
             if type(c.adjustable) is not bool:
                 raise ScenarioError(f"channel {c.id!r}: adjustable must be a JSON boolean, got {c.adjustable!r}")
             if type(c.rate) is not int or type(c.multiplier) is not Fraction:
-                c = c._replace(rate=as_money(c.rate, f"channel {c.id!r} rate"),
-                               multiplier=as_fraction(c.multiplier, f"channel {c.id!r} multiplier"))
+                c = ChannelSpec(c.id, c.source, c.sink, as_money(c.rate, f"channel {c.id!r} rate"),
+                                as_fraction(c.multiplier, f"channel {c.id!r} multiplier"), c.adjustable)
                 channels = (*channels[:i], c, *channels[i + 1:])
             if c.rate < 0:
                 raise ScenarioError(f"channel {c.id!r}: negative rate {c.rate}")
@@ -311,27 +328,11 @@ class ScenarioSpec:
             "name": self.name,
             "seed": self.seed,
             "term_length": self.term_length,
-            "agents": [
-                {
-                    "id": a.id,
-                    "role": a.role,
-                    "stock": a.stock,
-                    "gain": rational_str(a.gain),
-                    "mean_wait": a.mean_wait,
-                }
-                for a in self.agents
-            ],
-            "channels": [
-                {
-                    "id": c.id,
-                    "source": c.source,
-                    "sink": c.sink,
-                    "rate": c.rate,
-                    "multiplier": rational_str(c.multiplier),
-                    "adjustable": c.adjustable,
-                }
-                for c in self.channels
-            ],
+            "agents": [{"id": a.id, "role": a.role, "stock": a.stock, "gain": rational_str(a.gain),
+                        "mean_wait": a.mean_wait} for a in self.agents],
+            "channels": [{"id": c.id, "source": c.source, "sink": c.sink, "rate": c.rate,
+                          "multiplier": rational_str(c.multiplier), "adjustable": c.adjustable}
+                         for c in self.channels],
             "issuance_schedule": [[s.time, s.amount] for s in self.issuance],
             "securities_schedule": [[s.time, s.amount] for s in self.securities],
             "policy_schedule": [

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import tempfile
+import time
 from datetime import timedelta
 from fractions import Fraction
 from pathlib import Path
@@ -70,6 +71,18 @@ class TestSimulate:
         lines = trace.read_text().splitlines()
         assert lines and all(json.loads(line) for line in lines)
         assert record.read_text().startswith("#")
+
+    def test_rational_past_the_digit_limits_exits_two_at_once(self, tmp_path, capsys):
+        doc = three_agent_cycle().to_dict()
+        next(a for a in doc["agents"] if a["id"] == "A")["gain"] = "1e-100000"
+        path = tmp_path / "stall.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, output = invoke("simulate", "--scenario", str(path), "--terms", "2")
+        assert time.perf_counter() - start < 1
+        assert (code, output) == (2, "")
+        assert capsys.readouterr().err == ("moneyflow: error: agent 'A' gain: '1e-100000' has more "
+                                           "than 1000 significant digits or an exponent past 1000\n")
 
     def test_seed_override_shown(self):
         code, output = invoke("simulate", "--scenario", "national-5", "--terms", "1",

@@ -1076,3 +1076,66 @@ class TestTraceEncoding:
             copied_trace(log)
         with pytest.raises(TypeError, match="is not JSON serializable"):
             event_trace(log)
+
+
+# Amount pairs as the engine logs them, and values that equal them in Python but not in JSON.
+AMOUNT_PAIRS = st.lists(st.tuples(st.text(max_size=3), st.integers(-2, 2) | st.booleans() | st.floats(-2, 2)
+                                  | st.fractions(max_denominator=3)) | PAYLOAD_VALUES, max_size=3)
+
+
+@st.composite
+def observer_logs(draw):
+    """Logs of observer cuts mixed with `EVENTS`. A cut draws its `a`, `b` and amount pairs
+    each from a small pool, and copies the list, as a replayed cut does, so that they repeat
+    as the same objects; a pool's entries may be equal in Python and still differ in JSON. A
+    few cuts break the observer shape: `observer` is 1, or the payload has another key."""
+    ends = st.lists(PAYLOAD_LEAVES, min_size=1, max_size=2)
+    a_pool, b_pool, pairs_pool = draw(ends), draw(ends), draw(st.lists(AMOUNT_PAIRS, min_size=1, max_size=3))
+    log = []
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 3)) == 0:
+            log.append(draw(EVENTS))
+            continue
+        a, b, amounts = (draw(st.sampled_from(pool)) for pool in (a_pool, b_pool, pairs_pool))
+        payload = {"a": a, "b": b, "amounts": list(amounts), "observer": True, "term": draw(PAYLOAD_VALUES)}
+        shape = draw(st.sampled_from(["cut", "cut", "cut", "observer-1", "extra-key"]))
+        if shape == "observer-1":
+            payload["observer"] = 1
+        elif shape == "extra-key":
+            payload[draw(st.sampled_from(["t", "seq", "kind", "x"]))] = draw(PAYLOAD_LEAVES)
+        log.append(Event(draw(st.floats()), draw(st.integers(0, 10**6)),
+                         draw(st.sampled_from(["Settlement", "Shock"])), payload))
+    return log
+
+
+class TestObserverCutTrace:
+    """A repeated observer cut is rendered once; its lines stay those of the copying trace."""
+
+    @given(log=observer_logs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_copying_trace(self, log):
+        assert event_trace(log) == copied_trace(log)
+
+    def test_equal_pairs_of_other_types_render_apart(self):
+        pairs = [("ab", 1)]
+        log = [Event(1.0, k, "Settlement", {"a": None, "b": None, "amounts": amounts, "observer": True,
+                                             "term": k})
+               for k, amounts in enumerate([list(pairs), list(pairs), [("ab", True)], [("ab", 1.0)]])]
+        assert event_trace(log) == copied_trace(log)
+        assert [json.loads(line)["amounts"] for line in event_trace(log).splitlines()] == [
+            [["ab", 1]], [["ab", 1]], [["ab", True]], [["ab", 1.0]]]
+
+    @pytest.mark.parametrize("time", [float("inf"), float("-inf"), float("nan"), 0.1, -0.0])
+    def test_replayed_cuts_of_a_run(self, time):
+        state = build_network(three_agent_cycle())
+        run_record(state, 6)
+        cuts = [ev for ev in state.log if ev.payload.get("observer")]
+        assert len({tuple(map(id, ev.payload["amounts"])) for ev in cuts}) < len(cuts)  # some replayed
+        log = [*state.log, cuts[-1]._replace(time=time)]
+        assert event_trace(log) == copied_trace(log)
+
+    def test_unknown_term_type_raises(self):
+        log = [Event(1.0, 0, "Settlement", {"a": None, "b": None, "amounts": [], "observer": True,
+                                            "term": {1, 2}})]
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            event_trace(log)

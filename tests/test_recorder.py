@@ -4,6 +4,8 @@ from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
+import copy
+import itertools
 import json
 import re
 
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moneyflow import engine, rng
+from moneyflow import engine, recorder, rng
 from moneyflow import (
     BUILTIN_SCENARIOS,
     Assignment,
@@ -725,6 +727,81 @@ class TestQuietCutReplay:
         assert len({id(amounts) for amounts in cuts}) == 200  # each cut logs its own list
 
 
+def tallied_sheets(state, n_terms):
+    """The first `n_terms` sheets of a state at time 0, each read afresh off the running
+    tallies at its cut, as `record_terms` reads a term whose cut does not replay."""
+    spec, agents, channels = state.spec, state.agents, state.channels
+    flow_figures = [(f.name, f.channel) for f in spec.figures if f.channel is not None]
+    stock_figures = [(f.name, f.stock) for f in spec.figures if f.stock is not None]
+    sheets = []
+    opened = {aid: (a.stock, a.received, a.paid) for aid, a in agents.items()}
+    settled = {cid: ch.settled for cid, ch in channels.items()}
+    ends = ((k + 1) * spec.term_length for k in itertools.count())
+    for k, _ in zip(range(n_terms), engine._advance(state, ends)):
+        settle_all(state, state.now, term=k)
+        figures = {name: channels[cid].settled - settled[cid] for name, cid in flow_figures}
+        figures.update((name, agents[aid].stock) for name, aid in stock_figures)
+        sheets.append(BalanceSheet(k, {aid: AgentLine(stock, agents[aid].received - received,
+                                                      agents[aid].paid - paid, agents[aid].stock)
+                                       for aid, (stock, received, paid) in opened.items()},
+                                   state.cumulative_issuance, state.securities_outstanding,
+                                   dict(state.rates), figures))
+        opened = {aid: (a.stock, a.received, a.paid) for aid, a in agents.items()}
+        settled = {cid: ch.settled for cid, ch in channels.items()}
+    return sheets
+
+
+def cycle_with(*items):
+    """three-agent-cycle with policy actions and shocks added; it starts balanced, so every
+    term is quiet but those of the items."""
+    spec = three_agent_cycle()
+    return spec.with_extra_policy([i for i in items if isinstance(i, PolicyAction)]).with_extra_shocks(
+        [i for i in items if isinstance(i, ShockSpec)])
+
+
+class TestReplayedSheets:
+    """On a cut that replays the last one, `record_terms` repeats the last sheet's flows; every
+    sheet equals a fresh tally of the same state, and the fresh terms after a replayed
+    stretch open from exact tallies."""
+
+    @pytest.mark.parametrize("seed", [51, 1])  # simulate-n5's scenario seeds at workload seeds 1 and 2
+    def test_national_5_at_200_terms(self, monkeypatch, seed):
+        spec = national_5().with_seed(seed).with_extra_policy(TAX_POLICY)
+        state = build_network(spec)
+        full = count_full_cuts(monkeypatch, state)
+        record = run_record(state, 200)
+        assert len(full) < 20  # the rest replay
+        assert list(record.sheets) == tallied_sheets(build_network(spec), 200)
+
+    @pytest.mark.parametrize("items", [
+        (ShockSpec(20.5, "ab", 7),),
+        (PolicyAction(20.25, "set_rate", "discount_rate", Fraction(1, 20)),),
+        (ShockSpec(12.0, "bc", -5), PolicyAction(25.5, "set_rate", "policy_rate", Fraction(1, 8)),
+         ShockSpec(25.5, "ca", 0)),
+    ], ids=["shock", "set-rate", "both"])
+    @pytest.mark.parametrize("length", [1.0, 0.75])
+    def test_three_agent_cycle_with_an_item_in_a_quiet_stretch(self, monkeypatch, items, length):
+        spec = replace(cycle_with(*items), term_length=length)
+        state = build_network(spec)
+        full = count_full_cuts(monkeypatch, state)
+        record = run_record(state, 40)
+        assert len(full) < 30
+        assert list(record.sheets) == tallied_sheets(build_network(spec), 40)
+
+    @pytest.mark.parametrize("field", ["agents", "rates", "figures"])
+    def test_a_sheet_shares_no_mapping_with_its_neighbours(self, field):
+        record = run_record(build_network(national_5()), 12)
+        assert record.sheets[5][1:] == record.sheets[6][1:] == record.sheets[7][1:]  # replayed
+        assert len({id(getattr(sheet, field)) for sheet in record.sheets}) == 12
+        before = copy.deepcopy(record.sheets)
+        mapping = getattr(record.sheets[6], field)
+        key = next(iter(mapping))
+        mapping[key] = AgentLine(0, 0, 0, 0) if field == "agents" else Fraction(9)
+        mapping["added"] = 1
+        assert record.sheets[6] != before[6]
+        assert record.sheets[:6] + record.sheets[7:] == before[:6] + before[7:]
+
+
 class TestFigures:
     def test_two_figures_on_one_channel_both_recorded(self):
         spec = three_agent_cycle()
@@ -1247,3 +1324,45 @@ class TestRepeatingSheets:
             assert read == record
             for field in ("agents", "rates", "figures"):  # each sheet keeps its own mappings
                 assert len({id(getattr(sheet, field)) for sheet in read.sheets}) == len(read.sheets)
+
+
+def hh_edit(field, by):
+    """A sheet edit that moves agent HH's `field` by `by`."""
+    def edit(sheet):
+        line = sheet.agents["HH"]
+        return sheet._replace(agents={**sheet.agents, "HH": line._replace(**{field: getattr(line, field) + by})})
+    return edit
+
+
+TAMPERINGS = {
+    "untouched": lambda sheet: sheet,
+    "closing": hh_edit("closing", 1),
+    "opening": hh_edit("opening", -3),
+    "inflow": hh_edit("inflow", 10**30),
+    "notes": lambda sheet: sheet._replace(notes_outstanding=sheet.notes_outstanding + 1),
+}
+
+
+class TestIdentityVerdict:
+    """`read_record` and the CLI read only the verdict of the identity walk; it equals
+    `verify_record(...).ok` on every record."""
+
+    @pytest.mark.parametrize("name", sorted(TAMPERINGS))
+    @pytest.mark.parametrize("term", [0, 5])
+    def test_tampered_records(self, name, term):
+        record = run_record(build_network(national_5()), 8)
+        sheets = list(record.sheets)
+        sheets[term] = TAMPERINGS[name](sheets[term])
+        tampered = replace(record, sheets=tuple(sheets))
+        assert recorder._identities_hold(tampered) == verify_record(tampered).ok == (name == "untouched")
+        shifted = replace(tampered, initial_total_stock=tampered.initial_total_stock + 1)
+        assert recorder._identities_hold(shifted) == verify_record(shifted).ok is False
+
+    @given(record=records() | repeating_records())
+    @settings(max_examples=200, deadline=None)
+    def test_generated_records(self, record):
+        assert recorder._identities_hold(record) == verify_record(record).ok
+
+    def test_empty_records(self):
+        for record in (Record(()), Record((BalanceSheet(0, {}, 0, 0, {}, {}),))):
+            assert recorder._identities_hold(record) == verify_record(record).ok is True

@@ -4,13 +4,14 @@ import hashlib
 import json
 import math
 import re
+import time
 from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from moneyflow import (
@@ -77,6 +78,59 @@ class TestRationals:
     def test_rational_str_exact(self, value, text):
         assert rational_str(value) == text
         assert as_fraction(text) == value
+
+
+class TestRationalSize:
+    """A rational's text may hold at most 1000 significant digits and an exponent of at most
+    1000 in magnitude; past either it is rejected before any arithmetic on it."""
+
+    @pytest.mark.parametrize("text", ["1e-100000", "1e1001", "-1E-1001", "1" * 1001, "0." + "1" * 1001,
+                                      "1e" + "9" * 5000, "2/" + "5" * 1001, "1e0_0001_001",
+                                      "1/" + str(2 ** 1500),  # its decimal has 1049 significant digits
+                                      "1" * 5000, "0." + "3" * 5000])  # past the interpreter's int limit
+    def test_past_the_limits_rejected_at_once(self, text):
+        start = time.perf_counter()
+        with pytest.raises(ScenarioError, match="gain: .* has more than 1000 significant digits"):
+            as_fraction(text, "gain")
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("text", ["1e-1000", "-1e+1000", "1" * 1000, "0." + "0" * 3000 + "7",
+                                      "7" + "0" * 3000, "1" * 1000 + "e-1000", "1e0_1_000",
+                                      "1/" + str(2 ** 1400), "3/" + str(5 ** 1000)])
+    def test_at_the_limits_accepted_and_read_back(self, text):
+        value = as_fraction(text)
+        assert as_fraction(rational_str(value)) == value
+
+    @given(text=st.fractions().map(str) | st.builds("{}e{}".format, st.decimals(allow_nan=False,
+                                                                          allow_infinity=False),
+                                                    st.integers(-1100, 1100)))
+    @settings(max_examples=300, deadline=None)
+    def test_what_is_accepted_reads_back(self, text):
+        try:
+            value = as_fraction(text)
+        except ScenarioError:
+            return
+        assert as_fraction(rational_str(value)) == value
+
+    @given(value=st.floats(allow_nan=False, allow_infinity=False))
+    @example(value=5e-324)
+    @example(value=-2.2250738585072014e-308)
+    @example(value=1.7976931348623157e308)
+    @example(value=1 / 3)
+    def test_every_float_accepted(self, value):
+        assert as_fraction(value) == Fraction(repr(value))
+
+    def test_scenario_gain_names_the_field(self, tmp_path):
+        doc = three_agent_cycle().to_dict()
+        next(a for a in doc["agents"] if a["id"] == "A")["gain"] = "1e-100000"
+        path = tmp_path / "stall.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        with pytest.raises(ScenarioError) as caught:
+            load_scenario(path)
+        assert time.perf_counter() - start < 1
+        assert str(caught.value) == ("agent 'A' gain: '1e-100000' has more than 1000 significant "
+                                     "digits or an exponent past 1000")
 
 
 class TestParsing:
